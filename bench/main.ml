@@ -402,8 +402,8 @@ let json_map_unmap ~iters =
 (* Scatter-gather batches through the multi-tenant manager's zero-alloc
    twins: ~200-segment bursts (the paper's §3.2 amortization point),
    mapped and torn down per batch, the teardown paying one
-   domain-selective flush instead of 200 invalidation commands. The
-   [Partitioned] IOTLB policy keeps the selective flush allocation-free. *)
+   domain-selective flush instead of 200 invalidation commands (itself
+   allocation-free under every IOTLB policy). *)
 let json_map_sg ~iters =
   let open Rio_domain in
   let clock = Rio_sim.Cycles.create () in
@@ -433,8 +433,8 @@ let json_map_sg ~iters =
   done;
   sample ~group:"map_sg" ~iters ~ops_per_iter:burst batch
 
-(* Steady-state IOTLB hit through the allocation-free [find_exn] path:
-   the zero words/op gate. *)
+(* Steady-state IOTLB hit through the allocation-free [find] path: the
+   zero words/op gate. *)
 let json_iotlb_lookup ~iters =
   let clock = Rio_sim.Cycles.create () in
   let cost = Rio_sim.Cost_model.default in
@@ -444,7 +444,9 @@ let json_iotlb_lookup ~iters =
   done;
   let i = ref 0 in
   let f () =
-    ignore (Rio_iotlb.Iotlb.find_exn tlb ~bdf:0x0300 ~vpn:(!i land 63) : int);
+    ignore
+      (Rio_iotlb.Iotlb.find tlb ~bdf:0x0300 ~vpn:(!i land 63) ~absent:(-1)
+        : int);
     incr i
   in
   for _ = 1 to 10_000 do f () done;
@@ -468,7 +470,7 @@ let json_event_queue ~iters =
   sample ~group:"event-queue" ~iters f
 
 (* The serve per-DMA path end to end — Shard.translate_record →
-   Manager.translate_exn → Shared_iotlb.find_exn → Iotlb.find_exn plus
+   Manager.translate_exn → Shared_iotlb.find → Iotlb.find plus
    the Histogram.record of the measured latency — on a warm premapped
    page: the service's own zero words/op gate. *)
 let json_serve_translate ~iters =
@@ -491,6 +493,51 @@ let json_serve_translate ~iters =
   in
   for _ = 1 to 10_000 do f () done;
   sample ~group:"serve-translate" ~iters f
+
+(* The same path on the IOTLB miss side: a Shared-policy shard whose
+   two tenants are swept at random over 4x its IOTLB capacity, so ~75%
+   of lookups miss, walk the arena, fill and evict — often the other
+   tenant's entry, which runs the eviction-attribution hook. The pick
+   sequence is precomputed so the loop itself allocates nothing. *)
+let json_serve_translate_miss ~iters =
+  let open Rio_serve in
+  let capacity = 64 in
+  let shard =
+    Shard.create ~id:0 ~tenants:2 ~iotlb_capacity:capacity
+      ~iotlb_policy:Rio_domain.Shared_iotlb.Shared ~rcache:true ~buf_pool:8 ()
+  in
+  let pages = 4 * capacity in
+  let iovas =
+    Array.init pages (fun p ->
+        match
+          Shard.map_record shard ~tenant:(p land 1) ~phys:(Shard.next_buf shard)
+            ~bytes:4096
+        with
+        | Ok v -> v
+        | Error `Exhausted -> failwith "bench --json: serve map failed")
+  in
+  let rng = Rio_sim.Rng.create ~seed:11 in
+  let picks = Array.init 4096 (fun _ -> Rio_sim.Rng.int rng pages) in
+  let i = ref 0 in
+  let f () =
+    let p = picks.(!i land 4095) in
+    ignore
+      (Shard.translate_record shard ~tenant:(p land 1) ~iova:iovas.(p)
+         ~write:false
+        : Rio_memory.Addr.phys);
+    incr i
+  in
+  for _ = 1 to 10_000 do f () done;
+  let s = sample ~group:"serve-translate-miss" ~iters f in
+  let lookups = ref 0 and misses = ref 0 in
+  for tenant = 0 to 1 do
+    let st = Shard.iotlb_stats shard ~tenant in
+    lookups := !lookups + st.Rio_domain.Shared_iotlb.hits + st.misses;
+    misses := !misses + st.misses
+  done;
+  if 4 * !misses < 2 * !lookups then
+    failwith "bench --json: serve-translate-miss no longer mostly misses";
+  s
 
 (* Histogram.record alone, swept across octaves so the bucket index
    computation (not just one cached bucket) is what's measured. *)
@@ -639,8 +686,8 @@ let json_readiness_wait ~iters =
 let gated_groups =
   [
     "translate"; "map"; "unmap"; "map_sg"; "iotlb-lookup"; "event-queue";
-    "serve-translate"; "histogram-record"; "wire-codec"; "dispatch-translate";
-    "spsc-ring"; "readiness-wait";
+    "serve-translate"; "serve-translate-miss"; "histogram-record";
+    "wire-codec"; "dispatch-translate"; "spsc-ring"; "readiness-wait";
   ]
 
 let write_bench_json ~path samples =
@@ -669,6 +716,7 @@ let run_json () =
         json_iotlb_lookup ~iters:(scale 1_000_000);
         json_event_queue ~iters:(scale 1_000_000);
         json_serve_translate ~iters:(scale 1_000_000);
+        json_serve_translate_miss ~iters:(scale 1_000_000);
         json_histogram_record ~iters:(scale 1_000_000);
         json_wire_codec ~iters:(scale 1_000_000);
         json_dispatch_translate ~iters:(scale 1_000_000);

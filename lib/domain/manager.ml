@@ -5,7 +5,7 @@ module Pte = Rio_pagetable.Pte
 module Arena = Rio_pagetable.Arena
 module Allocator = Rio_iova.Allocator
 module Bdf = Rio_iommu.Bdf
-module Context = Rio_iommu.Context
+module Rid_table = Rio_iommu.Rid_table
 module Hw = Rio_iommu.Hw
 module Cycles = Rio_sim.Cycles
 module Cost_model = Rio_sim.Cost_model
@@ -34,7 +34,7 @@ type domain = {
   name : string;
   bdf : Bdf.t;
   rid : int;
-  cdom : Context.Domain.t;
+  table : Arena.t;
   front : front;
   queue : Rio_iova.Rbtree.node Queue.t;
   mutable faults : int;
@@ -62,9 +62,11 @@ let front_free d node =
   | Direct a -> Allocator.free a node
   | Cached m -> Rio_iova.Magazine.free m node
 
+(* [rids] is the one context table: rid -> domain for both translate
+   forms, sized to the attached set (see Rid_table). *)
 type t = {
   iotlb : Shared_iotlb.t;
-  context : Context.t;
+  rids : domain Rid_table.t;
   invalidation : invalidation;
   policy : policy;
   frames : Frame_allocator.t;
@@ -73,9 +75,10 @@ type t = {
   cost : Cost_model.t;
   rcache : bool;
   mutable doms : domain list;  (* reversed creation order *)
-  by_rid : (int, domain) Hashtbl.t;
   mutable next_id : int;
   mutable unknown_rid_faults : int;
+  (* class of the last fault [translate_exn] raised, for [translate] *)
+  mutable fault_class : Hw.fault;
 }
 
 let create ~iotlb_policy ~iotlb_capacity ~invalidation ~policy ~frames ~clock
@@ -84,7 +87,7 @@ let create ~iotlb_policy ~iotlb_capacity ~invalidation ~policy ~frames ~clock
     iotlb =
       Shared_iotlb.create ~policy:iotlb_policy ~capacity:iotlb_capacity ~clock
         ~cost;
-    context = Context.create ();
+    rids = Rid_table.create ();
     invalidation;
     policy;
     frames;
@@ -93,14 +96,14 @@ let create ~iotlb_policy ~iotlb_capacity ~invalidation ~policy ~frames ~clock
     cost;
     rcache;
     doms = [];
-    by_rid = Hashtbl.create 16;
     next_id = 1;
     unknown_rid_faults = 0;
+    fault_class = Hw.No_translation;
   }
 
 let add_domain t ~name ~bdf ?(iova_limit_pfn = 0xFFFFF) () =
   let rid = Bdf.to_rid bdf in
-  if Hashtbl.mem t.by_rid rid then
+  if Rid_table.mem t.rids rid then
     invalid_arg "Manager.add_domain: bdf already attached";
   let id = t.next_id in
   t.next_id <- id + 1;
@@ -108,8 +111,6 @@ let add_domain t ~name ~bdf ?(iova_limit_pfn = 0xFFFFF) () =
     Arena.create ~frames:t.frames ~coherency:t.coherency ~clock:t.clock
       ~cost:t.cost
   in
-  let cdom = Context.Domain.make ~id ~table in
-  Context.attach t.context bdf cdom;
   Shared_iotlb.register t.iotlb ~domain:id ~bdf:rid;
   let allocator =
     Allocator.create ~kind:Allocator.Fast ~limit_pfn:iova_limit_pfn
@@ -123,15 +124,14 @@ let add_domain t ~name ~bdf ?(iova_limit_pfn = 0xFFFFF) () =
     else Direct allocator
   in
   let d =
-    { id; name; bdf; rid; cdom; front; queue = Queue.create (); faults = 0 }
+    { id; name; bdf; rid; table; front; queue = Queue.create (); faults = 0 }
   in
   t.doms <- d :: t.doms;
-  Hashtbl.add t.by_rid rid d;
+  Rid_table.replace t.rids rid d;
   d
 
 let remove_domain t d =
-  Context.detach t.context d.bdf;
-  Hashtbl.remove t.by_rid d.rid;
+  Rid_table.remove t.rids d.rid;
   t.doms <- List.filter (fun x -> x.id <> d.id) t.doms;
   (* flush before unregistering: the shared-policy flush attributes
      entries to this domain through the bdf ownership table *)
@@ -160,7 +160,7 @@ let map_seg_exn d ~phys ~bytes ~read ~write =
   if iova_pfn < 0 then raise Exhausted;
   for i = 0 to npages - 1 do
     let pte = Pte.pack_make ~read ~write ~pfn:(Addr.pfn phys + i) in
-    Arena.map_exn d.cdom.Context.Domain.table
+    Arena.map_exn d.table
       ~iova:((iova_pfn + i) lsl Addr.page_shift)
       ~pte
   done;
@@ -206,7 +206,7 @@ let unmap_one t d ~iova =
       for p = lo to hi do
         (* map installed every page of the range *)
         ignore
-          (Arena.unmap_exn d.cdom.Context.Domain.table
+          (Arena.unmap_exn d.table
              ~iova:(p lsl Addr.page_shift))
       done;
       (match t.policy with
@@ -246,7 +246,7 @@ let rollback d ~iovas n =
     let lo = Rio_iova.Rbtree.lo node and hi = Rio_iova.Rbtree.hi node in
     for p = lo to hi do
       ignore
-        (Arena.unmap_exn d.cdom.Context.Domain.table
+        (Arena.unmap_exn d.table
            ~iova:(p lsl Addr.page_shift))
     done;
     release d node
@@ -302,10 +302,8 @@ let unmap_sg t d ~iovas ?n () =
    iotlb_global_flush for the burst). Until that flush the device can
    still reach the just-unmapped pages through stale IOTLB entries —
    the same window the deferred modes accept, here bounded by one call.
-
-   Zero-alloc note: under the [Shared] IOTLB policy a domain-selective
-   flush must scan the shared LRU and builds a victim list; use
-   [Partitioned] or [Quota] when the allocation gate matters. *)
+   The flush is allocation-free under every IOTLB policy (the [Shared]
+   one drops the domain's entries in place during one LRU scan). *)
 
 let map_sg_exn t d ~segs ?n ~iovas ~read ~write () =
   let n = match n with Some n -> n | None -> Array.length segs in
@@ -339,7 +337,7 @@ let unmap_sg_exn t d ~iovas ?n () =
       let lo = Rio_iova.Rbtree.lo node and hi = Rio_iova.Rbtree.hi node in
       for p = lo to hi do
         ignore
-          (Arena.unmap_exn d.cdom.Context.Domain.table
+          (Arena.unmap_exn d.table
              ~iova:(p lsl Addr.page_shift))
       done;
       release d node;
@@ -354,81 +352,47 @@ let unmap_sg_exn t d ~iovas ?n () =
 
 let flush t d = if not (Queue.is_empty d.queue) then do_flush t d
 let pending _t d = Queue.length d.queue
-let live_mappings _t d = Arena.mapped_count d.cdom.Context.Domain.table
-
-let translate t ~rid ~iova ~write =
-  match Context.lookup t.context ~rid with
-  | None ->
-      t.unknown_rid_faults <- t.unknown_rid_faults + 1;
-      Error Hw.Unknown_device
-  | Some cdom -> (
-      let d = Hashtbl.find t.by_rid rid in
-      let vpn = iova lsr Addr.page_shift in
-      let offset = iova land (Addr.page_size - 1) in
-      let check pte =
-        if Pte.packed_permits pte ~write then
-          Ok (Addr.add (Pte.packed_frame pte) offset)
-        else begin
-          d.faults <- d.faults + 1;
-          Error Hw.Not_permitted
-        end
-      in
-      match Shared_iotlb.lookup t.iotlb ~domain:d.id ~bdf:rid ~vpn with
-      | Some pte -> check pte
-      | None ->
-          let pte =
-            Arena.walk cdom.Context.Domain.table
-              ~iova:(vpn lsl Addr.page_shift)
-          in
-          if pte < 0 then begin
-            d.faults <- d.faults + 1;
-            Error Hw.No_translation
-          end
-          else begin
-            Shared_iotlb.insert t.iotlb ~domain:d.id ~bdf:rid ~vpn pte;
-            check pte
-          end)
+let live_mappings _t d = Arena.mapped_count d.table
 
 exception Translation_fault
 
-(* Allocation-free twin of [translate] for the service's steady state:
-   no option/result boxes on the hit path (Hashtbl.find + the
-   shared-IOTLB find_exn + an immediate phys result), one constant
-   exception for every fault class. Fault accounting is identical to
-   [translate] — the per-domain and unknown-rid counters are bumped
-   before the exception escapes. *)
+let fault t d cls =
+  d.faults <- d.faults + 1;
+  t.fault_class <- cls;
+  raise Translation_fault
+
+(* The one translate body: rid table, shared-IOTLB find, walk and fill
+   on a miss, permission check. Allocation-free hit or miss: the phys
+   result is an immediate and every fault class raises the constant
+   [Translation_fault], after bumping its counter and noting its class
+   for [translate]. *)
 let translate_exn t ~rid ~iova ~write =
   let d =
-    try Hashtbl.find t.by_rid rid
-    with Not_found ->
-      t.unknown_rid_faults <- t.unknown_rid_faults + 1;
-      raise Translation_fault
+    match Rid_table.find_exn t.rids rid with
+    | d -> d
+    | exception Not_found ->
+        t.unknown_rid_faults <- t.unknown_rid_faults + 1;
+        t.fault_class <- Hw.Unknown_device;
+        raise Translation_fault
   in
   let vpn = iova lsr Addr.page_shift in
-  let offset = iova land (Addr.page_size - 1) in
-  match Shared_iotlb.find_exn t.iotlb ~domain:d.id ~bdf:rid ~vpn with
-  | pte ->
-      if Pte.packed_permits pte ~write then Addr.add (Pte.packed_frame pte) offset
-      else begin
-        d.faults <- d.faults + 1;
-        raise Translation_fault
-      end
-  | exception Not_found ->
-      let pte =
-        Arena.walk d.cdom.Context.Domain.table ~iova:(vpn lsl Addr.page_shift)
-      in
-      if pte < 0 then begin
-        d.faults <- d.faults + 1;
-        raise Translation_fault
-      end
-      else begin
-        Shared_iotlb.insert t.iotlb ~domain:d.id ~bdf:rid ~vpn pte;
-        if Pte.packed_permits pte ~write then Addr.add (Pte.packed_frame pte) offset
-        else begin
-          d.faults <- d.faults + 1;
-          raise Translation_fault
-        end
-      end
+  let pte = Shared_iotlb.find t.iotlb ~domain:d.id ~bdf:rid ~vpn in
+  let pte =
+    if pte >= 0 then pte
+    else begin
+      let pte = Arena.walk d.table ~iova:(vpn lsl Addr.page_shift) in
+      if pte < 0 then fault t d Hw.No_translation;
+      Shared_iotlb.insert t.iotlb ~domain:d.id ~bdf:rid ~vpn pte;
+      pte
+    end
+  in
+  if not (Pte.packed_permits pte ~write) then fault t d Hw.Not_permitted;
+  Addr.add (Pte.packed_frame pte) (iova land (Addr.page_size - 1))
+
+let translate t ~rid ~iova ~write =
+  match translate_exn t ~rid ~iova ~write with
+  | phys -> Ok phys
+  | exception Translation_fault -> Error t.fault_class
 
 let faults _t d = d.faults
 let unknown_rid_faults t = t.unknown_rid_faults

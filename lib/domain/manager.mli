@@ -138,10 +138,9 @@ val unmap_sg_exn : t -> domain -> iovas:int array -> ?n:int -> unit -> unit
     burst rather than [n * iotlb_invalidate]. Until that flush the
     device can still reach the just-unmapped pages through stale IOTLB
     entries (the deferred-mode window, here bounded by one call).
-    Allocation-free under the [Partitioned] and [Quota] IOTLB policies
-    (a [Shared]-policy selective flush scans the LRU and allocates).
-    Raises {!Not_mapped} at the first unknown IOVA, after flushing the
-    entries already torn down. *)
+    Allocation-free under every IOTLB policy. Raises {!Not_mapped} at
+    the first unknown IOVA, after flushing the entries already torn
+    down. *)
 
 val flush : t -> domain -> unit
 (** Drain the tenant's deferred queue now (scope per configuration). *)
@@ -157,23 +156,22 @@ val translate :
   iova:int ->
   write:bool ->
   (Rio_memory.Addr.phys, Rio_iommu.Hw.fault) result
-(** One DMA: context lookup by request id, shared-IOTLB lookup (charged
-    and attributed), table walk on miss, permission check. A tenant's
-    rid can only reach its own page table — domain A translating
-    domain B's IOVA faults with [No_translation] and is recorded
-    against A. *)
+(** One DMA: {!translate_exn} with its fault class as a result. A
+    tenant's rid can only reach its own page table — domain A
+    translating domain B's IOVA faults with [No_translation] and is
+    recorded against A. *)
 
 exception Translation_fault
 (** Constant exception raised by {!translate_exn} for every fault
-    class (the specific class is recorded in the same counters
-    {!translate} maintains: {!faults} / {!unknown_rid_faults}). *)
+    class (the specific class is recorded in the counters:
+    {!faults} / {!unknown_rid_faults}). *)
 
 val translate_exn : t -> rid:int -> iova:int -> write:bool -> Rio_memory.Addr.phys
-(** Exactly {!translate} — same IOTLB charge/attribution, walk on miss,
-    permission check, fault counters — but allocation-free on the
-    steady-state hit path: the phys result is returned unboxed and
-    faults raise the constant {!Translation_fault}. This is the
-    service's per-DMA hot path. *)
+(** One DMA, the service's per-DMA hot path: context lookup by request
+    id, shared-IOTLB lookup (charged and attributed), table walk and
+    fill on a miss, permission check. Allocation-free on hits and
+    misses alike: the phys result is returned unboxed and faults raise
+    the constant {!Translation_fault}. *)
 
 val faults : t -> domain -> int
 (** I/O page faults raised by this tenant's device. *)

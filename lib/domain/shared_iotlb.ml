@@ -58,22 +58,34 @@ type dom = {
   mutable partition : int Iotlb.t option;
 }
 
+(* Every table here is sized to the registered set: domain ids are
+   dense (Manager mints them from 1), and the owner table is a
+   Rid_table over the attached bdfs, never over the 16-bit rid space.
+   The translate path (find, insert and the eviction hook) does one
+   array load for the domain and one probe for a victim's owner, and
+   allocates nothing. *)
 type t = {
   policy : policy;
   total_capacity : int;
   clock : Cycles.t;
   cost : Cost_model.t;
-  (* registration order matters for partition sizing and reporting *)
+  (* registration order matters for partition sizing *)
   mutable doms : dom list;  (* reversed registration order *)
-  by_id : (int, dom) Hashtbl.t;
-  owner_of_bdf : (int, dom) Hashtbl.t;
+  mutable by_id : dom option array;  (* domain id -> dom *)
+  owners : dom Rio_iommu.Rid_table.t;  (* bdf -> owning dom *)
   mutable frozen : bool;
-  (* Shared policy: the one LRU everyone contends on. The inserter is
-     recorded around each fill so the eviction hook can attribute the
-     victim. *)
+  (* Shared policy: the one LRU everyone contends on. [filler] is the
+     id of the domain whose fill is in progress (-1 outside a fill), so
+     the eviction hook can attribute the victim; [flushing] is the id
+     whose entries [sweep] drops during a domain-selective flush. Both
+     closures are built once, at freeze. *)
   mutable shared : int Iotlb.t option;
-  mutable inserting : dom option;
+  mutable filler : int;
+  mutable flushing : int;
+  mutable sweep : bdf:int -> vpn:int -> int -> unit;
 }
+
+let no_sweep ~bdf:_ ~vpn:_ _ = ()
 
 let create ~policy ~capacity ~clock ~cost =
   if capacity <= 0 then invalid_arg "Shared_iotlb.create: capacity";
@@ -83,11 +95,13 @@ let create ~policy ~capacity ~clock ~cost =
     clock;
     cost;
     doms = [];
-    by_id = Hashtbl.create 16;
-    owner_of_bdf = Hashtbl.create 16;
+    by_id = Array.make 8 None;
+    owners = Rio_iommu.Rid_table.create ();
     frozen = false;
     shared = None;
-    inserting = None;
+    filler = -1;
+    flushing = -1;
+    sweep = no_sweep;
   }
 
 let make_partition t d ~capacity =
@@ -95,6 +109,12 @@ let make_partition t d ~capacity =
     d.counters.c_ev_self <- d.counters.c_ev_self + 1
   in
   Iotlb.create ~on_evict ~capacity ~clock:t.clock ~cost:t.cost ()
+
+(* The id of [bdf]'s owner, -1 if none. *)
+let owner_id t bdf =
+  match Rio_iommu.Rid_table.find_exn t.owners bdf with
+  | o -> o.id
+  | exception Not_found -> -1
 
 let register t ~domain ~bdf =
   (* Online attach: under [Shared] (one LRU, no per-domain geometry)
@@ -109,16 +129,21 @@ let register t ~domain ~bdf =
          invalid_arg
            "Shared_iotlb.register: traffic already started (partitioned \
             slice geometry is fixed at first traffic)");
-  (match Hashtbl.find_opt t.owner_of_bdf bdf with
-  | Some d when d.id <> domain ->
-      invalid_arg "Shared_iotlb.register: bdf owned by another domain"
-  | _ -> ());
+  if domain < 0 then invalid_arg "Shared_iotlb.register: domain";
+  (let o = owner_id t bdf in
+   if o >= 0 && o <> domain then
+     invalid_arg "Shared_iotlb.register: bdf owned by another domain");
+  if domain >= Array.length t.by_id then begin
+    let grown = Array.make (max (domain + 1) (2 * Array.length t.by_id)) None in
+    Array.blit t.by_id 0 grown 0 (Array.length t.by_id);
+    t.by_id <- grown
+  end;
   let d =
-    match Hashtbl.find_opt t.by_id domain with
+    match t.by_id.(domain) with
     | Some d -> d
     | None ->
         let d = { id = domain; counters = fresh_counters (); partition = None } in
-        Hashtbl.add t.by_id domain d;
+        t.by_id.(domain) <- Some d;
         t.doms <- d :: t.doms;
         d
   in
@@ -127,21 +152,17 @@ let register t ~domain ~bdf =
   | true, Quota { entries } when d.partition = None ->
       d.partition <- Some (make_partition t d ~capacity:entries)
   | _ -> ());
-  Hashtbl.replace t.owner_of_bdf bdf d
+  Rio_iommu.Rid_table.replace t.owners bdf d
 
 let unregister t ~domain ~bdf =
-  match Hashtbl.find_opt t.owner_of_bdf bdf with
-  | Some d when d.id = domain -> Hashtbl.remove t.owner_of_bdf bdf
-  | _ -> ()
+  if owner_id t bdf = domain then Rio_iommu.Rid_table.remove t.owners bdf
 
-(* find, not find_opt: [dom_exn] sits under the batched-invalidation
-   flush on the zero-alloc unmap_sg path, so no Some box. *)
 let dom_exn t domain =
-  match Hashtbl.find t.by_id domain with
-  | d -> d
-  | exception Not_found -> invalid_arg "Shared_iotlb: unregistered domain"
-
-let owner t bdf = Hashtbl.find_opt t.owner_of_bdf bdf
+  if domain < 0 || domain >= Array.length t.by_id then
+    invalid_arg "Shared_iotlb: unregistered domain";
+  match t.by_id.(domain) with
+  | Some d -> d
+  | None -> invalid_arg "Shared_iotlb: unregistered domain"
 
 (* Freeze on first traffic: build the shared instance or size the
    per-domain partitions from the final registration count. *)
@@ -150,22 +171,30 @@ let freeze t =
     t.frozen <- true;
     match t.policy with
     | Shared ->
-        let on_evict ~bdf ~vpn =
-          ignore vpn;
-          match (owner t bdf, t.inserting) with
-          | Some victim, Some filler ->
-              if victim.id = filler.id then
-                victim.counters.c_ev_self <- victim.counters.c_ev_self + 1
-              else
-                victim.counters.c_ev_other <- victim.counters.c_ev_other + 1
-          | Some victim, None ->
-              victim.counters.c_ev_self <- victim.counters.c_ev_self + 1
-          | None, _ -> ()
+        (* A victim is charged to its bdf's current owner: as self when
+           the owner is the filler or no fill is in progress, as
+           by_other otherwise. An unowned bdf's victim counts for
+           nobody. *)
+        let on_evict ~bdf ~vpn:_ =
+          match Rio_iommu.Rid_table.find_exn t.owners bdf with
+          | victim ->
+              let c = victim.counters in
+              if t.filler < 0 || t.filler = victim.id then
+                c.c_ev_self <- c.c_ev_self + 1
+              else c.c_ev_other <- c.c_ev_other + 1
+          | exception Not_found -> ()
         in
-        t.shared <-
-          Some
-            (Iotlb.create ~on_evict ~capacity:t.total_capacity ~clock:t.clock
-               ~cost:t.cost ())
+        let shared =
+          Iotlb.create ~on_evict ~capacity:t.total_capacity ~clock:t.clock
+            ~cost:t.cost ()
+        in
+        t.shared <- Some shared;
+        (* Iotlb.iter reads the next link before calling this, so the
+           current entry can be dropped in place. *)
+        t.sweep <-
+          (fun ~bdf ~vpn _ ->
+            if owner_id t bdf = t.flushing then
+              ignore (Iotlb.drop shared ~bdf ~vpn : bool))
     | Partitioned | Quota _ ->
         let n = max 1 (List.length t.doms) in
         let slice =
@@ -178,63 +207,39 @@ let freeze t =
           t.doms
   end
 
-let partition_exn d =
-  match d.partition with
-  | Some p -> p
-  | None -> invalid_arg "Shared_iotlb: partition missing"
+(* The IOTLB a domain's traffic goes to: the shared LRU or its own
+   partition. Only called after [freeze]. *)
+let tlb_of t d =
+  match t.policy with
+  | Shared -> (
+      match t.shared with
+      | Some s -> s
+      | None -> invalid_arg "Shared_iotlb: shared instance missing")
+  | Partitioned | Quota _ -> (
+      match d.partition with
+      | Some p -> p
+      | None -> invalid_arg "Shared_iotlb: partition missing")
 
-let lookup t ~domain ~bdf ~vpn =
+let find t ~domain ~bdf ~vpn =
   freeze t;
   let d = dom_exn t domain in
-  let result =
-    match t.policy with
-    | Shared -> Iotlb.lookup (Option.get t.shared) ~bdf ~vpn
-    | Partitioned | Quota _ -> Iotlb.lookup (partition_exn d) ~bdf ~vpn
-  in
-  (match result with
-  | Some _ -> d.counters.c_hits <- d.counters.c_hits + 1
-  | None -> d.counters.c_misses <- d.counters.c_misses + 1);
-  result
-
-(* Allocation-free twin of [lookup]: Hashtbl.find instead of find_opt
-   (no option box), Iotlb.find_exn instead of lookup (no Some box on a
-   hit). Misses are counted before the Not_found escapes, so the
-   attribution counters agree with [lookup] exactly. *)
-let find_exn t ~domain ~bdf ~vpn =
-  freeze t;
-  let d = Hashtbl.find t.by_id domain in
-  let tlb =
-    match t.policy with
-    | Shared -> (
-        match t.shared with Some s -> s | None -> raise Not_found)
-    | Partitioned | Quota _ -> (
-        match d.partition with Some p -> p | None -> raise Not_found)
-  in
-  match Iotlb.find_exn tlb ~bdf ~vpn with
-  | pte ->
-      d.counters.c_hits <- d.counters.c_hits + 1;
-      pte
-  | exception Not_found ->
-      d.counters.c_misses <- d.counters.c_misses + 1;
-      raise Not_found
+  let pte = Iotlb.find (tlb_of t d) ~bdf ~vpn ~absent:(-1) in
+  if pte >= 0 then d.counters.c_hits <- d.counters.c_hits + 1
+  else d.counters.c_misses <- d.counters.c_misses + 1;
+  pte
 
 let insert t ~domain ~bdf ~vpn pte =
   freeze t;
   let d = dom_exn t domain in
-  match t.policy with
-  | Shared ->
-      t.inserting <- Some d;
-      Iotlb.insert (Option.get t.shared) ~bdf ~vpn pte;
-      t.inserting <- None
-  | Partitioned | Quota _ -> Iotlb.insert (partition_exn d) ~bdf ~vpn pte
+  t.filler <- d.id;
+  Iotlb.insert (tlb_of t d) ~bdf ~vpn pte;
+  t.filler <- -1
 
 let invalidate t ~domain ~bdf ~vpn =
   freeze t;
   let d = dom_exn t domain in
   d.counters.c_invalidations <- d.counters.c_invalidations + 1;
-  match t.policy with
-  | Shared -> Iotlb.invalidate (Option.get t.shared) ~bdf ~vpn
-  | Partitioned | Quota _ -> Iotlb.invalidate (partition_exn d) ~bdf ~vpn
+  Iotlb.invalidate (tlb_of t d) ~bdf ~vpn
 
 let flush_domain t ~domain =
   freeze t;
@@ -245,21 +250,17 @@ let flush_domain t ~domain =
       (* Domain-selective invalidation: one command, drops only this
          domain's entries. *)
       Cycles.charge t.clock t.cost.Cost_model.iotlb_global_flush;
-      let shared = Option.get t.shared in
-      let mine = ref [] in
-      Iotlb.iter shared (fun ~bdf ~vpn _ ->
-          match owner t bdf with
-          | Some o when o.id = d.id -> mine := (bdf, vpn) :: !mine
-          | _ -> ());
-      List.iter (fun (bdf, vpn) -> ignore (Iotlb.drop shared ~bdf ~vpn)) !mine
-  | Partitioned | Quota _ -> Iotlb.flush_all (partition_exn d)
+      t.flushing <- d.id;
+      Iotlb.iter (tlb_of t d) t.sweep;
+      t.flushing <- -1
+  | Partitioned | Quota _ -> Iotlb.flush_all (tlb_of t d)
 
 let flush_all t =
   freeze t;
   match t.policy with
   | Shared -> Iotlb.flush_all (Option.get t.shared)
   | Partitioned | Quota _ ->
-      List.iter (fun d -> Iotlb.flush_all (partition_exn d)) t.doms
+      List.iter (fun d -> Iotlb.flush_all (tlb_of t d)) t.doms
 
 let stats t ~domain =
   let c = (dom_exn t domain).counters in
@@ -272,20 +273,6 @@ let stats t ~domain =
     domain_flushes = c.c_flushes;
   }
 
-let reset_stats t =
-  List.iter
-    (fun d ->
-      let c = d.counters in
-      c.c_hits <- 0;
-      c.c_misses <- 0;
-      c.c_ev_self <- 0;
-      c.c_ev_other <- 0;
-      c.c_invalidations <- 0;
-      c.c_flushes <- 0;
-      match d.partition with Some p -> Iotlb.reset_stats p | None -> ())
-    t.doms;
-  match t.shared with Some s -> Iotlb.reset_stats s | None -> ()
-
 let occupancy t ~domain =
   let d = dom_exn t domain in
   if not t.frozen then 0
@@ -293,13 +280,7 @@ let occupancy t ~domain =
     match t.policy with
     | Shared ->
         let n = ref 0 in
-        Iotlb.iter (Option.get t.shared) (fun ~bdf ~vpn:_ _ ->
-            match owner t bdf with
-            | Some o when o.id = d.id -> incr n
-            | _ -> ());
+        Iotlb.iter (tlb_of t d) (fun ~bdf ~vpn:_ _ ->
+            if owner_id t bdf = d.id then incr n);
         !n
-    | Partitioned | Quota _ -> Iotlb.occupancy (partition_exn d)
-
-let capacity t = t.total_capacity
-let policy t = t.policy
-let domains t = List.rev_map (fun d -> d.id) t.doms
+    | Partitioned | Quota _ -> Iotlb.occupancy (tlb_of t d)

@@ -52,7 +52,9 @@ val create :
   t
 
 val register : t -> domain:int -> bdf:int -> unit
-(** Declare that [bdf]'s translations belong to [domain]. Raises
+(** Declare that [bdf]'s translations belong to [domain]. Domain ids
+    index a dense table, so they should be small and dense (the
+    {!Manager} mints them from 1). Raises
     [Invalid_argument] if [bdf] is already owned by another live
     domain, or — under {!Partitioned} only — after traffic has started
     (the even slice geometry is frozen). A late {!Quota} registrant
@@ -63,20 +65,17 @@ val unregister : t -> domain:int -> bdf:int -> unit
     later tenant attach to the same bdf. The domain's counters survive
     for reporting. No-op if [bdf] is not owned by [domain]. *)
 
-val lookup : t -> domain:int -> bdf:int -> vpn:int -> int option
+val find : t -> domain:int -> bdf:int -> vpn:int -> int
 (** Hardware lookup, attributed to [domain]'s hit/miss counters.
-    Payloads are packed PTE immediates ({!Rio_pagetable.Pte.pack}) so
-    the hit path carries no boxed values. *)
-
-val find_exn : t -> domain:int -> bdf:int -> vpn:int -> int
-(** Exactly {!lookup} (same cost charge and counters) but
-    allocation-free: raises [Not_found] on a miss instead of boxing the
-    hit. The service's steady-state translate path uses this. *)
+    Payloads are packed PTE immediates ({!Rio_pagetable.Pte.pack}), so
+    a miss returns -1 ({!Rio_pagetable.Pte.packed_none}). Allocation-
+    and exception-free. *)
 
 val insert : t -> domain:int -> bdf:int -> vpn:int -> int -> unit
 (** Fill after a table walk. Under {!Shared} a capacity eviction may
     victimize another domain, which is recorded in the victim's
-    [evictions_by_other]. *)
+    [evictions_by_other]; a victim whose bdf has no owner counts for
+    nobody. Allocation-free. *)
 
 val invalidate : t -> domain:int -> bdf:int -> vpn:int -> unit
 (** Explicit single-entry invalidation (full command cost). *)
@@ -84,16 +83,13 @@ val invalidate : t -> domain:int -> bdf:int -> vpn:int -> unit
 val flush_domain : t -> domain:int -> unit
 (** Domain-selective invalidation (VT-d DID-scoped flush): drops only
     this domain's entries, charging one flush-command cost. Other
-    domains' entries survive under every policy. *)
+    domains' entries survive under every policy. Allocation-free:
+    under {!Shared} the entries are dropped in place during one scan of
+    the LRU. *)
 
 val flush_all : t -> unit
 (** Global flush: every domain loses everything (the Linux deferred
     mode's batching strategy, now with collateral damage). *)
 
 val stats : t -> domain:int -> stats
-val reset_stats : t -> unit
 val occupancy : t -> domain:int -> int
-val capacity : t -> int
-val policy : t -> policy
-val domains : t -> int list
-(** Registered domain ids, in registration order. *)

@@ -4,11 +4,16 @@ module Domain = struct
   let make ~id ~table = { id; table }
 end
 
-type t = { entries : (int, Domain.t) Hashtbl.t }
+type t = { entries : Domain.t Rid_table.t }
 
-let create () = { entries = Hashtbl.create 16 }
-let attach t bdf domain = Hashtbl.replace t.entries (Bdf.to_rid bdf) domain
-let detach t bdf = Hashtbl.remove t.entries (Bdf.to_rid bdf)
-let lookup t ~rid = Hashtbl.find_opt t.entries rid
-let lookup_exn t ~rid = Hashtbl.find t.entries rid
-let attached t = Hashtbl.length t.entries
+let create () = { entries = Rid_table.create () }
+let attach t bdf domain = Rid_table.replace t.entries (Bdf.to_rid bdf) domain
+let detach t bdf = Rid_table.remove t.entries (Bdf.to_rid bdf)
+
+let lookup t ~rid =
+  match Rid_table.find_exn t.entries rid with
+  | d -> Some d
+  | exception Not_found -> None
+
+let lookup_exn t ~rid = Rid_table.find_exn t.entries rid
+let attached t = Rid_table.length t.entries

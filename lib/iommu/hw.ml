@@ -39,15 +39,15 @@ let translate t ~rid ~iova ~write =
   | Some domain -> (
       let vpn = iova lsr Addr.page_shift in
       (* allocation-free hit path: no option boxing on the IOTLB hit *)
-      match Iotlb.find_exn t.iotlb ~bdf:rid ~vpn with
-      | pte -> permit t pte ~iova ~write
-      | exception Not_found ->
-          let pte = Arena.walk domain.Context.Domain.table ~iova in
-          if pte >= 0 then begin
-            Iotlb.insert t.iotlb ~bdf:rid ~vpn pte;
-            permit t pte ~iova ~write
-          end
-          else fault t No_translation)
+      let pte = Iotlb.find t.iotlb ~bdf:rid ~vpn ~absent:Pte.packed_none in
+      if pte >= 0 then permit t pte ~iova ~write
+      else
+        let pte = Arena.walk domain.Context.Domain.table ~iova in
+        if pte >= 0 then begin
+          Iotlb.insert t.iotlb ~bdf:rid ~vpn pte;
+          permit t pte ~iova ~write
+        end
+        else fault t No_translation)
 
 exception Translation_fault
 
@@ -55,37 +55,27 @@ exception Translation_fault
    fault/result boxes on the hit path, one constant exception for every
    fault class. Fault accounting is identical to [translate] — the
    counter is bumped before the exception escapes. *)
+let fault_exn t =
+  t.faults <- t.faults + 1;
+  raise Translation_fault
+
 let translate_exn t ~rid ~iova ~write =
   let domain =
-    try Context.lookup_exn t.context ~rid
-    with Not_found ->
-      t.faults <- t.faults + 1;
-      raise Translation_fault
+    try Context.lookup_exn t.context ~rid with Not_found -> fault_exn t
   in
   let vpn = iova lsr Addr.page_shift in
-  let offset = iova land (Addr.page_size - 1) in
-  match Iotlb.find_exn t.iotlb ~bdf:rid ~vpn with
-  | pte ->
-      if Pte.packed_permits pte ~write then Addr.add (Pte.packed_frame pte) offset
-      else begin
-        t.faults <- t.faults + 1;
-        raise Translation_fault
-      end
-  | exception Not_found ->
+  let pte = Iotlb.find t.iotlb ~bdf:rid ~vpn ~absent:Pte.packed_none in
+  let pte =
+    if pte >= 0 then pte
+    else begin
       let pte = Arena.walk domain.Context.Domain.table ~iova in
-      if pte >= 0 then begin
-        Iotlb.insert t.iotlb ~bdf:rid ~vpn pte;
-        if Pte.packed_permits pte ~write then
-          Addr.add (Pte.packed_frame pte) offset
-        else begin
-          t.faults <- t.faults + 1;
-          raise Translation_fault
-        end
-      end
-      else begin
-        t.faults <- t.faults + 1;
-        raise Translation_fault
-      end
+      if pte < 0 then fault_exn t;
+      Iotlb.insert t.iotlb ~bdf:rid ~vpn pte;
+      pte
+    end
+  in
+  if not (Pte.packed_permits pte ~write) then fault_exn t;
+  Addr.add (Pte.packed_frame pte) (iova land (Addr.page_size - 1))
 
 let faults t = t.faults
 let iotlb t = t.iotlb

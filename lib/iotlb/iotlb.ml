@@ -152,10 +152,12 @@ let promote t e =
     push_front t e
   end
 
-let find_exn t ~bdf ~vpn =
+(* A miss is an ordinary return of [absent], not an exception: raising
+   costs more than the probe itself, and on the translate path three
+   lookups in four can miss. *)
+let find t ~bdf ~vpn ~absent =
   Cycles.charge t.clock t.cost.Cost_model.iotlb_lookup;
-  let key = pack ~bdf ~vpn in
-  let e = t.slots.(find_slot t key) in
+  let e = t.slots.(find_slot t (pack ~bdf ~vpn)) in
   if e >= 0 then begin
     t.hits <- t.hits + 1;
     promote t e;
@@ -163,13 +165,8 @@ let find_exn t ~bdf ~vpn =
   end
   else begin
     t.misses <- t.misses + 1;
-    raise Not_found
+    absent
   end
-
-let lookup t ~bdf ~vpn =
-  match find_exn t ~bdf ~vpn with
-  | v -> Some v
-  | exception Not_found -> None
 
 (* Detach an entry: remove from hash and LRU, return it to the free list,
    and clear its value slot so the payload is released. *)
@@ -246,15 +243,15 @@ let drop t ~bdf ~vpn =
   end
   else false
 
+(* [next] is read before [f] runs, so [f] may [drop] the entry it is
+   handed. A loop, not a local recursive function: no closure. *)
 let iter t f =
-  let rec go e =
-    if e >= 0 then begin
-      let next = t.e_next.(e) in
-      f ~bdf:(key_bdf t.e_key.(e)) ~vpn:(key_vpn t.e_key.(e)) t.e_val.(e);
-      go next
-    end
-  in
-  go t.mru
+  let e = ref t.mru in
+  while !e >= 0 do
+    let cur = !e in
+    e := t.e_next.(cur);
+    f ~bdf:(key_bdf t.e_key.(cur)) ~vpn:(key_vpn t.e_key.(cur)) t.e_val.(cur)
+  done
 
 let occupancy t = t.len
 let capacity t = t.capacity

@@ -29,14 +29,11 @@ val create :
     invalidations or flushes) with the victim's key — the hook the
     multi-tenant layer uses to attribute cross-domain evictions. *)
 
-val lookup : 'a t -> bdf:int -> vpn:int -> 'a option
+val find : 'a t -> bdf:int -> vpn:int -> absent:'a -> 'a
 (** Hardware lookup: charges the (device-side) lookup cost, updates LRU
-    and hit/miss counters. *)
-
-val find_exn : 'a t -> bdf:int -> vpn:int -> 'a
-(** Exactly {!lookup} (same cost charge, counters and LRU promotion) but
-    allocation-free: raises [Not_found] on a miss instead of boxing the
-    hit in an option. The hot translate paths use this. *)
+    and hit/miss counters, and returns the payload, or [absent] on a
+    miss — pick an [absent] no payload can equal. Allocation- and
+    exception-free. *)
 
 val insert : 'a t -> bdf:int -> vpn:int -> 'a -> unit
 (** Fill after a table walk; evicts the LRU entry at capacity. *)
@@ -56,7 +53,9 @@ val drop : 'a t -> bdf:int -> vpn:int -> bool
 
 val iter : 'a t -> (bdf:int -> vpn:int -> 'a -> unit) -> unit
 (** Visit every resident entry (MRU first). No cycle cost: used by OS
-    bookkeeping layers, not by the hardware path. *)
+    bookkeeping layers, not by the hardware path. The callback may
+    {!drop} the entry it is visiting (and only that one). Allocates
+    nothing itself. *)
 
 val occupancy : 'a t -> int
 val capacity : 'a t -> int

@@ -46,7 +46,7 @@ type handle =
   | H_rio of { iova : Riova.t }
 
 type backend =
-  | B_plain of { sw_iotlb : unit Iotlb.t option }
+  | B_plain of { sw_iotlb : bool Iotlb.t option }
       (** none / HWpt (no iotlb) / SWpt (identity iotlb) *)
   | B_base of { driver : I_driver.t; hw : I_hw.t }
   | B_rio of { driver : R_driver.t; hw : R_hw.t; device : Rdevice.t }
@@ -300,11 +300,10 @@ let translate t ~addr:target ~offset ~write =
           (* SWpt: identity translation still exercises the IOTLB and the
              page walk on a miss (§5.1's methodology validation). *)
           let vpn = Addr.pfn phys in
-          (match Iotlb.find_exn iotlb ~bdf:t.rid ~vpn with
-          | () -> ()
-          | exception Not_found ->
-              Cycles.charge t.clock (4 * t.cost.Cost_model.io_walk_ref);
-              Iotlb.insert iotlb ~bdf:t.rid ~vpn ());
+          if not (Iotlb.find iotlb ~bdf:t.rid ~vpn ~absent:false) then begin
+            Cycles.charge t.clock (4 * t.cost.Cost_model.io_walk_ref);
+            Iotlb.insert iotlb ~bdf:t.rid ~vpn true
+          end;
           Ok phys)
   | B_base { hw; _ } -> (
       match

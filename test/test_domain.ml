@@ -223,6 +223,408 @@ let test_deferred_window_closes () =
     (Manager.translate r.mgr ~rid:(Manager.rid r.a) ~iova ~write:true
     = Error Hw.No_translation)
 
+(* {1 Shared-policy attribution against a reference model}
+
+   A QCheck op sequence drives one Shared-policy IOTLB and a list-based
+   LRU reference side by side: lookups, fills, single-entry
+   invalidations, domain flushes, online registration of fresh
+   domains, and bdf release plus re-registration. After every op each
+   domain's stats, occupancy and any lookup result must agree. The
+   reference encodes the attribution rules directly: a capacity victim
+   is charged to its bdf's current owner — as self when that owner is
+   the filler (or when no fill is in progress), as by_other otherwise —
+   and a victim whose bdf has no owner counts for nobody. *)
+
+type sop =
+  | S_lookup of int * int * int  (* domain slot, bdf slot, vpn *)
+  | S_fill of int * int * int
+  | S_invalidate of int * int * int
+  | S_flush of int  (* domain slot *)
+  | S_register of int  (* a fresh domain claims a bdf slot *)
+  | S_unregister of int  (* the bdf slot's owner releases it *)
+  | S_reregister of int * int  (* an existing domain claims a bdf slot *)
+
+let sop_to_string = function
+  | S_lookup (d, b, v) -> Printf.sprintf "lookup(d%d,b%d,v%d)" d b v
+  | S_fill (d, b, v) -> Printf.sprintf "fill(d%d,b%d,v%d)" d b v
+  | S_invalidate (d, b, v) -> Printf.sprintf "inval(d%d,b%d,v%d)" d b v
+  | S_flush d -> Printf.sprintf "flush(d%d)" d
+  | S_register b -> Printf.sprintf "register(b%d)" b
+  | S_unregister b -> Printf.sprintf "unregister(b%d)" b
+  | S_reregister (d, b) -> Printf.sprintf "reregister(d%d,b%d)" d b
+
+let sop_gen =
+  QCheck.Gen.(
+    let d = int_bound 7 and b = int_bound 4 and v = int_bound 5 in
+    frequency
+      [
+        (4, map3 (fun d b v -> S_lookup (d, b, v)) d b v);
+        (4, map3 (fun d b v -> S_fill (d, b, v)) d b v);
+        (1, map3 (fun d b v -> S_invalidate (d, b, v)) d b v);
+        (1, map (fun d -> S_flush d) d);
+        (1, map (fun b -> S_register b) b);
+        (1, map (fun b -> S_unregister b) b);
+        (1, map2 (fun d b -> S_reregister (d, b)) d b);
+      ])
+
+let sops_arb =
+  QCheck.make
+    ~print:(fun ops -> String.concat " " (List.map sop_to_string ops))
+    QCheck.Gen.(list_size (int_range 1 120) sop_gen)
+
+(* counters: hits, misses, self, other, invalidations, flushes *)
+type ref_model = {
+  cap : int;
+  mutable lru : (int * int * int) list;  (* (bdf, vpn, pte), MRU first *)
+  owners : (int, int) Hashtbl.t;  (* bdf -> owning domain *)
+  counts : (int, int array) Hashtbl.t;
+}
+
+let ref_bump m d i =
+  let c = Hashtbl.find m.counts d in
+  c.(i) <- c.(i) + 1
+
+let ref_evict m ~filler bdf =
+  match Hashtbl.find_opt m.owners bdf with
+  | None -> ()
+  | Some o -> (
+      match filler with
+      | Some f when f <> o -> ref_bump m o 3
+      | Some _ | None -> ref_bump m o 2)
+
+let ref_take m bdf vpn =
+  let hit = List.find_opt (fun (b, v, _) -> b = bdf && v = vpn) m.lru in
+  m.lru <- List.filter (fun (b, v, _) -> not (b = bdf && v = vpn)) m.lru;
+  hit
+
+let ref_lookup m d bdf vpn =
+  match ref_take m bdf vpn with
+  | Some ((_, _, pte) as e) ->
+      m.lru <- e :: m.lru;
+      ref_bump m d 0;
+      Some pte
+  | None ->
+      ref_bump m d 1;
+      None
+
+let ref_fill m d bdf vpn pte =
+  (match ref_take m bdf vpn with
+  | Some _ -> ()
+  | None ->
+      if List.length m.lru >= m.cap then begin
+        let rev = List.rev m.lru in
+        let vb, _, _ = List.hd rev in
+        m.lru <- List.rev (List.tl rev);
+        ref_evict m ~filler:(Some d) vb
+      end);
+  m.lru <- (bdf, vpn, pte) :: m.lru
+
+let ref_occupancy m d =
+  List.length
+    (List.filter (fun (b, _, _) -> Hashtbl.find_opt m.owners b = Some d) m.lru)
+
+let bdf_of_slot k = (k + 1) lsl 8 (* bus<<8: sparse rids, as attached PCI devices are *)
+
+let check_attribution ops =
+  let cap = 6 in
+  let tlb =
+    Shared_iotlb.create ~policy:Shared_iotlb.Shared ~capacity:cap
+      ~clock:(Cycles.create ()) ~cost:Cost_model.default
+  in
+  let m =
+    { cap; lru = []; owners = Hashtbl.create 8; counts = Hashtbl.create 8 }
+  in
+  let doms = ref [] (* registration order *) and next_id = ref 1 in
+  let fail fmt = Printf.ksprintf failwith fmt in
+  (* both sides must agree on whether a registration is refused *)
+  let register d bdf =
+    let model_ok =
+      match Hashtbl.find_opt m.owners bdf with
+      | Some o when o <> d -> false
+      | _ -> true
+    in
+    let real_ok =
+      match Shared_iotlb.register tlb ~domain:d ~bdf with
+      | () -> true
+      | exception Invalid_argument _ -> false
+    in
+    if model_ok <> real_ok then fail "register d%d bdf %#x disagrees" d bdf;
+    if model_ok then begin
+      if not (Hashtbl.mem m.counts d) then begin
+        Hashtbl.replace m.counts d (Array.make 6 0);
+        doms := !doms @ [ d ]
+      end;
+      Hashtbl.replace m.owners bdf d
+    end
+  in
+  for k = 0 to 2 do
+    register !next_id (bdf_of_slot k);
+    incr next_id
+  done;
+  let dom_of slot = List.nth !doms (slot mod List.length !doms) in
+  let apply = function
+    | S_lookup (ds, b, vpn) ->
+        let d = dom_of ds and bdf = bdf_of_slot b in
+        let real =
+          match Shared_iotlb.find tlb ~domain:d ~bdf ~vpn with
+          | -1 -> None
+          | pte -> Some pte
+        in
+        if real <> ref_lookup m d bdf vpn then fail "lookup result differs"
+    | S_fill (ds, b, vpn) ->
+        let d = dom_of ds and bdf = bdf_of_slot b in
+        let pte = (vpn * 100) + d in
+        Shared_iotlb.insert tlb ~domain:d ~bdf ~vpn pte;
+        ref_fill m d bdf vpn pte
+    | S_invalidate (ds, b, vpn) ->
+        let d = dom_of ds and bdf = bdf_of_slot b in
+        Shared_iotlb.invalidate tlb ~domain:d ~bdf ~vpn;
+        ref_bump m d 4;
+        ignore (ref_take m bdf vpn)
+    | S_flush ds ->
+        let d = dom_of ds in
+        Shared_iotlb.flush_domain tlb ~domain:d;
+        ref_bump m d 5;
+        m.lru <-
+          List.filter
+            (fun (b, _, _) -> Hashtbl.find_opt m.owners b <> Some d)
+            m.lru
+    | S_register b ->
+        register !next_id (bdf_of_slot b);
+        incr next_id
+    | S_unregister b -> (
+        let bdf = bdf_of_slot b in
+        match Hashtbl.find_opt m.owners bdf with
+        | Some o ->
+            Shared_iotlb.unregister tlb ~domain:o ~bdf;
+            Hashtbl.remove m.owners bdf
+        | None -> ())
+    | S_reregister (ds, b) -> register (dom_of ds) (bdf_of_slot b)
+  in
+  List.iter
+    (fun op ->
+      apply op;
+      List.iter
+        (fun d ->
+          let s = Shared_iotlb.stats tlb ~domain:d in
+          let c = Hashtbl.find m.counts d in
+          let real =
+            [|
+              s.Shared_iotlb.hits; s.misses; s.evictions_self;
+              s.evictions_by_other; s.invalidations; s.domain_flushes;
+            |]
+          in
+          if real <> c then
+            fail "after %s: d%d stats [%s] vs model [%s]" (sop_to_string op) d
+              (String.concat ";" (Array.to_list (Array.map string_of_int real)))
+              (String.concat ";" (Array.to_list (Array.map string_of_int c)));
+          if Shared_iotlb.occupancy tlb ~domain:d <> ref_occupancy m d then
+            fail "after %s: d%d occupancy differs" (sop_to_string op) d)
+        !doms)
+    ops;
+  true
+
+let prop_shared_attribution =
+  QCheck.Test.make ~count:400 ~name:"shared attribution = LRU reference"
+    sops_arb check_attribution
+
+(* {1 translate / translate_exn parity}
+
+   Twin managers replay one op sequence; one answers every DMA through
+   the result-typed [translate], the other through [translate_exn].
+   Both must return the same phys (or fault), bump the same
+   unknown-rid and per-domain fault counters, keep identical IOTLB
+   stats and charge identical cycles. Bdf slots 0-3 attach, detach,
+   and re-attach to fresh domains; slot 4 is never attached. *)
+
+type pop =
+  | P_attach of int
+  | P_detach of int
+  | P_map of int * bool  (* bdf slot, writable *)
+  | P_translate of int * int * bool  (* bdf slot, iova pick, write *)
+
+let pop_to_string = function
+  | P_attach k -> Printf.sprintf "attach(b%d)" k
+  | P_detach k -> Printf.sprintf "detach(b%d)" k
+  | P_map (k, w) -> Printf.sprintf "map(b%d,%s)" k (if w then "rw" else "ro")
+  | P_translate (k, p, w) ->
+      Printf.sprintf "translate(b%d,#%d,%s)" k p (if w then "w" else "r")
+
+let pop_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map (fun k -> P_attach k) (int_bound 3));
+        (1, map (fun k -> P_detach k) (int_bound 3));
+        (3, map2 (fun k w -> P_map (k, w)) (int_bound 3) bool);
+        ( 6,
+          map3
+            (fun k p w -> P_translate (k, p, w))
+            (int_bound 4) (int_bound 40) bool );
+      ])
+
+let pops_arb =
+  QCheck.make
+    ~print:(fun ops -> String.concat " " (List.map pop_to_string ops))
+    QCheck.Gen.(list_size (int_range 1 80) pop_gen)
+
+type twin = {
+  t_mgr : Manager.t;
+  t_clock : Cycles.t;
+  t_frames : Frame_allocator.t;
+  t_slots : Manager.domain option array;
+  mutable t_all : Manager.domain list;  (* every domain ever attached *)
+}
+
+let make_twin () =
+  let clock = Cycles.create () in
+  let frames = Frame_allocator.create ~total_frames:20_000 in
+  let mgr =
+    Manager.create ~iotlb_policy:Shared_iotlb.Shared ~iotlb_capacity:4
+      ~invalidation:Manager.Per_domain ~policy:Manager.Immediate ~frames ~clock
+      ~cost:Cost_model.default ()
+  in
+  {
+    t_mgr = mgr;
+    t_clock = clock;
+    t_frames = frames;
+    t_slots = Array.make 5 None;
+    t_all = [];
+  }
+
+let slot_bdf k = Bdf.make ~bus:(k + 1) ~device:0 ~func:0
+
+let check_translate_parity ops =
+  let b = make_twin () and e = make_twin () in
+  let iovas = ref [||] and classes = ref [] in
+  let fail fmt = Printf.ksprintf failwith fmt in
+  let apply = function
+    | P_attach k ->
+        List.iter
+          (fun t ->
+            if t.t_slots.(k) = None then begin
+              let d =
+                Manager.add_domain t.t_mgr ~name:"d" ~bdf:(slot_bdf k) ()
+              in
+              t.t_slots.(k) <- Some d;
+              t.t_all <- d :: t.t_all
+            end)
+          [ b; e ]
+    | P_detach k ->
+        List.iter
+          (fun t ->
+            match t.t_slots.(k) with
+            | Some d ->
+                Manager.remove_domain t.t_mgr d;
+                t.t_slots.(k) <- None
+            | None -> ())
+          [ b; e ]
+    | P_map (k, write) -> (
+        let map t =
+          match t.t_slots.(k) with
+          | Some d ->
+              let phys = Frame_allocator.alloc_exn t.t_frames in
+              Some
+                (Result.get_ok
+                   (Manager.map t.t_mgr d ~phys ~bytes:4096 ~read:true ~write))
+          | None -> None
+        in
+        match (map b, map e) with
+        | Some x, Some y when x = y -> iovas := Array.append !iovas [| x |]
+        | None, None -> ()
+        | _ -> fail "twins mapped differently")
+    | P_translate (k, pick, write) ->
+        let rid = Bdf.to_rid (slot_bdf k) in
+        let n = Array.length !iovas in
+        (* picks past the mapped set probe an iova nobody mapped *)
+        let iova =
+          if pick < n then !iovas.(pick) + (pick * 37 land 0xFFF)
+          else 0x7_0000_0000 + (pick lsl 12)
+        in
+        let unknown_before = Manager.unknown_rid_faults e.t_mgr in
+        let dom_faults_before =
+          match e.t_slots.(k) with
+          | Some d -> Manager.faults e.t_mgr d
+          | None -> 0
+        in
+        let boxed = Manager.translate b.t_mgr ~rid ~iova ~write in
+        let unboxed =
+          match Manager.translate_exn e.t_mgr ~rid ~iova ~write with
+          | p -> Some p
+          | exception Manager.Translation_fault -> None
+        in
+        let unknown_delta = Manager.unknown_rid_faults e.t_mgr - unknown_before in
+        let dom_delta =
+          match e.t_slots.(k) with
+          | Some d -> Manager.faults e.t_mgr d - dom_faults_before
+          | None -> 0
+        in
+        (match (boxed, unboxed) with
+        | Ok p, Some q when Addr.equal p q ->
+            if unknown_delta + dom_delta <> 0 then fail "hit bumped a fault"
+        | Error Hw.Unknown_device, None ->
+            if unknown_delta <> 1 || dom_delta <> 0 then
+              fail "unknown rid counted elsewhere"
+        | Error (Hw.No_translation | Hw.Not_permitted), None ->
+            if unknown_delta <> 0 || dom_delta <> 1 then
+              fail "domain fault counted elsewhere"
+        | _ -> fail "translate and translate_exn disagree");
+        classes :=
+          (match boxed with
+          | Ok _ -> "ok"
+          | Error Hw.Unknown_device -> "unknown"
+          | Error Hw.No_translation -> "no-translation"
+          | Error Hw.Not_permitted -> "not-permitted")
+          :: !classes
+  in
+  List.iter
+    (fun op ->
+      apply op;
+      let where = pop_to_string op in
+      if Cycles.now b.t_clock <> Cycles.now e.t_clock then
+        fail "after %s: cycles differ" where;
+      if Manager.unknown_rid_faults b.t_mgr <> Manager.unknown_rid_faults e.t_mgr
+      then fail "after %s: unknown-rid counters differ" where;
+      List.iter2
+        (fun db de ->
+          if Manager.faults b.t_mgr db <> Manager.faults e.t_mgr de then
+            fail "after %s: fault counters differ" where;
+          if Manager.iotlb_stats b.t_mgr db <> Manager.iotlb_stats e.t_mgr de
+          then fail "after %s: IOTLB stats differ" where)
+        b.t_all e.t_all)
+    ops;
+  List.sort_uniq compare !classes
+
+let prop_translate_parity =
+  QCheck.Test.make ~count:300 ~name:"translate = translate_exn (twin replay)"
+    pops_arb (fun ops ->
+      ignore (check_translate_parity ops);
+      true)
+
+(* The four rid states in a fixed order, so every fault class is
+   exercised whatever the generator draws. *)
+let test_translate_parity_rid_states () =
+  let classes =
+    check_translate_parity
+      [
+        P_attach 0; P_attach 1; P_map (0, false); P_map (1, true);
+        P_translate (0, 0, false) (* attached, hit after walk *);
+        P_translate (0, 0, false);
+        P_translate (0, 0, true) (* read-only page written *);
+        P_translate (1, 1, true);
+        P_translate (1, 39, false) (* attached, unmapped iova *);
+        P_translate (4, 0, false) (* never attached *);
+        P_detach 1; P_translate (1, 1, false) (* detached *);
+        P_attach 1 (* the bdf re-attached to a fresh domain *);
+        P_translate (1, 1, false) (* old iova, new empty table *);
+        P_map (1, true); P_translate (1, 2, true);
+      ]
+  in
+  Alcotest.(check (list string))
+    "every class seen"
+    [ "no-translation"; "not-permitted"; "ok"; "unknown" ]
+    classes
+
 (* {1 Scheduler and interference} *)
 
 let small_tenants =
@@ -322,6 +724,13 @@ let () =
             test_partitioned_no_cross_eviction;
           Alcotest.test_case "quota caps a domain" `Quick
             test_quota_policy_caps_domain;
+          QCheck_alcotest.to_alcotest prop_shared_attribution;
+        ] );
+      ( "parity",
+        [
+          Alcotest.test_case "rid states" `Quick
+            test_translate_parity_rid_states;
+          QCheck_alcotest.to_alcotest prop_translate_parity;
         ] );
       ( "invalidation",
         [

@@ -15,6 +15,7 @@ module Iotlb = Rio_iotlb.Iotlb
 module Allocator = Rio_iova.Allocator
 module Bdf = Rio_iommu.Bdf
 module Context = Rio_iommu.Context
+module Rid_table = Rio_iommu.Rid_table
 module Hw = Rio_iommu.Hw
 module Driver = Rio_iommu.Driver
 
@@ -336,6 +337,44 @@ let prop_map_unmap_balanced =
         (fun iova -> Result.is_ok (Hw.translate r.hw ~rid:r.rid ~iova ~write:true))
         !live)
 
+(* Rid_table against Hashtbl over random replace/remove/find: keys are
+   drawn both as bus-numbered rids (low 8 bits zero, the case the high-
+   bit hash exists for) and as dense small ints, across enough distinct
+   keys to force several doublings and long backward-shift deletions. *)
+let prop_rid_table_matches_hashtbl =
+  QCheck.Test.make ~name:"rid table = Hashtbl under random churn" ~count:200
+    QCheck.(
+      list_of_size (Gen.int_range 1 400)
+        (triple (int_bound 2) (int_bound 255) bool))
+    (fun ops ->
+      let t = Rid_table.create () and h = Hashtbl.create 16 in
+      List.iteri
+        (fun i (op, k, sparse) ->
+          let key = if sparse then k lsl 8 else k in
+          (match op with
+          | 0 | 1 ->
+              Rid_table.replace t key i;
+              Hashtbl.replace h key i
+          | _ ->
+              Rid_table.remove t key;
+              Hashtbl.remove h key);
+          if Rid_table.length t <> Hashtbl.length h then failwith "length";
+          (* every key the model knows, and some it does not *)
+          List.iter
+            (fun probe ->
+              let got =
+                match Rid_table.find_exn t probe with
+                | v -> Some v
+                | exception Not_found -> None
+              in
+              if got <> Hashtbl.find_opt h probe then
+                failwith (Printf.sprintf "find %#x" probe);
+              if Rid_table.mem t probe <> Hashtbl.mem h probe then
+                failwith "mem")
+            (key :: (key + 256) :: List.of_seq (Hashtbl.to_seq_keys h)))
+        ops;
+      true)
+
 let () =
   Alcotest.run "rio_iommu"
     [
@@ -343,6 +382,7 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_bdf_roundtrip;
           Alcotest.test_case "bounds" `Quick test_bdf_bounds;
+          QCheck_alcotest.to_alcotest prop_rid_table_matches_hashtbl;
         ] );
       ( "translate",
         [

@@ -9,11 +9,15 @@ let make ?(capacity = 4) () =
   let clock = Cycles.create () in
   (Iotlb.create ~capacity ~clock ~cost:Cost_model.default (), clock)
 
+(* Option view of [Iotlb.find]; no payload in these tests is negative. *)
+let lookup t ~bdf ~vpn =
+  match Iotlb.find t ~bdf ~vpn ~absent:(-1) with -1 -> None | v -> Some v
+
 let test_miss_then_hit () =
   let t, _ = make () in
-  Alcotest.(check (option int)) "cold miss" None (Iotlb.lookup t ~bdf:1 ~vpn:10);
+  Alcotest.(check (option int)) "cold miss" None (lookup t ~bdf:1 ~vpn:10);
   Iotlb.insert t ~bdf:1 ~vpn:10 42;
-  Alcotest.(check (option int)) "hit" (Some 42) (Iotlb.lookup t ~bdf:1 ~vpn:10);
+  Alcotest.(check (option int)) "hit" (Some 42) (lookup t ~bdf:1 ~vpn:10);
   Alcotest.(check int) "one hit" 1 (Iotlb.hits t);
   Alcotest.(check int) "one miss" 1 (Iotlb.misses t)
 
@@ -22,24 +26,24 @@ let test_keying () =
   Iotlb.insert t ~bdf:1 ~vpn:10 100;
   Iotlb.insert t ~bdf:2 ~vpn:10 200;
   Alcotest.(check (option int)) "bdf distinguishes" (Some 100)
-    (Iotlb.lookup t ~bdf:1 ~vpn:10);
+    (lookup t ~bdf:1 ~vpn:10);
   Alcotest.(check (option int)) "other device" (Some 200)
-    (Iotlb.lookup t ~bdf:2 ~vpn:10);
-  Alcotest.(check (option int)) "vpn distinguishes" None (Iotlb.lookup t ~bdf:1 ~vpn:11)
+    (lookup t ~bdf:2 ~vpn:10);
+  Alcotest.(check (option int)) "vpn distinguishes" None (lookup t ~bdf:1 ~vpn:11)
 
 let test_lru_eviction () =
   let t, _ = make ~capacity:2 () in
   Iotlb.insert t ~bdf:0 ~vpn:1 1;
   Iotlb.insert t ~bdf:0 ~vpn:2 2;
   (* touch 1 so 2 becomes LRU *)
-  ignore (Iotlb.lookup t ~bdf:0 ~vpn:1);
+  ignore (lookup t ~bdf:0 ~vpn:1);
   Iotlb.insert t ~bdf:0 ~vpn:3 3;
   Alcotest.(check int) "one eviction" 1 (Iotlb.evictions t);
-  Alcotest.(check (option int)) "LRU victim gone" None (Iotlb.lookup t ~bdf:0 ~vpn:2);
+  Alcotest.(check (option int)) "LRU victim gone" None (lookup t ~bdf:0 ~vpn:2);
   Alcotest.(check (option int)) "recently used kept" (Some 1)
-    (Iotlb.lookup t ~bdf:0 ~vpn:1);
+    (lookup t ~bdf:0 ~vpn:1);
   Alcotest.(check (option int)) "newcomer present" (Some 3)
-    (Iotlb.lookup t ~bdf:0 ~vpn:3)
+    (lookup t ~bdf:0 ~vpn:3)
 
 let test_invalidate_cost_and_effect () =
   let t, clock = make () in
@@ -49,7 +53,7 @@ let test_invalidate_cost_and_effect () =
   Alcotest.(check int) "invalidation charges ~2100 cycles"
     Cost_model.default.Cost_model.iotlb_invalidate
     (Cycles.since clock before);
-  Alcotest.(check (option int)) "entry gone" None (Iotlb.lookup t ~bdf:0 ~vpn:7);
+  Alcotest.(check (option int)) "entry gone" None (lookup t ~bdf:0 ~vpn:7);
   (* invalidating an absent entry still costs the command *)
   let before = Cycles.now clock in
   Iotlb.invalidate t ~bdf:0 ~vpn:99;
@@ -74,7 +78,7 @@ let test_insert_update_in_place () =
   Iotlb.insert t ~bdf:0 ~vpn:1 10;
   Iotlb.insert t ~bdf:0 ~vpn:1 20;
   Alcotest.(check int) "no duplicate entries" 1 (Iotlb.occupancy t);
-  Alcotest.(check (option int)) "updated" (Some 20) (Iotlb.lookup t ~bdf:0 ~vpn:1)
+  Alcotest.(check (option int)) "updated" (Some 20) (lookup t ~bdf:0 ~vpn:1)
 
 let test_stale_entry_usable_until_invalidated () =
   (* The primitive behind the deferred-mode vulnerability window: nothing
@@ -83,18 +87,18 @@ let test_stale_entry_usable_until_invalidated () =
   Iotlb.insert t ~bdf:0 ~vpn:5 55;
   (* ... OS unmaps the page in the page table, but defers invalidation. *)
   Alcotest.(check (option int)) "stale entry still hits" (Some 55)
-    (Iotlb.lookup t ~bdf:0 ~vpn:5);
+    (lookup t ~bdf:0 ~vpn:5);
   Iotlb.flush_all t;
   Alcotest.(check (option int)) "flush closes the window" None
-    (Iotlb.lookup t ~bdf:0 ~vpn:5)
+    (lookup t ~bdf:0 ~vpn:5)
 
-let test_find_exn () =
+let test_find () =
   let t, _ = make () in
-  (match Iotlb.find_exn t ~bdf:1 ~vpn:10 with
-  | _ -> Alcotest.fail "cold find_exn should raise"
-  | exception Not_found -> ());
+  Alcotest.(check int) "cold find returns absent" (-1)
+    (Iotlb.find t ~bdf:1 ~vpn:10 ~absent:(-1));
   Iotlb.insert t ~bdf:1 ~vpn:10 42;
-  Alcotest.(check int) "hit returns the value" 42 (Iotlb.find_exn t ~bdf:1 ~vpn:10);
+  Alcotest.(check int) "hit returns the value" 42
+    (Iotlb.find t ~bdf:1 ~vpn:10 ~absent:(-1));
   Alcotest.(check int) "shares the hit counter with lookup" 1 (Iotlb.hits t);
   Alcotest.(check int) "shares the miss counter with lookup" 1 (Iotlb.misses t)
 
@@ -150,14 +154,13 @@ let prop_matches_reference_model =
             Iotlb.insert t ~bdf ~vpn step
         | op when op < 70 ->
             let expected = model_lookup key in
-            if Iotlb.lookup t ~bdf ~vpn <> expected then
+            if lookup t ~bdf ~vpn <> expected then
               failwith "lookup mismatch"
         | op when op < 80 -> (
             let expected = model_lookup key in
-            match Iotlb.find_exn t ~bdf ~vpn with
-            | v -> if expected <> Some v then failwith "find_exn mismatch"
-            | exception Not_found ->
-                if expected <> None then failwith "find_exn missed a hit")
+            match Iotlb.find t ~bdf ~vpn ~absent:(-1) with
+            | -1 -> if expected <> None then failwith "find missed a hit"
+            | v -> if expected <> Some v then failwith "find mismatch")
         | op when op < 88 ->
             model := List.remove_assoc key !model;
             Iotlb.invalidate t ~bdf ~vpn
@@ -204,7 +207,7 @@ let () =
           Alcotest.test_case "insert updates in place" `Quick test_insert_update_in_place;
           Alcotest.test_case "stale entries persist until invalidated" `Quick
             test_stale_entry_usable_until_invalidated;
-          Alcotest.test_case "find_exn" `Quick test_find_exn;
+          Alcotest.test_case "find" `Quick test_find;
           QCheck_alcotest.to_alcotest prop_capacity_never_exceeded;
           QCheck_alcotest.to_alcotest prop_matches_reference_model;
         ] );
