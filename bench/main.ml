@@ -584,8 +584,9 @@ let json_wire_codec ~iters =
    the raw translate frame into the connection's read buffer, decode
    it ([Conn.next]), append it to its shard's batch
    ([Dispatch.enqueue] — the tenant is pinned by affinity hash),
-   execute the batch ([exec_translate] through the shard manager), and
-   drain the encoded response. The whole cycle is the zero words/op
+   execute the batch ([Dispatch.flush_all]: the one op body through the
+   shard manager, then [Dispatch.complete]), and drain the encoded
+   response. The whole cycle is the zero words/op
    gate for the --listen ingestion path. *)
 let json_dispatch_translate ~iters =
   let open Rio_serve in
@@ -656,13 +657,12 @@ let json_spsc_ring ~iters =
   for _ = 1 to 10_000 do f () done;
   sample ~group:"spsc-ring" ~iters f
 
-(* One readiness wakeup on the default backend (poll(2) where the
-   stubs built): wait over a registered always-ready pipe plus the
-   iter_ready sweep that hands tokens back. This is the per-wakeup
-   cost the socket loop pays instead of rebuilding select fd lists. *)
+(* One poll(2) readiness wakeup: wait over a registered always-ready
+   pipe plus the iter_ready sweep that hands tokens back. This is the
+   per-wakeup cost the socket loop pays. *)
 let json_readiness_wait ~iters =
   let open Rio_serve_net in
-  let r = Readiness.create Readiness.default_backend in
+  let r = Readiness.create () in
   let rd, wr = Unix.pipe ~cloexec:true () in
   let _ = Unix.write wr (Bytes.make 1 '!') 0 1 in
   let h = Readiness.register r rd ~token:7 in

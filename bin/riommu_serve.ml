@@ -42,21 +42,14 @@ let policy_conv =
 (* --listen mode: real-socket ingestion into the same shard engine.
    Wall-clock lives out here (the lib takes an injected now_s). *)
 let run_listen ~addr ~shards:nshards ~tenants ~capacity ~policy ~rcache ~sg_max
-    ~batch ~window ~max_conns ~domains ~backend ~interval ~stats_dest =
+    ~batch ~window ~max_conns ~domains ~interval ~stats_dest =
   let open Rio_serve in
   let open Rio_serve_net in
-  match
-    match Netloop.parse_addr addr with
-    | Error m -> Error m
-    | Ok a -> (
-        match Readiness.backend_of_string backend with
-        | Error m -> Error m
-        | Ok b -> Ok (a, b))
-  with
+  match Netloop.parse_addr addr with
   | Error m ->
       prerr_endline ("riommu-serve: " ^ m);
       2
-  | Ok (addr, backend) ->
+  | Ok addr ->
       let shards =
         Array.init nshards (fun id ->
             Shard.create ~id ~tenants ~iotlb_capacity:capacity
@@ -74,7 +67,6 @@ let run_listen ~addr ~shards:nshards ~tenants ~capacity ~policy ~rcache ~sg_max
           sg_limit = sg_max;
           max_conns;
           domains;
-          backend;
           now_s = Unix.gettimeofday;
           tick_every_s = (if interval > 0. then interval else 0.);
         }
@@ -105,11 +97,9 @@ let run_listen ~addr ~shards:nshards ~tenants ~capacity ~policy ~rcache ~sg_max
       in
       Printf.eprintf
         "riommu-serve: listening on %s (%d shards, batch %d, window %d, \
-         backend %s, domains %d)\n\
+         domains %d)\n\
          %!"
-        (Netloop.addr_to_string addr) nshards batch window
-        (Readiness.backend_name backend)
-        domains;
+        (Netloop.addr_to_string addr) nshards batch window domains;
       (match Netloop.serve ~stop ~on_tick ~shards cfg with
       | exception Unix.Unix_error (e, fn, arg) ->
           Printf.eprintf "riommu-serve: %s(%s): %s\n" fn arg (Unix.error_message e);
@@ -125,8 +115,8 @@ let run_listen ~addr ~shards:nshards ~tenants ~capacity ~policy ~rcache ~sg_max
             else 0.
           in
           Printf.printf "riommu-serve --listen %s\n" (Netloop.addr_to_string addr);
-          Printf.printf "  backend %s  domains %d  max-conns %d\n"
-            ns.Netloop.backend ns.Netloop.domains ns.Netloop.max_conns_effective;
+          Printf.printf "  domains %d  max-conns %d\n" ns.Netloop.domains
+            max_conns;
           if Array.length ns.Netloop.domain_ops > 0 then begin
             Printf.printf "  domain ops:";
             Array.iteri
@@ -159,11 +149,7 @@ let run_listen ~addr ~shards:nshards ~tenants ~capacity ~policy ~rcache ~sg_max
               Printf.bprintf b
                 "  \"shards\": %d, \"batch\": %d, \"window\": %d,\n" nshards
                 batch window;
-              Printf.bprintf b
-                "  \"backend\": %S, \"domains\": %d, \
-                 \"max_conns_effective\": %d,\n"
-                ns.Netloop.backend ns.Netloop.domains
-                ns.Netloop.max_conns_effective;
+              Printf.bprintf b "  \"domains\": %d,\n" ns.Netloop.domains;
               Buffer.add_string b "  \"domain_ops\": [";
               Array.iteri
                 (fun e n ->
@@ -352,25 +338,13 @@ let serve_term =
              connected by SPSC rings (OCaml 5 only; clamped to the shard \
              count, and to 1 on a 4.14 runtime).")
   in
-  let backend =
-    Arg.(
-      value
-      & opt string
-          (Rio_serve_net.Readiness.backend_name
-             Rio_serve_net.Readiness.default_backend)
-      & info [ "backend" ] ~docv:"B"
-          ~doc:
-            "Readiness backend ($(b,--listen) mode): $(b,poll) (no fd cap, \
-             no per-wakeup set rebuild; default where built) or \
-             $(b,select) (portable, FD_SETSIZE-capped).")
-  in
   let run duration interval shards jobs tenants flows seed no_rcache capacity
-      policy sg_max stats listen batch window max_conns domains backend =
+      policy sg_max stats listen batch window max_conns domains =
     match listen with
     | Some addr ->
         run_listen ~addr ~shards ~tenants ~capacity ~policy
           ~rcache:(not no_rcache) ~sg_max ~batch ~window ~max_conns ~domains
-          ~backend ~interval ~stats_dest:stats
+          ~interval ~stats_dest:stats
     | None ->
     let cfg =
       {
@@ -428,7 +402,7 @@ let serve_term =
   Term.(
     const run $ duration $ interval $ shards $ jobs $ tenants $ flows $ seed
     $ no_rcache $ capacity $ policy $ sg_max $ stats $ listen $ batch $ window
-    $ max_conns $ domains $ backend)
+    $ max_conns $ domains)
 
 let () =
   let doc = "online multi-tenant IOMMU translation service (simulated)" in

@@ -150,7 +150,7 @@ let pages_spanned ~phys ~bytes =
   let last = Addr.pfn (Addr.add phys (bytes - 1)) in
   last - first + 1
 
-(* One segment's mapping work, shared by [map] and both map_sg variants;
+(* One segment's mapping work, shared by [map] and [map_sg_exn];
    the caller has already charged the per-entry-point overhead. The
    allocator guarantees a fresh range, so Arena.Already_mapped cannot
    fire. Zero-alloc after warm-up. *)
@@ -252,32 +252,6 @@ let rollback d ~iovas n =
     release d node
   done
 
-let map_sg t d ~segs ?n ~iovas ~read ~write () =
-  let n = match n with Some n -> n | None -> Array.length segs in
-  if n < 0 || n > Array.length segs then invalid_arg "Manager.map_sg: n";
-  if n > Array.length iovas then invalid_arg "Manager.map_sg: iovas too small";
-  Cycles.charge t.clock t.cost.Cost_model.call_overhead;
-  let rec go i =
-    if i = n then Ok n
-    else
-      let phys, bytes = segs.(i) in
-      if bytes <= 0 then invalid_arg "Manager.map_sg: bytes"
-      else
-        match map_seg d ~phys ~bytes ~read ~write with
-        | Ok iova ->
-            iovas.(i) <- iova;
-            go (i + 1)
-        | Error `Exhausted ->
-            (* Roll the partial batch back so exhaustion is atomic: the
-               segments just mapped were never visible to the device
-               (no translation happened), so tearing them down needs no
-               invalidation commands — release table entries and IOVAs
-               directly. *)
-            rollback d ~iovas i;
-            Error `Exhausted
-  in
-  go 0
-
 let unmap_sg t d ~iovas ?n () =
   let n = match n with Some n -> n | None -> Array.length iovas in
   if n < 0 || n > Array.length iovas then invalid_arg "Manager.unmap_sg: n";
@@ -293,9 +267,10 @@ let unmap_sg t d ~iovas ?n () =
 
 (* {2 Zero-alloc scatter-gather twins}
 
-   The same batch entry points without option/result/list boxes, for
-   the service's steady state and the zero-alloc gate. [unmap_sg_exn]
-   additionally batches the {e invalidation}: instead of one
+   The batch entry points without option/result/list boxes, for the
+   service's steady state and the zero-alloc gate; [map_sg] is a thin
+   result wrapper over [map_sg_exn]. [unmap_sg_exn], unlike [unmap_sg],
+   also batches the {e invalidation}: instead of one
    invalidation command per page (iotlb_invalidate each), the whole
    batch is torn down first and a single domain-selective flush closes
    every stale window at once (the §3.2 amortization, one
@@ -324,6 +299,11 @@ let map_sg_exn t d ~segs ?n ~iovas ~read ~write () =
       (* atomic: roll the partial batch back before re-raising *)
       rollback d ~iovas !i;
       raise Exhausted
+
+let map_sg t d ~segs ?n ~iovas ~read ~write () =
+  match map_sg_exn t d ~segs ?n ~iovas ~read ~write () with
+  | n -> Ok n
+  | exception Exhausted -> Error `Exhausted
 
 let unmap_sg_exn t d ~iovas ?n () =
   let n = match n with Some n -> n | None -> Array.length iovas in

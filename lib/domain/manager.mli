@@ -101,12 +101,7 @@ val map_sg :
   write:bool ->
   unit ->
   (int, [ `Exhausted ]) result
-(** Map the first [n] (default all) [(phys, bytes)] segments as one
-    batch, writing each segment's IOVA into [iovas.(i)] and returning
-    the count mapped. The fixed per-entry-point overhead is charged
-    once for the whole batch (the scatter-gather amortization), and
-    exhaustion is atomic: on [Error `Exhausted] every segment mapped so
-    far has been rolled back. *)
+(** {!map_sg_exn} with exhaustion as a result. *)
 
 val unmap_sg :
   t -> domain -> iovas:int array -> ?n:int -> unit -> (unit, [ `Not_mapped ]) result
@@ -126,9 +121,13 @@ val map_sg_exn :
   write:bool ->
   unit ->
   int
-(** Exactly {!map_sg} — same charges, same atomic rollback — but
-    allocation-free after warm-up: raises {!Exhausted} instead of
-    boxing a result. The zero-alloc gate covers this entry point. *)
+(** Map the first [n] (default all) [(phys, bytes)] segments as one
+    batch, writing each segment's IOVA into [iovas.(i)] and returning
+    the count mapped. The fixed per-entry-point overhead is charged
+    once for the whole batch (the scatter-gather amortization), and
+    exhaustion is atomic: {!Exhausted} is raised after every segment
+    mapped so far has been rolled back. Allocation-free after warm-up
+    (the zero-alloc gate covers this entry point). *)
 
 val unmap_sg_exn : t -> domain -> iovas:int array -> ?n:int -> unit -> unit
 (** Batched-invalidation unmap (the paper's §3.2 amortization): tears

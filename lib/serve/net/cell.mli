@@ -1,10 +1,12 @@
-(** Lane layout of the fixed-width integer cells carried by the
-    {!Spsc} rings between the IO domain and shard executors.
+(** Lane layout of the fixed-width integer cells that the op body
+    ({!Executor.exec}) reads and writes, and that the {!Spsc} rings
+    carry between the IO domain and shard executors.
 
-    A {e request cell} is a flattened dispatch-batch slot plus routing
-    (connection slot, shard index); a {e response cell} is everything
-    {!Dispatch.complete} needs to encode the wire response into the
-    owning connection's write buffer. Both are plain [int] lanes so
+    A {e request cell} is one dispatch-batch slot ({!Dispatch} stores
+    its batches in this layout) plus routing (connection slot, shard
+    index); a {e response cell} is everything {!Dispatch.complete}
+    needs to encode the wire response into the owning connection's
+    write buffer. Both are plain [int] lanes so
     the cross-domain hand-off moves no OCaml blocks — scatter-gather
     segments ride in [sg_limit]-sized lane groups sized at ring
     creation. *)
@@ -15,7 +17,8 @@ val rsp_width : sg_limit:int -> int
 (** {1 Request lanes} *)
 
 val q_slot : int
-(** Connection slot (the loop's token for the conn). *)
+(** Connection slot (the loop's token for the conn), stamped when the
+    cell is copied onto a ring. *)
 
 val q_shard : int
 (** Global shard index; the executor indexes its shard array with
@@ -33,6 +36,8 @@ val q_b : int
 (** bytes (map) / write flag (translate). *)
 
 val q_nseg : int
+(** Segment count; set for map_sg only. *)
+
 val q_segs : int
 (** First of [2 * sg_limit] segment lanes: phys in
     [q_segs .. q_segs + sg_limit), bytes in the next [sg_limit]. *)

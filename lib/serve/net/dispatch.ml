@@ -1,25 +1,27 @@
 (* Shard-affinity dispatch: every decoded request is appended to a
-   per-shard batch (structure-of-arrays, preallocated at create), and
+   per-shard batch (request cells, preallocated at create), and
    batches execute in shard order at flush points. A tenant is pinned
    to one shard on first sight — hash of (tenant, presenting bdf) —
    so its domain, IOVA allocator, and IOTLB working set stay on one
    manager for the connection's lifetime, exactly the affinity the
    simulated service gets from its static flow partition.
 
-   [enqueue] and [exec_translate] are the per-request steady-state
-   path and are allocation-free (lint manifest + the dispatch-translate
-   bench gate): batch slots are parallel int arrays, the request
-   record is caller-owned, and responses are encoded in place into the
-   connection's write buffer. The colder ops (map/map_sg/unmap) pay
-   small result/tuple boxes inside the manager API they call. *)
+   A batch slot is laid out as a {!Cell} request cell, so neither
+   flush repacks it for the one op body: [flush_all] runs
+   [Executor.exec] on it in place and [complete]s the response cell;
+   [flush_cells] copies it onto an executor's ring. [enqueue], the
+   translate arm of the body and [complete] are allocation-free (lint
+   manifest + the dispatch-translate bench gate). The colder ops
+   (map/map_sg/unmap) pay small result/tuple boxes inside the manager
+   API they call. *)
 
-open Rio_memory
 open Rio_serve
 
 type t = {
   shards : Shard.t array;
   cap : int;  (* batch slots per shard *)
   sg_limit : int;
+  qw : int;  (* request-cell width *)
   rsp_max : int;
   (* tenant registry: global wire tenant -> (shard, domain slot) *)
   tenant_shard : int array;  (* -1 = unseen *)
@@ -32,19 +34,15 @@ type t = {
   mutable last_tenant : int;  (* -1 = cold *)
   mutable last_shard : int;
   mutable last_slot : int;
-  (* per-shard SoA batches, flattened [shard * cap + i] *)
+  (* per-shard batches, flattened: slot [shard * cap + i] is the
+     request cell at [b_cells.((shard * cap + i) * qw ..)]; its
+     [q_slot] lane is stamped only when it is copied onto a ring *)
   count : int array;
   b_conn : Conn.t array;
-  b_op : int array;
-  b_tenant : int array;  (* domain slot on the owning shard *)
-  b_req_id : int array;
-  b_a : int array;  (* phys (map) / iova (unmap, translate) *)
-  b_b : int array;  (* bytes (map) / write flag (translate) *)
-  b_nseg : int array;
-  b_seg_phys : int array;  (* [ (shard * cap + i) * sg_limit + k ] *)
-  b_seg_bytes : int array;
-  (* exec scratch (flush runs on one thread, shard-sequential) *)
-  sg_segs : (Addr.phys * int) array;
+  b_cells : int array;
+  (* inline execute (flush runs on one thread, shard-sequential) *)
+  body : Executor.body;
+  rc : int array;  (* response-cell scratch *)
   sg_iovas : int array;
   mutable stats_cb : Conn.t -> int -> unit;  (* conn, req_id *)
   mutable executed : int;
@@ -69,6 +67,7 @@ let create ~shards ~batch ~sg_limit ?(max_tenants = 4096) () =
   if batch < 1 then invalid_arg "Dispatch.create: batch";
   if sg_limit < 1 then invalid_arg "Dispatch.create: sg_limit";
   let slots = nshards * batch in
+  let qw = Cell.req_width ~sg_limit in
   let dummy =
     Conn.create ~rbuf_bytes:(Wire.max_request_bytes ~sg_limit:1) ~window:1
       ~sg_limit:1 ()
@@ -77,6 +76,7 @@ let create ~shards ~batch ~sg_limit ?(max_tenants = 4096) () =
     shards;
     cap = batch;
     sg_limit;
+    qw;
     rsp_max = Wire.max_response_bytes ~sg_limit;
     tenant_shard = Array.make max_tenants (-1);
     tenant_slot = Array.make max_tenants 0;
@@ -86,15 +86,9 @@ let create ~shards ~batch ~sg_limit ?(max_tenants = 4096) () =
     last_slot = 0;
     count = Array.make nshards 0;
     b_conn = Array.make slots dummy;
-    b_op = Array.make slots 0;
-    b_tenant = Array.make slots 0;
-    b_req_id = Array.make slots 0;
-    b_a = Array.make slots 0;
-    b_b = Array.make slots 0;
-    b_nseg = Array.make slots 0;
-    b_seg_phys = Array.make (slots * sg_limit) 0;
-    b_seg_bytes = Array.make (slots * sg_limit) 0;
-    sg_segs = Array.make sg_limit (Addr.phys_of_int 0, 0);
+    b_cells = Array.make (slots * qw) 0;
+    body = Executor.body ~shards ~sg_limit;
+    rc = Array.make (Cell.rsp_width ~sg_limit) 0;
     sg_iovas = Array.make sg_limit 0;
     stats_cb = default_stats_cb;
     executed = 0;
@@ -187,23 +181,25 @@ let enqueue t conn req =
         if c >= t.cap then false
         else begin
           let base = (sh * t.cap) + c in
+          let q = t.b_cells and at = base * t.qw in
           t.b_conn.(base) <- conn;
-          t.b_op.(base) <- op;
-          t.b_tenant.(base) <- t.last_slot;
-          t.b_req_id.(base) <- req.Wire.req_id;
+          q.(at + Cell.q_shard) <- sh;
+          q.(at + Cell.q_op) <- op;
+          q.(at + Cell.q_tenant) <- t.last_slot;
+          q.(at + Cell.q_req_id) <- req.Wire.req_id;
           if op = Wire.op_map then begin
-            t.b_a.(base) <- req.Wire.phys;
-            t.b_b.(base) <- req.Wire.bytes
+            q.(at + Cell.q_a) <- req.Wire.phys;
+            q.(at + Cell.q_b) <- req.Wire.bytes
           end
           else if op = Wire.op_map_sg then begin
             let n = req.Wire.nseg in
-            t.b_nseg.(base) <- n;
-            Array.blit req.Wire.seg_phys 0 t.b_seg_phys (base * t.sg_limit) n;
-            Array.blit req.Wire.seg_bytes 0 t.b_seg_bytes (base * t.sg_limit) n
+            q.(at + Cell.q_nseg) <- n;
+            Array.blit req.Wire.seg_phys 0 q (at + Cell.q_segs) n;
+            Array.blit req.Wire.seg_bytes 0 q (at + Cell.q_segs + t.sg_limit) n
           end
           else begin
-            t.b_a.(base) <- req.Wire.iova;
-            t.b_b.(base) <- (if req.Wire.write then 1 else 0)
+            q.(at + Cell.q_a) <- req.Wire.iova;
+            q.(at + Cell.q_b) <- (if req.Wire.write then 1 else 0)
           end;
           t.count.(sh) <- c + 1;
           true
@@ -212,156 +208,14 @@ let enqueue t conn req =
     end
   end
 
-(* The steady-state execute: translate straight out of the batch slot
-   into the connection's write buffer. Faults are the constant
-   [Manager.Translation_fault] (already counted by the shard) and
-   become a payload-less fault status. Allocation-free. *)
-let exec_translate t sh ~conn ~tenant ~iova ~write ~req_id =
-  let off = Conn.reserve conn t.rsp_max in
-  if off < 0 then Conn.kill conn
-  else begin
-    (match Shard.translate_record sh ~tenant ~iova ~write with
-    | phys ->
-        Conn.commit conn
-          (Wire.encode_translate_ok (Conn.wbuf conn) ~pos:off ~req_id
-             ~phys:(Addr.to_int phys))
-    | exception Rio_domain.Manager.Translation_fault ->
-        Conn.commit conn
-          (Wire.encode_error (Conn.wbuf conn) ~pos:off ~op:Wire.op_translate
-             ~status:Wire.st_fault ~req_id));
-    Conn.completed conn
-  end
-
-let exec_map t sh ~conn ~tenant ~phys ~bytes ~req_id =
-  let off = Conn.reserve conn t.rsp_max in
-  if off < 0 then Conn.kill conn
-  else begin
-    (match Shard.map_record sh ~tenant ~phys:(Addr.phys_of_int phys) ~bytes with
-    | Ok iova ->
-        Conn.commit conn
-          (Wire.encode_map_ok (Conn.wbuf conn) ~pos:off ~req_id ~iova)
-    | Error `Exhausted ->
-        Conn.commit conn
-          (Wire.encode_error (Conn.wbuf conn) ~pos:off ~op:Wire.op_map
-             ~status:Wire.st_exhausted ~req_id));
-    Conn.completed conn
-  end
-
-let exec_unmap t sh ~conn ~tenant ~iova ~req_id =
-  let off = Conn.reserve conn t.rsp_max in
-  if off < 0 then Conn.kill conn
-  else begin
-    (match Shard.unmap_record sh ~tenant ~iova with
-    | Ok () ->
-        Conn.commit conn (Wire.encode_unmap_ok (Conn.wbuf conn) ~pos:off ~req_id)
-    | Error `Not_mapped ->
-        Conn.commit conn
-          (Wire.encode_error (Conn.wbuf conn) ~pos:off ~op:Wire.op_unmap
-             ~status:Wire.st_not_mapped ~req_id));
-    Conn.completed conn
-  end
-
-let exec_map_sg t sh ~conn ~tenant ~base ~n ~req_id =
-  let off = Conn.reserve conn t.rsp_max in
-  if off < 0 then Conn.kill conn
-  else begin
-    for k = 0 to n - 1 do
-      t.sg_segs.(k) <-
-        ( Addr.phys_of_int t.b_seg_phys.((base * t.sg_limit) + k),
-          t.b_seg_bytes.((base * t.sg_limit) + k) )
-    done;
-    (match
-       Shard.map_sg_record sh ~tenant ~segs:t.sg_segs ~n ~iovas:t.sg_iovas
-     with
-    | Ok _span ->
-        Conn.commit conn
-          (Wire.encode_map_sg_ok (Conn.wbuf conn) ~pos:off ~req_id
-             ~iovas:t.sg_iovas ~n)
-    | Error `Exhausted ->
-        Conn.commit conn
-          (Wire.encode_error (Conn.wbuf conn) ~pos:off ~op:Wire.op_map_sg
-             ~status:Wire.st_exhausted ~req_id));
-    Conn.completed conn
-  end
-
-let flush_shard t sh =
-  let n = t.count.(sh) in
-  if n > 0 then begin
-    t.flushes <- t.flushes + 1;
-    let s = t.shards.(sh) in
-    for i = 0 to n - 1 do
-      let base = (sh * t.cap) + i in
-      let conn = t.b_conn.(base) in
-      if Conn.alive conn then begin
-        let op = t.b_op.(base) in
-        let tenant = t.b_tenant.(base) in
-        let req_id = t.b_req_id.(base) in
-        if op = Wire.op_translate then
-          exec_translate t s ~conn ~tenant ~iova:t.b_a.(base)
-            ~write:(t.b_b.(base) <> 0) ~req_id
-        else if op = Wire.op_map then
-          exec_map t s ~conn ~tenant ~phys:t.b_a.(base) ~bytes:t.b_b.(base)
-            ~req_id
-        else if op = Wire.op_unmap then
-          exec_unmap t s ~conn ~tenant ~iova:t.b_a.(base) ~req_id
-        else exec_map_sg t s ~conn ~tenant ~base ~n:t.b_nseg.(base) ~req_id;
-        t.executed <- t.executed + 1
-      end;
-      t.b_conn.(base) <- t.dummy
-    done;
-    t.count.(sh) <- 0
-  end
-
-let flush_all t =
-  for sh = 0 to Array.length t.shards - 1 do
-    flush_shard t sh
-  done
-
 let pending t =
   let n = ref 0 in
   Array.iter (fun c -> n := !n + c) t.count;
   !n
 
-(* Multi-domain flush: instead of executing, pack each batch slot into
-   the caller's request-cell scratch and hand it to [emit], which
-   pushes it onto the owning executor's ring. Slots whose connection
-   died while batched are dropped here, exactly like flush_shard — they
-   never become in-flight cells. *)
-let flush_cells t ~cell ~emit =
-  for sh = 0 to Array.length t.shards - 1 do
-    let n = t.count.(sh) in
-    if n > 0 then begin
-      t.flushes <- t.flushes + 1;
-      for i = 0 to n - 1 do
-        let base = (sh * t.cap) + i in
-        let conn = t.b_conn.(base) in
-        if Conn.alive conn then begin
-          let op = t.b_op.(base) in
-          cell.(Cell.q_slot) <- Conn.token conn;
-          cell.(Cell.q_shard) <- sh;
-          cell.(Cell.q_op) <- op;
-          cell.(Cell.q_tenant) <- t.b_tenant.(base);
-          cell.(Cell.q_req_id) <- t.b_req_id.(base);
-          cell.(Cell.q_a) <- t.b_a.(base);
-          cell.(Cell.q_b) <- t.b_b.(base);
-          let nseg = if op = Wire.op_map_sg then t.b_nseg.(base) else 0 in
-          cell.(Cell.q_nseg) <- nseg;
-          if nseg > 0 then begin
-            Array.blit t.b_seg_phys (base * t.sg_limit) cell Cell.q_segs nseg;
-            Array.blit t.b_seg_bytes (base * t.sg_limit) cell
-              (Cell.q_segs + t.sg_limit) nseg
-          end;
-          emit ~shard:sh
-        end;
-        t.b_conn.(base) <- t.dummy
-      done;
-      t.count.(sh) <- 0
-    end
-  done
-
-(* Encode one executor response cell into its connection's write
-   buffer — the IO-domain tail of the multi-domain execute, counted in
-   [executed] so the loop's response accounting is mode-agnostic.
+(* Encode one response cell into its connection's write buffer and
+   retire its in-flight slot — the tail of every execute, inline or
+   through an executor, so [executed] counts the same either way.
    Allocation-free: the map_sg iova lanes blit through the dispatcher's
    scratch rather than slicing the cell. *)
 let complete t conn ~cell =
@@ -394,3 +248,58 @@ let complete t conn ~cell =
     Conn.completed conn;
     t.executed <- t.executed + 1
   end
+
+(* The single-domain flush: every live slot runs through the op body
+   in place and is completed at once. Slots whose connection died
+   while batched are dropped — they never execute. *)
+let flush_all t =
+  for sh = 0 to Array.length t.shards - 1 do
+    let n = t.count.(sh) in
+    if n > 0 then begin
+      t.flushes <- t.flushes + 1;
+      for i = 0 to n - 1 do
+        let base = (sh * t.cap) + i in
+        let conn = t.b_conn.(base) in
+        if Conn.alive conn then begin
+          Executor.exec t.body ~req:t.b_cells ~at:(base * t.qw) ~rsp:t.rc;
+          complete t conn ~cell:t.rc
+        end;
+        t.b_conn.(base) <- t.dummy
+      done;
+      t.count.(sh) <- 0
+    end
+  done
+
+(* Multi-domain flush: copy each live slot's request cell into the
+   caller's scratch, stamped with its connection's slot token for the
+   response's way back, and hand it to [emit], which pushes it onto the
+   owning executor's ring. Dead connections' slots are dropped, as in
+   flush_all — they never become in-flight cells. *)
+let flush_cells t ~cell ~emit =
+  let q = t.b_cells in
+  for sh = 0 to Array.length t.shards - 1 do
+    let n = t.count.(sh) in
+    if n > 0 then begin
+      t.flushes <- t.flushes + 1;
+      for i = 0 to n - 1 do
+        let base = (sh * t.cap) + i in
+        let conn = t.b_conn.(base) in
+        if Conn.alive conn then begin
+          let at = base * t.qw in
+          for k = 0 to Cell.q_segs - 1 do
+            cell.(k) <- q.(at + k)
+          done;
+          cell.(Cell.q_slot) <- Conn.token conn;
+          if q.(at + Cell.q_op) = Wire.op_map_sg then begin
+            let m = q.(at + Cell.q_nseg) in
+            Array.blit q (at + Cell.q_segs) cell Cell.q_segs m;
+            Array.blit q (at + Cell.q_segs + t.sg_limit) cell
+              (Cell.q_segs + t.sg_limit) m
+          end;
+          emit ~shard:sh
+        end;
+        t.b_conn.(base) <- t.dummy
+      done;
+      t.count.(sh) <- 0
+    end
+  done

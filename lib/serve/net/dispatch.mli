@@ -14,8 +14,12 @@
     from many connections, a connection's responses can be reordered
     relative to its requests — [req_id] is the correlation key.
 
-    {!enqueue} and the translate execute path are allocation-free
-    (lint manifest; dispatch-translate bench gate). *)
+    Both flushes hand each batch slot, already laid out as a {!Cell}
+    request cell, to the one op body {!Executor.exec}: {!flush_all}
+    inline on this thread, {!flush_cells} through an executor's ring.
+    Either way {!complete} encodes the response. {!enqueue} and the
+    translate execute path are allocation-free (lint manifest;
+    dispatch-translate bench gate). *)
 
 type t
 
@@ -44,15 +48,13 @@ val enqueue : t -> Conn.t -> Wire.req -> bool
 (** Append one decoded request. [true] = handled: queued on its
     shard's batch, or answered immediately (stats; [bad_request] for
     an out-of-range or unplaceable tenant). [false] = that shard's
-    batch is full — {!flush_shard} (or {!flush_all}) and retry.
-    Allocation-free. *)
-
-val flush_shard : t -> int -> unit
-(** Execute and clear shard [sh]'s batch: each slot runs against the
-    shard's manager and its response is encoded into its connection's
-    write buffer (dead connections' slots are skipped). *)
+    batch is full — flush and retry. Allocation-free. *)
 
 val flush_all : t -> unit
+(** The single-domain flush: execute and clear every shard's batch in
+    shard order. Each slot runs through {!Executor.exec} against its
+    shard and is {!complete}d into its connection's write buffer at
+    once (dead connections' slots are skipped). *)
 
 val flush_cells : t -> cell:int array -> emit:(shard:int -> unit) -> unit
 (** The multi-domain flush: pack each batched slot into [cell] (a
@@ -61,12 +63,12 @@ val flush_cells : t -> cell:int array -> emit:(shard:int -> unit) -> unit
     the owning executor's request ring. [emit] must consume [cell]
     before returning (it is reused for the next slot) and must not
     fail — the loop spins on a momentarily full ring. Dead
-    connections' slots are dropped, as in {!flush_shard}. *)
+    connections' slots are dropped, as in {!flush_all}. *)
 
 val complete : t -> Conn.t -> cell:int array -> unit
-(** Encode one executor {e response} cell ({!Cell.r_width} lanes) into
-    [conn]'s write buffer and retire its in-flight slot — the
-    IO-domain tail of a multi-domain execute, counted in {!executed}.
+(** Encode one {e response} cell ({!Cell.rsp_width} lanes) into
+    [conn]'s write buffer and retire its in-flight slot — the tail of
+    every execute, inline or multi-domain, counted in {!executed}.
     Allocation-free. *)
 
 val pending : t -> int

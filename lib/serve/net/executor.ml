@@ -1,6 +1,10 @@
 (* Shard executor: pop request cells, run them against the owning
    shard, push response cells. See the mli for the topology story.
 
+   [exec] is the one op body of the socket service: the executor's
+   [step] runs it on popped cells, and [Dispatch.flush_all] runs it
+   inline on its batch slots (same lane layout) at one domain.
+
    Everything here runs on the executor's domain except [create] and
    [request_stop]; cross-domain traffic is exactly the two SPSC rings,
    the stop flag, and wake bytes down the pipe. *)
@@ -8,34 +12,96 @@
 open Rio_memory
 open Rio_serve
 
-type t = {
+type body = {
   shards : Shard.t array;
+  sg_limit : int;
+  segs : (Addr.phys * int) array; (* map_sg scratch *)
+  iovas : int array;
+}
+
+let body ~shards ~sg_limit =
+  {
+    shards;
+    sg_limit;
+    segs = Array.make sg_limit (Addr.phys_of_int 0, 0);
+    iovas = Array.make sg_limit 0;
+  }
+
+(* The fault is the constant Manager.Translation_fault (pre-allocated,
+   already counted by the shard), so the whole op is allocation-free. *)
+let exec_translate sh ~tenant ~iova ~write ~rsp =
+  match Shard.translate_record sh ~tenant ~iova ~write with
+  | phys ->
+      rsp.(Cell.r_status) <- Wire.st_ok;
+      rsp.(Cell.r_value) <- Addr.to_int phys
+  | exception Rio_domain.Manager.Translation_fault ->
+      rsp.(Cell.r_status) <- Wire.st_fault
+
+let exec_map sh ~tenant ~phys ~bytes ~rsp =
+  match Shard.map_record sh ~tenant ~phys:(Addr.phys_of_int phys) ~bytes with
+  | Ok iova ->
+      rsp.(Cell.r_status) <- Wire.st_ok;
+      rsp.(Cell.r_value) <- iova
+  | Error `Exhausted -> rsp.(Cell.r_status) <- Wire.st_exhausted
+
+let exec_unmap sh ~tenant ~iova ~rsp =
+  match Shard.unmap_record sh ~tenant ~iova with
+  | Ok () -> rsp.(Cell.r_status) <- Wire.st_ok
+  | Error `Not_mapped -> rsp.(Cell.r_status) <- Wire.st_not_mapped
+
+let exec_map_sg b sh ~tenant ~req ~at ~rsp =
+  let nseg = req.(at + Cell.q_nseg) in
+  let segs = at + Cell.q_segs in
+  for k = 0 to nseg - 1 do
+    b.segs.(k) <-
+      (Addr.phys_of_int req.(segs + k), req.(segs + b.sg_limit + k))
+  done;
+  match Shard.map_sg_record sh ~tenant ~segs:b.segs ~n:nseg ~iovas:b.iovas with
+  | Ok _span ->
+      rsp.(Cell.r_status) <- Wire.st_ok;
+      rsp.(Cell.r_nseg) <- nseg;
+      Array.blit b.iovas 0 rsp Cell.r_iovas nseg
+  | Error `Exhausted -> rsp.(Cell.r_status) <- Wire.st_exhausted
+
+let exec b ~req ~at ~rsp =
+  let op = req.(at + Cell.q_op) in
+  let sh = b.shards.(req.(at + Cell.q_shard)) in
+  let tenant = req.(at + Cell.q_tenant) in
+  rsp.(Cell.r_slot) <- req.(at + Cell.q_slot);
+  rsp.(Cell.r_op) <- op;
+  rsp.(Cell.r_req_id) <- req.(at + Cell.q_req_id);
+  rsp.(Cell.r_nseg) <- 0;
+  if op = Wire.op_translate then
+    exec_translate sh ~tenant ~iova:req.(at + Cell.q_a)
+      ~write:(req.(at + Cell.q_b) <> 0) ~rsp
+  else if op = Wire.op_map then
+    exec_map sh ~tenant ~phys:req.(at + Cell.q_a) ~bytes:req.(at + Cell.q_b)
+      ~rsp
+  else if op = Wire.op_unmap then exec_unmap sh ~tenant ~iova:req.(at + Cell.q_a) ~rsp
+  else exec_map_sg b sh ~tenant ~req ~at ~rsp
+
+type t = {
+  body : body;
   req : Spsc.t;
   rsp : Spsc.t;
   stop : bool Atomic.t;
   wake_fd : Unix.file_descr;
   wake_byte : Bytes.t;
-  sg_limit : int;
   qc : int array; (* request-cell scratch *)
   rc : int array; (* response-cell scratch *)
-  segs : (Addr.phys * int) array; (* map_sg scratch *)
-  iovas : int array;
   mutable executed : int; (* plain int: single writer (this domain) *)
 }
 
 let create ~shards ~sg_limit ~ring_cap ~wake_fd =
   {
-    shards;
+    body = body ~shards ~sg_limit;
     req = Spsc.create ~cap:ring_cap ~width:(Cell.req_width ~sg_limit);
     rsp = Spsc.create ~cap:ring_cap ~width:(Cell.rsp_width ~sg_limit);
     stop = Atomic.make false;
     wake_fd;
     wake_byte = Bytes.make 1 '!';
-    sg_limit;
     qc = Array.make (Cell.req_width ~sg_limit) 0;
     rc = Array.make (Cell.rsp_width ~sg_limit) 0;
-    segs = Array.make sg_limit (Addr.phys_of_int 0, 0);
-    iovas = Array.make sg_limit 0;
     executed = 0;
   }
 
@@ -52,61 +118,11 @@ let push_rsp t =
     Rio_exec.Domains.relax ()
   done
 
-(* Steady-state execute, mirroring Dispatch.exec_translate: the fault
-   is the constant Manager.Translation_fault (pre-allocated, already
-   counted by the shard), so the whole op is allocation-free. *)
-let exec_translate t sh ~tenant ~iova ~write =
-  match Shard.translate_record sh ~tenant ~iova ~write with
-  | phys ->
-      t.rc.(Cell.r_status) <- Wire.st_ok;
-      t.rc.(Cell.r_value) <- Addr.to_int phys
-  | exception Rio_domain.Manager.Translation_fault ->
-      t.rc.(Cell.r_status) <- Wire.st_fault
-
-let exec_map t sh ~tenant ~phys ~bytes =
-  match Shard.map_record sh ~tenant ~phys:(Addr.phys_of_int phys) ~bytes with
-  | Ok iova ->
-      t.rc.(Cell.r_status) <- Wire.st_ok;
-      t.rc.(Cell.r_value) <- iova
-  | Error `Exhausted -> t.rc.(Cell.r_status) <- Wire.st_exhausted
-
-let exec_unmap t sh ~tenant ~iova =
-  match Shard.unmap_record sh ~tenant ~iova with
-  | Ok () -> t.rc.(Cell.r_status) <- Wire.st_ok
-  | Error `Not_mapped -> t.rc.(Cell.r_status) <- Wire.st_not_mapped
-
-let exec_map_sg t sh ~tenant ~nseg =
-  for k = 0 to nseg - 1 do
-    t.segs.(k) <-
-      ( Addr.phys_of_int t.qc.(Cell.q_segs + k),
-        t.qc.(Cell.q_segs + t.sg_limit + k) )
-  done;
-  match Shard.map_sg_record sh ~tenant ~segs:t.segs ~n:nseg ~iovas:t.iovas with
-  | Ok _span ->
-      t.rc.(Cell.r_status) <- Wire.st_ok;
-      t.rc.(Cell.r_nseg) <- nseg;
-      Array.blit t.iovas 0 t.rc Cell.r_iovas nseg
-  | Error `Exhausted -> t.rc.(Cell.r_status) <- Wire.st_exhausted
-
 let step t =
   let n = ref 0 in
   while Spsc.try_pop t.req ~dst:t.qc do
     incr n;
-    let op = t.qc.(Cell.q_op) in
-    let sh = t.shards.(t.qc.(Cell.q_shard)) in
-    let tenant = t.qc.(Cell.q_tenant) in
-    t.rc.(Cell.r_slot) <- t.qc.(Cell.q_slot);
-    t.rc.(Cell.r_op) <- op;
-    t.rc.(Cell.r_req_id) <- t.qc.(Cell.q_req_id);
-    t.rc.(Cell.r_nseg) <- 0;
-    if op = Wire.op_translate then
-      exec_translate t sh ~tenant ~iova:t.qc.(Cell.q_a)
-        ~write:(t.qc.(Cell.q_b) <> 0)
-    else if op = Wire.op_map then
-      exec_map t sh ~tenant ~phys:t.qc.(Cell.q_a) ~bytes:t.qc.(Cell.q_b)
-    else if op = Wire.op_unmap then
-      exec_unmap t sh ~tenant ~iova:t.qc.(Cell.q_a)
-    else exec_map_sg t sh ~tenant ~nseg:t.qc.(Cell.q_nseg);
+    exec t.body ~req:t.qc ~at:0 ~rsp:t.rc;
     push_rsp t;
     t.executed <- t.executed + 1
   done;

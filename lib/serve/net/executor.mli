@@ -17,9 +17,21 @@
     responses, {!run} writes one byte to [wake_fd] so a poll-parked
     IO domain wakes to drain them.
 
-    The execute path allocates nothing on translate (lint-gated, like
-    the inline dispatch path): cells are int lanes, scratch is
+    {!exec} is the service's one op body: {!step} runs it here, and
+    {!Dispatch.flush_all} runs it inline at one domain. It allocates
+    nothing on translate (lint-gated): cells are int lanes, scratch is
     preallocated, and shard counters are plain ints. *)
+
+type body
+(** The op body's state: the global shard array and map_sg scratch.
+    Owned by one thread. *)
+
+val body : shards:Rio_serve.Shard.t array -> sg_limit:int -> body
+
+val exec : body -> req:int array -> at:int -> rsp:int array -> unit
+(** Run the request cell at [req.(at ..)] ({!Cell.req_width} lanes)
+    against its shard and fill the response cell [rsp]
+    ({!Cell.rsp_width} lanes), ready for {!Dispatch.complete}. *)
 
 type t
 

@@ -4,21 +4,21 @@
    flush cadence, and (with [domains > 1]) the traffic between the IO
    domain and the shard executors.
 
-   Readiness comes from {!Readiness} (poll(2) when built, else
-   Unix.select): fds register once into a slot table and only
-   interest *changes* are re-armed, replacing PR 8's per-wakeup fd
-   list rebuild. Connections live in parallel arrays indexed by a
-   slot (the readiness token and the {!Cell.q_slot} lane), with a
-   free-slot stack; a slot is recycled only when its connection is
-   dead AND no ring cell still references it.
+   Readiness comes from {!Readiness} (poll(2)): fds register once
+   into a slot table and only interest *changes* are re-armed.
+   Connections live in parallel arrays indexed by a slot (the
+   readiness token and the {!Cell.q_slot} lane), with a free-slot
+   stack; a slot is recycled only when its connection is dead AND no
+   ring cell still references it.
 
    With [domains = 1] the decoded batches execute inline on this
-   thread, exactly the PR 8 behavior. With [domains = N > 1], N
-   executor domains each own a contiguous slice of the shard array;
-   flushes pack batch slots into request cells pushed onto the owning
+   thread ({!Dispatch.flush_all}). With [domains = N > 1], N executor
+   domains each own a contiguous slice of the shard array; flushes
+   pack batch slots into request cells pushed onto the owning
    executor's SPSC ring, and response cells drain back here to be
-   encoded into the owning connection's write buffer. Executors wake
-   a poll-parked loop through a self-pipe.
+   encoded into the owning connection's write buffer. Both run the
+   same op body ({!Executor.exec}) and encoder ({!Dispatch.complete}).
+   Executors wake a poll-parked loop through a self-pipe.
 
    Wall-clock time is injected ([config.now_s]): the determinism lint
    bans Unix.gettimeofday from lib/, and keeping the clock a caller
@@ -56,7 +56,6 @@ type config = {
   max_conns : int;
   max_tenants : int;
   domains : int;
-  backend : Readiness.backend;
   now_s : unit -> float;
   tick_every_s : float;
 }
@@ -70,15 +69,12 @@ let default_config ~addr =
     max_conns = 64;
     max_tenants = 4096;
     domains = 1;
-    backend = Readiness.default_backend;
     now_s = (fun () -> 0.);
     tick_every_s = 0.;
   }
 
 type stats = {
-  backend : string;
   domains : int;
-  max_conns_effective : int;
   domain_ops : int array;
   mutable accepted : int;
   mutable refused : int;
@@ -129,27 +125,14 @@ let effective_domains ~domains ~nshards =
   let d = if d > nshards then nshards else d in
   if d > 1 && not Rio_exec.Domains.available then 1 else d
 
-(* Select is bounded by FD_SETSIZE *values*, not counts: leave slack
-   for the listener, wake pipes, and stdio so every accepted fd stays
-   representable in an fd_set. *)
-let effective_max_conns ~backend ~max_conns ~nexec =
-  let cap = Readiness.max_fds backend in
-  let cap = if cap = max_int then cap else cap - 16 - (2 * nexec) in
-  let m = if max_conns < cap then max_conns else cap in
-  if m < 1 then 1 else m
-
 let serve ?stop ?(on_tick = fun (_ : stats) -> ()) ~shards (cfg : config) =
   let nshards = Array.length shards in
   let domains_eff = effective_domains ~domains:cfg.domains ~nshards in
   let nexec = if domains_eff > 1 then domains_eff else 0 in
-  let cap =
-    effective_max_conns ~backend:cfg.backend ~max_conns:cfg.max_conns ~nexec
-  in
+  let cap = if cfg.max_conns < 1 then 1 else cfg.max_conns in
   let stats =
     {
-      backend = Readiness.backend_name cfg.backend;
       domains = domains_eff;
-      max_conns_effective = cap;
       domain_ops = Array.make nexec 0;
       accepted = 0;
       refused = 0;
@@ -189,7 +172,7 @@ let serve ?stop ?(on_tick = fun (_ : stats) -> ()) ~shards (cfg : config) =
         Conn.completed conn
       end);
   let lfd = listen_on cfg.addr in
-  let r = Readiness.create cfg.backend in
+  let r = Readiness.create () in
   let _lhandle = Readiness.register r lfd ~token:tok_listener in
   Readiness.interest r ~handle:_lhandle ~read:true ~write:false;
   (* connection slot table *)

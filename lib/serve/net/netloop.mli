@@ -1,7 +1,6 @@
 (** The socket event loop behind [riommu-serve --listen].
 
-    Nonblocking fds behind a {!Readiness} backend (poll(2) when
-    built, [Unix.select] as the portable fallback): accept new
+    Nonblocking fds behind {!Readiness} (poll(2)): accept new
     connections into a slot table, read into per-connection buffers,
     decode admissible requests ({!Conn.can_admit} is the backpressure
     gate), batch them by shard affinity ({!Dispatch}), flush once per
@@ -10,7 +9,8 @@
     no per-wakeup fd-set rebuild.
 
     With [domains = 1] (the default) shards execute on the loop
-    thread, exactly the single-dispatcher design of DESIGN.md §14.
+    thread ({!Dispatch.flush_all}), the single-dispatcher design of
+    DESIGN.md §14.
     With [domains = N > 1] (OCaml 5 only; silently clamped to 1 where
     domains are unavailable, and to the shard count always), N shard
     executor domains each own a contiguous slice of the shard array:
@@ -41,22 +41,17 @@ type config = {
   max_conns : int;  (** accepts beyond this are refused (closed) *)
   max_tenants : int;  (** wire tenant-id space for the dispatcher *)
   domains : int;  (** executor domains; [1] = execute on the loop *)
-  backend : Readiness.backend;  (** readiness backend *)
   now_s : unit -> float;  (** injected wall clock (seconds) *)
   tick_every_s : float;  (** [on_tick] cadence; [<= 0] disables *)
 }
 
 val default_config : addr:addr -> config
 (** batch 64, window 128, sg_limit 16, 64 connections, 4096 tenants,
-    1 domain, {!Readiness.default_backend}, ticks disabled, clock
-    stuck at 0 (supply [now_s] to enable). *)
+    1 domain, ticks disabled, clock stuck at 0 (supply [now_s] to
+    enable). *)
 
 type stats = {
-  backend : string;  (** configured readiness backend name *)
   domains : int;  (** effective executor domains after clamping *)
-  max_conns_effective : int;
-      (** [max_conns] after the backend's fd cap (FD_SETSIZE for
-          select, minus slack for the listener and wake pipes) *)
   domain_ops : int array;
       (** per-executor requests executed; [[||]] when [domains = 1] *)
   mutable accepted : int;

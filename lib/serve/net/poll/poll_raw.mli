@@ -10,7 +10,7 @@
     Every call here traffics only in immediate ints: the per-wakeup
     path ({!wait}, {!revents}) is allocation-free. Higher-level slot
     bookkeeping (which fd sits where, tokens, swap-removal) belongs to
-    {!Readiness_poll}. *)
+    [Rio_serve_net.Readiness]. *)
 
 type t
 

@@ -1,4 +1,4 @@
-/* poll(2) bindings for the readiness backend.
+/* poll(2) bindings behind the socket loop's Readiness module.
  *
  * The pollfd array lives in a custom block OUTSIDE the OCaml heap
  * (malloc'd, freed by the finalizer), for two reasons: the kernel

@@ -1,42 +1,16 @@
-(** Readiness backends for the socket loop.
+(** poll(2) readiness for the socket loop, over the [rio_poll] C stubs
+    ({!Rio_poll.Poll_raw}).
 
-    PR 8's loop rebuilt [Unix.select] fd lists on every wakeup and
-    inherited the [FD_SETSIZE] (1024) cap. This module splits that
-    concern out behind a small registration API with two backends:
-
-    - {b Poll}: poll(2) via the [rio_poll] C stubs (dune-selected;
-      see {!Readiness_poll}). Registrations are programmed once into
-      a C-side pollfd array, so each wakeup is one allocation-free
-      [poll] call — no per-wakeup set rebuild, no fd cap.
-    - {b Select}: portable [Unix.select], list-per-wait, capped at
-      {!fd_setsize} descriptors. Always available; byte-identical in
-      behavior to the PR 8 loop.
-
-    Registrations return stable int handles and carry a caller
+    Registrations are programmed once into a C-side pollfd array, so
+    each wakeup is one allocation-free [poll] call — no per-wakeup set
+    rebuild, no [FD_SETSIZE] cap. The pollfd array is kept dense by
+    swap-compaction on {!unregister}; registrations return stable int
+    handles that indirect through it, and each carries a caller
     [token] (the loop's connection-slot index) handed back by
     {!iter_ready}, so readiness never needs an fd-keyed lookup. *)
 
-type backend = Select | Poll
-
 val poll_available : bool
-(** Whether the poll(2) stubs were built (dune select). *)
-
-val default_backend : backend
-(** [Poll] when available, else [Select]. *)
-
-val backend_of_string : string -> (backend, string) result
-(** Accepts ["poll"] and ["select"]; [Error] names the bad token.
-    Choosing ["poll"] where unavailable also returns [Error]. *)
-
-val backend_name : backend -> string
-
-val fd_setsize : int
-(** The portable [FD_SETSIZE] floor (1024) bounding the Select
-    backend. *)
-
-val max_fds : backend -> int
-(** Descriptor cap: {!fd_setsize} for [Select], effectively unbounded
-    for [Poll]. *)
+(** Always [true]: poll(2) is POSIX and the stubs are built in-tree. *)
 
 (** Ready-bit mask returned by {!iter_ready}. *)
 
@@ -46,11 +20,7 @@ val ev_err : int
 
 type t
 
-val create : backend -> t
-(** Raises [Failure] if [Poll] is requested but unavailable (gate
-    with {!backend_of_string} / {!poll_available}). *)
-
-val backend : t -> backend
+val create : unit -> t
 
 val register : t -> Unix.file_descr -> token:int -> int
 (** Watch [fd]; no interest armed yet. Returns a stable handle. *)
@@ -61,14 +31,15 @@ val unregister : t -> handle:int -> unit
 val interest : t -> handle:int -> read:bool -> write:bool -> unit
 
 val registered : t -> int
+(** Live registrations. *)
 
 val wait : t -> timeout_ms:int -> int
-(** Block up to [timeout_ms] (-1 = forever) for readiness; returns
-    the ready count. [EINTR] reads as [0]. Allocation-free on the
-    Poll backend ([wait_poll] is lint-gated); Select builds its fd
-    lists here. *)
+(** One poll(2) call over every registration, blocking up to
+    [timeout_ms] (-1 = forever); returns the ready count. [EINTR]
+    reads as [0]. Allocation-free. *)
 
 val iter_ready : t -> (int -> int -> unit) -> unit
-(** [iter_ready t f] calls [f token bits] for each ready
-    registration from the last {!wait}; [bits] is an {!ev_read} /
-    {!ev_write} / {!ev_err} mask. *)
+(** [iter_ready t f] calls [f token bits] for each registration with
+    nonzero ready bits from the last {!wait}; [bits] is an {!ev_read} /
+    {!ev_write} / {!ev_err} mask. Allocation-free apart from the
+    caller's [f]. *)

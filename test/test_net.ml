@@ -488,11 +488,11 @@ let test_spsc_boundaries () =
   Alcotest.(check bool) "drained ring is empty" true (Spsc.is_empty r);
   Alcotest.(check bool) "drained pop fails" false (Spsc.try_pop r ~dst)
 
-(* {1 Readiness: both backends against real pipes} *)
+(* {1 Readiness: poll(2) against real pipes} *)
 
-let readiness_pipe_test backend () =
-  let r = Readiness.create backend in
-  Alcotest.(check bool) "backend echoes" true (Readiness.backend r = backend);
+let test_readiness_pipes () =
+  Alcotest.(check bool) "poll is always built" true Readiness.poll_available;
+  let r = Readiness.create () in
   let a_rd, a_wr = Unix.pipe ~cloexec:true () in
   let b_rd, b_wr = Unix.pipe ~cloexec:true () in
   let ha = Readiness.register r a_rd ~token:10 in
@@ -625,6 +625,157 @@ let test_executor_step_roundtrip () =
   Unix.close _rd;
   Unix.close wr
 
+(* {1 Inline vs ring: one op body behind both flushes} *)
+
+(* One request stream fed to two identically created shard arrays: one
+   behind [flush_all] (the one-domain loop), the other behind
+   [flush_cells] -> Spsc -> [Executor.step] -> [complete] (the
+   N-domain loop, driven on this thread). Every response byte and the
+   executed/rejected counters must agree. The stream covers all four
+   ops with ok, fault, not_mapped, exhausted and bad_request outcomes,
+   a stats request, a mid-batch flush on a full batch, and a
+   connection killed while its requests sit in a batch. *)
+let test_inline_matches_ring () =
+  let make () =
+    let shards = make_shards 2 in
+    (shards, Dispatch.create ~shards ~batch:4 ~sg_limit ~max_tenants:16 ())
+  in
+  let _, da = make () in
+  let sc, dc = make () in
+  let conns () =
+    Array.init 3 (fun i ->
+        let c = hello_conn ~window:64 in
+        Conn.set_token c i;
+        c)
+  in
+  let ca = conns () and cc = conns () in
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wr;
+  let ex = Executor.create ~shards:sc ~sg_limit ~ring_cap:16 ~wake_fd:wr in
+  let cell = Array.make (Cell.req_width ~sg_limit) 0 in
+  let rsp_cell = Array.make (Cell.rsp_width ~sg_limit) 0 in
+  let ring_flush () =
+    Dispatch.flush_cells dc ~cell ~emit:(fun ~shard:_ ->
+        Alcotest.(check bool) "ring admits the cell" true
+          (Spsc.try_push (Executor.request_ring ex) ~src:cell));
+    ignore (Executor.step ex : int);
+    while Spsc.try_pop (Executor.response_ring ex) ~dst:rsp_cell do
+      let c = cc.(rsp_cell.(Cell.r_slot)) in
+      if Conn.alive c then Dispatch.complete dc c ~cell:rsp_cell
+    done
+  in
+  let req = Wire.create_req ~sg_limit in
+  let b = Bytes.create 512 in
+  let send i fin =
+    let feed conn d flush =
+      Conn.feed conn b ~pos:0 ~len:fin;
+      Alcotest.(check bool) "frame decodes" true (Conn.next conn req > 0);
+      if not (Dispatch.enqueue d conn req) then begin
+        flush ();
+        Alcotest.(check bool) "retry fits" true (Dispatch.enqueue d conn req)
+      end
+    in
+    feed ca.(i) da (fun () -> Dispatch.flush_all da);
+    feed cc.(i) dc ring_flush
+  in
+  (* flush both, require equal bytes, and decode path a's responses *)
+  let round () =
+    Dispatch.flush_all da;
+    ring_flush ();
+    Alcotest.(check int) "executed agree" (Dispatch.executed da)
+      (Dispatch.executed dc);
+    Alcotest.(check int) "rejected agree" (Dispatch.rejected da)
+      (Dispatch.rejected dc);
+    Array.mapi
+      (fun i a ->
+        let c = cc.(i) in
+        let queued x = Bytes.sub_string (Conn.wbuf x) (Conn.wpos x) (Conn.queued x) in
+        let q = queued a in
+        Alcotest.(check string) "same response bytes" q (queued c);
+        Conn.consumed a (Conn.queued a);
+        Conn.consumed c (Conn.queued c);
+        let out = ref [] and pos = ref 0 in
+        let resp = Wire.create_resp ~sg_limit in
+        let buf = Bytes.of_string q in
+        while !pos < String.length q do
+          let r = Wire.decode_response buf ~pos:!pos ~avail:(String.length q - !pos) resp in
+          Alcotest.(check bool) "response decodes" true (r > 0);
+          pos := !pos + r;
+          let sg = Array.sub resp.Wire.r_iovas 0 resp.Wire.r_nseg in
+          out := (resp.Wire.r_req_id, resp.Wire.status, resp.Wire.r_iova, sg) :: !out
+        done;
+        List.rev !out)
+      ca
+  in
+  let find rs id =
+    match List.find_opt (fun (r, _, _, _) -> r = id) rs with
+    | Some x -> x
+    | None -> Alcotest.failf "no response for req %d" id
+  in
+  let status_of rs id = match find rs id with _, st, _, _ -> st in
+  let iova_of rs id = match find rs id with _, _, v, _ -> v in
+  let sg_of rs id = match find rs id with _, _, _, sg -> sg in
+  let page k = (Shard.next_buf sc.(k mod 2) :> int) in
+  let huge = 0xFFFF_FFFF (* from a 0xFFF offset: more pages than any IOVA space *) in
+  (* round 1: maps on three tenants, a map_sg, an exhausted map and
+     map_sg (rolled back), an unknown tenant, a stats request, and a
+     translate of nothing *)
+  send 0 (Wire.encode_map b ~pos:0 ~tenant:1 ~req_id:1 ~phys:(page 0) ~bytes:4096);
+  send 0
+    (Wire.encode_map_sg b ~pos:0 ~tenant:1 ~req_id:2
+       ~seg_phys:[| page 1 + 0x10; page 2 + 0x20; page 3 + 0x30 |]
+       ~seg_bytes:[| 256; 4000; 4096 |] ~n:3);
+  send 1 (Wire.encode_map b ~pos:0 ~tenant:2 ~req_id:3 ~phys:(page 4) ~bytes:4096);
+  send 1 (Wire.encode_map b ~pos:0 ~tenant:2 ~req_id:4 ~phys:0xFFF ~bytes:huge);
+  send 1
+    (Wire.encode_map_sg b ~pos:0 ~tenant:2 ~req_id:5 ~seg_phys:[| page 5; 0xFFF |]
+       ~seg_bytes:[| 4096; huge |] ~n:2);
+  send 0 (Wire.encode_translate b ~pos:0 ~tenant:9 ~req_id:6 ~iova:0x5000 ~write:false);
+  send 2 (Wire.encode_translate b ~pos:0 ~tenant:99 ~req_id:7 ~iova:0 ~write:false);
+  send 2 (Wire.encode_stats b ~pos:0 ~tenant:0 ~req_id:8);
+  let r1 = round () in
+  Alcotest.(check int) "map ok" Wire.st_ok (status_of r1.(0) 1);
+  Alcotest.(check int) "map_sg ok" Wire.st_ok (status_of r1.(0) 2);
+  Alcotest.(check int) "second tenant maps" Wire.st_ok (status_of r1.(1) 3);
+  Alcotest.(check int) "huge map exhausts" Wire.st_exhausted (status_of r1.(1) 4);
+  Alcotest.(check int) "huge map_sg exhausts" Wire.st_exhausted (status_of r1.(1) 5);
+  Alcotest.(check int) "translate of nothing faults" Wire.st_fault (status_of r1.(0) 6);
+  Alcotest.(check int) "unknown tenant" Wire.st_bad_request (status_of r1.(2) 7);
+  let iova1 = iova_of r1.(0) 1 and iova3 = iova_of r1.(1) 3 in
+  let sg = sg_of r1.(0) 2 in
+  Alcotest.(check int) "map_sg returns every iova" 3 (Array.length sg);
+  (* round 2: enough requests on tenant 1 to fill its batch mid-stream;
+     ok, fault and not_mapped on each of translate/unmap; tenant 2's
+     requests from connection 2 are batched, then the connection dies *)
+  Array.iteri
+    (fun k iova ->
+      send 0 (Wire.encode_translate b ~pos:0 ~tenant:1 ~req_id:(30 + k) ~iova ~write:true))
+    sg;
+  send 0 (Wire.encode_translate b ~pos:0 ~tenant:1 ~req_id:10 ~iova:iova1 ~write:true);
+  send 0 (Wire.encode_unmap b ~pos:0 ~tenant:1 ~req_id:13 ~iova:iova1);
+  send 0 (Wire.encode_unmap b ~pos:0 ~tenant:1 ~req_id:14 ~iova:iova1);
+  send 0 (Wire.encode_translate b ~pos:0 ~tenant:1 ~req_id:15 ~iova:iova1 ~write:false);
+  send 0 (Wire.encode_translate b ~pos:0 ~tenant:1 ~req_id:16 ~iova:iova1 ~write:false);
+  send 1 (Wire.encode_unmap b ~pos:0 ~tenant:2 ~req_id:17 ~iova:(iova3 + 0x100000));
+  send 2 (Wire.encode_translate b ~pos:0 ~tenant:2 ~req_id:11 ~iova:iova3 ~write:false);
+  send 2 (Wire.encode_unmap b ~pos:0 ~tenant:2 ~req_id:12 ~iova:iova3);
+  Conn.kill ca.(2);
+  Conn.kill cc.(2);
+  let r2 = round () in
+  Alcotest.(check int) "translate ok" Wire.st_ok (status_of r2.(0) 10);
+  Alcotest.(check int) "unmap ok" Wire.st_ok (status_of r2.(0) 13);
+  Alcotest.(check int) "double unmap" Wire.st_not_mapped (status_of r2.(0) 14);
+  Alcotest.(check int) "stale translate faults" Wire.st_fault (status_of r2.(0) 16);
+  Alcotest.(check int) "unknown iova" Wire.st_not_mapped (status_of r2.(1) 17);
+  Alcotest.(check int) "dead connection answered nothing" 0 (List.length r2.(2));
+  (* round 3: the killed connection's unmap never ran, on either path *)
+  send 1 (Wire.encode_translate b ~pos:0 ~tenant:2 ~req_id:20 ~iova:iova3 ~write:false);
+  let r3 = round () in
+  Alcotest.(check int) "dropped unmap left the mapping" Wire.st_ok (status_of r3.(1) 20);
+  Alcotest.(check int) "every live request executed" 16 (Dispatch.executed da);
+  Unix.close rd;
+  Unix.close wr
+
 (* {1 Runner} *)
 
 let () =
@@ -660,18 +811,12 @@ let () =
             test_spsc_boundaries;
         ] );
       ( "readiness",
-        Alcotest.test_case "select backend" `Quick
-          (readiness_pipe_test Readiness.Select)
-        ::
-        (if Readiness.poll_available then
-           [
-             Alcotest.test_case "poll backend" `Quick
-               (readiness_pipe_test Readiness.Poll);
-           ]
-         else []) );
+        [ Alcotest.test_case "poll backend" `Quick test_readiness_pipes ] );
       ( "executor",
         [
           Alcotest.test_case "cells through the ring" `Quick
             test_executor_step_roundtrip;
+          Alcotest.test_case "inline matches the ring" `Quick
+            test_inline_matches_ring;
         ] );
     ]
