@@ -440,7 +440,7 @@ let json_iotlb_lookup ~iters =
   let cost = Rio_sim.Cost_model.default in
   let tlb = Rio_iotlb.Iotlb.create ~capacity:64 ~clock ~cost () in
   for vpn = 0 to 63 do
-    Rio_iotlb.Iotlb.insert tlb ~bdf:0x0300 ~vpn vpn
+    ignore (Rio_iotlb.Iotlb.insert tlb ~bdf:0x0300 ~vpn vpn : int)
   done;
   let i = ref 0 in
   let f () =

@@ -52,18 +52,20 @@ let fresh_counters () =
   }
 
 type dom = {
-  id : int;
+  id : int;  (* -1 for the [absent] sentinel *)
   counters : counters;
-  (* private partition under Partitioned/Quota; unused under Shared *)
-  mutable partition : int Iotlb.t option;
+  (* The IOTLB this domain's traffic goes to: the shared LRU under
+     Shared, its own partition under Partitioned/Quota once [freeze]
+     has built it (the placeholder [shared] until then). *)
+  mutable tlb : int Iotlb.t;
 }
 
 (* Every table here is sized to the registered set: domain ids are
    dense (Manager mints them from 1), and the owner table is a
    Rid_table over the attached bdfs, never over the 16-bit rid space.
-   The translate path (find, insert and the eviction hook) does one
-   array load for the domain and one probe for a victim's owner, and
-   allocates nothing. *)
+   The translate path (find, insert and the victim's attribution) does
+   one array load for the domain and one probe for a victim's owner,
+   and allocates nothing. *)
 type t = {
   policy : policy;
   total_capacity : int;
@@ -71,50 +73,60 @@ type t = {
   cost : Cost_model.t;
   (* registration order matters for partition sizing *)
   mutable doms : dom list;  (* reversed registration order *)
-  mutable by_id : dom option array;  (* domain id -> dom *)
+  absent : dom;  (* fills [by_id] where no domain is registered *)
+  mutable by_id : dom array;  (* domain id -> dom *)
   owners : dom Rio_iommu.Rid_table.t;  (* bdf -> owning dom *)
   mutable frozen : bool;
-  (* Shared policy: the one LRU everyone contends on. [filler] is the
-     id of the domain whose fill is in progress (-1 outside a fill), so
-     the eviction hook can attribute the victim; [flushing] is the id
-     whose entries [sweep] drops during a domain-selective flush. Both
-     closures are built once, at freeze. *)
-  mutable shared : int Iotlb.t option;
-  mutable filler : int;
+  (* Shared policy: the one LRU everyone contends on. Under
+     Partitioned/Quota a one-entry placeholder that no traffic reaches.
+     [flushing] is the id whose entries [sweep] drops during a
+     domain-selective flush; the closure is built once, at create. *)
+  shared : int Iotlb.t;
   mutable flushing : int;
   mutable sweep : bdf:int -> vpn:int -> int -> unit;
 }
 
 let no_sweep ~bdf:_ ~vpn:_ _ = ()
 
-let create ~policy ~capacity ~clock ~cost =
-  if capacity <= 0 then invalid_arg "Shared_iotlb.create: capacity";
-  {
-    policy;
-    total_capacity = capacity;
-    clock;
-    cost;
-    doms = [];
-    by_id = Array.make 8 None;
-    owners = Rio_iommu.Rid_table.create ();
-    frozen = false;
-    shared = None;
-    filler = -1;
-    flushing = -1;
-    sweep = no_sweep;
-  }
-
-let make_partition t d ~capacity =
-  let on_evict ~bdf:_ ~vpn:_ =
-    d.counters.c_ev_self <- d.counters.c_ev_self + 1
-  in
-  Iotlb.create ~on_evict ~capacity ~clock:t.clock ~cost:t.cost ()
-
 (* The id of [bdf]'s owner, -1 if none. *)
 let owner_id t bdf =
   match Rio_iommu.Rid_table.find_exn t.owners bdf with
   | o -> o.id
   | exception Not_found -> -1
+
+let create ~policy ~capacity ~clock ~cost =
+  if capacity <= 0 then invalid_arg "Shared_iotlb.create: capacity";
+  let shared =
+    let capacity = match policy with Shared -> capacity | _ -> 1 in
+    Iotlb.create ~capacity ~clock ~cost ()
+  in
+  let absent = { id = -1; counters = fresh_counters (); tlb = shared } in
+  let t =
+    {
+      policy;
+      total_capacity = capacity;
+      clock;
+      cost;
+      doms = [];
+      absent;
+      by_id = Array.make 8 absent;
+      owners = Rio_iommu.Rid_table.create ();
+      frozen = false;
+      shared;
+      flushing = -1;
+      sweep = no_sweep;
+    }
+  in
+  (* Iotlb.iter reads the next link before calling this, so the current
+     entry can be dropped in place. *)
+  t.sweep <-
+    (fun ~bdf ~vpn _ ->
+      if owner_id t bdf = t.flushing then
+        ignore (Iotlb.drop shared ~bdf ~vpn : bool));
+  t
+
+let make_partition t ~capacity =
+  Iotlb.create ~capacity ~clock:t.clock ~cost:t.cost ()
 
 let register t ~domain ~bdf =
   (* Online attach: under [Shared] (one LRU, no per-domain geometry)
@@ -134,23 +146,26 @@ let register t ~domain ~bdf =
    if o >= 0 && o <> domain then
      invalid_arg "Shared_iotlb.register: bdf owned by another domain");
   if domain >= Array.length t.by_id then begin
-    let grown = Array.make (max (domain + 1) (2 * Array.length t.by_id)) None in
+    let grown =
+      Array.make (max (domain + 1) (2 * Array.length t.by_id)) t.absent
+    in
     Array.blit t.by_id 0 grown 0 (Array.length t.by_id);
     t.by_id <- grown
   end;
   let d =
-    match t.by_id.(domain) with
-    | Some d -> d
-    | None ->
-        let d = { id = domain; counters = fresh_counters (); partition = None } in
-        t.by_id.(domain) <- Some d;
-        t.doms <- d :: t.doms;
-        d
+    let d = t.by_id.(domain) in
+    if d.id >= 0 then d
+    else begin
+      let d = { id = domain; counters = fresh_counters (); tlb = t.shared } in
+      t.by_id.(domain) <- d;
+      t.doms <- d :: t.doms;
+      d
+    end
   in
   (* a late Quota registrant builds its fixed slice immediately *)
   (match (t.frozen, t.policy) with
-  | true, Quota { entries } when d.partition = None ->
-      d.partition <- Some (make_partition t d ~capacity:entries)
+  | true, Quota { entries } when d.tlb == t.shared ->
+      d.tlb <- make_partition t ~capacity:entries
   | _ -> ());
   Rio_iommu.Rid_table.replace t.owners bdf d
 
@@ -160,41 +175,17 @@ let unregister t ~domain ~bdf =
 let dom_exn t domain =
   if domain < 0 || domain >= Array.length t.by_id then
     invalid_arg "Shared_iotlb: unregistered domain";
-  match t.by_id.(domain) with
-  | Some d -> d
-  | None -> invalid_arg "Shared_iotlb: unregistered domain"
+  let d = t.by_id.(domain) in
+  if d.id < 0 then invalid_arg "Shared_iotlb: unregistered domain";
+  d
 
-(* Freeze on first traffic: build the shared instance or size the
-   per-domain partitions from the final registration count. *)
+(* Freeze on first traffic: size the per-domain partitions from the
+   final registration count. The shared LRU exists from [create]. *)
 let freeze t =
   if not t.frozen then begin
     t.frozen <- true;
     match t.policy with
-    | Shared ->
-        (* A victim is charged to its bdf's current owner: as self when
-           the owner is the filler or no fill is in progress, as
-           by_other otherwise. An unowned bdf's victim counts for
-           nobody. *)
-        let on_evict ~bdf ~vpn:_ =
-          match Rio_iommu.Rid_table.find_exn t.owners bdf with
-          | victim ->
-              let c = victim.counters in
-              if t.filler < 0 || t.filler = victim.id then
-                c.c_ev_self <- c.c_ev_self + 1
-              else c.c_ev_other <- c.c_ev_other + 1
-          | exception Not_found -> ()
-        in
-        let shared =
-          Iotlb.create ~on_evict ~capacity:t.total_capacity ~clock:t.clock
-            ~cost:t.cost ()
-        in
-        t.shared <- Some shared;
-        (* Iotlb.iter reads the next link before calling this, so the
-           current entry can be dropped in place. *)
-        t.sweep <-
-          (fun ~bdf ~vpn _ ->
-            if owner_id t bdf = t.flushing then
-              ignore (Iotlb.drop shared ~bdf ~vpn : bool))
+    | Shared -> ()
     | Partitioned | Quota _ ->
         let n = max 1 (List.length t.doms) in
         let slice =
@@ -202,28 +193,13 @@ let freeze t =
           | Quota { entries } -> entries
           | _ -> max 1 (t.total_capacity / n)
         in
-        List.iter
-          (fun d -> d.partition <- Some (make_partition t d ~capacity:slice))
-          t.doms
+        List.iter (fun d -> d.tlb <- make_partition t ~capacity:slice) t.doms
   end
-
-(* The IOTLB a domain's traffic goes to: the shared LRU or its own
-   partition. Only called after [freeze]. *)
-let tlb_of t d =
-  match t.policy with
-  | Shared -> (
-      match t.shared with
-      | Some s -> s
-      | None -> invalid_arg "Shared_iotlb: shared instance missing")
-  | Partitioned | Quota _ -> (
-      match d.partition with
-      | Some p -> p
-      | None -> invalid_arg "Shared_iotlb: partition missing")
 
 let find t ~domain ~bdf ~vpn =
   freeze t;
   let d = dom_exn t domain in
-  let pte = Iotlb.find (tlb_of t d) ~bdf ~vpn ~absent:(-1) in
+  let pte = Iotlb.find d.tlb ~bdf ~vpn ~absent:(-1) in
   if pte >= 0 then d.counters.c_hits <- d.counters.c_hits + 1
   else d.counters.c_misses <- d.counters.c_misses + 1;
   pte
@@ -231,15 +207,27 @@ let find t ~domain ~bdf ~vpn =
 let insert t ~domain ~bdf ~vpn pte =
   freeze t;
   let d = dom_exn t domain in
-  t.filler <- d.id;
-  Iotlb.insert (tlb_of t d) ~bdf ~vpn pte;
-  t.filler <- -1
+  let victim = Iotlb.insert d.tlb ~bdf ~vpn pte in
+  if victim >= 0 then
+    match t.policy with
+    | Shared -> (
+        (* A victim is charged to its bdf's current owner: as self when
+           that is the filling domain, as by_other otherwise. An
+           unowned bdf's victim counts for nobody. *)
+        match Rio_iommu.Rid_table.find_exn t.owners victim with
+        | o ->
+            let c = o.counters in
+            if o.id = d.id then c.c_ev_self <- c.c_ev_self + 1
+            else c.c_ev_other <- c.c_ev_other + 1
+        | exception Not_found -> ())
+    | Partitioned | Quota _ ->
+        d.counters.c_ev_self <- d.counters.c_ev_self + 1
 
 let invalidate t ~domain ~bdf ~vpn =
   freeze t;
   let d = dom_exn t domain in
   d.counters.c_invalidations <- d.counters.c_invalidations + 1;
-  Iotlb.invalidate (tlb_of t d) ~bdf ~vpn
+  Iotlb.invalidate d.tlb ~bdf ~vpn
 
 let flush_domain t ~domain =
   freeze t;
@@ -251,16 +239,15 @@ let flush_domain t ~domain =
          domain's entries. *)
       Cycles.charge t.clock t.cost.Cost_model.iotlb_global_flush;
       t.flushing <- d.id;
-      Iotlb.iter (tlb_of t d) t.sweep;
+      Iotlb.iter t.shared t.sweep;
       t.flushing <- -1
-  | Partitioned | Quota _ -> Iotlb.flush_all (tlb_of t d)
+  | Partitioned | Quota _ -> Iotlb.flush_all d.tlb
 
 let flush_all t =
   freeze t;
   match t.policy with
-  | Shared -> Iotlb.flush_all (Option.get t.shared)
-  | Partitioned | Quota _ ->
-      List.iter (fun d -> Iotlb.flush_all (tlb_of t d)) t.doms
+  | Shared -> Iotlb.flush_all t.shared
+  | Partitioned | Quota _ -> List.iter (fun d -> Iotlb.flush_all d.tlb) t.doms
 
 let stats t ~domain =
   let c = (dom_exn t domain).counters in
@@ -280,7 +267,7 @@ let occupancy t ~domain =
     match t.policy with
     | Shared ->
         let n = ref 0 in
-        Iotlb.iter (tlb_of t d) (fun ~bdf ~vpn:_ _ ->
+        Iotlb.iter t.shared (fun ~bdf ~vpn:_ _ ->
             if owner_id t bdf = d.id then incr n);
         !n
-    | Partitioned | Quota _ -> Iotlb.occupancy (tlb_of t d)
+    | Partitioned | Quota _ -> Iotlb.occupancy d.tlb

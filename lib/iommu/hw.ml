@@ -44,7 +44,7 @@ let translate t ~rid ~iova ~write =
       else
         let pte = Arena.walk domain.Context.Domain.table ~iova in
         if pte >= 0 then begin
-          Iotlb.insert t.iotlb ~bdf:rid ~vpn pte;
+          ignore (Iotlb.insert t.iotlb ~bdf:rid ~vpn pte : int);
           permit t pte ~iova ~write
         end
         else fault t No_translation)
@@ -70,7 +70,7 @@ let translate_exn t ~rid ~iova ~write =
     else begin
       let pte = Arena.walk domain.Context.Domain.table ~iova in
       if pte < 0 then fault_exn t;
-      Iotlb.insert t.iotlb ~bdf:rid ~vpn pte;
+      ignore (Iotlb.insert t.iotlb ~bdf:rid ~vpn pte : int);
       pte
     end
   in

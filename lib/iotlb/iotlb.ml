@@ -38,7 +38,6 @@ type 'a t = {
   mutable len : int;
   clock : Cycles.t;
   cost : Cost_model.t;
-  on_evict : (bdf:int -> vpn:int -> unit) option;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -54,7 +53,7 @@ let probe_size capacity =
   let rec go s = if s >= 2 * capacity then s else go (2 * s) in
   go 16
 
-let create ?on_evict ~capacity ~clock ~cost () =
+let create ~capacity ~clock ~cost () =
   if capacity <= 0 then invalid_arg "Iotlb.create: capacity";
   let psize = probe_size capacity in
   let t =
@@ -72,7 +71,6 @@ let create ?on_evict ~capacity ~clock ~cost () =
       len = 0;
       clock;
       cost;
-      on_evict;
       hits = 0;
       misses = 0;
       evictions = 0;
@@ -185,20 +183,20 @@ let insert t ~bdf ~vpn value =
   let e = t.slots.(pos) in
   if e >= 0 then begin
     t.e_val.(e) <- value;
-    promote t e
+    promote t e;
+    -1
   end
   else begin
-    if t.len >= t.capacity then begin
-      let victim = t.lru in
-      if victim >= 0 then begin
+    let victim_bdf =
+      if t.len >= t.capacity && t.lru >= 0 then begin
+        let victim = t.lru in
         let vkey = t.e_key.(victim) in
         detach t victim vkey;
         t.evictions <- t.evictions + 1;
-        match t.on_evict with
-        | Some hook -> hook ~bdf:(key_bdf vkey) ~vpn:(key_vpn vkey)
-        | None -> ()
+        key_bdf vkey
       end
-    end;
+      else -1
+    in
     (* re-probe: the eviction may have shifted the cluster *)
     let pos = find_slot t key in
     let e = t.free in
@@ -209,7 +207,8 @@ let insert t ~bdf ~vpn value =
     t.e_next.(e) <- -1;
     t.slots.(pos) <- e;
     t.len <- t.len + 1;
-    push_front t e
+    push_front t e;
+    victim_bdf
   end
 
 let invalidate t ~bdf ~vpn =

@@ -18,16 +18,8 @@
 type 'a t
 
 val create :
-  ?on_evict:(bdf:int -> vpn:int -> unit) ->
-  capacity:int ->
-  clock:Rio_sim.Cycles.t ->
-  cost:Rio_sim.Cost_model.t ->
-  unit ->
-  'a t
-(** [capacity] entries, fully associative, LRU replacement. [on_evict]
-    is called for every capacity eviction (not for explicit
-    invalidations or flushes) with the victim's key — the hook the
-    multi-tenant layer uses to attribute cross-domain evictions. *)
+  capacity:int -> clock:Rio_sim.Cycles.t -> cost:Rio_sim.Cost_model.t -> unit -> 'a t
+(** [capacity] entries, fully associative, LRU replacement. *)
 
 val find : 'a t -> bdf:int -> vpn:int -> absent:'a -> 'a
 (** Hardware lookup: charges the (device-side) lookup cost, updates LRU
@@ -35,8 +27,11 @@ val find : 'a t -> bdf:int -> vpn:int -> absent:'a -> 'a
     miss — pick an [absent] no payload can equal. Allocation- and
     exception-free. *)
 
-val insert : 'a t -> bdf:int -> vpn:int -> 'a -> unit
-(** Fill after a table walk; evicts the LRU entry at capacity. *)
+val insert : 'a t -> bdf:int -> vpn:int -> 'a -> int
+(** Fill after a table walk; evicts the LRU entry at capacity. Returns
+    the evicted entry's bdf, or -1 when nothing was evicted (explicit
+    invalidations and flushes never count): what the multi-tenant layer
+    uses to attribute cross-domain evictions. *)
 
 val invalidate : 'a t -> bdf:int -> vpn:int -> unit
 (** Explicit single-entry invalidation: charges the full invalidation

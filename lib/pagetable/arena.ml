@@ -1,7 +1,7 @@
 (* Flat arena-backed four-level page table.
 
-   Same hierarchy, charges and coherency model as the boxed {!Radix}
-   reference, but all nodes live in one growable packed-int store: node
+   Same hierarchy, charges and coherency model as the boxed radix
+   reference (test/radix.ml, the differential oracle), but all nodes live in one growable packed-int store: node
    [n] owns cells [n*512 .. n*512+511] of the [cpu] and [hw] arrays, and
    a cell is a tagged immediate —
 
@@ -164,7 +164,7 @@ let unmap_exn t ~iova =
   let n = ref 0 in
   let level = ref 1 in
   let dead = ref false in
-  (* mirror Radix: one cpu ref per level actually visited, including the
+  (* mirror the radix oracle: one cpu ref per level actually visited, including the
      level at which a missing interior entry stops the descent *)
   while (not !dead) && !level < levels do
     charge_cpu_ref t;

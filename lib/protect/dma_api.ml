@@ -302,7 +302,7 @@ let translate t ~addr:target ~offset ~write =
           let vpn = Addr.pfn phys in
           if not (Iotlb.find iotlb ~bdf:t.rid ~vpn ~absent:false) then begin
             Cycles.charge t.clock (4 * t.cost.Cost_model.io_walk_ref);
-            Iotlb.insert iotlb ~bdf:t.rid ~vpn true
+            ignore (Iotlb.insert iotlb ~bdf:t.rid ~vpn true : int)
           end;
           Ok phys)
   | B_base { hw; _ } -> (

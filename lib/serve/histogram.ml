@@ -31,15 +31,24 @@ type t = {
   mutable win_max : int;
 }
 
-(* position of the highest set bit of v >= 1 *)
+(* Highest set bit of each byte value (entry 0 is unused). *)
+let msb_byte =
+  String.init 256 (fun b ->
+      let rec go e b = if b > 1 then go (e + 1) (b lsr 1) else e in
+      Char.chr (go 0 b))
+
+(* Position of the highest set bit of v >= 1: three halving steps
+   narrow v to its top byte (so the unchecked load is in bounds), then
+   one table load. The steps compute 0/1 ints rather than branch:
+   recorded latencies vary, so data-dependent branches mispredict. *)
 let msb v =
-  let e = ref 0 in
-  let v = ref v in
-  while !v > 1 do
-    v := !v lsr 1;
-    incr e
-  done;
-  !e
+  let s = Bool.to_int (v lsr 32 <> 0) lsl 5 in
+  let v = v lsr s and e = s in
+  let s = Bool.to_int (v lsr 16 <> 0) lsl 4 in
+  let v = v lsr s and e = e + s in
+  let s = Bool.to_int (v lsr 8 <> 0) lsl 3 in
+  let v = v lsr s and e = e + s in
+  e + Char.code (String.unsafe_get msb_byte v)
 
 let bucket_of t v =
   let v = if v < 0 then 0 else if v > t.max_value then t.max_value else v in

@@ -1,4 +1,5 @@
 module Addr = Rio_memory.Addr
+module Pte = Rio_pagetable.Pte
 module Coherency = Rio_memory.Coherency
 module Frame_allocator = Rio_memory.Frame_allocator
 module Cycles = Rio_sim.Cycles

@@ -1,4 +1,6 @@
-(** Four-level radix page table (the baseline IOMMU's hierarchy, Figure 2).
+(** Four-level radix page table (the baseline IOMMU's hierarchy, Figure 2),
+    boxed: the differential oracle that {!Rio_pagetable.Arena} is tested
+    against.
 
     A 48-bit IOVA splits into a 36-bit virtual page number — four 9-bit
     indices into 512-entry tables — and a 12-bit page offset. The OS
@@ -25,18 +27,18 @@ val create :
 val levels : int
 (** 4. *)
 
-val map : t -> iova:int -> Pte.t -> (unit, [ `Already_mapped ]) result
+val map : t -> iova:int -> Rio_pagetable.Pte.t -> (unit, [ `Already_mapped ]) result
 (** Insert the IOVA=>PTE translation: walk down from the root (allocating
     intermediate tables as needed), write the leaf, then sync it so the
     walker can see it. *)
 
-val unmap : t -> iova:int -> (Pte.t, [ `Not_mapped ]) result
+val unmap : t -> iova:int -> (Rio_pagetable.Pte.t, [ `Not_mapped ]) result
 (** Remove the translation and sync; returns the PTE that was mapped. *)
 
-val lookup_cpu : t -> iova:int -> Pte.t option
+val lookup_cpu : t -> iova:int -> Rio_pagetable.Pte.t option
 (** The CPU's (OS's) current view, without charging cycles. *)
 
-val walk : t -> iova:int -> Pte.t option
+val walk : t -> iova:int -> Rio_pagetable.Pte.t option
 (** Hardware page walk as performed on an IOTLB miss: reads the walker
     view of each level and charges 4 DRAM references. [None] is an I/O
     page fault (translation absent — or present but not yet synced on a

@@ -232,8 +232,8 @@ let test_deferred_window_closes () =
    domain's stats, occupancy and any lookup result must agree. The
    reference encodes the attribution rules directly: a capacity victim
    is charged to its bdf's current owner — as self when that owner is
-   the filler (or when no fill is in progress), as by_other otherwise —
-   and a victim whose bdf has no owner counts for nobody. *)
+   the filler, as by_other otherwise — and a victim whose bdf has no
+   owner counts for nobody. *)
 
 type sop =
   | S_lookup of int * int * int  (* domain slot, bdf slot, vpn *)
@@ -287,10 +287,7 @@ let ref_bump m d i =
 let ref_evict m ~filler bdf =
   match Hashtbl.find_opt m.owners bdf with
   | None -> ()
-  | Some o -> (
-      match filler with
-      | Some f when f <> o -> ref_bump m o 3
-      | Some _ | None -> ref_bump m o 2)
+  | Some o -> ref_bump m o (if o = filler then 2 else 3)
 
 let ref_take m bdf vpn =
   let hit = List.find_opt (fun (b, v, _) -> b = bdf && v = vpn) m.lru in
@@ -315,7 +312,7 @@ let ref_fill m d bdf vpn pte =
         let rev = List.rev m.lru in
         let vb, _, _ = List.hd rev in
         m.lru <- List.rev (List.tl rev);
-        ref_evict m ~filler:(Some d) vb
+        ref_evict m ~filler:d vb
       end);
   m.lru <- (bdf, vpn, pte) :: m.lru
 

@@ -16,15 +16,15 @@ let lookup t ~bdf ~vpn =
 let test_miss_then_hit () =
   let t, _ = make () in
   Alcotest.(check (option int)) "cold miss" None (lookup t ~bdf:1 ~vpn:10);
-  Iotlb.insert t ~bdf:1 ~vpn:10 42;
+  ignore (Iotlb.insert t ~bdf:1 ~vpn:10 42 : int);
   Alcotest.(check (option int)) "hit" (Some 42) (lookup t ~bdf:1 ~vpn:10);
   Alcotest.(check int) "one hit" 1 (Iotlb.hits t);
   Alcotest.(check int) "one miss" 1 (Iotlb.misses t)
 
 let test_keying () =
   let t, _ = make () in
-  Iotlb.insert t ~bdf:1 ~vpn:10 100;
-  Iotlb.insert t ~bdf:2 ~vpn:10 200;
+  ignore (Iotlb.insert t ~bdf:1 ~vpn:10 100 : int);
+  ignore (Iotlb.insert t ~bdf:2 ~vpn:10 200 : int);
   Alcotest.(check (option int)) "bdf distinguishes" (Some 100)
     (lookup t ~bdf:1 ~vpn:10);
   Alcotest.(check (option int)) "other device" (Some 200)
@@ -33,11 +33,12 @@ let test_keying () =
 
 let test_lru_eviction () =
   let t, _ = make ~capacity:2 () in
-  Iotlb.insert t ~bdf:0 ~vpn:1 1;
-  Iotlb.insert t ~bdf:0 ~vpn:2 2;
+  ignore (Iotlb.insert t ~bdf:0 ~vpn:1 1 : int);
+  ignore (Iotlb.insert t ~bdf:0 ~vpn:2 2 : int);
   (* touch 1 so 2 becomes LRU *)
   ignore (lookup t ~bdf:0 ~vpn:1);
-  Iotlb.insert t ~bdf:0 ~vpn:3 3;
+  Alcotest.(check int) "insert returns the victim's bdf" 0
+    (Iotlb.insert t ~bdf:0 ~vpn:3 3);
   Alcotest.(check int) "one eviction" 1 (Iotlb.evictions t);
   Alcotest.(check (option int)) "LRU victim gone" None (lookup t ~bdf:0 ~vpn:2);
   Alcotest.(check (option int)) "recently used kept" (Some 1)
@@ -47,7 +48,7 @@ let test_lru_eviction () =
 
 let test_invalidate_cost_and_effect () =
   let t, clock = make () in
-  Iotlb.insert t ~bdf:0 ~vpn:7 7;
+  ignore (Iotlb.insert t ~bdf:0 ~vpn:7 7 : int);
   let before = Cycles.now clock in
   Iotlb.invalidate t ~bdf:0 ~vpn:7;
   Alcotest.(check int) "invalidation charges ~2100 cycles"
@@ -63,7 +64,7 @@ let test_invalidate_cost_and_effect () =
 let test_flush_all () =
   let t, clock = make () in
   for vpn = 1 to 4 do
-    Iotlb.insert t ~bdf:0 ~vpn vpn
+    ignore (Iotlb.insert t ~bdf:0 ~vpn vpn : int)
   done;
   Alcotest.(check int) "full" 4 (Iotlb.occupancy t);
   let before = Cycles.now clock in
@@ -75,8 +76,8 @@ let test_flush_all () =
 
 let test_insert_update_in_place () =
   let t, _ = make ~capacity:2 () in
-  Iotlb.insert t ~bdf:0 ~vpn:1 10;
-  Iotlb.insert t ~bdf:0 ~vpn:1 20;
+  ignore (Iotlb.insert t ~bdf:0 ~vpn:1 10 : int);
+  ignore (Iotlb.insert t ~bdf:0 ~vpn:1 20 : int);
   Alcotest.(check int) "no duplicate entries" 1 (Iotlb.occupancy t);
   Alcotest.(check (option int)) "updated" (Some 20) (lookup t ~bdf:0 ~vpn:1)
 
@@ -84,7 +85,7 @@ let test_stale_entry_usable_until_invalidated () =
   (* The primitive behind the deferred-mode vulnerability window: nothing
      implicitly removes an entry when the OS changes the page table. *)
   let t, _ = make () in
-  Iotlb.insert t ~bdf:0 ~vpn:5 55;
+  ignore (Iotlb.insert t ~bdf:0 ~vpn:5 55 : int);
   (* ... OS unmaps the page in the page table, but defers invalidation. *)
   Alcotest.(check (option int)) "stale entry still hits" (Some 55)
     (lookup t ~bdf:0 ~vpn:5);
@@ -96,7 +97,7 @@ let test_find () =
   let t, _ = make () in
   Alcotest.(check int) "cold find returns absent" (-1)
     (Iotlb.find t ~bdf:1 ~vpn:10 ~absent:(-1));
-  Iotlb.insert t ~bdf:1 ~vpn:10 42;
+  ignore (Iotlb.insert t ~bdf:1 ~vpn:10 42 : int);
   Alcotest.(check int) "hit returns the value" 42
     (Iotlb.find t ~bdf:1 ~vpn:10 ~absent:(-1));
   Alcotest.(check int) "shares the hit counter with lookup" 1 (Iotlb.hits t);
@@ -104,9 +105,9 @@ let test_find () =
 
 (* The packed-key open-addressing implementation against the obvious
    reference: an assoc list kept in MRU-first order. Both sides see the
-   same 10k random operations; every observable - lookup results, LRU
-   victims and their order, iteration order, occupancy, counters - must
-   agree. *)
+   same 10k random operations; every observable - lookup results, the
+   victim bdfs [insert] returns and their order, iteration order,
+   occupancy, counters - must agree. *)
 let prop_matches_reference_model =
   QCheck.Test.make ~name:"matches assoc-list LRU reference over 10k random ops"
     ~count:5
@@ -116,11 +117,7 @@ let prop_matches_reference_model =
       let capacity = 8 in
       let evicted = ref [] and expect_evicted = ref [] in
       let clock = Cycles.create () in
-      let t =
-        Iotlb.create
-          ~on_evict:(fun ~bdf ~vpn -> evicted := (bdf, vpn) :: !evicted)
-          ~capacity ~clock ~cost:Cost_model.default ()
-      in
+      let t = Iotlb.create ~capacity ~clock ~cost:Cost_model.default () in
       let model = ref [] in
       let mhits = ref 0 and mmisses = ref 0 in
       let model_lookup key =
@@ -139,7 +136,7 @@ let prop_matches_reference_model =
         else begin
           if List.length !model = capacity then begin
             let victim, _ = List.nth !model (capacity - 1) in
-            expect_evicted := victim :: !expect_evicted;
+            expect_evicted := fst victim :: !expect_evicted;
             model := List.filteri (fun i _ -> i < capacity - 1) !model
           end;
           model := (key, v) :: !model
@@ -151,7 +148,8 @@ let prop_matches_reference_model =
         match Rng.int rng 100 with
         | op when op < 35 ->
             model_insert key step;
-            Iotlb.insert t ~bdf ~vpn step
+            let victim = Iotlb.insert t ~bdf ~vpn step in
+            if victim >= 0 then evicted := victim :: !evicted
         | op when op < 70 ->
             let expected = model_lookup key in
             if lookup t ~bdf ~vpn <> expected then
@@ -188,7 +186,7 @@ let prop_capacity_never_exceeded =
       let t, _ = make ~capacity:8 () in
       List.iter
         (fun (bdf, vpn) ->
-          Iotlb.insert t ~bdf ~vpn (bdf + vpn);
+          ignore (Iotlb.insert t ~bdf ~vpn (bdf + vpn) : int);
           if Iotlb.occupancy t > 8 then failwith "over capacity")
         ops;
       Iotlb.occupancy t <= 8)

@@ -1,4 +1,6 @@
-(* Unit and property tests for the 4-level radix page table (rio_pagetable). *)
+(* Unit and property tests for the 4-level page table (rio_pagetable): the
+   boxed radix oracle (radix.ml, in this directory) and the flat arena
+   checked against it. *)
 
 module Addr = Rio_memory.Addr
 module Coherency = Rio_memory.Coherency
@@ -6,7 +8,6 @@ module Frame_allocator = Rio_memory.Frame_allocator
 module Cycles = Rio_sim.Cycles
 module Cost_model = Rio_sim.Cost_model
 module Pte = Rio_pagetable.Pte
-module Radix = Rio_pagetable.Radix
 
 let make ?(coherent = false) () =
   let clock = Cycles.create () in

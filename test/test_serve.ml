@@ -44,6 +44,44 @@ let values_arb =
     ~print:QCheck.Print.(list int)
     QCheck.Gen.(list_size (int_range 1 300) value_gen)
 
+(* [bucket_of] against the same index computed with the reference
+   highest-set-bit loop, over the whole int range: random values plus
+   every 2^k - 1, 2^k and 2^k + 1. *)
+let reference_bucket ~sub_bits v =
+  let sub_count = 1 lsl sub_bits in
+  if v < 2 * sub_count then v
+  else begin
+    let e = ref 0 and x = ref v in
+    while !x > 1 do
+      x := !x lsr 1;
+      incr e
+    done;
+    let shift = !e - sub_bits in
+    (shift * sub_count) + (v lsr shift)
+  end
+
+let powers_of_two_edges =
+  List.concat_map
+    (fun k ->
+      let p = 1 lsl k in
+      List.filter (fun v -> v >= 0) [ p - 1; p; p + 1 ])
+    (List.init 62 Fun.id)
+  @ [ max_int ]
+
+(* random non-negative ints of a random bit width, so every octave is hit *)
+let any_width_gen =
+  QCheck.Gen.(
+    map2 (fun k v -> v land ((1 lsl k) - 1)) (int_range 0 62) int)
+
+let prop_bucket_of_matches_reference =
+  QCheck.Test.make ~count:1000 ~name:"bucket_of = reference msb loop"
+    QCheck.(pair (int_range 1 8) (make ~print:Print.int any_width_gen))
+    (fun (sub_bits, v) ->
+      let h = Histogram.create ~sub_bits ~max_value:max_int () in
+      List.for_all
+        (fun v -> Histogram.bucket_of h v = reference_bucket ~sub_bits v)
+        (v :: powers_of_two_edges))
+
 let prop_quantile_bound =
   QCheck.Test.make ~count:500 ~name:"quantile within bucket of exact rank"
     values_arb (fun vs ->
@@ -400,6 +438,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_quantile_bound;
           QCheck_alcotest.to_alcotest prop_merge_is_union;
+          QCheck_alcotest.to_alcotest prop_bucket_of_matches_reference;
           Alcotest.test_case "edges" `Quick test_histogram_edges;
         ] );
       ( "manager-sg",
