@@ -186,7 +186,7 @@ let domain_bench policy =
   let frames = Rio_memory.Frame_allocator.create ~total_frames:200_000 in
   let mgr =
     Manager.create ~iotlb_policy:policy ~iotlb_capacity:128
-      ~invalidation:Manager.Per_domain ~policy:Manager.Immediate ~frames ~clock
+      ~invalidation:Manager.Per_domain ~policy:Driver.Immediate ~frames ~clock
       ~cost ()
   in
   let a =
@@ -200,19 +200,20 @@ let domain_bench policy =
       ()
   in
   let buf = Rio_memory.Frame_allocator.alloc_exn frames in
+  let da = Manager.driver a in
   Test.make
     ~name:
       (Printf.sprintf "tenants/map-translate-unmap-%s"
          (Shared_iotlb.policy_name policy))
     (Staged.stage (fun () ->
-         match Manager.map mgr a ~phys:buf ~bytes:1500 ~read:true ~write:true with
+         match Driver.map da ~phys:buf ~bytes:1500 ~read:true ~write:true with
          | Ok iova ->
              ignore (Manager.translate mgr ~rid:(Manager.rid a) ~iova ~write:true);
-             ignore (Manager.unmap mgr a ~iova)
+             ignore (Driver.unmap da ~iova)
          | Error `Exhausted -> ()))
 
 let scheduler_round_bench () =
-  let open Rio_domain in
+  let open Rio_experiments in
   let tenants =
     [
       Scheduler.nic_tenant ~latency_critical:true ~name:"victim" ();
@@ -223,7 +224,8 @@ let scheduler_round_bench () =
     (Staged.stage (fun () ->
          let cfg =
            Scheduler.default_config ~ios_per_tenant:50
-             ~mode:Rio_protect.Mode.Strict ~policy:Shared_iotlb.Shared ()
+             ~mode:Rio_protect.Mode.Strict
+             ~policy:Rio_domain.Shared_iotlb.Shared ()
          in
          ignore (Scheduler.run cfg tenants)))
 
@@ -399,8 +401,8 @@ let json_map_unmap ~iters =
   in
   [ m; u ]
 
-(* Scatter-gather batches through the multi-tenant manager's zero-alloc
-   twins: ~200-segment bursts (the paper's §3.2 amortization point),
+(* Scatter-gather batches through a tenant's driver: ~200-segment
+   bursts (the paper's §3.2 amortization point),
    mapped and torn down per batch, the teardown paying one
    domain-selective flush instead of 200 invalidation commands (itself
    allocation-free under every IOTLB policy). *)
@@ -411,21 +413,22 @@ let json_map_sg ~iters =
   let frames = Rio_memory.Frame_allocator.create ~total_frames:200_000 in
   let mgr =
     Manager.create ~iotlb_policy:Shared_iotlb.Partitioned ~iotlb_capacity:128
-      ~invalidation:Manager.Per_domain ~policy:Manager.Immediate ~frames ~clock
+      ~invalidation:Manager.Per_domain ~policy:Driver.Immediate ~frames ~clock
       ~cost ~rcache:true ()
   in
   let d =
-    Manager.add_domain mgr ~name:"bench"
-      ~bdf:(Rio_iommu.Bdf.make ~bus:1 ~device:0 ~func:0)
-      ()
+    Manager.driver
+      (Manager.add_domain mgr ~name:"bench"
+         ~bdf:(Rio_iommu.Bdf.make ~bus:1 ~device:0 ~func:0)
+         ())
   in
   let burst = 200 in
   let buf = Rio_memory.Frame_allocator.alloc_exn frames in
   let segs = Array.make burst (buf, 1500) in
   let iovas = Array.make burst 0 in
   let batch () =
-    ignore (Manager.map_sg_exn mgr d ~segs ~iovas ~read:true ~write:true () : int);
-    Manager.unmap_sg_exn mgr d ~iovas ()
+    ignore (Driver.map_sg_exn d ~segs ~iovas ~read:true ~write:true () : int);
+    Driver.unmap_sg_exn d ~iovas ~flush:Driver.Once ()
   in
   (* prime the magazines (4352-IOVA park capacity) and the arena *)
   for _ = 1 to 22 do

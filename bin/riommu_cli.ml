@@ -280,6 +280,7 @@ let tenants_cmd =
           (Rio_protect.Mode.name mode);
         2
     | _ ->
+    let open Rio_experiments in
     let victim =
       Scheduler.nic_tenant ~latency_critical:true ~name:"victim" ()
     in

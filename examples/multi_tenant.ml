@@ -12,6 +12,7 @@
 module Bdf = Rio_iommu.Bdf
 module Mode = Rio_protect.Mode
 open Rio_domain
+module Scheduler = Rio_experiments.Scheduler
 
 let () =
   (* {1 Isolation} *)
@@ -20,7 +21,7 @@ let () =
   let frames = Rio_memory.Frame_allocator.create ~total_frames:100_000 in
   let mgr =
     Manager.create ~iotlb_policy:Shared_iotlb.Shared ~iotlb_capacity:64
-      ~invalidation:Manager.Per_domain ~policy:Manager.Immediate ~frames ~clock
+      ~invalidation:Manager.Per_domain ~policy:Driver.Immediate ~frames ~clock
       ~cost ()
   in
   let a =
@@ -35,7 +36,8 @@ let () =
   in
   let buf = Rio_memory.Frame_allocator.alloc_exn frames in
   let iova =
-    Result.get_ok (Manager.map mgr a ~phys:buf ~bytes:1500 ~read:true ~write:true)
+    Driver.map_exn (Manager.driver a) ~phys:buf ~bytes:1500 ~read:true
+      ~write:true
   in
   Printf.printf "tenant-a mapped a buffer at IOVA 0x%x\n" iova;
   (match Manager.translate mgr ~rid:(Manager.rid a) ~iova ~write:true with

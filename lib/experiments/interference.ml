@@ -1,6 +1,5 @@
 module Mode = Rio_protect.Mode
 module Shared_iotlb = Rio_domain.Shared_iotlb
-module Scheduler = Rio_domain.Scheduler
 module Table = Rio_report.Table
 
 type cell = {

@@ -3,7 +3,6 @@ module type S = sig
 
   val alloc : t -> size:int -> (int, [ `Exhausted ]) result
   val alloc_pfn : t -> size:int -> int
-  val find : t -> pfn:int -> Rbtree.node option
   val find_exn : t -> pfn:int -> Rbtree.node
   val free : t -> Rbtree.node -> unit
   val live : t -> int

@@ -16,10 +16,8 @@ module type S = sig
       pfn of the range, or [-1] on exhaustion. Charges are identical to
       [alloc]. *)
 
-  val find : t -> pfn:int -> Rbtree.node option
-
   val find_exn : t -> pfn:int -> Rbtree.node
-  (** Allocation-free twin of [find] (same charges, no option box).
+  (** The live range containing [pfn] (charged, allocation-free).
       @raise Not_found when no live range contains [pfn]. *)
 
   val free : t -> Rbtree.node -> unit

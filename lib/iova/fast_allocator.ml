@@ -73,18 +73,8 @@ let alloc t ~size =
 let alloc_pfn t ~size =
   match alloc t ~size with Ok pfn -> pfn | Error `Exhausted -> -1
 
-let find t ~pfn =
-  let v0 = Rbtree.visits t.tree in
-  Cycles.charge t.clock t.cost.Cost_model.call_overhead;
-  let node = Rbtree.find_containing t.tree pfn in
-  Cycles.charge t.clock
-    ((Rbtree.visits t.tree - v0) * t.cost.Cost_model.tree_ref);
-  match node with
-  | Some n when Rbtree.cached_free n -> None
-  | other -> other
-
-(* Allocation-free [find]: same traversal and charges; parked ranges
-   ([cached_free]) raise like absent ones, as [find] hides them. *)
+(* Parked ranges ([cached_free]) raise like absent ones: the unmap path
+   must not resolve a stale pfn. *)
 let find_exn t ~pfn =
   let v0 = Rbtree.visits t.tree in
   Cycles.charge t.clock t.cost.Cost_model.call_overhead;
@@ -97,6 +87,9 @@ let find_exn t ~pfn =
       Cycles.charge t.clock
         ((Rbtree.visits t.tree - v0) * t.cost.Cost_model.tree_ref);
       raise Not_found
+
+let find t ~pfn =
+  match find_exn t ~pfn with n -> Some n | exception Not_found -> None
 
 let free t node =
   if Rbtree.cached_free node then

@@ -89,15 +89,7 @@ let alloc t ~size =
 let alloc_pfn t ~size =
   match alloc t ~size with Ok pfn -> pfn | Error `Exhausted -> -1
 
-let find t ~pfn =
-  let v0 = Rbtree.visits t.tree in
-  Cycles.charge t.clock t.cost.Cost_model.call_overhead;
-  let node = Rbtree.find_containing t.tree pfn in
-  charge_visits t v0;
-  node
-
-(* Allocation-free [find] for the zero-alloc unmap path: identical
-   charges whether the pfn resolves or not. *)
+(* Identical charges whether the pfn resolves or not. *)
 let find_exn t ~pfn =
   let v0 = Rbtree.visits t.tree in
   Cycles.charge t.clock t.cost.Cost_model.call_overhead;
@@ -108,6 +100,9 @@ let find_exn t ~pfn =
   | exception Not_found ->
       charge_visits t v0;
       raise Not_found
+
+let find t ~pfn =
+  match find_exn t ~pfn with n -> Some n | exception Not_found -> None
 
 (* __free_iova = __cached_rbnode_delete_update + rb_erase *)
 let free t node =

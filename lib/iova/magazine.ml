@@ -172,13 +172,8 @@ module Make (Base : Allocator.S) = struct
     match alloc_pfn t ~size with -1 -> Error `Exhausted | pfn -> Ok pfn
 
   (* Parked ranges are still present in the base allocator's tree (their
-     address space stays reserved, as with the Linux rcache), so [find]
-     must hide them from the unmap path. *)
-  let find t ~pfn =
-    match Base.find t.base ~pfn with
-    | Some n when Rbtree.cached_free n -> None
-    | other -> other
-
+     address space stays reserved, as with the Linux rcache), so
+     [find_exn] must hide them from the unmap path. *)
   let find_exn t ~pfn =
     let node = Base.find_exn t.base ~pfn in
     if Rbtree.cached_free node then raise Not_found else node

@@ -10,7 +10,7 @@
     touched and the linear-scan pathology collapses.
 
     Parked ranges keep their address space reserved (their nodes stay in
-    the base allocator's tree, flagged [cached_free]); {!find} hides
+    the base allocator's tree, flagged [cached_free]); {!find_exn} hides
     them so a stale pfn does not resolve. *)
 
 type stats = {
@@ -47,10 +47,9 @@ module Make (Base : Allocator.S) : sig
   (** Unboxed {!alloc} (the zero-alloc map path): the first pfn, or
       [-1] on exhaustion. A magazine hit allocates nothing. *)
 
-  val find : t -> pfn:int -> Rbtree.node option
-
   val find_exn : t -> pfn:int -> Rbtree.node
-  (** Allocation-free {!find}; parked ranges raise like absent ones.
+  (** The live range containing [pfn]; parked ranges raise like absent
+      ones. Allocation-free.
       @raise Not_found when no live range contains [pfn]. *)
 
   val free : t -> Rbtree.node -> unit

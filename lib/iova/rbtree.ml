@@ -181,20 +181,6 @@ let prev t x =
     if !y.is_nil then None else Some !y
   end
 
-let find_containing t pfn =
-  let rec go x =
-    if x.is_nil then None
-    else begin
-      visit t;
-      if pfn < x.lo then go x.left
-      else if pfn > x.hi then go x.right
-      else Some x
-    end
-  in
-  go t.root
-
-(* Allocation-free twin of [find_containing] for the zero-alloc unmap
-   path: same traversal, same visit counting, no option box. *)
 (* Iterative (no inner recursive closure): this sits on the zero-alloc
    unmap path. *)
 let find_containing_exn t pfn =
@@ -217,6 +203,11 @@ let find_containing_exn t pfn =
     ()
   done;
   !x
+
+let find_containing t pfn =
+  match find_containing_exn t pfn with
+  | x -> Some x
+  | exception Not_found -> None
 
 let transplant t u v =
   if u.parent.is_nil then t.root <- v

@@ -8,7 +8,7 @@ module Iotlb = Rio_iotlb.Iotlb
 module Allocator = Rio_iova.Allocator
 module I_context = Rio_iommu.Context
 module I_hw = Rio_iommu.Hw
-module I_driver = Rio_iommu.Driver
+module I_driver = Rio_domain.Driver
 module Rpte = Rio_core.Rpte
 module Riova = Rio_core.Riova
 module Rdevice = Rio_core.Rdevice
@@ -105,8 +105,8 @@ let create ?(cost = Cost_model.default) config =
           else I_driver.Immediate
         in
         let driver =
-          I_driver.create ?rcache ~domain ~allocator ~iotlb ~rid:config.rid
-            ~policy ~clock ~cost ()
+          I_driver.create ?rcache ~domain ~allocator ~target:(I_driver.Own iotlb)
+            ~rid:config.rid ~policy ~clock ~cost ()
         in
         B_base { driver; hw }
     | Mode.Riommu_minus | Mode.Riommu ->
@@ -164,84 +164,89 @@ let dir_write = function
   | Rpte.From_memory -> false
   | Rpte.Bidirectional -> true
 
+(* The baseline arm's one body: raw IOVA in, raw IOVA out, no handle
+   box, no result box, no op-log record. [map]/[unmap] wrap it, so the
+   baseline's live and driver-cycle accounting exists here only. *)
+let map_exn t ~phys ~bytes ~dir =
+  match t.backend with
+  | B_base { driver; _ } -> (
+      let start = Cycles.now t.clock in
+      match
+        I_driver.map_exn driver ~phys ~bytes ~read:(dir_read dir)
+          ~write:(dir_write dir)
+      with
+      | iova ->
+          t.live <- t.live + 1;
+          t.driver_cycles <- t.driver_cycles + Cycles.since t.clock start;
+          iova
+      | exception I_driver.Exhausted ->
+          t.driver_cycles <- t.driver_cycles + Cycles.since t.clock start;
+          raise I_driver.Exhausted)
+  | B_plain _ | B_rio _ ->
+      invalid_arg "Dma_api.map_exn: baseline-IOMMU modes only"
+
+let unmap_exn t ~iova =
+  match t.backend with
+  | B_base { driver; _ } -> (
+      let start = Cycles.now t.clock in
+      match I_driver.unmap_exn driver ~iova with
+      | () ->
+          t.live <- t.live - 1;
+          t.driver_cycles <- t.driver_cycles + Cycles.since t.clock start
+      | exception I_driver.Not_mapped ->
+          t.driver_cycles <- t.driver_cycles + Cycles.since t.clock start;
+          raise I_driver.Not_mapped)
+  | B_plain _ | B_rio _ ->
+      invalid_arg "Dma_api.unmap_exn: baseline-IOMMU modes only"
+
+(* The same accounting for the pass-through and rIOMMU arms, whose
+   bodies live outside this module. *)
+let account t ~start ~live result =
+  (match result with Ok _ -> t.live <- t.live + live | Error _ -> ());
+  t.driver_cycles <- t.driver_cycles + Cycles.since t.clock start;
+  result
+
 let map t ~ring ~phys ~bytes ~dir =
   let start = Cycles.now t.clock in
   let result =
     match t.backend with
+    | B_base _ -> (
+        match map_exn t ~phys ~bytes ~dir with
+        | iova -> Ok (H_base { iova })
+        | exception I_driver.Exhausted -> Error `Exhausted)
     | B_plain _ ->
-        if t.mode <> Mode.None_ then
-          Cycles.charge t.clock passthrough_overhead;
-        Ok (H_phys { phys })
-    | B_base { driver; _ } ->
-        (match
-           I_driver.map driver ~phys ~bytes ~read:(dir_read dir)
-             ~write:(dir_write dir)
-         with
-        | Ok iova -> Ok (H_base { iova })
-        | Error `Exhausted -> Error `Exhausted)
-    | B_rio { driver; _ } -> (
-        match R_driver.map driver ~rid:ring ~phys ~size:bytes ~dir with
-        | Ok iova -> Ok (H_rio { iova })
-        | Error `Overflow -> Error `Overflow)
+        if t.mode <> Mode.None_ then Cycles.charge t.clock passthrough_overhead;
+        account t ~start ~live:1 (Ok (H_phys { phys }))
+    | B_rio { driver; _ } ->
+        account t ~start ~live:1
+          (match R_driver.map driver ~rid:ring ~phys ~size:bytes ~dir with
+          | Ok iova -> Ok (H_rio { iova })
+          | Error `Overflow -> Error `Overflow)
   in
-  (match result with
-  | Ok h ->
-      t.live <- t.live + 1;
-      (match t.log with
-      | None -> ()
-      | Some _ -> log_op t (Op_log.Map { ring; addr = addr t h; bytes }))
-  | Error _ -> ());
-  t.driver_cycles <- t.driver_cycles + Cycles.since t.clock start;
+  (match (result, t.log) with
+  | Ok h, Some _ -> log_op t (Op_log.Map { ring; addr = addr t h; bytes })
+  | _ -> ());
   result
-
-(* Zero-alloc primary for the baseline-IOMMU modes: raw IOVA in, raw IOVA
-   out, no handle box, no result box, no op-log record. The op log never
-   sees these calls. *)
-let map_exn t ~phys ~bytes ~dir =
-  match t.backend with
-  | B_base { driver; _ } ->
-      let start = Cycles.now t.clock in
-      let iova =
-        I_driver.map_exn driver ~phys ~bytes ~read:(dir_read dir)
-          ~write:(dir_write dir)
-      in
-      t.live <- t.live + 1;
-      t.driver_cycles <- t.driver_cycles + Cycles.since t.clock start;
-      iova
-  | B_plain _ | B_rio _ ->
-      invalid_arg "Dma_api.map_exn: baseline-IOMMU modes only"
 
 let unmap t handle ~end_of_burst =
   let start = Cycles.now t.clock in
   let result =
     match (t.backend, handle) with
+    | B_base _, H_base { iova } -> (
+        match unmap_exn t ~iova with
+        | () -> Ok ()
+        | exception I_driver.Not_mapped -> Error `Not_mapped)
     | B_plain _, H_phys _ ->
-        if t.mode <> Mode.None_ then
-          Cycles.charge t.clock passthrough_overhead;
-        Ok ()
-    | B_base { driver; _ }, H_base { iova } -> I_driver.unmap driver ~iova
-    | B_rio { driver; _ }, H_rio { iova } -> R_driver.unmap driver iova ~end_of_burst
+        if t.mode <> Mode.None_ then Cycles.charge t.clock passthrough_overhead;
+        account t ~start ~live:(-1) (Ok ())
+    | B_rio { driver; _ }, H_rio { iova } ->
+        account t ~start ~live:(-1) (R_driver.unmap driver iova ~end_of_burst)
     | _ -> invalid_arg "Dma_api.unmap: handle from another mode"
   in
-  (match result with
-  | Ok () ->
-      t.live <- t.live - 1;
-      (match t.log with
-      | None -> ()
-      | Some _ -> log_op t (Op_log.Unmap { addr = addr t handle }))
-  | Error _ -> ());
-  t.driver_cycles <- t.driver_cycles + Cycles.since t.clock start;
+  (match (result, t.log) with
+  | Ok (), Some _ -> log_op t (Op_log.Unmap { addr = addr t handle })
+  | _ -> ());
   result
-
-let unmap_exn t ~iova =
-  match t.backend with
-  | B_base { driver; _ } ->
-      let start = Cycles.now t.clock in
-      I_driver.unmap_exn driver ~iova;
-      t.live <- t.live - 1;
-      t.driver_cycles <- t.driver_cycles + Cycles.since t.clock start
-  | B_plain _ | B_rio _ ->
-      invalid_arg "Dma_api.unmap_exn: baseline-IOMMU modes only"
 
 let map_sg t ~ring ~segments ~dir =
   if segments = [] then invalid_arg "Dma_api.map_sg: empty list";

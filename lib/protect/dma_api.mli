@@ -63,14 +63,17 @@ val map_exn :
   int
 (** Zero-allocation map for the baseline-IOMMU modes: returns the raw
     IOVA (no handle box), skips the op log, and allocates no heap words
-    after warm-up. Raises {!Rio_iommu.Driver.Exhausted} when the IOVA
-    space is full and [Invalid_argument] under non-baseline modes. On
-    [Exhausted] the cycles spent are not added to {!driver_cycles}. *)
+    after warm-up. It is the body {!map} runs for those modes. Raises
+    {!Rio_domain.Driver.Exhausted} when the IOVA space is full and
+    [Invalid_argument] under non-baseline modes. The cycles spent count
+    in {!driver_cycles} whether or not the map succeeds. *)
 
 val unmap_exn : t -> iova:int -> unit
 (** Zero-allocation unmap of an IOVA returned by {!map_exn} (or
-    {!map}+{!addr}). Raises {!Rio_iommu.Driver.Not_mapped} and, under
-    non-baseline modes, [Invalid_argument]. Skips the op log. *)
+    {!map}+{!addr}); the body {!unmap} runs for the baseline modes.
+    Raises {!Rio_domain.Driver.Not_mapped} and, under non-baseline
+    modes, [Invalid_argument]. Skips the op log. The cycles spent count
+    in {!driver_cycles} either way. *)
 
 val map_sg :
   t ->

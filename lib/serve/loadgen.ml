@@ -69,10 +69,9 @@ let create ~shard ~specs ~seed ~flows_per_tenant ~sg_max =
      ring setup): requests re-translate it on every descriptor fetch,
      which is the IOTLB-resident traffic ring-buffer devices generate. *)
   let ring_map tenant =
-    let mgr = Shard.manager shard in
     match
-      Rio_domain.Manager.map mgr
-        (Shard.domain shard ~tenant)
+      Rio_domain.Driver.map
+        (Rio_domain.Manager.driver (Shard.domain shard ~tenant))
         ~phys:(Shard.next_buf shard) ~bytes:page_size ~read:true ~write:true
     with
     | Ok iova -> iova

@@ -17,7 +17,7 @@ module Bdf = Rio_iommu.Bdf
 module Context = Rio_iommu.Context
 module Rid_table = Rio_iommu.Rid_table
 module Hw = Rio_iommu.Hw
-module Driver = Rio_iommu.Driver
+module Driver = Rio_domain.Driver
 
 let test_bdf_roundtrip () =
   let b = Bdf.make ~bus:0x3a ~device:17 ~func:5 in
@@ -55,7 +55,7 @@ let make_rig ?(alloc_kind = Allocator.Linux) ?(policy = Driver.Immediate)
   let hw = Hw.create ~context ~iotlb ~clock ~cost in
   let allocator = Allocator.create ~kind:alloc_kind ~limit_pfn:0xFFFFF ~clock ~cost in
   let rid = Bdf.to_rid bdf in
-  let driver = Driver.create ~domain ~allocator ~iotlb ~rid ~policy ~clock ~cost () in
+  let driver = Driver.create ~domain ~allocator ~target:(Driver.Own iotlb) ~rid ~policy ~clock ~cost () in
   { clock; frames; hw; driver; rid }
 
 let phys_check = Alcotest.testable Addr.pp Addr.equal
@@ -288,7 +288,7 @@ let test_exhaustion_error () =
   (* tiny IOVA space: 4 pages *)
   let allocator = Allocator.create ~kind:Allocator.Linux ~limit_pfn:3 ~clock ~cost in
   let driver =
-    Driver.create ~domain ~allocator ~iotlb ~rid:(Bdf.to_rid bdf)
+    Driver.create ~domain ~allocator ~target:(Driver.Own iotlb) ~rid:(Bdf.to_rid bdf)
       ~policy:Driver.Immediate ~clock ~cost ()
   in
   let buf = Frame_allocator.alloc_exn frames in

@@ -393,14 +393,17 @@ let make_magazine ?magazine_size ?depot_max ?max_cached_size
       ~cost:Cost_model.default (),
     base )
 
+let findable m ~pfn =
+  match Magazine.find_exn m ~pfn with _ -> true | exception Not_found -> false
+
 let test_magazine_hit_miss_cycle () =
   let m, base = make_magazine () in
   let pfn = Result.get_ok (Magazine.alloc m ~size:1) in
   Alcotest.(check int) "cold alloc is a miss" 1 (Magazine.stats m).Magazine.misses;
-  let node = Option.get (Magazine.find m ~pfn) in
+  let node = Magazine.find_exn m ~pfn in
   Magazine.free m node;
   Alcotest.(check bool) "parked range hidden from find" true
-    (Magazine.find m ~pfn = None);
+    (not (findable m ~pfn));
   Alcotest.(check int) "parked range is not live" 0 (Magazine.live m);
   Alcotest.(check bool) "but its address space stays reserved in the base" true
     (Allocator.find base ~pfn <> None);
@@ -409,13 +412,13 @@ let test_magazine_hit_miss_cycle () =
   Alcotest.(check int) "served from the magazine" 1
     (Magazine.stats m).Magazine.hits;
   Alcotest.(check bool) "findable again once handed out" true
-    (Magazine.find m ~pfn <> None);
+    (findable m ~pfn);
   Alcotest.(check int) "live again" 1 (Magazine.live m)
 
 let test_magazine_depot_exchange () =
   let m, _ = make_magazine ~magazine_size:2 ~depot_max:2 () in
   let pfns = List.init 6 (fun _ -> Result.get_ok (Magazine.alloc m ~size:1)) in
-  List.iter (fun pfn -> Magazine.free m (Option.get (Magazine.find m ~pfn))) pfns;
+  List.iter (fun pfn -> Magazine.free m (Magazine.find_exn m ~pfn)) pfns;
   Alcotest.(check int) "a full magazine parked in the depot" 1
     (Magazine.stats m).Magazine.depot_puts;
   let again = List.init 6 (fun _ -> Result.get_ok (Magazine.alloc m ~size:1)) in
@@ -430,7 +433,7 @@ let test_magazine_depot_exchange () =
 let test_magazine_depot_overflow_flushes () =
   let m, base = make_magazine ~magazine_size:1 ~depot_max:0 () in
   let pfns = List.init 3 (fun _ -> Result.get_ok (Magazine.alloc m ~size:1)) in
-  List.iter (fun pfn -> Magazine.free m (Option.get (Magazine.find m ~pfn))) pfns;
+  List.iter (fun pfn -> Magazine.free m (Magazine.find_exn m ~pfn)) pfns;
   Alcotest.(check bool) "depot overflow spilled back to the base" true
     ((Magazine.stats m).Magazine.flushes >= 1);
   (* the spilled range really left the base allocator's tree *)
@@ -442,7 +445,7 @@ let test_magazine_bypass_large () =
   let pfn = Result.get_ok (Magazine.alloc m ~size:3) in
   Alcotest.(check int) "large alloc bypasses" 1
     (Magazine.stats m).Magazine.bypasses;
-  Magazine.free m (Option.get (Magazine.find m ~pfn));
+  Magazine.free m (Magazine.find_exn m ~pfn);
   Alcotest.(check int) "large free bypasses too" 2
     (Magazine.stats m).Magazine.bypasses;
   Alcotest.(check bool) "bypassed free reached the base" true
@@ -452,7 +455,7 @@ let test_magazine_bypass_large () =
 let test_magazine_drain () =
   let m, base = make_magazine () in
   let pfns = List.init 4 (fun _ -> Result.get_ok (Magazine.alloc m ~size:1)) in
-  List.iter (fun pfn -> Magazine.free m (Option.get (Magazine.find m ~pfn))) pfns;
+  List.iter (fun pfn -> Magazine.free m (Magazine.find_exn m ~pfn)) pfns;
   Magazine.drain m;
   List.iter
     (fun pfn ->
@@ -469,10 +472,10 @@ let test_magazine_wraps_fast_allocator () =
      the magazine must hand nodes back un-parked or Fast.free raises. *)
   let m, _ = make_magazine ~kind:Allocator.Fast () in
   let pfn = Result.get_ok (Magazine.alloc m ~size:2) in
-  Magazine.free m (Option.get (Magazine.find m ~pfn));
+  Magazine.free m (Magazine.find_exn m ~pfn);
   let pfn2 = Result.get_ok (Magazine.alloc m ~size:2) in
   Alcotest.(check int) "recycled through the magazine" pfn pfn2;
-  Magazine.free m (Option.get (Magazine.find m ~pfn:pfn2));
+  Magazine.free m (Magazine.find_exn m ~pfn:pfn2);
   Magazine.drain m;
   Alcotest.(check bool) "drain flushed through Fast.free" true
     ((Magazine.stats m).Magazine.flushes >= 1);
@@ -499,11 +502,11 @@ let prop_magazine_live_accounting =
             match !held with
             | [] -> ()
             | pfn :: rest -> (
-                match Magazine.find m ~pfn with
-                | Some node ->
+                match Magazine.find_exn m ~pfn with
+                | node ->
                     Magazine.free m node;
                     held := rest
-                | None -> failwith "live range not findable"))
+                | exception Not_found -> failwith "live range not findable"))
         ops;
       Magazine.live m = List.length !held)
 

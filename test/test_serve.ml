@@ -13,6 +13,7 @@ module Bdf = Rio_iommu.Bdf
 module Hw = Rio_iommu.Hw
 module Shared_iotlb = Rio_domain.Shared_iotlb
 module Manager = Rio_domain.Manager
+module Driver = Rio_domain.Driver
 module Histogram = Rio_serve.Histogram
 module Shard = Rio_serve.Shard
 module Server = Rio_serve.Server
@@ -156,7 +157,7 @@ let make_mgr ?(iotlb_capacity = 32) () =
   let frames = Frame_allocator.create ~total_frames:100_000 in
   let mgr =
     Manager.create ~iotlb_policy:Shared_iotlb.Shared ~iotlb_capacity
-      ~invalidation:Manager.Per_domain ~policy:Manager.Immediate ~frames ~clock
+      ~invalidation:Manager.Per_domain ~policy:Driver.Immediate ~frames ~clock
       ~cost:Cost_model.default ()
   in
   (mgr, frames)
@@ -171,12 +172,13 @@ let test_map_sg_roundtrip () =
     Array.init n (fun i -> (Frame_allocator.alloc_exn frames, 512 * (i + 1)))
   in
   let iovas = Array.make n 0 in
-  (match Manager.map_sg mgr d ~segs ~iovas ~read:true ~write:true () with
-  | Ok k -> Alcotest.(check int) "all segments mapped" n k
-  | Error `Exhausted -> Alcotest.fail "map_sg exhausted");
+  let drv = Manager.driver d in
+  (match Driver.map_sg_exn drv ~segs ~iovas ~read:true ~write:true () with
+  | k -> Alcotest.(check int) "all segments mapped" n k
+  | exception Driver.Exhausted -> Alcotest.fail "map_sg exhausted");
   Alcotest.(check int) "distinct iovas" n
     (List.length (List.sort_uniq compare (Array.to_list iovas)));
-  Alcotest.(check int) "live mappings" n (Manager.live_mappings mgr d);
+  Alcotest.(check int) "live mappings" n (Driver.live_mappings (Manager.driver d));
   Array.iteri
     (fun i iova ->
       let phys =
@@ -187,12 +189,12 @@ let test_map_sg_roundtrip () =
         (Addr.to_int (fst segs.(i)))
         (Addr.to_int phys))
     iovas;
-  (match Manager.unmap_sg mgr d ~iovas () with
-  | Ok () -> ()
-  | Error `Not_mapped -> Alcotest.fail "unmap_sg failed");
-  Alcotest.(check int) "all unmapped" 0 (Manager.live_mappings mgr d);
-  Alcotest.(check bool) "double unmap_sg reports not mapped" true
-    (Manager.unmap_sg mgr d ~iovas () = Error `Not_mapped)
+  (match Driver.unmap_sg_exn drv ~iovas ~flush:Driver.Per_iova () with
+  | () -> ()
+  | exception Driver.Not_mapped -> Alcotest.fail "unmap_sg failed");
+  Alcotest.(check int) "all unmapped" 0 (Driver.live_mappings (Manager.driver d));
+  Alcotest.check_raises "double unmap_sg reports not mapped" Driver.Not_mapped
+    (fun () -> Driver.unmap_sg_exn drv ~iovas ~flush:Driver.Per_iova ())
 
 let test_map_sg_rollback () =
   let mgr, frames = make_mgr () in
@@ -207,15 +209,16 @@ let test_map_sg_rollback () =
     Array.init 8 (fun _ -> (Frame_allocator.alloc_exn frames, 4096))
   in
   let iovas = Array.make 8 0 in
-  Alcotest.(check bool) "batch exhausts" true
-    (Manager.map_sg mgr d ~segs ~iovas ~read:true ~write:true () = Error `Exhausted);
+  let drv = Manager.driver d in
+  Alcotest.check_raises "batch exhausts" Driver.Exhausted (fun () ->
+      ignore (Driver.map_sg_exn drv ~segs ~iovas ~read:true ~write:true ()));
   Alcotest.(check int) "rollback leaves nothing mapped" 0
-    (Manager.live_mappings mgr d);
+    (Driver.live_mappings (Manager.driver d));
   (* the rolled-back ranges are reusable: a fitting batch now succeeds *)
-  (match Manager.map_sg mgr d ~segs ~n:2 ~iovas ~read:true ~write:true () with
-  | Ok k -> Alcotest.(check int) "small batch fits after rollback" 2 k
-  | Error `Exhausted -> Alcotest.fail "space not released by rollback");
-  Alcotest.(check int) "two live" 2 (Manager.live_mappings mgr d)
+  (match Driver.map_sg_exn drv ~segs ~n:2 ~iovas ~read:true ~write:true () with
+  | k -> Alcotest.(check int) "small batch fits after rollback" 2 k
+  | exception Driver.Exhausted -> Alcotest.fail "space not released by rollback");
+  Alcotest.(check int) "two live" 2 (Driver.live_mappings (Manager.driver d))
 
 let test_translate_exn_parity () =
   let mgr, frames = make_mgr () in
@@ -224,7 +227,7 @@ let test_translate_exn_parity () =
   in
   let buf = Frame_allocator.alloc_exn frames in
   let iova =
-    Result.get_ok (Manager.map mgr d ~phys:buf ~bytes:4096 ~read:true ~write:false)
+    Result.get_ok (Driver.map (Manager.driver d) ~phys:buf ~bytes:4096 ~read:true ~write:false)
   in
   let rid = Manager.rid d in
   (* hit path: both report the same phys, offsets preserved *)
@@ -256,7 +259,7 @@ let test_online_attach_policies () =
   in
   let buf = Frame_allocator.alloc_exn frames in
   let iova =
-    Result.get_ok (Manager.map mgr a ~phys:buf ~bytes:4096 ~read:true ~write:true)
+    Result.get_ok (Driver.map (Manager.driver a) ~phys:buf ~bytes:4096 ~read:true ~write:true)
   in
   ignore (Manager.translate_exn mgr ~rid:(Manager.rid a) ~iova ~write:false);
   let late =
@@ -266,7 +269,7 @@ let test_online_attach_policies () =
   in
   let iova2 =
     Result.get_ok
-      (Manager.map mgr late ~phys:buf ~bytes:4096 ~read:true ~write:true)
+      (Driver.map (Manager.driver late) ~phys:buf ~bytes:4096 ~read:true ~write:true)
   in
   ignore
     (Manager.translate_exn mgr ~rid:(Manager.rid late) ~iova:iova2 ~write:false);
@@ -283,7 +286,7 @@ let test_online_attach_policies () =
   let frames2 = Frame_allocator.create ~total_frames:10_000 in
   let pmgr =
     Manager.create ~iotlb_policy:Shared_iotlb.Partitioned ~iotlb_capacity:32
-      ~invalidation:Manager.Per_domain ~policy:Manager.Immediate ~frames:frames2
+      ~invalidation:Manager.Per_domain ~policy:Driver.Immediate ~frames:frames2
       ~clock ~cost:Cost_model.default ()
   in
   let p =
@@ -292,7 +295,7 @@ let test_online_attach_policies () =
   let pbuf = Frame_allocator.alloc_exn frames2 in
   let piova =
     Result.get_ok
-      (Manager.map pmgr p ~phys:pbuf ~bytes:4096 ~read:true ~write:true)
+      (Driver.map (Manager.driver p) ~phys:pbuf ~bytes:4096 ~read:true ~write:true)
   in
   ignore (Manager.translate_exn pmgr ~rid:(Manager.rid p) ~iova:piova ~write:false);
   Alcotest.check_raises "partitioned refuses late attach"
@@ -397,7 +400,7 @@ let churn_task sid () =
     in
     let iova =
       Result.get_ok
-        (Manager.map mgr d ~phys:(Shard.next_buf shard) ~bytes:4096 ~read:true
+        (Driver.map (Manager.driver d) ~phys:(Shard.next_buf shard) ~bytes:4096 ~read:true
            ~write:true)
     in
     let p = Manager.translate_exn mgr ~rid:(Manager.rid d) ~iova ~write:true in
