@@ -10,9 +10,10 @@
 
     The [*_record] wrappers are the four op kinds the service serves;
     each charges the op's simulated cost to the shard clock and records
-    the cycle latency in the op kind's histogram. [translate_record] is
-    the per-DMA steady-state path and is allocation-free (lint manifest
-    + bench gate). *)
+    the cycle latency in the op kind's histogram. Map and unmap run the
+    tenant's {!Rio_domain.Driver}, the engine the paper experiments
+    run. [translate_record] (the per-DMA steady-state path) and
+    [unmap_record] are allocation-free (lint manifest + bench gate). *)
 
 type op = Map | Unmap | Translate | Map_sg
 
@@ -62,7 +63,8 @@ val map_sg_record :
 
 val unmap_sg_record :
   t -> tenant:int -> iovas:int array -> n:int -> (unit, [ `Not_mapped ]) result
-(** Batch unmap, recorded in the [Unmap] histogram as one operation. *)
+(** Batch unmap ({!Rio_domain.Driver.unmap_sg_exn} with [~flush:Per_iova]),
+    recorded in the [Unmap] histogram as one operation. *)
 
 val translate_record : t -> tenant:int -> iova:int -> write:bool -> Rio_memory.Addr.phys
 (** One DMA translation, recorded in the [Translate] histogram.
