@@ -36,8 +36,8 @@ type t = {
   mutable next_id : int;
 }
 
-(* "Rio_iommu__Driver" (wrapped-library compilation unit) and
-   "Rio_iommu.Driver" (access path through the alias module) are the
+(* "Rio_domain__Driver" (wrapped-library compilation unit) and
+   "Rio_domain.Driver" (access path through the alias module) are the
    same unit; normalize both to the dotted form. *)
 let dedot name =
   let name =

@@ -4,7 +4,7 @@
     edges are resolved identifier references inside a binding's body.
     Resolution handles, in order: same-unit references (matched by
     [Ident] stamp, so local shadowing cannot mislink), file-level module
-    aliases ([module I_driver = Rio_iommu.Driver]), functor
+    aliases ([module I_driver = Rio_domain.Driver]), functor
     instantiations ([module M = Magazine.Make (...)] routes [M.f] to the
     functor body), dune-wrapped library paths ([Rio_iova.Rbtree.lo] and
     [Rio_iova__Rbtree.lo]), same-unit submodule paths, and finally the
@@ -17,12 +17,12 @@
 
 type def = {
   d_id : int;
-  d_unit : string;  (** dotted unit path, e.g. ["Rio_iommu.Driver"] *)
+  d_unit : string;  (** dotted unit path, e.g. ["Rio_domain.Driver"] *)
   d_file : string;  (** canonical source path *)
   d_qual : string;  (** submodule-qualified name, e.g. ["Make.alloc_pfn"] *)
   d_name : string;  (** bare binding name *)
   d_display : string;  (** e.g. ["Driver.map_exn"], ["Magazine.Make.alloc_pfn"] *)
-  d_canon : string;  (** e.g. ["Rio_iommu.Driver.map_exn"], for boundary matching *)
+  d_canon : string;  (** e.g. ["Rio_domain.Driver.map_exn"], for boundary matching *)
   d_loc : Location.t;
   d_expr : Typedtree.expression;
   d_is_fun : bool;  (** body is a function literal (audited transitively) *)
