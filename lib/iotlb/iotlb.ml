@@ -2,21 +2,24 @@ module Cycles = Rio_sim.Cycles
 module Cost_model = Rio_sim.Cost_model
 
 (* Zero-allocation IOTLB: the (bdf, vpn) key is packed into one immediate
-   int, the hash table is open-addressing (linear probing, backward-shift
-   deletion) over int arrays, and the LRU is intrusive - prev/next are
-   int arrays indexed by entry slot, with [-1] as the null link. Steady
-   state lookup/insert/invalidate touch no allocator at all.
+   int, the hash index is chained buckets threaded through the entries
+   themselves, and the LRU is intrusive - prev/next are int arrays
+   indexed by entry slot, with [-1] as the null link. Steady state
+   lookup/insert/invalidate touch no allocator at all.
 
-   Entry storage is struct-of-arrays: [e_key], [e_val], [e_prev],
-   [e_next], all of length [capacity]. Free entry slots are chained
-   through [e_next]. The probe table [slots] maps hash positions to
-   entry indices (-1 = empty) and is sized to keep load factor <= 1/2. *)
+   Entry storage is struct-of-arrays: [e_key], [e_val], [e_chain],
+   [e_prev], [e_next], all of length [capacity]. Free entry slots are
+   chained through [e_next]. [buckets] maps a hash to the first entry of
+   its chain (-1 = empty) and [e_chain] links the rest; with at least
+   two buckets per entry a chain is usually one entry long, a lookup
+   walks only its own chain, and removing an entry unlinks it from that
+   chain without moving any other. *)
 
 let vpn_bits = 36 (* 48-bit IOVA space, 4 KiB pages *)
 let vpn_mask = (1 lsl vpn_bits) - 1
 let max_bdf = (1 lsl (62 - vpn_bits)) - 1
 
-let pack ~bdf ~vpn =
+let[@inline] pack ~bdf ~vpn =
   if bdf < 0 || bdf > max_bdf then invalid_arg "Iotlb: bdf out of range";
   if vpn < 0 || vpn > vpn_mask then invalid_arg "Iotlb: vpn out of range";
   (bdf lsl vpn_bits) lor vpn
@@ -26,10 +29,11 @@ let key_vpn key = key land vpn_mask
 
 type 'a t = {
   capacity : int;
-  mask : int;  (* probe table size - 1 (power of two) *)
-  slots : int array;  (* hash position -> entry index, -1 = empty *)
+  mask : int;  (* bucket count - 1 (power of two) *)
+  buckets : int array;  (* hash -> first entry of its chain, -1 = empty *)
   e_key : int array;
   e_val : 'a array;
+  e_chain : int array;  (* next entry in the same bucket, -1 = end *)
   e_prev : int array;  (* toward MRU *)
   e_next : int array;  (* toward LRU; also the free-list link *)
   mutable mru : int;
@@ -49,20 +53,21 @@ type 'a t = {
 let null_value : 'a. unit -> 'a = fun () -> Obj.magic 0
 
 (* smallest power of two >= 2*capacity, floor 16 *)
-let probe_size capacity =
+let bucket_count capacity =
   let rec go s = if s >= 2 * capacity then s else go (2 * s) in
   go 16
 
 let create ~capacity ~clock ~cost () =
   if capacity <= 0 then invalid_arg "Iotlb.create: capacity";
-  let psize = probe_size capacity in
+  let nbuckets = bucket_count capacity in
   let t =
     {
       capacity;
-      mask = psize - 1;
-      slots = Array.make psize (-1);
+      mask = nbuckets - 1;
+      buckets = Array.make nbuckets (-1);
       e_key = Array.make capacity (-1);
       e_val = Array.make capacity (null_value ());
+      e_chain = Array.make capacity (-1);
       e_prev = Array.make capacity (-1);
       e_next = Array.make capacity (-1);
       mru = -1;
@@ -86,48 +91,26 @@ let create ~capacity ~clock ~cost () =
    behaviour depends on this; simulated cycles never do. *)
 let hash t key = (key * 0x2545F4914F6CDD1D) land max_int land t.mask
 
-(* Probe position for [key]: either its occupied slot or the empty slot
-   where it would be inserted. *)
-let find_slot t key =
-  let i = ref (hash t key) in
-  while
-    let e = t.slots.(!i) in
-    e >= 0 && t.e_key.(e) <> key
-  do
-    i := (!i + 1) land t.mask
+(* Entry holding [key], or -1. *)
+let find_entry t key =
+  let e = ref t.buckets.(hash t key) in
+  while !e >= 0 && t.e_key.(!e) <> key do
+    e := t.e_chain.(!e)
   done;
-  !i
+  !e
 
-(* Backward-shift deletion keeps probe chains contiguous without
-   tombstones: after emptying [pos], any later entry in the cluster whose
-   home position lies outside (pos, j] is moved back to fill the hole. *)
-let slot_remove t pos =
-  let i = ref pos and j = ref pos in
-  let continue = ref true in
-  while !continue do
-    t.slots.(!i) <- -1;
-    let stop = ref false in
-    while not !stop do
-      j := (!j + 1) land t.mask;
-      let e = t.slots.(!j) in
-      if e < 0 then begin
-        stop := true;
-        continue := false
-      end
-      else begin
-        let home = hash t t.e_key.(e) in
-        let between =
-          if !i <= !j then !i < home && home <= !j
-          else !i < home || home <= !j
-        in
-        if not between then stop := true
-      end
+(* Unlink entry [e], which holds [key], from its bucket's chain. *)
+let chain_remove t e key =
+  let b = hash t key in
+  let p = t.buckets.(b) in
+  if p = e then t.buckets.(b) <- t.e_chain.(e)
+  else begin
+    let p = ref p in
+    while t.e_chain.(!p) <> e do
+      p := t.e_chain.(!p)
     done;
-    if !continue then begin
-      t.slots.(!i) <- t.slots.(!j);
-      i := !j
-    end
-  done
+    t.e_chain.(!p) <- t.e_chain.(e)
+  end
 
 (* {2 Intrusive LRU over e_prev/e_next} *)
 
@@ -155,7 +138,7 @@ let promote t e =
    lookups in four can miss. *)
 let find t ~bdf ~vpn ~absent =
   Cycles.charge t.clock t.cost.Cost_model.iotlb_lookup;
-  let e = t.slots.(find_slot t (pack ~bdf ~vpn)) in
+  let e = find_entry t (pack ~bdf ~vpn) in
   if e >= 0 then begin
     t.hits <- t.hits + 1;
     promote t e;
@@ -166,10 +149,10 @@ let find t ~bdf ~vpn ~absent =
     absent
   end
 
-(* Detach an entry: remove from hash and LRU, return it to the free list,
-   and clear its value slot so the payload is released. *)
+(* Detach an entry: remove from its chain and the LRU, return it to the
+   free list, and clear its value slot so the payload is released. *)
 let detach t e key =
-  slot_remove t (find_slot t key);
+  chain_remove t e key;
   unlink t e;
   t.e_key.(e) <- -1;
   t.e_val.(e) <- null_value ();
@@ -179,8 +162,7 @@ let detach t e key =
 
 let insert t ~bdf ~vpn value =
   let key = pack ~bdf ~vpn in
-  let pos = find_slot t key in
-  let e = t.slots.(pos) in
+  let e = find_entry t key in
   if e >= 0 then begin
     t.e_val.(e) <- value;
     promote t e;
@@ -197,15 +179,13 @@ let insert t ~bdf ~vpn value =
       end
       else -1
     in
-    (* re-probe: the eviction may have shifted the cluster *)
-    let pos = find_slot t key in
     let e = t.free in
     t.free <- t.e_next.(e);
     t.e_key.(e) <- key;
     t.e_val.(e) <- value;
-    t.e_prev.(e) <- -1;
-    t.e_next.(e) <- -1;
-    t.slots.(pos) <- e;
+    let b = hash t key in
+    t.e_chain.(e) <- t.buckets.(b);
+    t.buckets.(b) <- e;
     t.len <- t.len + 1;
     push_front t e;
     victim_bdf
@@ -214,12 +194,12 @@ let insert t ~bdf ~vpn value =
 let invalidate t ~bdf ~vpn =
   Cycles.charge t.clock t.cost.Cost_model.iotlb_invalidate;
   let key = pack ~bdf ~vpn in
-  let e = t.slots.(find_slot t key) in
+  let e = find_entry t key in
   if e >= 0 then detach t e key
 
 let flush_all t =
   Cycles.charge t.clock t.cost.Cost_model.iotlb_global_flush;
-  Array.fill t.slots 0 (Array.length t.slots) (-1);
+  Array.fill t.buckets 0 (Array.length t.buckets) (-1);
   Array.fill t.e_key 0 t.capacity (-1);
   Array.fill t.e_val 0 t.capacity (null_value ());
   for i = 0 to t.capacity - 2 do
@@ -235,7 +215,7 @@ let flush_all t =
 
 let drop t ~bdf ~vpn =
   let key = pack ~bdf ~vpn in
-  let e = t.slots.(find_slot t key) in
+  let e = find_entry t key in
   if e >= 0 then begin
     detach t e key;
     true

@@ -11,7 +11,8 @@
     arrives.
 
     Implementation: the (bdf, vpn) key is packed into a single immediate
-    int, the table is open-addressing over int arrays, and the LRU is an
+    int, the index is hash buckets whose chains are threaded through the
+    entry arrays (at least two buckets per entry), and the LRU is an
     intrusive index-based list — steady-state lookup, insert and
     invalidate allocate nothing. *)
 

@@ -124,7 +124,7 @@ let sync_cell t node idx =
 let check_iova iova =
   if iova < 0 || iova lsr iova_bits <> 0 then invalid_arg "Arena: iova range"
 
-let index iova level =
+let[@inline] index iova level =
   (* level 1 uses bits 39..47, level 4 uses bits 12..20 *)
   (iova lsr (12 + (9 * (levels - level)))) land (fanout - 1)
 

@@ -41,7 +41,7 @@ let msb_byte =
    narrow v to its top byte (so the unchecked load is in bounds), then
    one table load. The steps compute 0/1 ints rather than branch:
    recorded latencies vary, so data-dependent branches mispredict. *)
-let msb v =
+let[@inline] msb v =
   let s = Bool.to_int (v lsr 32 <> 0) lsl 5 in
   let v = v lsr s and e = s in
   let s = Bool.to_int (v lsr 16 <> 0) lsl 4 in
@@ -50,12 +50,16 @@ let msb v =
   let v = v lsr s and e = e + s in
   e + Char.code (String.unsafe_get msb_byte v)
 
-let bucket_of t v =
-  let v = if v < 0 then 0 else if v > t.max_value then t.max_value else v in
+let[@inline] clamp t v = if v < 0 then 0 else if v > t.max_value then t.max_value else v
+
+(* bucket of a value already clamped to [0, max_value] *)
+let[@inline] index t v =
   if v < 2 * t.sub_count then v
   else
     let shift = msb v - t.sub_bits in
     (shift * t.sub_count) + (v lsr shift)
+
+let bucket_of t v = index t (clamp t v)
 
 (* highest value mapping to bucket [i] *)
 let bucket_hi t i =
@@ -86,14 +90,32 @@ let create ?(sub_bits = 5) ?(max_value = 1 lsl 40) () =
   in
   { probe with counts = Array.make (bucket_of probe max_value + 1) 0 }
 
-let record t v =
-  let v = if v < 0 then 0 else if v > t.max_value then t.max_value else v in
-  let i = bucket_of t v in
+(* [v] clamped, [i] its bucket *)
+let[@inline] add t i v =
   t.counts.(i) <- t.counts.(i) + 1;
   t.total <- t.total + 1;
   t.sum <- t.sum + v;
   if v > t.max_seen then t.max_seen <- v;
   if v > t.win_max then t.win_max <- v
+
+let record t v =
+  let v = clamp t v in
+  add t (index t v) v
+
+let same_geometry a b =
+  a.sub_bits = b.sub_bits && a.max_value = b.max_value
+
+let record2 a b v =
+  if same_geometry a b then begin
+    let v = clamp a v in
+    let i = index a v in
+    add a i v;
+    add b i v
+  end
+  else begin
+    record a v;
+    record b v
+  end
 
 let count t = t.total
 let max_recorded t = t.max_seen
@@ -122,9 +144,6 @@ let quantile t q =
   end
 
 let rel_error_bound t = 1. /. float_of_int t.sub_count
-
-let same_geometry a b =
-  a.sub_bits = b.sub_bits && a.max_value = b.max_value
 
 let merge_into ~dst src =
   if not (same_geometry dst src) then

@@ -30,6 +30,11 @@ val create : ?sub_bits:int -> ?max_value:int -> unit -> t
 val record : t -> int -> unit
 (** Record one value, clamped to [0, max_value]. Allocation-free. *)
 
+val record2 : t -> t -> int -> unit
+(** [record2 a b v] is [record a v; record b v], clamping and bucketing
+    [v] once when the two share a geometry (the service records every
+    op into its op kind's and its tenant's histogram). Allocation-free. *)
+
 val count : t -> int
 (** Total recordings. *)
 

@@ -78,9 +78,9 @@ let get_u8 = Bytes.get_uint8
 let set_u8 = Bytes.set_uint8
 let get_u16 = Bytes.get_uint16_le
 let set_u16 = Bytes.set_uint16_le
-let get_u32 b p = get_u16 b p lor (get_u16 b (p + 2) lsl 16)
+let[@inline] get_u32 b p = get_u16 b p lor (get_u16 b (p + 2) lsl 16)
 
-let set_u32 b p v =
+let[@inline] set_u32 b p v =
   set_u16 b p (v land 0xFFFF);
   set_u16 b (p + 2) ((v lsr 16) land 0xFFFF)
 

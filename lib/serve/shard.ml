@@ -92,8 +92,7 @@ let next_buf t =
 (* Inlined: [translate_record] is the per-DMA hot path. *)
 let[@inline] record t op ~tenant start =
   let dt = Rio_sim.Cycles.since t.clock start in
-  Histogram.record t.hists.(op) dt;
-  Histogram.record t.tenant_hists.(tenant) dt
+  Histogram.record2 t.hists.(op) t.tenant_hists.(tenant) dt
 
 let map_record t ~tenant ~phys ~bytes =
   let start = Rio_sim.Cycles.now t.clock in

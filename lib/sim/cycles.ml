@@ -3,7 +3,7 @@ type t = { mutable now : int }
 let create () = { now = 0 }
 let now t = t.now
 
-let charge t c =
+let[@inline] charge t c =
   assert (c >= 0);
   t.now <- t.now + c
 

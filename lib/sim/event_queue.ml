@@ -1,52 +1,24 @@
-(* Hierarchical timing wheel over a structure-of-arrays event pool.
+(* Binary min-heap of events ordered by (time, seq), over int arrays.
 
-   Virtual time is a 63-bit non-negative int; the wheel has 8 levels of
-   256 slots, one level per byte of the time value. An event's level is
-   the highest byte in which its time differs from [base] (the wheel
-   cursor, always <= every time stored in the wheel); its slot is that
-   byte of its time. A level-0 slot therefore holds exactly one
-   timestamp, and because slots are tail-appended FIFO lists, popping a
-   level-0 slot head preserves insertion order within a timestamp —
-   exactly the (time, seq) tie-break the old SoA heap provided.
-
-   Advancing the cursor cascades: the first occupied slot of the lowest
-   occupied level is drained in list order and its events re-enqueued
-   relative to the new base, which keeps same-time events in sequence
-   order (stable redistribution).
-
-   Pushes *behind* the cursor (time < base) — rare, but the scheduler
-   and randomized model tests do it — go to a small SoA min-heap
-   ordered by (time, seq). Every overdue time is strictly below [base]
-   and every wheel time is >= [base], so the heap always drains first
-   and no tie can straddle the two structures.
+   Heap position i holds an event's time ([times.(i)]), its push order
+   ([seqs.(i)], the FIFO tie-break among equal times) and the pool slot
+   its payload lives in ([slots.(i)]). A payload is written once into
+   its slot at [push] and cleared at [pop]; sifting moves only the
+   three int lanes, so it never runs the write barrier ([caml_modify])
+   that moving boxed payloads would. Positions [len, capacity) of
+   [slots] hold the free pool slots, so [slots] is always a permutation
+   of the pool and no separate free list is needed.
 
    Steady-state [push], [pop_exn] and [next_time] allocate nothing
-   (growth lives in separate helper functions); payload slots are
-   cleared on pop so popped values are released to the GC rather than
-   pinned by the pool's spare capacity. *)
-
-let levels = 8
-let slots = 256 (* per level: one byte of the time value *)
-let occ_words = slots / 32 (* occupancy bitmap words per level *)
+   (growth lives in [grow]); cleared payload slots release popped
+   values to the GC rather than pinning them in the pool's spare
+   capacity. *)
 
 type 'a t = {
-  (* Event pool (SoA): times/seqs/payloads indexed by event id; [nexts]
-     threads both the intra-slot FIFO lists and the pool freelist. *)
-  mutable times : int array;
-  mutable seqs : int array;
-  mutable nexts : int array;
-  mutable payloads : 'a array;
-  mutable free : int; (* pool freelist head, -1 = none *)
-  (* Wheel: heads/tails of the per-slot lists (levels * slots entries,
-     -1 = empty) and a per-level occupancy bitmap. *)
-  heads : int array;
-  tails : int array;
-  occ : int array;
-  mutable base : int; (* cursor: every wheel event has time >= base *)
-  (* Overdue min-heap (pool indices, ordered by (time, seq)) for pushes
-     with time < base. *)
-  mutable heap : int array;
-  mutable heap_len : int;
+  mutable times : int array;  (* heap position -> event time *)
+  mutable seqs : int array;  (* heap position -> push order *)
+  mutable slots : int array;  (* heap position -> payload slot *)
+  mutable payloads : 'a array;  (* payload slot -> payload *)
   mutable len : int;
   mutable next_seq : int;
 }
@@ -57,280 +29,98 @@ type 'a t = {
 let null_payload : 'a. unit -> 'a = fun () -> Obj.magic 0
 
 let create () =
-  {
-    times = [||];
-    seqs = [||];
-    nexts = [||];
-    payloads = [||];
-    free = -1;
-    heads = Array.make (levels * slots) (-1);
-    tails = Array.make (levels * slots) (-1);
-    occ = Array.make (levels * occ_words) 0;
-    base = 0;
-    heap = [||];
-    heap_len = 0;
-    len = 0;
-    next_seq = 0;
-  }
+  { times = [||]; seqs = [||]; slots = [||]; payloads = [||]; len = 0; next_seq = 0 }
 
 let is_empty t = t.len = 0
 let length t = t.len
 
-(* -- event pool -- *)
-
-let pool_grow t =
+(* Entered only when full, so every old slot is occupied and the new
+   slots [cap, ncap) are the free ones, at their own positions. *)
+let grow t =
   let cap = Array.length t.times in
   let ncap = if cap = 0 then 16 else 2 * cap in
   let times = Array.make ncap 0 in
   let seqs = Array.make ncap 0 in
-  let nexts = Array.make ncap (-1) in
+  let slots = Array.make ncap 0 in
   let payloads = Array.make ncap (null_payload ()) in
   Array.blit t.times 0 times 0 cap;
   Array.blit t.seqs 0 seqs 0 cap;
-  Array.blit t.nexts 0 nexts 0 cap;
+  Array.blit t.slots 0 slots 0 cap;
   Array.blit t.payloads 0 payloads 0 cap;
-  (* grow is only entered with an exhausted freelist: thread the new
-     slots onto it *)
-  for i = cap to ncap - 2 do
-    nexts.(i) <- i + 1
+  for i = cap to ncap - 1 do
+    slots.(i) <- i
   done;
-  nexts.(ncap - 1) <- -1;
-  t.free <- cap;
   t.times <- times;
   t.seqs <- seqs;
-  t.nexts <- nexts;
+  t.slots <- slots;
   t.payloads <- payloads
 
-let pool_alloc t ~time payload =
-  if t.free = -1 then pool_grow t;
-  let e = t.free in
-  t.free <- t.nexts.(e);
-  t.times.(e) <- time;
-  t.seqs.(e) <- t.next_seq;
-  t.next_seq <- t.next_seq + 1;
-  t.nexts.(e) <- -1;
-  t.payloads.(e) <- payload;
-  e
+let[@inline] set t i ~time ~seq ~slot =
+  t.times.(i) <- time;
+  t.seqs.(i) <- seq;
+  t.slots.(i) <- slot
 
-let pool_free t e =
-  t.payloads.(e) <- null_payload ();
-  t.nexts.(e) <- t.free;
-  t.free <- e
-
-(* -- wheel -- *)
-
-(* Index of the single set bit in [b] (a power of two). *)
-let bit_index b =
-  let i = ref 0 in
-  let b = ref b in
-  if !b land 0xFFFF = 0 then begin
-    i := !i + 16;
-    b := !b lsr 16
-  end;
-  if !b land 0xFF = 0 then begin
-    i := !i + 8;
-    b := !b lsr 8
-  end;
-  if !b land 0xF = 0 then begin
-    i := !i + 4;
-    b := !b lsr 4
-  end;
-  if !b land 0x3 = 0 then begin
-    i := !i + 2;
-    b := !b lsr 2
-  end;
-  if !b land 0x1 = 0 then incr i;
-  !i
-
-(* Level of an event at [time] >= base: the highest byte where it
-   differs from the cursor (0 when equal). *)
-let level_of t time =
-  let x = ref ((time lxor t.base) lsr 8) in
-  let l = ref 0 in
-  while !x <> 0 do
-    incr l;
-    x := !x lsr 8
-  done;
-  !l
-
-let occ_set t level slot =
-  let w = (level * occ_words) + (slot lsr 5) in
-  t.occ.(w) <- t.occ.(w) lor (1 lsl (slot land 31))
-
-let occ_clear t level slot =
-  let w = (level * occ_words) + (slot lsr 5) in
-  t.occ.(w) <- t.occ.(w) land lnot (1 lsl (slot land 31))
-
-(* First occupied slot of [level] at index >= [from], or -1. *)
-let first_slot t level from =
-  let res = ref (-1) in
-  let w = ref (from lsr 5) in
-  let x = ref (t.occ.((level * occ_words) + !w) land ((-1) lsl (from land 31))) in
-  while !res = -1 && !w < occ_words do
-    if !x <> 0 then res := (!w lsl 5) + bit_index (!x land (- !x))
-    else begin
-      incr w;
-      if !w < occ_words then x := t.occ.((level * occ_words) + !w)
-    end
-  done;
-  !res
-
-(* Append event [e] (time >= base) to the tail of its slot list. *)
-let enqueue t e =
-  let time = t.times.(e) in
-  let level = level_of t time in
-  let slot = (time lsr (8 * level)) land (slots - 1) in
-  let i = (level * slots) + slot in
-  t.nexts.(e) <- -1;
-  if t.tails.(i) = -1 then begin
-    t.heads.(i) <- e;
-    occ_set t level slot
-  end
-  else t.nexts.(t.tails.(i)) <- e;
-  t.tails.(i) <- e
-
-(* Advance the cursor to the earliest event and return the pool index
-   of the level-0 slot head holding it. Caller guarantees the wheel is
-   non-empty (len - heap_len > 0). Internal mutation only: observable
-   state (event set, pop order) is unchanged. *)
-let ensure_wheel t =
-  let head = ref (-1) in
-  while !head = -1 do
-    let s0 = first_slot t 0 (t.base land (slots - 1)) in
-    if s0 >= 0 then begin
-      t.base <- (t.base land lnot (slots - 1)) lor s0;
-      head := t.heads.(s0)
-    end
-    else begin
-      (* level 0 dry: drain the first occupied slot of the lowest
-         occupied level and redistribute it relative to the new base *)
-      let level = ref 1 in
-      let slot = ref (-1) in
-      while !slot = -1 && !level < levels do
-        slot := first_slot t !level 0;
-        if !slot = -1 then incr level
-      done;
-      if !slot = -1 then invalid_arg "Event_queue: wheel empty";
-      let k = !level and s = !slot in
-      let shift = 8 * (k + 1) in
-      t.base <- ((t.base lsr shift) lsl shift) lor (s lsl (8 * k));
-      let i = (k * slots) + s in
-      let e = ref t.heads.(i) in
-      t.heads.(i) <- -1;
-      t.tails.(i) <- -1;
-      occ_clear t k s;
-      (* walk in list order so same-time events keep their sequence
-         order in the destination slots (stable redistribution) *)
-      while !e <> -1 do
-        let nxt = t.nexts.(!e) in
-        enqueue t !e;
-        e := nxt
-      done
-    end
-  done;
-  !head
-
-(* -- overdue heap (pool indices ordered by (time, seq)) -- *)
-
-let heap_earlier t a b =
-  t.times.(a) < t.times.(b)
-  || (t.times.(a) = t.times.(b) && t.seqs.(a) < t.seqs.(b))
-
-let heap_grow t =
-  let cap = Array.length t.heap in
-  let ncap = if cap = 0 then 16 else 2 * cap in
-  let heap = Array.make ncap 0 in
-  Array.blit t.heap 0 heap 0 t.heap_len;
-  t.heap <- heap
-
-let heap_push t e =
-  if t.heap_len = Array.length t.heap then heap_grow t;
-  let i = ref t.heap_len in
-  t.heap.(!i) <- e;
-  t.heap_len <- t.heap_len + 1;
-  while
-    !i > 0
-    && heap_earlier t t.heap.(!i) t.heap.((!i - 1) / 2)
-  do
-    let parent = (!i - 1) / 2 in
-    let tmp = t.heap.(parent) in
-    t.heap.(parent) <- t.heap.(!i);
-    t.heap.(!i) <- tmp;
-    i := parent
-  done
-
-let heap_pop t =
-  let e = t.heap.(0) in
-  let n = t.heap_len - 1 in
-  t.heap_len <- n;
-  t.heap.(0) <- t.heap.(n);
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < n && heap_earlier t t.heap.(l) t.heap.(!smallest) then smallest := l;
-    if r < n && heap_earlier t t.heap.(r) t.heap.(!smallest) then smallest := r;
-    if !smallest = !i then continue := false
-    else begin
-      let tmp = t.heap.(!smallest) in
-      t.heap.(!smallest) <- t.heap.(!i);
-      t.heap.(!i) <- tmp;
-      i := !smallest
-    end
-  done;
-  e
-
-(* -- public API -- *)
+let[@inline] move t ~src ~dst = set t dst ~time:t.times.(src) ~seq:t.seqs.(src) ~slot:t.slots.(src)
 
 let push t ~time payload =
-  let e = pool_alloc t ~time payload in
+  if t.len = Array.length t.times then grow t;
+  let slot = t.slots.(t.len) in
+  t.payloads.(slot) <- payload;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  (* Sift up through a hole. [seq] is newer than every queued event, so
+     the event passes a parent only on a strictly later time. *)
+  let i = ref t.len in
   t.len <- t.len + 1;
-  if t.len = 1 then begin
-    (* queue was empty: snap the cursor to the event so it lands at
-       level 0 regardless of where a previous run left [base] *)
-    t.base <- time;
-    enqueue t e
-  end
-  else if time >= t.base then enqueue t e
-  else heap_push t e
-
-(* Every overdue time is strictly below [base] and every wheel time is
-   at or above it, so the heap drains first and ties never straddle the
-   two structures. *)
+  while !i > 0 && t.times.((!i - 1) / 2) > time do
+    let parent = (!i - 1) / 2 in
+    move t ~src:parent ~dst:!i;
+    i := parent
+  done;
+  set t !i ~time ~seq ~slot
 
 let pop_exn t =
   if t.len = 0 then raise Not_found;
-  t.len <- t.len - 1;
-  let e =
-    if t.heap_len > 0 then heap_pop t
-    else begin
-      let e = ensure_wheel t in
-      let i = t.base land (slots - 1) in
-      let nxt = t.nexts.(e) in
-      t.heads.(i) <- nxt;
-      if nxt = -1 then begin
-        t.tails.(i) <- -1;
-        occ_clear t 0 i
-      end;
-      e
-    end
-  in
-  let payload = t.payloads.(e) in
-  pool_free t e;
+  let top = t.slots.(0) in
+  let payload = t.payloads.(top) in
+  t.payloads.(top) <- null_payload ();
+  let n = t.len - 1 in
+  t.len <- n;
+  if n > 0 then begin
+    (* sift the last event down from the root through a hole *)
+    let time = t.times.(n) and seq = t.seqs.(n) and slot = t.slots.(n) in
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      let c =
+        if l + 1 < n
+           && (t.times.(l + 1) < t.times.(l)
+              || (t.times.(l + 1) = t.times.(l) && t.seqs.(l + 1) < t.seqs.(l)))
+        then l + 1
+        else l
+      in
+      if c < n && (t.times.(c) < time || (t.times.(c) = time && t.seqs.(c) < seq))
+      then begin
+        move t ~src:c ~dst:!i;
+        i := c
+      end
+      else continue := false
+    done;
+    set t !i ~time ~seq ~slot
+  end;
+  (* the popped event's slot joins the free ones past the heap *)
+  t.slots.(n) <- top;
   payload
 
 let next_time t =
   if t.len = 0 then raise Not_found;
-  if t.heap_len > 0 then t.times.(t.heap.(0))
-  else t.times.(ensure_wheel t)
+  t.times.(0)
 
 let pop t =
   if t.len = 0 then None
-  else begin
-    let time = next_time t in
-    let payload = pop_exn t in
-    Some (time, payload)
-  end
+  else
+    let time = t.times.(0) in
+    Some (time, pop_exn t)
 
-let peek_time t = if t.len = 0 then None else Some (next_time t)
+let peek_time t = if t.len = 0 then None else Some t.times.(0)

@@ -1,18 +1,15 @@
-(** Discrete-event queue (hierarchical timing wheel on event time).
+(** Discrete-event queue: events ordered by virtual time, ties broken
+    by insertion order so runs are deterministic.
 
-    Device models that interleave asynchronous completions (NVMe, SATA)
-    schedule their completions here. Ties are broken by insertion order so
-    runs are deterministic.
+    [Loadgen] drives the simulated service's flows through it, and the
+    multi-tenant [Scheduler] its tenants' I/Os; the benchmarks and tests
+    use it directly.
 
-    The implementation is a hierarchical timing wheel — 8 levels of 256
-    slots, one level per byte of the 63-bit virtual time — over a
-    structure-of-arrays event pool, with a small (time, seq) min-heap
-    catching the rare pushes that land behind the cursor. Ring traffic
-    is near-monotonic in virtual time, the ideal wheel workload: push
-    and pop are O(1) amortized instead of the old SoA heap's O(log n).
-    Steady-state [push], [pop_exn] and [next_time] allocate nothing,
-    and payload slots are cleared on pop so the pool's spare capacity
-    never pins popped values. *)
+    The implementation is one binary min-heap ordered by (time, seq)
+    over int arrays, with each payload written once into a pooled slot
+    at {!push} and cleared at pop, so sifting moves only ints. Steady-state
+    [push], [pop_exn] and [next_time] allocate nothing, and the pool's
+    spare capacity never pins popped values. *)
 
 type 'a t
 

@@ -103,81 +103,86 @@ let test_find () =
   Alcotest.(check int) "shares the hit counter with lookup" 1 (Iotlb.hits t);
   Alcotest.(check int) "shares the miss counter with lookup" 1 (Iotlb.misses t)
 
-(* The packed-key open-addressing implementation against the obvious
+(* The packed-key chained-bucket implementation against the obvious
    reference: an assoc list kept in MRU-first order. Both sides see the
    same 10k random operations; every observable - lookup results, the
    victim bdfs [insert] returns and their order, iteration order,
-   occupancy, counters - must agree. *)
+   occupancy, counters - must agree. Each seed runs at capacities 1, 3
+   and 8. Capacity 1 evicts on every new fill; at 3 and 8, 72 keys
+   over 16 buckets often share a chain, so evictions, invalidations and
+   drops unlink chain heads, middles and tails. *)
 let prop_matches_reference_model =
   QCheck.Test.make ~name:"matches assoc-list LRU reference over 10k random ops"
     ~count:5
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let rng = Rng.create ~seed in
-      let capacity = 8 in
-      let evicted = ref [] and expect_evicted = ref [] in
-      let clock = Cycles.create () in
-      let t = Iotlb.create ~capacity ~clock ~cost:Cost_model.default () in
-      let model = ref [] in
-      let mhits = ref 0 and mmisses = ref 0 in
-      let model_lookup key =
-        match List.assoc_opt key !model with
-        | Some v ->
-            incr mhits;
-            model := (key, v) :: List.remove_assoc key !model;
-            Some v
-        | None ->
-            incr mmisses;
-            None
-      in
-      let model_insert key v =
-        if List.mem_assoc key !model then
-          model := (key, v) :: List.remove_assoc key !model
-        else begin
-          if List.length !model = capacity then begin
-            let victim, _ = List.nth !model (capacity - 1) in
-            expect_evicted := fst victim :: !expect_evicted;
-            model := List.filteri (fun i _ -> i < capacity - 1) !model
-          end;
-          model := (key, v) :: !model
-        end
-      in
-      for step = 1 to 10_000 do
-        let bdf = Rng.int rng 3 and vpn = Rng.int rng 24 in
-        let key = (bdf, vpn) in
-        match Rng.int rng 100 with
-        | op when op < 35 ->
-            model_insert key step;
-            let victim = Iotlb.insert t ~bdf ~vpn step in
-            if victim >= 0 then evicted := victim :: !evicted
-        | op when op < 70 ->
-            let expected = model_lookup key in
-            if lookup t ~bdf ~vpn <> expected then
-              failwith "lookup mismatch"
-        | op when op < 80 -> (
-            let expected = model_lookup key in
-            match Iotlb.find t ~bdf ~vpn ~absent:(-1) with
-            | -1 -> if expected <> None then failwith "find missed a hit"
-            | v -> if expected <> Some v then failwith "find mismatch")
-        | op when op < 88 ->
-            model := List.remove_assoc key !model;
-            Iotlb.invalidate t ~bdf ~vpn
-        | op when op < 95 ->
-            let present = List.mem_assoc key !model in
-            model := List.remove_assoc key !model;
-            if Iotlb.drop t ~bdf ~vpn <> present then failwith "drop mismatch"
-        | _ ->
-            if Iotlb.occupancy t <> List.length !model then
-              failwith "occupancy mismatch";
-            let order = ref [] in
-            Iotlb.iter t (fun ~bdf ~vpn _ -> order := (bdf, vpn) :: !order);
-            if List.rev !order <> List.map fst !model then
-              failwith "iter order mismatch"
-      done;
-      Iotlb.hits t = !mhits
-      && Iotlb.misses t = !mmisses
-      && Iotlb.evictions t = List.length !expect_evicted
-      && !evicted = !expect_evicted)
+      List.for_all
+        (fun capacity ->
+          let rng = Rng.create ~seed in
+          let evicted = ref [] and expect_evicted = ref [] in
+          let clock = Cycles.create () in
+          let t = Iotlb.create ~capacity ~clock ~cost:Cost_model.default () in
+          let model = ref [] in
+          let mhits = ref 0 and mmisses = ref 0 in
+          let model_lookup key =
+            match List.assoc_opt key !model with
+            | Some v ->
+                incr mhits;
+                model := (key, v) :: List.remove_assoc key !model;
+                Some v
+            | None ->
+                incr mmisses;
+                None
+          in
+          let model_insert key v =
+            if List.mem_assoc key !model then
+              model := (key, v) :: List.remove_assoc key !model
+            else begin
+              if List.length !model = capacity then begin
+                let victim, _ = List.nth !model (capacity - 1) in
+                expect_evicted := fst victim :: !expect_evicted;
+                model := List.filteri (fun i _ -> i < capacity - 1) !model
+              end;
+              model := (key, v) :: !model
+            end
+          in
+          for step = 1 to 10_000 do
+            let bdf = Rng.int rng 3 and vpn = Rng.int rng 24 in
+            let key = (bdf, vpn) in
+            match Rng.int rng 100 with
+            | op when op < 35 ->
+                model_insert key step;
+                let victim = Iotlb.insert t ~bdf ~vpn step in
+                if victim >= 0 then evicted := victim :: !evicted
+            | op when op < 70 ->
+                let expected = model_lookup key in
+                if lookup t ~bdf ~vpn <> expected then
+                  failwith "lookup mismatch"
+            | op when op < 80 -> (
+                let expected = model_lookup key in
+                match Iotlb.find t ~bdf ~vpn ~absent:(-1) with
+                | -1 -> if expected <> None then failwith "find missed a hit"
+                | v -> if expected <> Some v then failwith "find mismatch")
+            | op when op < 88 ->
+                model := List.remove_assoc key !model;
+                Iotlb.invalidate t ~bdf ~vpn
+            | op when op < 95 ->
+                let present = List.mem_assoc key !model in
+                model := List.remove_assoc key !model;
+                if Iotlb.drop t ~bdf ~vpn <> present then failwith "drop mismatch"
+            | _ ->
+                if Iotlb.occupancy t <> List.length !model then
+                  failwith "occupancy mismatch";
+                let order = ref [] in
+                Iotlb.iter t (fun ~bdf ~vpn _ -> order := (bdf, vpn) :: !order);
+                if List.rev !order <> List.map fst !model then
+                  failwith "iter order mismatch"
+          done;
+          Iotlb.hits t = !mhits
+          && Iotlb.misses t = !mmisses
+          && Iotlb.evictions t = List.length !expect_evicted
+          && !evicted = !expect_evicted)
+        [ 1; 3; 8 ])
 
 let prop_capacity_never_exceeded =
   QCheck.Test.make ~name:"occupancy never exceeds capacity" ~count:100

@@ -121,6 +121,78 @@ let prop_merge_is_union =
            (fun q -> Histogram.quantile ha q = Histogram.quantile hu q)
            quantiles)
 
+(* [record2 a b v] against [record a v; record b v] on twin histograms.
+   Values include negatives and values above the small geometry's
+   max_value, some go to the second histogram only (as a tenant's
+   histogram also holds other op kinds), and interval windows are cut
+   at random points. Runs with the two histograms sharing a geometry
+   (one bucket computation) and not (the per-histogram fallback). *)
+let prop_record2_is_two_records =
+  let value_gen =
+    QCheck.Gen.(
+      oneof
+        [
+          int_range (-1_000) (-1);
+          int_bound 63;
+          int_bound 5_000;
+          int_range 5_001 100_000;
+          int_bound (1 lsl 41);
+        ])
+  in
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun v -> `Both v) value_gen);
+          (2, map (fun v -> `Second v) value_gen);
+          (1, return `Window);
+        ])
+  in
+  let print (same, ops) =
+    Printf.sprintf "same_geometry=%b [%s]" same
+      (String.concat "; "
+         (List.map
+            (function
+              | `Both v -> Printf.sprintf "both %d" v
+              | `Second v -> Printf.sprintf "second %d" v
+              | `Window -> "window")
+            ops))
+  in
+  QCheck.Test.make ~count:300 ~name:"record2 = record into each"
+    (QCheck.make ~print
+       QCheck.Gen.(pair bool (list_size (int_range 1 200) op_gen)))
+    (fun (same, ops) ->
+      let small () = Histogram.create ~sub_bits:3 ~max_value:5_000 () in
+      let second () = if same then small () else Histogram.create () in
+      let a = small () and b = second () in
+      let ra = small () and rb = second () in
+      let twins h r =
+        Histogram.equal h r
+        && Histogram.max_recorded h = Histogram.max_recorded r
+      in
+      let window_twins h r mk =
+        let wh = mk () and wr = mk () in
+        Histogram.interval_into h ~into:wh;
+        Histogram.interval_into r ~into:wr;
+        twins wh wr
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Both v ->
+              Histogram.record2 a b v;
+              Histogram.record ra v;
+              Histogram.record rb v;
+              true
+          | `Second v ->
+              Histogram.record b v;
+              Histogram.record rb v;
+              true
+          | `Window -> window_twins a ra small && window_twins b rb second)
+          && twins a ra && twins b rb)
+        ops
+      && window_twins a ra small && window_twins b rb second)
+
 let test_histogram_edges () =
   let h = Histogram.create ~sub_bits:5 ~max_value:1000 () in
   Alcotest.(check int) "empty quantile" 0 (Histogram.quantile h 0.5);
@@ -442,6 +514,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_quantile_bound;
           QCheck_alcotest.to_alcotest prop_merge_is_union;
           QCheck_alcotest.to_alcotest prop_bucket_of_matches_reference;
+          QCheck_alcotest.to_alcotest prop_record2_is_two_records;
           Alcotest.test_case "edges" `Quick test_histogram_edges;
         ] );
       ( "manager-sg",
