@@ -13,6 +13,14 @@ type policy = Immediate | Deferred of { batch : int }
 
 exception Exhausted
 exception Not_mapped
+exception Translation_fault
+
+type fault = No_translation | Not_permitted | Unknown_device
+
+let pp_fault fmt = function
+  | No_translation -> Format.pp_print_string fmt "no translation"
+  | Not_permitted -> Format.pp_print_string fmt "direction not permitted"
+  | Unknown_device -> Format.pp_print_string fmt "unknown device"
 
 type t = {
   table : Arena.t;
@@ -26,6 +34,9 @@ type t = {
   queue : Rbtree.node Queue.t;
   bm : Breakdown.t;  (* map breakdown *)
   bu : Breakdown.t;  (* unmap breakdown *)
+  mutable faults : int;
+  (* class of the last fault [translate_exn] raised, for [translate] *)
+  mutable fault_class : fault;
 }
 
 and target =
@@ -39,10 +50,10 @@ type sg_flush = Per_iova | Once
 
 let group shared = { shared; members = [] }
 
-let create ?rcache ~domain ~allocator ~target ~rid ~policy ~clock ~cost () =
+let create ?rcache ~table ~allocator ~target ~rid ~policy ~clock ~cost () =
   let t =
     {
-      table = domain.Rio_iommu.Context.Domain.table;
+      table;
       allocator;
       rcache;
       target;
@@ -53,6 +64,8 @@ let create ?rcache ~domain ~allocator ~target ~rid ~policy ~clock ~cost () =
       queue = Queue.create ();
       bm = Breakdown.create ~clock;
       bu = Breakdown.create ~clock;
+      faults = 0;
+      fault_class = No_translation;
     }
   in
   (match target with Global (g, _) -> g.members <- t :: g.members | _ -> ());
@@ -296,3 +309,45 @@ let map_breakdown t = t.bm
 let unmap_breakdown t = t.bu
 let live_mappings t = Arena.mapped_count t.table
 let rcache t = t.rcache
+
+(* {2 Translation (the hardware side, Figure 5)} *)
+
+let fault t cls =
+  t.faults <- t.faults + 1;
+  t.fault_class <- cls;
+  raise Translation_fault
+
+(* The one translate body: IOTLB lookup at the target, walk and fill on
+   a miss, permission check. Allocation-free hit or miss: the phys
+   result is an immediate and every fault class raises the constant
+   [Translation_fault], after bumping the counter and noting the class
+   for [translate]. *)
+let[@inline] translate_exn t ~iova ~write =
+  let vpn = iova lsr Addr.page_shift in
+  let pte =
+    match t.target with
+    | Own iotlb -> Iotlb.find iotlb ~bdf:t.rid ~vpn ~absent:Pte.packed_none
+    | Domain (shared, id) | Global ({ shared; _ }, id) ->
+        Shared_iotlb.find shared ~domain:id ~bdf:t.rid ~vpn
+  in
+  let pte =
+    if pte >= 0 then pte
+    else begin
+      let pte = Arena.walk t.table ~iova:(vpn lsl Addr.page_shift) in
+      if pte < 0 then fault t No_translation;
+      (match t.target with
+      | Own iotlb -> ignore (Iotlb.insert iotlb ~bdf:t.rid ~vpn pte : int)
+      | Domain (shared, id) | Global ({ shared; _ }, id) ->
+          Shared_iotlb.insert shared ~domain:id ~bdf:t.rid ~vpn pte);
+      pte
+    end
+  in
+  if not (Pte.packed_permits pte ~write) then fault t Not_permitted;
+  Addr.add (Pte.packed_frame pte) (iova land (Addr.page_size - 1))
+
+let translate t ~iova ~write =
+  match translate_exn t ~iova ~write with
+  | phys -> Ok phys
+  | exception Translation_fault -> Error t.fault_class
+
+let faults t = t.faults

@@ -1,15 +1,15 @@
 (** Multi-tenant domain manager: N devices/tenants over one IOMMU.
 
     The manager keeps tenancy only: the request-id table, attach and
-    detach, the shared-IOTLB policy and the per-DMA {!translate_exn}.
-    Each tenant gets its own protection domain — a private IOVA
-    allocator and page-table hierarchy reached through its device's
-    context entry ({!Rio_iommu.Bdf} / {!Rio_iommu.Context}) — and its
-    own {!Driver}, the same map/unmap engine the paper experiments
-    run, so a tenant's per-op cycles are Table 1's by construction.
-    All tenants contend on one {!Shared_iotlb}. The OS side of the
-    paper's Figure 2 is {!Driver} on {!driver}; the hardware side is
-    {!translate}.
+    detach, and the shared-IOTLB policy. Each tenant gets its own
+    protection domain — a private IOVA allocator and page-table
+    hierarchy reached through its device's request id
+    ({!Rio_iommu.Bdf}) — and its own {!Driver}, the same map, unmap and
+    translate engine the paper experiments run, so a tenant's per-op
+    cycles are Table 1's by construction. All tenants contend on one
+    {!Shared_iotlb}. The OS side of the paper's Figure 2 is {!Driver}
+    on {!driver}; the hardware side is {!translate}: the rid lookup,
+    then the tenant's {!Driver.translate_exn}.
 
     Invalidation scoping decides the blast radius of a deferred-mode
     batched flush: [Global] is what Linux does (one global flush every
@@ -78,26 +78,30 @@ val translate :
   rid:int ->
   iova:int ->
   write:bool ->
-  (Rio_memory.Addr.phys, Rio_iommu.Hw.fault) result
-(** One DMA: {!translate_exn} with its fault class as a result. A
-    tenant's rid can only reach its own page table — domain A
-    translating domain B's IOVA faults with [No_translation] and is
-    recorded against A. *)
+  (Rio_memory.Addr.phys, Driver.fault) result
+(** One DMA: {!translate_exn} with its fault class as a result
+    ([Unknown_device] for a rid with no tenant). A tenant's rid can
+    only reach its own page table — domain A translating domain B's
+    IOVA faults with [No_translation] and is recorded against A. *)
 
 exception Translation_fault
-(** Constant exception raised by {!translate_exn} for every fault
-    class (the specific class is recorded in the counters:
-    {!faults} / {!unknown_rid_faults}). *)
+(** {!Driver.Translation_fault} under the name the service catches: the
+    constant exception {!translate_exn} raises for every fault class
+    (the specific class is recorded in the counters: {!faults} /
+    {!unknown_rid_faults}). *)
 
 val translate_exn : t -> rid:int -> iova:int -> write:bool -> Rio_memory.Addr.phys
-(** One DMA, the service's per-DMA hot path: context lookup by request
-    id, shared-IOTLB lookup (charged and attributed), table walk and
-    fill on a miss, permission check. Allocation-free on hits and
-    misses alike: the phys result is returned unboxed and faults raise
-    the constant {!Translation_fault}. *)
+(** One DMA, the service's per-DMA hot path: the tenant lookup by
+    request id (an unknown rid counts in {!unknown_rid_faults} and
+    raises), then the tenant's {!Driver.translate_exn}: shared-IOTLB
+    lookup (charged and attributed), table walk and fill on a miss,
+    permission check. Allocation-free on hits and misses alike: the
+    phys result is returned unboxed and faults raise the constant
+    {!Translation_fault}. *)
 
 val faults : t -> domain -> int
-(** I/O page faults raised by this tenant's device. *)
+(** I/O page faults raised by this tenant's device
+    ({!Driver.faults} of its driver). *)
 
 val unknown_rid_faults : t -> int
 (** DMAs from request ids with no context entry. *)

@@ -6,8 +6,6 @@ module Cost_model = Rio_sim.Cost_model
 module Arena = Rio_pagetable.Arena
 module Iotlb = Rio_iotlb.Iotlb
 module Allocator = Rio_iova.Allocator
-module I_context = Rio_iommu.Context
-module I_hw = Rio_iommu.Hw
 module I_driver = Rio_domain.Driver
 module Rpte = Rio_core.Rpte
 module Riova = Rio_core.Riova
@@ -48,7 +46,7 @@ type handle =
 type backend =
   | B_plain of { sw_iotlb : bool Iotlb.t option }
       (** none / HWpt (no iotlb) / SWpt (identity iotlb) *)
-  | B_base of { driver : I_driver.t; hw : I_hw.t }
+  | B_base of { driver : I_driver.t }
   | B_rio of { driver : R_driver.t; hw : R_hw.t; device : Rdevice.t }
 
 type t = {
@@ -82,11 +80,7 @@ let create ?(cost = Cost_model.default) config =
           Coherency.create ~coherent:(Mode.coherent_walk config.mode) ~cost ~clock
         in
         let table = Arena.create ~frames ~coherency ~clock ~cost in
-        let domain = I_context.Domain.make ~id:1 ~table in
-        let context = I_context.create () in
-        I_context.attach context (Rio_iommu.Bdf.of_rid config.rid) domain;
         let iotlb = Iotlb.create ~capacity:config.iotlb_capacity ~clock ~cost () in
-        let hw = I_hw.create ~context ~iotlb ~clock ~cost in
         let kind =
           if Mode.uses_fast_allocator config.mode then Allocator.Fast
           else Allocator.Linux
@@ -105,10 +99,10 @@ let create ?(cost = Cost_model.default) config =
           else I_driver.Immediate
         in
         let driver =
-          I_driver.create ?rcache ~domain ~allocator ~target:(I_driver.Own iotlb)
+          I_driver.create ?rcache ~table ~allocator ~target:(I_driver.Own iotlb)
             ~rid:config.rid ~policy ~clock ~cost ()
         in
-        B_base { driver; hw }
+        B_base { driver }
     | Mode.Riommu_minus | Mode.Riommu ->
         let coherency =
           Coherency.create ~coherent:(Mode.coherent_walk config.mode) ~cost ~clock
@@ -169,7 +163,7 @@ let dir_write = function
    baseline's live and driver-cycle accounting exists here only. *)
 let map_exn t ~phys ~bytes ~dir =
   match t.backend with
-  | B_base { driver; _ } -> (
+  | B_base { driver } -> (
       let start = Cycles.now t.clock in
       match
         I_driver.map_exn driver ~phys ~bytes ~read:(dir_read dir)
@@ -187,7 +181,7 @@ let map_exn t ~phys ~bytes ~dir =
 
 let unmap_exn t ~iova =
   match t.backend with
-  | B_base { driver; _ } -> (
+  | B_base { driver } -> (
       let start = Cycles.now t.clock in
       match I_driver.unmap_exn driver ~iova with
       | () ->
@@ -282,7 +276,7 @@ let unmap_sg t handles ~end_of_burst =
 let flush t =
   let start = Cycles.now t.clock in
   (match t.backend with
-  | B_base { driver; _ } -> I_driver.flush driver
+  | B_base { driver } -> I_driver.flush driver
   | B_rio { hw; device; _ } ->
       (* quiesce: drop every ring's rIOTLB entry (device reinit, §2.2) *)
       for ring = 0 to Rdevice.ring_count device - 1 do
@@ -310,12 +304,12 @@ let translate t ~addr:target ~offset ~write =
             ignore (Iotlb.insert iotlb ~bdf:t.rid ~vpn true : int)
           end;
           Ok phys)
-  | B_base { hw; _ } -> (
+  | B_base { driver } -> (
       match
-        I_hw.translate hw ~rid:t.rid ~iova:(Int64.to_int target + offset) ~write
+        I_driver.translate driver ~iova:(Int64.to_int target + offset) ~write
       with
       | Ok phys -> Ok phys
-      | Error f -> Error (Format.asprintf "%a" I_hw.pp_fault f))
+      | Error f -> Error (Format.asprintf "%a" I_driver.pp_fault f))
   | B_rio { hw; _ } -> (
       let iova = Riova.decode target in
       let iova = Riova.with_offset iova (iova.Riova.offset + offset) in
@@ -330,42 +324,43 @@ let translate t ~addr:target ~offset ~write =
         (Op_log.Access { addr = target; offset; write; ok = Result.is_ok result }));
   result
 
-(* Zero-alloc device-side twin of [translate] for the baseline-IOMMU
+(* Zero-alloc device-side form of [translate] for the baseline-IOMMU
    modes: raw IOVA in, phys out, no result/error boxing, no op-log
-   record. Faults raise the hardware layer's constant exception. *)
+   record. The driver's one translate body; faults raise its constant
+   exception. *)
 let translate_exn t ~iova ~write =
   match t.backend with
-  | B_base { hw; _ } -> I_hw.translate_exn hw ~rid:t.rid ~iova ~write
+  | B_base { driver } -> I_driver.translate_exn driver ~iova ~write
   | B_plain _ | B_rio _ ->
       invalid_arg "Dma_api.translate_exn: baseline-IOMMU modes only"
 
 let map_breakdown t =
   match t.backend with
   | B_plain _ -> None
-  | B_base { driver; _ } -> Some (I_driver.map_breakdown driver)
+  | B_base { driver } -> Some (I_driver.map_breakdown driver)
   | B_rio { driver; _ } -> Some (R_driver.map_breakdown driver)
 
 let unmap_breakdown t =
   match t.backend with
   | B_plain _ -> None
-  | B_base { driver; _ } -> Some (I_driver.unmap_breakdown driver)
+  | B_base { driver } -> Some (I_driver.unmap_breakdown driver)
   | B_rio { driver; _ } -> Some (R_driver.unmap_breakdown driver)
 
 let faults t =
   match t.backend with
   | B_plain _ -> 0
-  | B_base { hw; _ } -> I_hw.faults hw
+  | B_base { driver } -> I_driver.faults driver
   | B_rio { hw; _ } -> R_hw.faults hw
 
 let live_mappings t = t.live
 
 let pending_invalidations t =
   match t.backend with
-  | B_base { driver; _ } -> I_driver.pending driver
+  | B_base { driver } -> I_driver.pending driver
   | B_plain _ | B_rio _ -> 0
 
 let rcache_stats t =
   match t.backend with
-  | B_base { driver; _ } ->
+  | B_base { driver } ->
       Option.map Rio_iova.Magazine.stats (I_driver.rcache driver)
   | B_plain _ | B_rio _ -> None

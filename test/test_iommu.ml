@@ -1,7 +1,8 @@
-(* Unit and integration tests for the baseline IOMMU (rio_iommu):
-   bdf/context plumbing, the hardware translate path, and the OS driver
-   in its four protection modes - including the deferred-mode
-   vulnerability window and the page-granularity leakage of Section 4. *)
+(* Unit and integration tests for the baseline IOMMU: bdf and rid-table
+   plumbing (rio_iommu), and the driver (Rio_domain.Driver) on both
+   sides - the hardware translate path, and map/unmap in its four
+   protection modes, including the deferred-mode vulnerability window
+   and the page-granularity leakage of Section 4. *)
 
 module Addr = Rio_memory.Addr
 module Coherency = Rio_memory.Coherency
@@ -14,9 +15,7 @@ module Arena = Rio_pagetable.Arena
 module Iotlb = Rio_iotlb.Iotlb
 module Allocator = Rio_iova.Allocator
 module Bdf = Rio_iommu.Bdf
-module Context = Rio_iommu.Context
 module Rid_table = Rio_iommu.Rid_table
-module Hw = Rio_iommu.Hw
 module Driver = Rio_domain.Driver
 
 let test_bdf_roundtrip () =
@@ -35,9 +34,7 @@ let test_bdf_bounds () =
 type rig = {
   clock : Cycles.t;
   frames : Frame_allocator.t;
-  hw : Hw.t;
   driver : Driver.t;
-  rid : int;
 }
 
 let make_rig ?(alloc_kind = Allocator.Linux) ?(policy = Driver.Immediate)
@@ -47,16 +44,11 @@ let make_rig ?(alloc_kind = Allocator.Linux) ?(policy = Driver.Immediate)
   let frames = Frame_allocator.create ~total_frames:200_000 in
   let coherency = Coherency.create ~coherent:false ~cost ~clock in
   let table = Arena.create ~frames ~coherency ~clock ~cost in
-  let domain = Context.Domain.make ~id:1 ~table in
-  let context = Context.create () in
-  let bdf = Bdf.make ~bus:3 ~device:0 ~func:0 in
-  Context.attach context bdf domain;
   let iotlb = Iotlb.create ~capacity:iotlb_capacity ~clock ~cost () in
-  let hw = Hw.create ~context ~iotlb ~clock ~cost in
   let allocator = Allocator.create ~kind:alloc_kind ~limit_pfn:0xFFFFF ~clock ~cost in
-  let rid = Bdf.to_rid bdf in
-  let driver = Driver.create ~domain ~allocator ~target:(Driver.Own iotlb) ~rid ~policy ~clock ~cost () in
-  { clock; frames; hw; driver; rid }
+  let rid = Bdf.to_rid (Bdf.make ~bus:3 ~device:0 ~func:0) in
+  let driver = Driver.create ~table ~allocator ~target:(Driver.Own iotlb) ~rid ~policy ~clock ~cost () in
+  { clock; frames; driver }
 
 let phys_check = Alcotest.testable Addr.pp Addr.equal
 
@@ -66,18 +58,18 @@ let test_map_translate_unmap () =
   let iova =
     Result.get_ok (Driver.map r.driver ~phys:buf ~bytes:1500 ~read:true ~write:true)
   in
-  (match Hw.translate r.hw ~rid:r.rid ~iova ~write:true with
+  (match Driver.translate r.driver ~iova ~write:true with
   | Ok p -> Alcotest.check phys_check "translates to buffer" buf p
-  | Error f -> Alcotest.failf "unexpected fault: %a" Hw.pp_fault f);
+  | Error f -> Alcotest.failf "unexpected fault: %a" Driver.pp_fault f);
   (* offsets within the buffer follow the page offset *)
-  (match Hw.translate r.hw ~rid:r.rid ~iova:(iova + 100) ~write:true with
+  (match Driver.translate r.driver ~iova:(iova + 100) ~write:true with
   | Ok p -> Alcotest.check phys_check "offset preserved" (Addr.add buf 100) p
-  | Error f -> Alcotest.failf "unexpected fault: %a" Hw.pp_fault f);
+  | Error f -> Alcotest.failf "unexpected fault: %a" Driver.pp_fault f);
   Alcotest.(check bool) "unmap ok" true (Driver.unmap r.driver ~iova = Ok ());
-  (match Hw.translate r.hw ~rid:r.rid ~iova ~write:true with
-  | Error Hw.No_translation -> ()
+  (match Driver.translate r.driver ~iova ~write:true with
+  | Error Driver.No_translation -> ()
   | Ok _ -> Alcotest.fail "strict mode must fault after unmap"
-  | Error f -> Alcotest.failf "wrong fault: %a" Hw.pp_fault f)
+  | Error f -> Alcotest.failf "wrong fault: %a" Driver.pp_fault f)
 
 let test_unaligned_buffer_keeps_offset () =
   let r = make_rig () in
@@ -87,9 +79,9 @@ let test_unaligned_buffer_keeps_offset () =
     Result.get_ok (Driver.map r.driver ~phys:buf ~bytes:64 ~read:true ~write:false)
   in
   Alcotest.(check int) "iova keeps page offset" 0x123 (iova land (Addr.page_size - 1));
-  match Hw.translate r.hw ~rid:r.rid ~iova ~write:false with
+  match Driver.translate r.driver ~iova ~write:false with
   | Ok p -> Alcotest.check phys_check "maps to unaligned base" buf p
-  | Error f -> Alcotest.failf "unexpected fault: %a" Hw.pp_fault f
+  | Error f -> Alcotest.failf "unexpected fault: %a" Driver.pp_fault f
 
 let test_multi_page_map () =
   let r = make_rig () in
@@ -100,16 +92,16 @@ let test_multi_page_map () =
          ~read:true ~write:true)
   in
   (* last byte of the third page translates correctly *)
-  (match Hw.translate r.hw ~rid:r.rid ~iova:(iova + 8999) ~write:true with
+  (match Driver.translate r.driver ~iova:(iova + 8999) ~write:true with
   | Ok p ->
       Alcotest.check phys_check "third page"
         (Addr.add buf.Rio_memory.Dma_buffer.base 8999)
         p
-  | Error f -> Alcotest.failf "unexpected fault: %a" Hw.pp_fault f);
+  | Error f -> Alcotest.failf "unexpected fault: %a" Driver.pp_fault f);
   Alcotest.(check bool) "unmap whole range" true (Driver.unmap r.driver ~iova = Ok ());
   Alcotest.(check bool) "all pages gone" true
-    (Hw.translate r.hw ~rid:r.rid ~iova:(iova + 8192) ~write:true
-    = Error Hw.No_translation)
+    (Driver.translate r.driver ~iova:(iova + 8192) ~write:true
+    = Error Driver.No_translation)
 
 let test_direction_enforcement () =
   let r = make_rig () in
@@ -118,16 +110,16 @@ let test_direction_enforcement () =
     Result.get_ok (Driver.map r.driver ~phys:buf ~bytes:512 ~read:true ~write:false)
   in
   Alcotest.(check bool) "read allowed" true
-    (Result.is_ok (Hw.translate r.hw ~rid:r.rid ~iova ~write:false));
+    (Result.is_ok (Driver.translate r.driver ~iova ~write:false));
   Alcotest.(check bool) "write denied" true
-    (Hw.translate r.hw ~rid:r.rid ~iova ~write:true = Error Hw.Not_permitted)
+    (Driver.translate r.driver ~iova ~write:true = Error Driver.Not_permitted)
 
-let test_unknown_device_faults () =
+let test_fault_counted () =
   let r = make_rig () in
-  Alcotest.(check bool) "unknown rid" true
-    (Hw.translate r.hw ~rid:0xBEEF ~iova:0x1000 ~write:false
-    = Error Hw.Unknown_device);
-  Alcotest.(check int) "fault counted" 1 (Hw.faults r.hw)
+  Alcotest.(check bool) "nothing mapped" true
+    (Driver.translate r.driver ~iova:0x1000 ~write:false
+    = Error Driver.No_translation);
+  Alcotest.(check int) "fault counted" 1 (Driver.faults r.driver)
 
 let test_iotlb_caching_on_translate () =
   let r = make_rig () in
@@ -137,10 +129,10 @@ let test_iotlb_caching_on_translate () =
   in
   let walk_cost = 4 * Cost_model.default.Cost_model.io_walk_ref in
   let _, first = Cycles.measure r.clock (fun () ->
-      ignore (Hw.translate r.hw ~rid:r.rid ~iova ~write:true))
+      ignore (Driver.translate r.driver ~iova ~write:true))
   in
   let _, second = Cycles.measure r.clock (fun () ->
-      ignore (Hw.translate r.hw ~rid:r.rid ~iova ~write:true))
+      ignore (Driver.translate r.driver ~iova ~write:true))
   in
   Alcotest.(check bool) "first translate pays the walk" true (first >= walk_cost);
   Alcotest.(check bool) "second is an IOTLB hit" true (second < walk_cost / 4)
@@ -170,12 +162,12 @@ let test_deferred_vulnerability_window () =
   in
   (* device touches the buffer: IOTLB now caches the translation *)
   Alcotest.(check bool) "initial access ok" true
-    (Result.is_ok (Hw.translate r.hw ~rid:r.rid ~iova ~write:true));
+    (Result.is_ok (Driver.translate r.driver ~iova ~write:true));
   Alcotest.(check bool) "unmap ok" true (Driver.unmap r.driver ~iova = Ok ());
   Alcotest.(check int) "invalidation pending" 1 (Driver.pending r.driver);
-  (match Hw.translate r.hw ~rid:r.rid ~iova ~write:true with
+  (match Driver.translate r.driver ~iova ~write:true with
   | Ok p -> Alcotest.check phys_check "STALE ACCESS SUCCEEDS (the window)" buf p
-  | Error f -> Alcotest.failf "window should be open: %a" Hw.pp_fault f);
+  | Error f -> Alcotest.failf "window should be open: %a" Driver.pp_fault f);
   (* 249 more unmaps trigger the batched flush *)
   for _ = 1 to 249 do
     let b = Frame_allocator.alloc_exn r.frames in
@@ -184,7 +176,7 @@ let test_deferred_vulnerability_window () =
   done;
   Alcotest.(check int) "queue drained" 0 (Driver.pending r.driver);
   Alcotest.(check bool) "window closed after flush" true
-    (Hw.translate r.hw ~rid:r.rid ~iova ~write:true = Error Hw.No_translation)
+    (Driver.translate r.driver ~iova ~write:true = Error Driver.No_translation)
 
 let test_deferred_defers_iova_reuse () =
   (* The freed IOVA must not be handed out again while the stale IOTLB
@@ -208,12 +200,12 @@ let test_explicit_flush () =
   let iova =
     Result.get_ok (Driver.map r.driver ~phys:buf ~bytes:100 ~read:true ~write:true)
   in
-  ignore (Hw.translate r.hw ~rid:r.rid ~iova ~write:true);
+  ignore (Driver.translate r.driver ~iova ~write:true);
   ignore (Driver.unmap r.driver ~iova);
   Driver.flush r.driver;
   Alcotest.(check int) "queue empty" 0 (Driver.pending r.driver);
   Alcotest.(check bool) "window closed" true
-    (Hw.translate r.hw ~rid:r.rid ~iova ~write:true = Error Hw.No_translation)
+    (Driver.translate r.driver ~iova ~write:true = Error Driver.No_translation)
 
 (* Section 4: page-granularity protection leaks between buffers sharing a
    page. Buffer A is unmapped, but because buffer B still maps the same
@@ -239,16 +231,16 @@ let test_same_page_leakage () =
       Alcotest.(check bool) "A unmapped" true (Driver.unmap r.driver ~iova:iova_a = Ok ());
       (* A's own IOVA faults... *)
       Alcotest.(check bool) "A's iova faults" true
-        (Hw.translate r.hw ~rid:r.rid ~iova:iova_a ~write:true
-        = Error Hw.No_translation);
+        (Driver.translate r.driver ~iova:iova_a ~write:true
+        = Error Driver.No_translation);
       (* ...but B's IOVA page still maps the whole frame, so the device
          reaches A's first byte at B's page + A's page offset (0). *)
       let b_page = _iova_b land lnot (Addr.page_size - 1) in
-      (match Hw.translate r.hw ~rid:r.rid ~iova:b_page ~write:true with
+      (match Driver.translate r.driver ~iova:b_page ~write:true with
       | Ok p ->
           Alcotest.check phys_check "leaks into A's bytes"
             a.Rio_memory.Dma_buffer.base p
-      | Error f -> Alcotest.failf "expected page-granular leak: %a" Hw.pp_fault f)
+      | Error f -> Alcotest.failf "expected page-granular leak: %a" Driver.pp_fault f)
   | _ -> Alcotest.fail "expected two buffers"
 
 let test_breakdown_components_populated () =
@@ -280,15 +272,12 @@ let test_exhaustion_error () =
   let frames = Frame_allocator.create ~total_frames:100_000 in
   let coherency = Coherency.create ~coherent:false ~cost ~clock in
   let table = Arena.create ~frames ~coherency ~clock ~cost in
-  let domain = Context.Domain.make ~id:1 ~table in
-  let context = Context.create () in
   let bdf = Bdf.make ~bus:0 ~device:1 ~func:0 in
-  Context.attach context bdf domain;
   let iotlb = Iotlb.create ~capacity:16 ~clock ~cost () in
   (* tiny IOVA space: 4 pages *)
   let allocator = Allocator.create ~kind:Allocator.Linux ~limit_pfn:3 ~clock ~cost in
   let driver =
-    Driver.create ~domain ~allocator ~target:(Driver.Own iotlb) ~rid:(Bdf.to_rid bdf)
+    Driver.create ~table ~allocator ~target:(Driver.Own iotlb) ~rid:(Bdf.to_rid bdf)
       ~policy:Driver.Immediate ~clock ~cost ()
   in
   let buf = Frame_allocator.alloc_exn frames in
@@ -334,7 +323,7 @@ let prop_map_unmap_balanced =
         ops;
       (* check via hardware: every live iova translates, count matches *)
       List.for_all
-        (fun iova -> Result.is_ok (Hw.translate r.hw ~rid:r.rid ~iova ~write:true))
+        (fun iova -> Result.is_ok (Driver.translate r.driver ~iova ~write:true))
         !live)
 
 (* Rid_table against Hashtbl over random replace/remove/find: keys are
@@ -390,7 +379,7 @@ let () =
           Alcotest.test_case "unaligned buffers" `Quick test_unaligned_buffer_keeps_offset;
           Alcotest.test_case "multi-page buffers" `Quick test_multi_page_map;
           Alcotest.test_case "direction enforcement" `Quick test_direction_enforcement;
-          Alcotest.test_case "unknown device" `Quick test_unknown_device_faults;
+          Alcotest.test_case "fault counted" `Quick test_fault_counted;
           Alcotest.test_case "IOTLB caching" `Quick test_iotlb_caching_on_translate;
         ] );
       ( "driver_modes",

@@ -10,7 +10,6 @@ module Frame_allocator = Rio_memory.Frame_allocator
 module Cycles = Rio_sim.Cycles
 module Cost_model = Rio_sim.Cost_model
 module Bdf = Rio_iommu.Bdf
-module Hw = Rio_iommu.Hw
 module Shared_iotlb = Rio_domain.Shared_iotlb
 module Manager = Rio_domain.Manager
 module Driver = Rio_domain.Driver
