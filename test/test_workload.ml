@@ -176,27 +176,11 @@ let test_brcm_1m_line_limited () =
   Alcotest.(check bool) "line limited" true r.Server_model.line_limited;
   Alcotest.(check bool) "cpu < 1" true (r.Server_model.cpu < 1.0)
 
-(* {1 Packet payloads} *)
-
-let test_packet_roundtrip () =
-  let p = Rio_workload.Packet.make ~tag:42 ~len:1500 in
-  Alcotest.(check bool) "verifies" true (Rio_workload.Packet.verify ~tag:42 p = Ok ());
-  Alcotest.(check (option int)) "tag recovered" (Some 42)
-    (Rio_workload.Packet.tag_of p);
-  Bytes.set p 700 'X';
-  Alcotest.(check bool) "corruption detected" true
-    (Result.is_error (Rio_workload.Packet.verify ~tag:42 p))
-
-let test_packet_detects_mixups () =
-  let a = Rio_workload.Packet.make ~tag:1 ~len:64 in
-  Alcotest.(check bool) "wrong tag" true
-    (Result.is_error (Rio_workload.Packet.verify ~tag:2 a));
-  Alcotest.(check bool) "truncation" true
-    (Result.is_error (Rio_workload.Packet.verify ~tag:1 (Bytes.sub a 0 32)))
+(* {1 DMA payloads} *)
 
 let test_packet_survives_dma () =
   (* a payload pushed through real translation + physical memory comes
-     back verifiable *)
+     back byte for byte *)
   let api =
     Rio_protect.Dma_api.create
       (Rio_protect.Dma_api.default_config ~mode:Mode.Riommu)
@@ -211,13 +195,12 @@ let test_packet_survives_dma () =
          ~dir:Rio_core.Rpte.Bidirectional)
   in
   let addr = Rio_protect.Dma_api.addr api h in
-  let payload = Rio_workload.Packet.make ~tag:7 ~len:1500 in
+  let payload = Bytes.init 1500 (fun i -> Char.chr ((7 + (31 * i)) land 0xff)) in
   Alcotest.(check bool) "dma write" true
     (Rio_device.Dma.write_to_memory ~api ~mem ~addr ~data:payload = Ok ());
   (match Rio_device.Dma.read_from_memory ~api ~mem ~addr ~len:1500 with
   | Ok back ->
-      Alcotest.(check bool) "verifies after dma" true
-        (Rio_workload.Packet.verify ~tag:7 back = Ok ())
+      Alcotest.(check bool) "same bytes after dma" true (Bytes.equal payload back)
   | Error e -> Alcotest.fail e)
 
 (* {1 Bonnie / SATA} *)
@@ -264,8 +247,6 @@ let () =
         ] );
       ( "packet",
         [
-          Alcotest.test_case "round trip + corruption" `Quick test_packet_roundtrip;
-          Alcotest.test_case "mixups detected" `Quick test_packet_detects_mixups;
           Alcotest.test_case "survives dma" `Quick test_packet_survives_dma;
         ] );
       ( "bonnie",
