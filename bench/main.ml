@@ -336,9 +336,11 @@ let sample ?(ops_per_iter = 1) ~group ~iters f =
   }
 
 (* Steady-state translation through the strict-mode facade's de-boxed
-   [translate_exn]: the working set fits the IOTLB, so every lookup hits
-   the packed-key fast path, and the hit path allocates nothing — no
-   result/handle/int64 boxing anywhere on the chain. *)
+   [translate_exn] — Dma_api.translate_exn → Driver.translate_exn →
+   Iotlb.find on the driver's own IOTLB: the working set fits the IOTLB,
+   so every lookup hits the packed-key fast path, and the hit path
+   allocates nothing — no result/handle/int64 boxing anywhere on the
+   chain. *)
 let json_translate ~iters =
   let api = Dma_api.create (Dma_api.default_config ~mode:Mode.Strict) in
   let frames = Dma_api.frames api in
@@ -473,9 +475,9 @@ let json_event_queue ~iters =
   sample ~group:"event-queue" ~iters f
 
 (* The serve per-DMA path end to end — Shard.translate_record →
-   Manager.translate_exn → Shared_iotlb.find → Iotlb.find plus
-   the Histogram.record of the measured latency — on a warm premapped
-   page: the service's own zero words/op gate. *)
+   Manager.translate_exn → Driver.translate_exn → Shared_iotlb.find →
+   Iotlb.find plus the Histogram.record of the measured latency — on a
+   warm premapped page: the service's own zero words/op gate. *)
 let json_serve_translate ~iters =
   let shard =
     Rio_serve.Shard.create ~id:0 ~tenants:1 ~iotlb_capacity:64

@@ -27,8 +27,10 @@ let body ~shards ~sg_limit =
     iovas = Array.make sg_limit 0;
   }
 
-(* The fault is the constant Manager.Translation_fault (pre-allocated,
-   already counted by the shard), so the whole op is allocation-free. *)
+(* The fault is the constant Manager.Translation_fault — the tenant
+   driver's Driver.Translation_fault, or an unknown rid — pre-allocated
+   and already counted by the time it escapes, so the whole op is
+   allocation-free. *)
 let exec_translate sh ~tenant ~iova ~write ~rsp =
   match Shard.translate_record sh ~tenant ~iova ~write with
   | phys ->
