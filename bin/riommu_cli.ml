@@ -64,7 +64,11 @@ let list_cmd =
 (* run *)
 
 let run_cmd =
-  let doc = "Run experiments by id (or --all)." in
+  let doc =
+    "Run experiments by id (or --all) as one flat cell pool. With --jobs N \
+     every requested experiment's cells are scheduled together across N \
+     domains; output is byte-identical to a sequential run."
+  in
   let ids =
     Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc:"Experiment ids.")
   in
@@ -80,9 +84,7 @@ let run_cmd =
     end
     else begin
       let missing =
-        List.filter
-          (fun id -> Rio_experiments.Registry.find_plan id = None)
-          ids
+        List.filter (fun id -> Rio_experiments.Registry.find id = None) ids
       in
       match missing with
       | _ :: _ ->
@@ -96,9 +98,7 @@ let run_cmd =
           let plans =
             List.map
               (fun id ->
-                let plan =
-                  Option.get (Rio_experiments.Registry.find_plan id)
-                in
+                let plan = Option.get (Rio_experiments.Registry.find id) in
                 (id, plan ~quick ~seed ()))
               ids
           in
@@ -112,28 +112,6 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(const run $ all $ quick $ seed_arg $ jobs_arg $ ids)
-
-(* all *)
-
-let all_cmd =
-  let doc =
-    "Run the full experiment registry as one flat cell pool. With --jobs N \
-     every experiment's cells are scheduled together across N domains, so a \
-     wide machine stays busy across experiment boundaries; output is \
-     byte-identical to a sequential run."
-  in
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Shorter runs (less fidelity).")
-  in
-  let run quick seed jobs =
-    List.iter
-      (fun exp ->
-        print_string (Rio_experiments.Exp.render exp);
-        print_newline ())
-      (Rio_experiments.Registry.run_all ~quick ~seed ~jobs ());
-    0
-  in
-  Cmd.v (Cmd.info "all" ~doc) Term.(const run $ quick $ seed_arg $ jobs_arg)
 
 (* stream *)
 
@@ -405,5 +383,4 @@ let () =
   exit
     (Cmd.eval'
        (Cmd.group info
-          [ list_cmd; run_cmd; all_cmd; stream_cmd; rr_cmd; tenants_cmd;
-            trace_cmd ]))
+          [ list_cmd; run_cmd; stream_cmd; rr_cmd; tenants_cmd; trace_cmd ]))

@@ -442,5 +442,3 @@ let plan ?(quick = false) ?(seed = 42) () =
       (fun () -> rcache_value ~seed:(section "rcache-value") ~rounds:rcache_rounds ());
     ]
     ~reduce
-
-let run ?quick ?seed ?jobs () = Exp.run_plan ?jobs (plan ?quick ?seed ())

@@ -23,4 +23,3 @@
       allocation numbers. *)
 
 val plan : ?quick:bool -> ?seed:int -> unit -> Exp.plan
-val run : ?quick:bool -> ?seed:int -> ?jobs:int -> unit -> Exp.t

@@ -66,5 +66,3 @@ let plan ?(quick = false) ?(seed = 42) () =
            modes)
        drives)
     ~reduce
-
-let run ?quick ?seed ?jobs () = Exp.run_plan ?jobs (plan ?quick ?seed ())

@@ -6,4 +6,3 @@
     AHCI devices. *)
 
 val plan : ?quick:bool -> ?seed:int -> unit -> Exp.plan
-val run : ?quick:bool -> ?seed:int -> ?jobs:int -> unit -> Exp.t

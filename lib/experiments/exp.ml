@@ -29,8 +29,6 @@ type plan =
 let plan_of_list cells ~reduce =
   Plan { cells = Array.of_list cells; reduce = (fun rs -> reduce (Array.to_list rs)) }
 
-let cell_count (Plan { cells; _ }) = Array.length cells
-
 let run_plan ?jobs (Plan { cells; reduce }) =
   reduce (Rio_exec.Pool.run ?jobs cells)
 

@@ -30,13 +30,13 @@ type plan =
 val plan_of_list : (unit -> 'a) list -> reduce:('a list -> t) -> plan
 (** List-flavored constructor; the reduce sees results in cell order. *)
 
-val cell_count : plan -> int
-
 val run_plan : ?jobs:int -> plan -> t
 (** Run the cells on a {!Rio_exec.Pool} ([jobs] defaults to 1 =
-    sequential, [0] = one worker per core) and reduce. *)
+    sequential, [0] = one worker per core) and reduce. The
+    single-plan reference that {!run_plans} must match. *)
 
 val run_plans : ?jobs:int -> (string * plan) list -> (string * t) list
 (** Flatten several plans into one task list scheduled by a single
-    pool (the [all] subcommand): cells from different experiments
-    interleave freely, reduces run afterwards in plan order. *)
+    pool (the CLI's [run] and [run --all]): cells from different
+    experiments interleave freely, reduces run afterwards in plan
+    order. *)

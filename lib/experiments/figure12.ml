@@ -172,5 +172,3 @@ let row_cells ~quick ~seed =
 let plan ?(quick = false) ?(seed = 42) () =
   Exp.plan_of_list (row_cells ~quick ~seed)
     ~reduce:(fun (_ : mode_row list) -> reduce ~quick ~seed ())
-
-let run ?quick ?seed ?jobs () = Exp.run_plan ?jobs (plan ?quick ?seed ())

@@ -33,4 +33,3 @@ val row_cells :
     table2's plan so the two experiments never measure a point twice. *)
 
 val plan : ?quick:bool -> ?seed:int -> unit -> Exp.plan
-val run : ?quick:bool -> ?seed:int -> ?jobs:int -> unit -> Exp.t

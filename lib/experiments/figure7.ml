@@ -96,5 +96,3 @@ let plan ?(quick = false) ?(seed = 42) () =
          (mode, Netperf.stream ~packets ~warmup ~seed:nseed ~mode ~profile ()))
        Mode.evaluated)
     ~reduce
-
-let run ?quick ?seed ?jobs () = Exp.run_plan ?jobs (plan ?quick ?seed ())

@@ -4,5 +4,3 @@
 
 val plan : ?quick:bool -> ?seed:int -> unit -> Exp.plan
 (** One cell per evaluated mode (DESIGN.md §10). *)
-
-val run : ?quick:bool -> ?seed:int -> ?jobs:int -> unit -> Exp.t

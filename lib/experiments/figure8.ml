@@ -95,5 +95,3 @@ let plan ?(quick = false) ?(seed = 42) () =
          (mode, Netperf.stream ~packets ~warmup ~seed:nseed ~mode ~profile ()))
        Mode.evaluated)
     ~reduce:(reduce ~quick)
-
-let run ?quick ?seed ?jobs () = Exp.run_plan ?jobs (plan ?quick ?seed ())

@@ -17,5 +17,3 @@ val sweep : ?points:int -> ?quick:bool -> unit -> point list
 val plan : ?quick:bool -> ?seed:int -> unit -> Exp.plan
 (** One cell per evaluated mode; the analytic sweep is pure and lives
     in the reduce (DESIGN.md §10). *)
-
-val run : ?quick:bool -> ?seed:int -> ?jobs:int -> unit -> Exp.t

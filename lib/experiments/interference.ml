@@ -149,5 +149,3 @@ let plan ?(quick = false) ?(seed = 42) () =
            policies)
        modes)
     ~reduce
-
-let run ?quick ?seed ?jobs () = Exp.run_plan ?jobs (plan ?quick ?seed ())

@@ -27,4 +27,3 @@ val measure :
 (** The full grid: every (mode, policy, noisy count). *)
 
 val plan : ?quick:bool -> ?seed:int -> unit -> Exp.plan
-val run : ?quick:bool -> ?seed:int -> ?jobs:int -> unit -> Exp.t

@@ -89,5 +89,3 @@ let plan ?(quick = false) ?(seed = 42) () =
         else measure ~seed:mseed ());
     ]
     ~reduce:(function [ r ] -> reduce r | _ -> assert false)
-
-let run ?quick ?seed ?jobs () = Exp.run_plan ?jobs (plan ?quick ?seed ())

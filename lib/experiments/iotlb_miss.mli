@@ -18,4 +18,3 @@ type result = {
 
 val measure : ?pool:int -> ?accesses:int -> ?seed:int -> unit -> result
 val plan : ?quick:bool -> ?seed:int -> unit -> Exp.plan
-val run : ?quick:bool -> ?seed:int -> ?jobs:int -> unit -> Exp.t

@@ -129,5 +129,3 @@ let plan ?(quick = false) ?(seed = 42) () =
     :: List.map (fun _ -> Table.cell_pct riotlb.Evaluate.hit_rate) histories
   in
   Exp.plan_of_list (predictor_cells @ [ riotlb_cell ]) ~reduce
-
-let run ?quick ?seed ?jobs () = Exp.run_plan ?jobs (plan ?quick ?seed ())

@@ -10,4 +10,3 @@
     two-entry next-slot scheme. *)
 
 val plan : ?quick:bool -> ?seed:int -> unit -> Exp.plan
-val run : ?quick:bool -> ?seed:int -> ?jobs:int -> unit -> Exp.t

@@ -1,29 +1,23 @@
-type runner = ?quick:bool -> ?seed:int -> ?jobs:int -> unit -> Exp.t
 type planner = ?quick:bool -> ?seed:int -> unit -> Exp.plan
 
-let all : (string * (runner * planner)) list =
+let all : (string * planner) list =
   [
-    ("table1", (Table1.run, Table1.plan));
-    ("figure7", (Figure7.run, Figure7.plan));
-    ("figure8", (Figure8.run, Figure8.plan));
-    ("figure12", (Figure12.run, Figure12.plan));
-    ("table2", (Table2.run, Table2.plan));
-    ("table3", (Table3.run, Table3.plan));
-    ("iotlb_miss", (Iotlb_miss.run, Iotlb_miss.plan));
-    ("prefetchers", (Prefetchers.run, Prefetchers.plan));
-    ("bonnie", (Bonnie_sata.run, Bonnie_sata.plan));
-    ("ablations", (Ablations.run, Ablations.plan));
-    ("interference", (Interference.run, Interference.plan));
+    ("table1", Table1.plan);
+    ("figure7", Figure7.plan);
+    ("figure8", Figure8.plan);
+    ("figure12", Figure12.plan);
+    ("table2", Table2.plan);
+    ("table3", Table3.plan);
+    ("iotlb_miss", Iotlb_miss.plan);
+    ("prefetchers", Prefetchers.plan);
+    ("bonnie", Bonnie_sata.plan);
+    ("ablations", Ablations.plan);
+    ("interference", Interference.plan);
   ]
 
-let find id = Option.map fst (List.assoc_opt id all)
-let find_plan id = Option.map snd (List.assoc_opt id all)
+let find id = List.assoc_opt id all
 let ids = List.map fst all
 
 let unknown_id_message id =
   Printf.sprintf "unknown experiment: %s\nvalid experiments:\n%s" id
     (String.concat "\n" (List.map (fun i -> "  " ^ i) ids))
-
-let run_all ?quick ?seed ?jobs () =
-  let plans = List.map (fun (id, (_, plan)) -> (id, plan ?quick ?seed ())) all in
-  List.map snd (Exp.run_plans ?jobs plans)

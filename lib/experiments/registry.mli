@@ -1,23 +1,16 @@
 (** Experiment registry: every reproduced table and figure by id. *)
 
-type runner = ?quick:bool -> ?seed:int -> ?jobs:int -> unit -> Exp.t
 type planner = ?quick:bool -> ?seed:int -> unit -> Exp.plan
 
-val all : (string * (runner * planner)) list
+val all : (string * planner) list
 (** In the paper's order: table1, figure7, figure8, figure12, table2,
     table3, iotlb_miss, prefetchers, bonnie - plus the design-choice
-    ablations and the multi-tenant interference experiment. *)
+    ablations and the multi-tenant interference experiment. Run a
+    selection with {!Exp.run_plans} (the CLI's [run]). *)
 
-val find : string -> runner option
-val find_plan : string -> planner option
+val find : string -> planner option
 val ids : string list
 
 val unknown_id_message : string -> string
 (** Error text for an unrecognized experiment id: names the id and
     lists every valid one. *)
-
-val run_all : ?quick:bool -> ?seed:int -> ?jobs:int -> unit -> Exp.t list
-(** Run the whole registry as one flat cell pool (the CLI's [all]
-    subcommand): every experiment's cells are scheduled together, so a
-    wide machine is kept busy across experiment boundaries. Results
-    come back in registry order regardless of [jobs]. *)

@@ -88,5 +88,3 @@ let plan ?(quick = false) ?(seed = 42) () =
   Exp.plan_of_list
     (List.map (fun mode () -> (mode, measure ~quick ~seed:nseed mode)) modes)
     ~reduce
-
-let run ?quick ?seed ?jobs () = Exp.run_plan ?jobs (plan ?quick ?seed ())

@@ -5,5 +5,3 @@
 
 val plan : ?quick:bool -> ?seed:int -> unit -> Exp.plan
 (** One cell per protection mode (DESIGN.md §10). *)
-
-val run : ?quick:bool -> ?seed:int -> ?jobs:int -> unit -> Exp.t

@@ -86,5 +86,3 @@ let plan ?(quick = false) ?(seed = 42) () =
   Exp.plan_of_list
     (Figure12.row_cells ~quick ~seed)
     ~reduce:(fun (_ : Figure12.mode_row list) -> reduce ~quick ~seed ())
-
-let run ?quick ?seed ?jobs () = Exp.run_plan ?jobs (plan ?quick ?seed ())

@@ -15,5 +15,3 @@ val ratios :
 val plan : ?quick:bool -> ?seed:int -> unit -> Exp.plan
 (** The cells are {!Figure12.row_cells} (shared memo), the reduce
     computes the ratio blocks. *)
-
-val run : ?quick:bool -> ?seed:int -> ?jobs:int -> unit -> Exp.t

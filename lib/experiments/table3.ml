@@ -49,5 +49,3 @@ let plan ?(quick = false) ?(seed = 42) () =
            Mode.evaluated)
        nics)
     ~reduce
-
-let run ?quick ?seed ?jobs () = Exp.run_plan ?jobs (plan ?quick ?seed ())

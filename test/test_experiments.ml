@@ -23,8 +23,8 @@ let test_registry_complete () =
 let test_all_experiments_render () =
   List.iter
     (fun id ->
-      let runner = Option.get (Registry.find id) in
-      let exp = runner ~quick:true () in
+      let plan = Option.get (Registry.find id) in
+      let exp = Rio_experiments.Exp.run_plan (plan ~quick:true ()) in
       Alcotest.(check string) "id matches" id exp.Rio_experiments.Exp.id;
       let rendered = Rio_experiments.Exp.render exp in
       Alcotest.(check bool)
