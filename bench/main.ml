@@ -1,302 +1,28 @@
-(* Benchmark harness.
+(* The hot-path baseline: hand-rolled loops over the translate / map /
+   unmap / map_sg / iotlb-lookup / event-queue operations, the serve
+   path (shard translate, histogram, wire codec, dispatch, SPSC ring)
+   and the socket loop's readiness wait, measuring ns/op (wall clock)
+   and allocated words/op (Gc.minor_words deltas), written to
+   BENCH.json for bench/compare.exe. It exits 1 if any gated group
+   allocates, which is how CI and bench/main.t pin the zero-allocation
+   property.
 
-   Part 1 regenerates every table and figure of the paper's evaluation
-   (the reproduction harness; full-fidelity runs, paper-vs-measured
-   cells).
+   --quick divides every iteration count by ten (the smoke run); any
+   other argument is a usage error (exit 2).
 
-   Part 2 runs Bechamel wall-clock micro-benchmarks of the operations
-   each artifact is built from - one Test.make group per table/figure:
-     table1:   map+unmap pairs per protection mode
-     figure7:  the rIOMMU driver's map and unmap in isolation
-     figure8:  one full interrupt round of the stream simulation
-     figure12: the server-model evaluation
-     table3:   one RR transaction
-     iotlb_miss: a translation under hit and under walk
-     prefetchers: predictor observe+predict steps
-     bonnie:   a SATA submit+complete+reclaim cycle
-
-   Part 3 (--json) is the machine-readable hot-path baseline: hand-rolled
-   loops over the translate / map / unmap / iotlb-lookup / event-queue
-   operations measuring ns/op (wall clock) and allocated words/op
-   (Gc.minor_words deltas), written to BENCH.json. It exits nonzero if
-   the steady-state IOTLB lookup or event-queue push/pop allocates,
-   which is how CI pins the zero-allocation property.
-
-   Set RIOMMU_BENCH_QUICK=1 (or pass --quick) to shorten runs (CI smoke).
-
-   Run with: dune exec bench/main.exe [-- --json] [-- --quick] *)
+   Run with: dune exec bench/main.exe [-- --quick] *)
 
 module Mode = Rio_protect.Mode
 module Dma_api = Rio_protect.Dma_api
 module Rpte = Rio_core.Rpte
 
-let argv = List.tl (Array.to_list Sys.argv)
-let json_mode = List.mem "--json" argv
-
 let quick =
-  List.mem "--quick" argv
-  ||
-  match Sys.getenv_opt "RIOMMU_BENCH_QUICK" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
-(* --jobs N parallelizes part 1's experiment cells (no effect on the
-   micro-benchmarks, which must stay single-threaded to be meaningful) *)
-let jobs =
-  let rec find = function
-    | ("--jobs" | "-j") :: v :: rest -> (
-        match int_of_string_opt v with Some n -> n | None -> find rest)
-    | _ :: rest -> find rest
-    | [] -> 1
-  in
-  find argv
-
-(* {1 Part 1: the reproduction harness} *)
-
-let run_experiments () =
-  print_endline "================================================================";
-  print_endline " rIOMMU reproduction: every table and figure of the evaluation";
-  print_endline "================================================================\n";
-  List.iter
-    (fun id ->
-      let runner = Option.get (Rio_experiments.Registry.find id) in
-      let started = Unix.gettimeofday () in
-      let exp = runner ~quick ~jobs () in
-      Printf.printf "%s(%.1fs)\n\n" (Rio_experiments.Exp.render exp)
-        (Unix.gettimeofday () -. started))
-    Rio_experiments.Registry.ids
-
-(* {1 Part 2: Bechamel micro-benchmarks} *)
-
-open Bechamel
-open Toolkit
-
-(* One map+unmap pair through the protection facade; the state carried
-   across runs keeps the allocator and tables warm. *)
-let map_unmap_bench mode =
-  let api = Dma_api.create (Dma_api.default_config ~mode) in
-  let buf = Rio_memory.Frame_allocator.alloc_exn (Dma_api.frames api) in
-  Test.make
-    ~name:(Printf.sprintf "map+unmap/%s" (Mode.name mode))
-    (Staged.stage (fun () ->
-         match Dma_api.map api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional with
-         | Ok h -> ignore (Dma_api.unmap api h ~end_of_burst:true)
-         | Error _ -> ()))
-
-let riommu_driver_bench () =
-  let api = Dma_api.create (Dma_api.default_config ~mode:Mode.Riommu) in
-  let buf = Rio_memory.Frame_allocator.alloc_exn (Dma_api.frames api) in
-  Test.make ~name:"figure7/riommu-map-unmap"
-    (Staged.stage (fun () ->
-         match Dma_api.map api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional with
-         | Ok h -> ignore (Dma_api.unmap api h ~end_of_burst:false)
-         | Error _ -> ()))
-
-let stream_round_bench mode =
-  let profile = { Rio_device.Nic_profiles.mlx with rx_ring = 256; tx_ring = 256 } in
-  let api =
-    Dma_api.create
-      {
-        (Dma_api.default_config ~mode) with
-        Dma_api.ring_sizes = Rio_device.Nic.ring_sizes profile;
-      }
-  in
-  let rng = Rio_sim.Rng.create ~seed:3 in
-  let mem = Rio_memory.Phys_mem.create () in
-  let nic = Rio_device.Nic.create ~data_movement:false ~profile ~api ~mem ~rng () in
-  ignore (Rio_device.Nic.rx_fill nic);
-  let payload = Bytes.make 1500 'x' in
-  Test.make
-    ~name:(Printf.sprintf "figure8/stream-round-%s" (Mode.name mode))
-    (Staged.stage (fun () ->
-         ignore (Rio_device.Nic.tx_reclaim nic);
-         for _ = 1 to 8 do
-           ignore (Rio_device.Nic.tx_submit nic ~payload)
-         done;
-         ignore (Rio_device.Nic.device_tx_process nic ~max:8)))
-
-let server_model_bench () =
-  let profile = Rio_device.Nic_profiles.mlx in
-  let cost = Rio_sim.Cost_model.default in
-  Test.make ~name:"figure12/server-model"
-    (Staged.stage (fun () ->
-         ignore
-           (Rio_workload.Apache.run Rio_workload.Apache.KB1 ~profile
-              ~protection_per_packet:500. ~cost);
-         ignore
-           (Rio_workload.Memcached.run ~profile ~protection_per_packet:500. ~cost)))
-
-let rr_transaction_bench () =
-  let profile = { Rio_device.Nic_profiles.mlx with rx_ring = 64; tx_ring = 64 } in
-  let api =
-    Dma_api.create
-      {
-        (Dma_api.default_config ~mode:Mode.Riommu) with
-        Dma_api.ring_sizes = Rio_device.Nic.ring_sizes profile;
-      }
-  in
-  let rng = Rio_sim.Rng.create ~seed:4 in
-  let mem = Rio_memory.Phys_mem.create () in
-  let nic = Rio_device.Nic.create ~data_movement:false ~profile ~api ~mem ~rng () in
-  ignore (Rio_device.Nic.rx_fill nic);
-  let one = Bytes.make 1 'p' in
-  Test.make ~name:"table3/rr-transaction"
-    (Staged.stage (fun () ->
-         ignore (Rio_device.Nic.device_rx_deliver nic ~payload:one);
-         ignore (Rio_device.Nic.rx_reap_next nic ~end_of_burst:true);
-         ignore (Rio_device.Nic.rx_fill nic);
-         ignore (Rio_device.Nic.tx_submit nic ~payload:one);
-         ignore (Rio_device.Nic.device_tx_process nic ~max:1);
-         ignore (Rio_device.Nic.tx_reclaim nic)))
-
-let translate_bench ~name ~pool =
-  let api = Dma_api.create (Dma_api.default_config ~mode:Mode.Strict) in
-  let frames = Dma_api.frames api in
-  let rng = Rio_sim.Rng.create ~seed:6 in
-  let handles =
-    Array.init pool (fun _ ->
-        let buf = Rio_memory.Frame_allocator.alloc_exn frames in
-        match Dma_api.map api ~ring:0 ~phys:buf ~bytes:4096 ~dir:Rpte.Bidirectional with
-        | Ok h -> Dma_api.addr api h
-        | Error _ -> failwith "bench: map failed")
-  in
-  Test.make ~name
-    (Staged.stage (fun () ->
-         let addr = handles.(if pool = 1 then 0 else Rio_sim.Rng.int rng pool) in
-         ignore (Dma_api.translate api ~addr ~offset:0 ~write:false)))
-
-let prefetcher_bench (module P : Rio_prefetch.Prefetcher.S) =
-  let p = P.create ~history:1024 in
-  let counter = ref 0 in
-  Test.make
-    ~name:(Printf.sprintf "prefetchers/%s-step" P.name)
-    (Staged.stage (fun () ->
-         incr counter;
-         let page = !counter mod 512 in
-         ignore (P.predict p page);
-         P.observe p page))
-
-(* One map/translate/unmap round trip through the multi-tenant domain
-   manager, with a second tenant registered so the shared-IOTLB policy
-   machinery (ownership, attribution) is on the path. *)
-let domain_bench policy =
-  let open Rio_domain in
-  let clock = Rio_sim.Cycles.create () in
-  let cost = Rio_sim.Cost_model.default in
-  let frames = Rio_memory.Frame_allocator.create ~total_frames:200_000 in
-  let mgr =
-    Manager.create ~iotlb_policy:policy ~iotlb_capacity:128
-      ~invalidation:Manager.Per_domain ~policy:Driver.Immediate ~frames ~clock
-      ~cost ()
-  in
-  let a =
-    Manager.add_domain mgr ~name:"a"
-      ~bdf:(Rio_iommu.Bdf.make ~bus:1 ~device:0 ~func:0)
-      ()
-  in
-  let _b =
-    Manager.add_domain mgr ~name:"b"
-      ~bdf:(Rio_iommu.Bdf.make ~bus:2 ~device:0 ~func:0)
-      ()
-  in
-  let buf = Rio_memory.Frame_allocator.alloc_exn frames in
-  let da = Manager.driver a in
-  Test.make
-    ~name:
-      (Printf.sprintf "tenants/map-translate-unmap-%s"
-         (Shared_iotlb.policy_name policy))
-    (Staged.stage (fun () ->
-         match Driver.map da ~phys:buf ~bytes:1500 ~read:true ~write:true with
-         | Ok iova ->
-             ignore (Manager.translate mgr ~rid:(Manager.rid a) ~iova ~write:true);
-             ignore (Driver.unmap da ~iova)
-         | Error `Exhausted -> ()))
-
-let scheduler_round_bench () =
-  let open Rio_experiments in
-  let tenants =
-    [
-      Scheduler.nic_tenant ~latency_critical:true ~name:"victim" ();
-      Scheduler.nvme_tenant ~name:"noisy" ();
-    ]
-  in
-  Test.make ~name:"tenants/scheduler-50-ios"
-    (Staged.stage (fun () ->
-         let cfg =
-           Scheduler.default_config ~ios_per_tenant:50
-             ~mode:Rio_protect.Mode.Strict
-             ~policy:Rio_domain.Shared_iotlb.Shared ()
-         in
-         ignore (Scheduler.run cfg tenants)))
-
-let sata_bench () =
-  let api =
-    Dma_api.create
-      {
-        (Dma_api.default_config ~mode:Mode.Strict) with
-        Dma_api.ring_sizes = [ Rio_device.Sata.slots + 1 ];
-      }
-  in
-  let rng = Rio_sim.Rng.create ~seed:8 in
-  let mem = Rio_memory.Phys_mem.create () in
-  let sata =
-    Rio_device.Sata.create ~data_movement:false ~bandwidth_mbps:150. ~api ~mem ~rng ()
-  in
-  Test.make ~name:"bonnie/sata-request"
-    (Staged.stage (fun () ->
-         ignore (Rio_device.Sata.submit sata ~bytes:65_536 ~write:true);
-         ignore (Rio_device.Sata.device_complete sata ~max:1);
-         ignore (Rio_device.Sata.reclaim sata)))
-
-let benchmarks () =
-  Test.make_grouped ~name:"riommu"
-    [
-      Test.make_grouped ~name:"table1" (List.map map_unmap_bench Mode.evaluated);
-      riommu_driver_bench ();
-      stream_round_bench Mode.Strict;
-      stream_round_bench Mode.Riommu;
-      server_model_bench ();
-      rr_transaction_bench ();
-      translate_bench ~name:"iotlb_miss/translate-hit" ~pool:1;
-      translate_bench ~name:"iotlb_miss/translate-miss" ~pool:2_000;
-      Test.make_grouped ~name:"prefetchers"
-        (List.map prefetcher_bench
-           [ (module Rio_prefetch.Markov : Rio_prefetch.Prefetcher.S);
-             (module Rio_prefetch.Recency);
-             (module Rio_prefetch.Distance) ]);
-      sata_bench ();
-      Test.make_grouped ~name:"tenants"
-        [
-          domain_bench Rio_domain.Shared_iotlb.Shared;
-          domain_bench Rio_domain.Shared_iotlb.Partitioned;
-          scheduler_round_bench ();
-        ];
-    ]
-
-let run_benchmarks () =
-  print_endline "================================================================";
-  print_endline " Bechamel micro-benchmarks (wall clock of the OCaml model)";
-  print_endline "================================================================\n";
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:(Some 500) () in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let raw_results = Benchmark.all cfg instances (benchmarks ()) in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw_results) instances
-  in
-  let results = Analyze.merge ols instances results in
-  (match Hashtbl.find_opt results (Measure.label Instance.monotonic_clock) with
-  | None -> ()
-  | Some by_test ->
-      let rows = Hashtbl.fold (fun name v acc -> (name, v) :: acc) by_test [] in
-      List.iter
-        (fun (name, ols_result) ->
-          match Analyze.OLS.estimates ols_result with
-          | Some (est :: _) -> Printf.printf "%-45s %12.0f ns/run\n" name est
-          | Some [] | None -> ())
-        (List.sort compare rows))
-
-(* {1 Part 3: machine-readable hot-path baseline (--json)} *)
+  let args = List.tl (Array.to_list Sys.argv) in
+  if not (List.for_all (String.equal "--quick") args) then begin
+    prerr_endline "usage: main.exe [--quick]";
+    exit 2
+  end;
+  args <> []
 
 type sample = {
   group : string;
@@ -352,7 +78,7 @@ let json_translate ~iters =
           Dma_api.map api ~ring:0 ~phys:buf ~bytes:4096 ~dir:Rpte.Bidirectional
         with
         | Ok h -> Int64.to_int (Dma_api.addr api h)
-        | Error _ -> failwith "bench --json: map failed")
+        | Error _ -> failwith "bench: map failed")
   in
   let i = ref 0 in
   let f () =
@@ -489,7 +215,7 @@ let json_serve_translate ~iters =
         ~phys:(Rio_serve.Shard.next_buf shard) ~bytes:4096
     with
     | Ok v -> v
-    | Error `Exhausted -> failwith "bench --json: serve map failed"
+    | Error `Exhausted -> failwith "bench: serve map failed"
   in
   let f () =
     ignore
@@ -519,7 +245,7 @@ let json_serve_translate_miss ~iters =
             ~bytes:4096
         with
         | Ok v -> v
-        | Error `Exhausted -> failwith "bench --json: serve map failed")
+        | Error `Exhausted -> failwith "bench: serve map failed")
   in
   let rng = Rio_sim.Rng.create ~seed:11 in
   let picks = Array.init 4096 (fun _ -> Rio_sim.Rng.int rng pages) in
@@ -541,7 +267,7 @@ let json_serve_translate_miss ~iters =
     misses := !misses + st.misses
   done;
   if 4 * !misses < 2 * !lookups then
-    failwith "bench --json: serve-translate-miss no longer mostly misses";
+    failwith "bench: serve-translate-miss no longer mostly misses";
   s
 
 (* Histogram.record alone, swept across octaves so the bucket index
@@ -573,13 +299,13 @@ let json_wire_codec ~iters =
         ~iova:(!i * 4096) ~write:false
     in
     if Wire.decode_request buf ~pos:0 ~avail:e req <> e then
-      failwith "bench --json: wire-codec request round trip";
+      failwith "bench: wire-codec request round trip";
     let e2 =
       Wire.encode_translate_ok buf ~pos:0 ~req_id:req.Wire.req_id
         ~phys:req.Wire.iova
     in
     if Wire.decode_response buf ~pos:0 ~avail:e2 resp <> e2 then
-      failwith "bench --json: wire-codec response round trip";
+      failwith "bench: wire-codec response round trip";
     incr i
   in
   for _ = 1 to 10_000 do f () done;
@@ -618,7 +344,7 @@ let json_dispatch_translate ~iters =
       ~bytes:4096
   in
   Conn.feed conn scratch ~pos:0 ~len:mlen;
-  if Conn.next conn req <= 0 then failwith "bench --json: dispatch map decode";
+  if Conn.next conn req <= 0 then failwith "bench: dispatch map decode";
   ignore (Dispatch.enqueue d conn req : bool);
   Dispatch.flush_all d;
   let rlen = Conn.queued conn in
@@ -627,7 +353,7 @@ let json_dispatch_translate ~iters =
       resp
     <= 0
     || resp.Wire.status <> Wire.st_ok
-  then failwith "bench --json: dispatch map failed";
+  then failwith "bench: dispatch map failed";
   Conn.consumed conn rlen;
   let flen =
     Wire.encode_translate scratch ~pos:0 ~tenant:1 ~req_id:2
@@ -635,9 +361,9 @@ let json_dispatch_translate ~iters =
   in
   let f () =
     Conn.feed conn scratch ~pos:0 ~len:flen;
-    if Conn.next conn req <= 0 then failwith "bench --json: dispatch decode";
+    if Conn.next conn req <= 0 then failwith "bench: dispatch decode";
     if not (Dispatch.enqueue d conn req) then
-      failwith "bench --json: dispatch enqueue";
+      failwith "bench: dispatch enqueue";
     Dispatch.flush_all d;
     Conn.consumed conn (Conn.queued conn)
   in
@@ -656,8 +382,8 @@ let json_spsc_ring ~iters =
   let dst = Array.make width 0 in
   src.(Cell.q_op) <- Wire.op_translate;
   let f () =
-    if not (Spsc.try_push ring ~src) then failwith "bench --json: spsc push";
-    if not (Spsc.try_pop ring ~dst) then failwith "bench --json: spsc pop"
+    if not (Spsc.try_push ring ~src) then failwith "bench: spsc push";
+    if not (Spsc.try_pop ring ~dst) then failwith "bench: spsc pop"
   in
   for _ = 1 to 10_000 do f () done;
   sample ~group:"spsc-ring" ~iters f
@@ -676,7 +402,7 @@ let json_readiness_wait ~iters =
   let visit _tok _bits = incr hits in
   let f () =
     if Readiness.wait r ~timeout_ms:0 < 1 then
-      failwith "bench --json: readiness wait";
+      failwith "bench: readiness wait";
     Readiness.iter_ready r visit
   in
   for _ = 1 to 10_000 do f () done;
@@ -711,7 +437,7 @@ let write_bench_json ~path samples =
   output_string oc "  ]\n}\n";
   close_out oc
 
-let run_json () =
+let () =
   let scale n = if quick then n / 10 else n in
   let samples =
     [ json_translate ~iters:(scale 200_000) ]
@@ -751,9 +477,3 @@ let run_json () =
     exit 1
   end
 
-let () =
-  if json_mode then run_json ()
-  else begin
-    run_experiments ();
-    run_benchmarks ()
-  end
