@@ -9,10 +9,6 @@ module Cost_model = Rio_sim.Cost_model
 
 type invalidation = Per_domain | Global
 
-let invalidation_name = function
-  | Per_domain -> "per-domain"
-  | Global -> "global"
-
 type domain = {
   id : int;
   name : string;

@@ -19,8 +19,6 @@
 
 type invalidation = Per_domain | Global
 
-val invalidation_name : invalidation -> string
-
 type domain
 (** A tenant handle. *)
 

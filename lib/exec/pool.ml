@@ -1,4 +1,3 @@
-let parallelism_available = Backend.parallel
 let default_jobs () = Backend.cpu_count ()
 
 let resolve_jobs jobs =

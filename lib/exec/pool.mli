@@ -13,10 +13,6 @@
     exception raised by any task aborts the run and is re-raised (with
     its backtrace) once the pool has quiesced. *)
 
-val parallelism_available : bool
-(** [true] when this build can actually run tasks concurrently (OCaml 5
-    domains backend); [false] on the sequential 4.x fallback. *)
-
 val default_jobs : unit -> int
 (** The recommended domain count of the machine (1 on the sequential
     backend). This is what [jobs = 0] resolves to. *)

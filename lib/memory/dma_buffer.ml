@@ -45,5 +45,4 @@ let free_shared fa = function
       Frame_allocator.free fa (Addr.of_pfn (Addr.pfn first.base))
 
 let pin t = t.pinned <- true
-let unpin t = t.pinned <- false
 let frames t = frames_for t.size

@@ -33,6 +33,5 @@ val free_shared : Frame_allocator.t -> t list -> unit
 (** Free sub-page buffers that share one frame. *)
 
 val pin : t -> unit
-val unpin : t -> unit
 val frames : t -> int
 (** Number of frames the buffer spans. *)

@@ -13,8 +13,8 @@
     [unmap_exn], [lookup_cpu] and [walk] allocate zero words; growth
     happens only when a fresh node is carved.
 
-    PTEs cross this interface in the packed-int form of
-    {!Pte.pack}/{!Pte.unpack}. *)
+    PTEs cross this interface in the packed-int form of {!Pte.pack}
+    (see Pte's packed accessors). *)
 
 type t
 

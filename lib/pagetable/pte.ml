@@ -34,9 +34,6 @@ let pack_make ~read ~write ~pfn =
   if pfn < 0 then invalid_arg "Pte.pack_make: pfn";
   (pfn lsl 2) lor (if write then 2 else 0) lor (if read then 1 else 0)
 
-let unpack p =
-  { pfn = p lsr 2; read = p land 1 <> 0; write = p land 2 <> 0 }
-
 let packed_pfn p = p lsr 2
 let packed_frame p = Rio_memory.Addr.of_pfn (p lsr 2)
 let packed_permits p ~write = if write then p land 2 <> 0 else p land 1 <> 0

@@ -34,7 +34,6 @@ val decode : int64 -> t option
 val packed_none : int
 
 val pack : t -> int
-val unpack : int -> t
 
 val pack_make : read:bool -> write:bool -> pfn:int -> int
 (** Allocation-free constructor of the packed form. *)

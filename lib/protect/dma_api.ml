@@ -354,11 +354,6 @@ let faults t =
 
 let live_mappings t = t.live
 
-let pending_invalidations t =
-  match t.backend with
-  | B_base { driver } -> I_driver.pending driver
-  | B_plain _ | B_rio _ -> 0
-
 let rcache_stats t =
   match t.backend with
   | B_base { driver } ->

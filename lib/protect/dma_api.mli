@@ -142,9 +142,6 @@ val faults : t -> int
 val live_mappings : t -> int
 (** Currently mapped handles (as seen by this layer). *)
 
-val pending_invalidations : t -> int
-(** Deferred-mode queue depth; 0 elsewhere. *)
-
 val rcache_stats : t -> Rio_iova.Magazine.stats option
 (** Magazine-cache counters when [rcache] was enabled; [None]
     otherwise. *)

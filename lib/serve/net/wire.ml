@@ -34,14 +34,6 @@ let st_not_mapped = 2
 let st_fault = 3
 let st_bad_request = 4
 
-let status_name = function
-  | 0 -> "ok"
-  | 1 -> "exhausted"
-  | 2 -> "not_mapped"
-  | 3 -> "fault"
-  | 4 -> "bad_request"
-  | _ -> "?"
-
 type error = Bad_magic | Bad_op | Bad_length | Oversized | Bad_segs | Bad_hello
 
 let error_code = function

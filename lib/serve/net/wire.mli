@@ -59,7 +59,6 @@ val st_exhausted : int
 val st_not_mapped : int
 val st_fault : int
 val st_bad_request : int
-val status_name : int -> string
 
 (** {1 Protocol errors} *)
 

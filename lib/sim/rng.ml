@@ -30,7 +30,6 @@ let float t bound =
   Int64.to_float bits /. 9007199254740992.0 *. bound
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
-let bernoulli t p = float t 1.0 < p
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

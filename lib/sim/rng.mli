@@ -28,8 +28,5 @@ val float : t -> float -> float
 val bool : t -> bool
 (** A fair coin. *)
 
-val bernoulli : t -> float -> bool
-(** [bernoulli t p] is [true] with probability [p]. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -56,5 +56,3 @@ let path t keys = List.fold_left descend_string t keys
 let seed t =
   (* collapse to a nonnegative OCaml int, suitable for [Rng.create] *)
   Int64.to_int (Int64.shift_right_logical (mix64 t.state) 2)
-
-let to_rng t = Rng.create ~seed:(seed t)

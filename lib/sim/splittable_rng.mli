@@ -35,6 +35,3 @@ val path : t -> string list -> t
 val seed : t -> int
 (** Collapse a stream to a nonnegative [int] seed for {!Rng.create} -
     the bridge into the existing mutable simulator RNG. *)
-
-val to_rng : t -> Rng.t
-(** [to_rng t] = [Rng.create ~seed:(seed t)]. *)
