@@ -32,7 +32,3 @@ let invalidate t ~bdf ~rid =
 let entries t = Hashtbl.length t.table
 let hits t = t.hits
 let misses t = t.misses
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0

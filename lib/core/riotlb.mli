@@ -32,4 +32,3 @@ val invalidate : t -> bdf:int -> rid:int -> unit
 val entries : t -> int
 val hits : t -> int
 val misses : t -> int
-val reset_stats : t -> unit

@@ -7,14 +7,8 @@
 
 type t = private { offset : int; rentry : int; rid : int }
 
-val offset_bits : int
-(** 30 *)
-
 val rentry_bits : int
 (** 18 *)
-
-val rid_bits : int
-(** 16 *)
 
 val pack : offset:int -> rentry:int -> rid:int -> t
 (** Raises [Invalid_argument] when a field exceeds its width. *)

@@ -28,9 +28,6 @@ val permits : t -> write:bool -> bool
 (** Whether a DMA in the given direction (write = into memory) is
     allowed. Invalid entries permit nothing. *)
 
-val size_bits : int
-(** 30: the rIOVA offset and rPTE size fields' width. *)
-
 val encode : t -> int64 * int64
 (** The 128-bit hardware layout as two words: (phys_addr,
     size|dir|valid packed). *)

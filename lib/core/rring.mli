@@ -39,6 +39,3 @@ val sync : t -> int -> unit
 (** The paper's [sync_mem] for slot [i]: barrier (+ flush + barrier when
     non-coherent, costs charged) and publish the CPU view to the
     walker. *)
-
-val slot_addr : t -> int -> Rio_memory.Addr.phys
-(** Physical address of slot [i] (16 bytes per rPTE). *)

@@ -22,9 +22,6 @@
 
 type t
 
-val rx_ring_id : int
-val tx_ring_id : int
-
 val ring_sizes : Nic_profiles.t -> int list
 (** Flat-table sizes to put in the {!Rio_protect.Dma_api.config} for
     this profile (Rx ring, and Tx ring x buffers per packet). *)

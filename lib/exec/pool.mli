@@ -13,13 +13,9 @@
     exception raised by any task aborts the run and is re-raised (with
     its backtrace) once the pool has quiesced. *)
 
-val default_jobs : unit -> int
-(** The recommended domain count of the machine (1 on the sequential
-    backend). This is what [jobs = 0] resolves to. *)
-
 val run : ?jobs:int -> (unit -> 'a) array -> 'a array
 (** [jobs] defaults to 1 (sequential). [0] means "one worker per
-    recommended domain". Raises [Invalid_argument] on negative [jobs]. *)
+    recommended domain" (1 on the sequential backend). Raises [Invalid_argument] on negative [jobs]. *)
 
 val run_list : ?jobs:int -> (unit -> 'a) list -> 'a list
 (** List convenience wrapper over {!run}. *)

@@ -10,9 +10,6 @@ val page_size : int
 val page_shift : int
 (** 12. *)
 
-val cacheline_size : int
-(** 64. *)
-
 type phys = private int
 (** A physical byte address. *)
 
@@ -33,7 +30,7 @@ val add : phys -> int -> phys
 (** Byte offset arithmetic. *)
 
 val line_of : phys -> int
-(** Cacheline index: [addr / cacheline_size]. *)
+(** Cacheline index: [addr / 64]. *)
 
 val is_page_aligned : phys -> bool
 val pp : Format.formatter -> phys -> unit

@@ -37,7 +37,6 @@
     covers every address and counter in the system. *)
 
 val magic : int
-val hello_magic : string
 val hello_bytes : int
 val len_bytes : int
 val header_bytes : int

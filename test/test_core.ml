@@ -289,11 +289,12 @@ let test_multi_ring_independence () =
   (* invalidating ring 0's entry leaves ring 1's cached entry intact *)
   ignore (Driver.unmap r.driver iova_r0 ~end_of_burst:true);
   let riotlb = Hw.riotlb r.hw in
-  Riotlb.reset_stats riotlb;
+  let hits = Riotlb.hits riotlb in
   (match Hw.rtranslate r.hw ~bdf:r.bdf ~iova:iova_r1 ~write:true with
   | Ok p -> Alcotest.check phys_check "ring 1 unaffected" buf1 p
   | Error f -> Alcotest.failf "fault: %a" Hw.pp_fault f);
-  Alcotest.(check int) "ring 1 still cached (no new walk)" 1 (Riotlb.hits riotlb)
+  Alcotest.(check int) "ring 1 still cached (no new walk)" (hits + 1)
+    (Riotlb.hits riotlb)
 
 let test_multi_device_isolation () =
   (* two devices share the rIOMMU hardware; each is confined to its own
