@@ -2,7 +2,8 @@
 
     One latency-critical NIC tenant shares the IOMMU with a growing
     number of noisy NVMe/SATA neighbors. For each protection mode
-    (strict / defer / riommu) and IOTLB policy (shared / partitioned),
+    (strict / defer / riommu) and IOTLB policy (shared / partitioned;
+    riommu has no shared IOTLB, so it runs once and prints [-]),
     measures the victim's throughput degradation relative to running
     alone, its miss rate, and how many of its IOTLB entries the
     neighbors evicted. *)
@@ -24,6 +25,7 @@ val measure :
   noisy_counts:int list ->
   unit ->
   cell list
-(** The full grid: every (mode, policy, noisy count). *)
+(** The full grid: every (mode, policy, noisy count); riommu under
+    [Shared] only. *)
 
 val plan : ?quick:bool -> ?seed:int -> unit -> Exp.plan

@@ -9,7 +9,12 @@ module Cost_model = Rio_sim.Cost_model
 module Event_queue = Rio_sim.Event_queue
 module Rng = Rio_sim.Rng
 module Mode = Rio_protect.Mode
+module Coherency = Rio_memory.Coherency
+module Hw = Rio_core.Hw
+module Rdevice = Rio_core.Rdevice
+module R_driver = Rio_core.Driver
 module Riotlb = Rio_core.Riotlb
+module Riova = Rio_core.Riova
 module Rpte = Rio_core.Rpte
 
 type device_class = Nic | Nvme | Sata
@@ -97,134 +102,146 @@ let default_config ?invalidation ?(iotlb_capacity = 128)
   in
   { mode; policy; invalidation; iotlb_capacity; ios_per_tenant; seed }
 
-(* Per-tenant mutable run state; the [transact] closure runs one burst
-   and returns I/Os completed, with all cycle costs charged to the
-   shared clock (the caller attributes them via Cycles.measure). *)
+(* Per-tenant mutable run state. [transact] runs one burst and returns
+   the I/Os completed, with all cycle costs charged to the shared clock
+   (the caller attributes them via Cycles.measure); [counters] reads
+   the tenant's (hits, misses, evictions_by_other, faults) so far. *)
 type tenant_state = {
   t_spec : tenant_spec;
   t_rng : Rng.t;
   transact : unit -> int;
+  counters : unit -> int * int * int * int;
   mutable t_remaining : int;
   mutable t_ios : int;
   mutable t_cycles : int;
-  (* riommu-mode bookkeeping (the baseline modes read Manager stats) *)
-  mutable t_hits : int;
-  mutable t_misses : int;
-  finish : unit -> tenant_result;
 }
 
 let bdf_of_index i = Bdf.make ~bus:(1 + (i / 8)) ~device:(i mod 8) ~func:0
+
+(* Persistent working set: mapped once, touched by the device on every
+   I/O (descriptor rings, SGL pages, ibverbs-style registrations). *)
+let working_set spec frames map =
+  Array.init spec.pool_pages (fun _ ->
+      match map (Frame_allocator.alloc_exn frames) with
+      | Some iova -> iova
+      | None -> failwith "Scheduler: working-set map failed")
+
+(* One burst, the same in every mode: each I/O maps a fresh buffer, the
+   device translates each of its pages ([page iova offset]) and
+   [touches] random working-set pages, then the buffer is unmapped
+   ([last] on the burst's final I/O). A failed map (IOVA space
+   exhausted, ring full) skips that I/O's DMA. *)
+let burst spec frames rng pool ~map ~page ~translate ~unmap =
+  for io = 1 to spec.burst do
+    let frame = Frame_allocator.alloc_exn frames in
+    (match map frame with
+    | Some iova ->
+        let npages = (spec.io_bytes + Addr.page_size - 1) / Addr.page_size in
+        for p = 0 to npages - 1 do
+          translate (page iova (p lsl Addr.page_shift))
+        done;
+        for _ = 1 to spec.touches do
+          translate pool.(Rng.int rng spec.pool_pages)
+        done;
+        unmap iova ~last:(io = spec.burst)
+    | None -> ());
+    Frame_allocator.free frames frame
+  done;
+  spec.burst
 
 (* {1 Baseline modes: strict / defer through the shared IOTLB} *)
 
 let baseline_tenant mgr frames rng i spec =
   let dom = Manager.add_domain mgr ~name:spec.name ~bdf:(bdf_of_index i) () in
   let rid = Manager.rid dom and driver = Manager.driver dom in
-  (* Persistent working set: mapped once, touched by the device on every
-     I/O (descriptor rings, SGL pages, ibverbs-style registrations). *)
-  let pool =
-    Array.init spec.pool_pages (fun _ ->
-        let frame = Frame_allocator.alloc_exn frames in
-        match
-          Driver.map driver ~phys:frame ~bytes:Addr.page_size ~read:true
-            ~write:true
-        with
-        | Ok iova -> iova
-        | Error `Exhausted -> failwith "Scheduler: pool map exhausted")
+  let map bytes phys =
+    Result.to_option (Driver.map driver ~phys ~bytes ~read:true ~write:true)
   in
-  let translate iova =
-    ignore (Manager.translate mgr ~rid ~iova ~write:true)
-  in
+  let pool = working_set spec frames (map Addr.page_size) in
   let rng = Rng.split rng in
   let transact () =
-    let done_ = ref 0 in
-    for _ = 1 to spec.burst do
-      let frame = Frame_allocator.alloc_exn frames in
-      (match
-         Driver.map driver ~phys:frame ~bytes:spec.io_bytes ~read:true
-           ~write:true
-       with
-      | Ok iova ->
-          let npages = (spec.io_bytes + Addr.page_size - 1) / Addr.page_size in
-          for p = 0 to npages - 1 do
-            translate (iova + (p lsl Addr.page_shift))
-          done;
-          for _ = 1 to spec.touches do
-            translate pool.(Rng.int rng spec.pool_pages)
-          done;
-          ignore (Driver.unmap driver ~iova)
-      | Error `Exhausted -> ());
-      Frame_allocator.free frames frame;
-      incr done_
-    done;
-    !done_
+    burst spec frames rng pool ~map:(map spec.io_bytes) ~page:( + )
+      ~translate:(fun iova ->
+        ignore (Manager.translate mgr ~rid ~iova ~write:true))
+      ~unmap:(fun iova ~last:_ -> ignore (Driver.unmap driver ~iova))
   in
-  (dom, rng, transact)
+  let counters () =
+    let s = Manager.iotlb_stats mgr dom in
+    ( s.Shared_iotlb.hits,
+      s.Shared_iotlb.misses,
+      s.Shared_iotlb.evictions_by_other,
+      Manager.faults mgr dom )
+  in
+  (rng, transact, counters)
 
-(* {1 rIOMMU mode: per-ring rIOTLB, no shared structure}
+(* {1 rIOMMU modes: an rDEVICE per tenant on one shared rIOMMU}
 
-   Each tenant drives its own rRINGs. Map is an rPTE store plus the
-   paper's sync_mem (barrier + cacheline flush on a non-coherent walk,
-   barrier only on a coherent one); translation hits the ring's
-   prefetched rIOTLB entry except on first touch; unmap marks the rPTE
-   invalid and issues one explicit rIOTLB invalidation per burst end
-   (Figure 10's amortization). *)
+   Every tenant's device is attached to the same {!Rio_core.Hw}, so all
+   tenants share one rIOTLB (one entry per rRING). Ring 0 holds the
+   working set, mapped once at setup - the rRING rdevice.mli assigns to
+   pages mapped at initialization; ring 1 takes each I/O buffer as one
+   byte-granular rPTE. Every page the device touches goes through
+   [Hw.rtranslate]; the burst's last unmap issues the single rIOTLB
+   invalidation (Figure 10's amortization). Hits, walks and faults are
+   the engine's own counters, read as deltas around each burst: bursts
+   run one at a time on one clock. *)
 
-let riommu_tenant cfg riotlb clock cost rng i spec =
-  let coherent = Mode.coherent_walk cfg.mode in
+let io_ring_size = 256
+
+let riommu_tenant hw frames coherency clock cost rng i spec =
   let bdf = Bdf.to_rid (bdf_of_index i) in
-  let rings = 2 in
-  let state = ref None in
-  let sync_cost =
-    if coherent then cost.Cost_model.barrier
-    else
-      cost.Cost_model.barrier + cost.Cost_model.cacheline_flush
-      + cost.Cost_model.barrier
+  let device =
+    Rdevice.create ~rid:bdf ~ring_sizes:[ spec.pool_pages; io_ring_size ]
+      ~frames ~coherency
   in
-  let access st ring =
-    match Riotlb.find riotlb ~bdf ~rid:ring with
-    | Some _ -> st.t_hits <- st.t_hits + 1
-    | None ->
-        (* flat-table walk: one DRAM reference, then the entry (and its
-           prefetched successor) is resident *)
-        st.t_misses <- st.t_misses + 1;
-        Cycles.charge clock cost.Cost_model.io_walk_ref;
-        Riotlb.insert riotlb ~bdf ~rid:ring
-          {
-            Riotlb.rentry = 0;
-            rpte =
-              Rpte.make ~phys_addr:(Addr.of_pfn 1) ~size:Addr.page_size
-                ~dir:Rpte.Bidirectional;
-            next = Some Rpte.invalid;
-          }
+  Hw.attach hw device;
+  let driver = R_driver.create ~device ~hw ~clock ~cost in
+  let map ring size phys =
+    Result.to_option
+      (R_driver.map driver ~rid:ring ~phys ~size ~dir:Rpte.Bidirectional)
   in
+  let pool = working_set spec frames (map 0 Addr.page_size) in
+  (* every rtranslate looks its ring up in the rIOTLB exactly once *)
+  let lookups () = Riotlb.hits (Hw.riotlb hw) + Riotlb.misses (Hw.riotlb hw) in
+  let hits = ref 0 and misses = ref 0 and faults = ref 0 in
   let rng = Rng.split rng in
   let transact () =
-    let st = Option.get !state in
-    let done_ = ref 0 in
-    for io = 1 to spec.burst do
-      ignore io;
-      (* map: write the rPTE in the flat rring, then sync it *)
-      Cycles.charge clock (cost.Cost_model.mem_ref_cached + sync_cost);
-      let npages = (spec.io_bytes + Addr.page_size - 1) / Addr.page_size in
-      let accesses = npages + spec.touches in
-      for a = 1 to accesses do
-        ignore a;
-        access st (Rng.int rng rings)
-      done;
-      (* unmap: invalidate the rPTE in place (cheap store) *)
-      Cycles.charge clock cost.Cost_model.mem_ref_cached;
-      incr done_
-    done;
-    (* end of burst: one explicit invalidation closes the window *)
-    Riotlb.invalidate riotlb ~bdf ~rid:0;
-    !done_
+    let lookups0 = lookups () and walks0 = Hw.walks hw in
+    let faults0 = Hw.faults hw in
+    let done_ =
+      burst spec frames rng pool ~map:(map 1 spec.io_bytes)
+        ~page:Riova.with_offset
+        ~translate:(fun iova ->
+          ignore (Hw.rtranslate hw ~bdf ~iova ~write:true))
+        ~unmap:(fun iova ~last ->
+          ignore (R_driver.unmap driver iova ~end_of_burst:last))
+    in
+    let walks = Hw.walks hw - walks0 in
+    misses := !misses + walks;
+    hits := !hits + (lookups () - lookups0 - walks);
+    faults := !faults + (Hw.faults hw - faults0);
+    done_
   in
-  (state, rng, transact)
+  (rng, transact, fun () -> (!hits, !misses, 0, !faults))
+
+let finish st =
+  let hits, misses, evictions_by_other, faults = st.counters () in
+  let per num den = if den = 0 then 0. else num /. float_of_int den in
+  {
+    spec = st.t_spec;
+    ios = st.t_ios;
+    cycles = st.t_cycles;
+    ops_per_mcycle = per (1e6 *. float_of_int st.t_ios) st.t_cycles;
+    cycles_per_io = per (float_of_int st.t_cycles) st.t_ios;
+    hits;
+    misses;
+    miss_rate = per (float_of_int misses) (hits + misses);
+    evictions_by_other;
+    faults;
+  }
 
 let run cfg specs =
   if specs = [] then invalid_arg "Scheduler.run: no tenants";
-  let is_riommu = Mode.is_riommu cfg.mode in
   (match cfg.mode with
   | Mode.None_ | Mode.Hw_passthrough | Mode.Sw_passthrough ->
       invalid_arg "Scheduler.run: mode has no protection path"
@@ -233,51 +250,13 @@ let run cfg specs =
   let cost = Cost_model.default in
   let frames = Frame_allocator.create ~total_frames:400_000 in
   let root_rng = Rng.create ~seed:cfg.seed in
-  let states =
-    if is_riommu then
-      let riotlb = Riotlb.create ~clock ~cost in
-      List.mapi
-        (fun i spec ->
-          let state_ref, rng, transact =
-            riommu_tenant cfg riotlb clock cost root_rng i spec
-          in
-          let rec st =
-            {
-              t_spec = spec;
-              t_rng = rng;
-              transact;
-              t_remaining = cfg.ios_per_tenant;
-              t_ios = 0;
-              t_cycles = 0;
-              t_hits = 0;
-              t_misses = 0;
-              finish =
-                (fun () ->
-                  let lookups = st.t_hits + st.t_misses in
-                  {
-                    spec;
-                    ios = st.t_ios;
-                    cycles = st.t_cycles;
-                    ops_per_mcycle =
-                      (if st.t_cycles = 0 then 0.
-                       else 1e6 *. float_of_int st.t_ios /. float_of_int st.t_cycles);
-                    cycles_per_io =
-                      (if st.t_ios = 0 then 0.
-                       else float_of_int st.t_cycles /. float_of_int st.t_ios);
-                    hits = st.t_hits;
-                    misses = st.t_misses;
-                    miss_rate =
-                      (if lookups = 0 then 0.
-                       else float_of_int st.t_misses /. float_of_int lookups);
-                    evictions_by_other = 0;
-                    faults = 0;
-                  });
-            }
-          in
-          state_ref := Some st;
-          st)
-        specs
-    else begin
+  let tenant =
+    if Mode.is_riommu cfg.mode then
+      let coherency =
+        Coherency.create ~coherent:(Mode.coherent_walk cfg.mode) ~cost ~clock
+      in
+      riommu_tenant (Hw.create ~clock ~cost) frames coherency clock cost
+    else
       let policy =
         if Mode.is_deferred cfg.mode then Driver.Deferred { batch = 250 }
         else Driver.Immediate
@@ -287,48 +266,24 @@ let run cfg specs =
           ~invalidation:cfg.invalidation ~policy ~frames ~clock ~cost
           ~coherent_walk:false ()
       in
-      List.mapi
-        (fun i spec ->
-          let dom, rng, transact = baseline_tenant mgr frames root_rng i spec in
-          let rec st =
-            {
-              t_spec = spec;
-              t_rng = rng;
-              transact;
-              t_remaining = cfg.ios_per_tenant;
-              t_ios = 0;
-              t_cycles = 0;
-              t_hits = 0;
-              t_misses = 0;
-              finish =
-                (fun () ->
-                  let s = Manager.iotlb_stats mgr dom in
-                  let lookups = s.Shared_iotlb.hits + s.Shared_iotlb.misses in
-                  {
-                    spec;
-                    ios = st.t_ios;
-                    cycles = st.t_cycles;
-                    ops_per_mcycle =
-                      (if st.t_cycles = 0 then 0.
-                       else 1e6 *. float_of_int st.t_ios /. float_of_int st.t_cycles);
-                    cycles_per_io =
-                      (if st.t_ios = 0 then 0.
-                       else float_of_int st.t_cycles /. float_of_int st.t_ios);
-                    hits = s.Shared_iotlb.hits;
-                    misses = s.Shared_iotlb.misses;
-                    miss_rate =
-                      (if lookups = 0 then 0.
-                       else float_of_int s.Shared_iotlb.misses /. float_of_int lookups);
-                    evictions_by_other = s.Shared_iotlb.evictions_by_other;
-                    faults = Manager.faults mgr dom;
-                  });
-            }
-          in
-          st)
-        specs
-    end
+      baseline_tenant mgr frames
   in
-  let states = Array.of_list states in
+  let states =
+    Array.of_list
+      (List.mapi
+         (fun i spec ->
+           let rng, transact, counters = tenant root_rng i spec in
+           {
+             t_spec = spec;
+             t_rng = rng;
+             transact;
+             counters;
+             t_remaining = cfg.ios_per_tenant;
+             t_ios = 0;
+             t_cycles = 0;
+           })
+         specs)
+  in
   let queue : int Event_queue.t = Event_queue.create () in
   (* stagger the first submissions so same-time ties only occur when
      think times genuinely collide *)
@@ -351,4 +306,4 @@ let run cfg specs =
         loop ()
   in
   loop ();
-  Array.to_list (Array.map (fun st -> st.finish ()) states)
+  Array.to_list (Array.map finish states)

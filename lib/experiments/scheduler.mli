@@ -14,9 +14,16 @@
       shared IOTLB ({!Rio_domain.Manager});
     - defer / defer+: per-tenant deferred queues, batched flush at the
       configured {!Rio_domain.Manager.invalidation} scope;
-    - riommu / riommu-: per-ring rIOTLB entries ({!Rio_core.Riotlb}) —
-      one entry per rRING, prefetched, so tenants cannot evict each
-      other by construction.
+    - riommu / riommu-: the {!Rio_core} engine itself. Each tenant is an
+      {!Rio_core.Rdevice} attached to one shared {!Rio_core.Hw}, so all
+      tenants share one rIOTLB holding one entry per rRING. Ring 0
+      holds the working set, mapped once at setup; ring 1 takes each
+      I/O buffer as one byte-granular rPTE through
+      {!Rio_core.Driver.map}. Every page the device touches goes
+      through {!Rio_core.Hw.rtranslate}, and the burst's last unmap
+      issues the one rIOTLB invalidation. Hits, misses (flat-table
+      walks) and faults are the engine's counters, read as deltas
+      around each burst.
 
     Interference is read off the per-tenant results: a noisy neighbor
     inflates a victim's shared-IOTLB miss rate and therefore its cycles
@@ -56,7 +63,9 @@ type tenant_result = {
   cycles_per_io : float;
   hits : int;
   misses : int;
-  miss_rate : float;  (** translation misses / lookups *)
+  miss_rate : float;
+      (** translation misses / lookups; under rIOMMU a miss is a
+          flat-table walk *)
   evictions_by_other : int;  (** shared-IOTLB only; 0 elsewhere *)
   faults : int;
 }
@@ -69,6 +78,9 @@ type config = {
   ios_per_tenant : int;
   seed : int;
 }
+(** The rIOMMU modes ignore [policy], [invalidation] and
+    [iotlb_capacity]: the rIOTLB has no shared capacity to divide, and
+    the driver issues its own invalidation at each burst end. *)
 
 val default_config :
   ?invalidation:Rio_domain.Manager.invalidation ->
