@@ -862,6 +862,54 @@ let test_interference_contrast () =
   Alcotest.(check bool) "neighbors evict the victim" true
     (strict_shared.Rio_experiments.Interference.victim_evicted_by_other > 0)
 
+(* The paper's isolation claim (§4), measured on the lib/core engine:
+   eight neighbors cost the riommu victim less than the strict/shared
+   victim, whose IOTLB entries they evict. *)
+let test_riommu_isolation () =
+  let cells =
+    Rio_experiments.Interference.measure ~ios_per_tenant:250 ~noisy_counts:[ 8 ]
+      ()
+  in
+  let degradation mode =
+    (List.find (fun c -> c.Rio_experiments.Interference.mode = mode) cells)
+      .Rio_experiments.Interference.victim_degradation
+  in
+  Alcotest.(check bool) "riommu victim degrades less than strict/shared" true
+    (degradation Mode.Riommu < degradation Mode.Strict)
+
+(* Every rIOMMU translation goes through Hw.rtranslate exactly once: a
+   walk is a miss, any other translation a hit, and none faults. *)
+let test_riommu_runs_engine () =
+  let cfg =
+    Scheduler.default_config ~ios_per_tenant:100 ~mode:Mode.Riommu
+      ~policy:Shared_iotlb.Shared ()
+  in
+  List.iter
+    (fun r ->
+      let spec = r.Scheduler.spec in
+      let name = spec.Scheduler.name in
+      let pages = (spec.Scheduler.io_bytes + Addr.page_size - 1) / Addr.page_size in
+      Alcotest.(check int) (name ^ " no faults") 0 r.Scheduler.faults;
+      Alcotest.(check bool) (name ^ " walks") true (r.Scheduler.misses > 0);
+      Alcotest.(check int)
+        (name ^ " one lookup per translation")
+        (r.Scheduler.ios * (pages + spec.Scheduler.touches))
+        (r.Scheduler.hits + r.Scheduler.misses))
+    (Scheduler.run cfg small_tenants)
+
+(* riommu- publishes each rPTE with barrier + flush + barrier instead of
+   one barrier, so the non-coherent victim pays more per I/O. *)
+let test_riommu_minus_pays_flushes () =
+  let victim mode =
+    let cfg =
+      Scheduler.default_config ~ios_per_tenant:100 ~mode
+        ~policy:Shared_iotlb.Shared ()
+    in
+    (List.hd (Scheduler.run cfg small_tenants)).Scheduler.cycles_per_io
+  in
+  Alcotest.(check bool) "riommu- victim costs more per I/O" true
+    (victim Mode.Riommu_minus > victim Mode.Riommu)
+
 let () =
   Alcotest.run "rio_domain"
     [
@@ -914,5 +962,11 @@ let () =
             test_riommu_mode_no_cross_eviction;
           Alcotest.test_case "interference: shared > partitioned" `Slow
             test_interference_contrast;
+          Alcotest.test_case "riommu isolates the victim" `Slow
+            test_riommu_isolation;
+          Alcotest.test_case "riommu runs the core engine" `Quick
+            test_riommu_runs_engine;
+          Alcotest.test_case "riommu- pays sync_mem flushes" `Quick
+            test_riommu_minus_pays_flushes;
         ] );
     ]
