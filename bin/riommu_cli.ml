@@ -39,9 +39,8 @@ let jobs_arg =
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Worker domains for the experiment cell pool: 1 runs sequentially, \
-           0 picks one worker per core. Needs an OCaml 5 runtime to actually \
-           parallelize; a 4.14 build accepts the flag and runs sequentially. \
-           Results are byte-identical at every level.")
+           0 picks one worker per core. Results are byte-identical at every \
+           level.")
 
 let seed_arg =
   Arg.(

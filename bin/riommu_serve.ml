@@ -237,9 +237,7 @@ let serve_term =
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
             "Worker domains driving the shards: 1 sequential, 0 one per \
-             core. Needs an OCaml 5 runtime to parallelize; a 4.14 build \
-             accepts the flag and runs sequentially. Output is \
-             byte-identical at every level.")
+             core. Output is byte-identical at every level.")
   in
   let tenants =
     Arg.(
@@ -335,8 +333,7 @@ let serve_term =
           ~doc:
             "Shard executor domains ($(b,--listen) mode): 1 executes on the \
              IO thread (the classic loop); N>1 runs N executor domains \
-             connected by SPSC rings (OCaml 5 only; clamped to the shard \
-             count, and to 1 on a 4.14 runtime).")
+             connected by SPSC rings (clamped to the shard count).")
   in
   let run duration interval shards jobs tenants flows seed no_rcache capacity
       policy sg_max stats listen batch window max_conns domains =

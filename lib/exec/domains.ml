@@ -1,7 +1,1 @@
-type t = Backend.handle
-
-let available = Backend.parallel
-let cpu_count = Backend.cpu_count
-let spawn = Backend.spawn
-let join = Backend.join
-let relax = Backend.relax
+let cpu_count () = Domain.recommended_domain_count ()

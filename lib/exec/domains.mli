@@ -1,29 +1,6 @@
-(** Long-lived worker domains for event-loop topologies.
-
-    {!Pool} drives flat task arrays to completion; this module is the
-    other shape the socket service needs — spawn a worker that runs an
-    executor loop until a {!Flag} is raised, then join it. Like every
-    [Rio_exec] facade it compiles against whichever backend dune
-    selected: real domains on OCaml 5, a sequential stand-in on 4.x.
-
-    On the sequential backend {!spawn} runs the thunk to completion
-    before returning and {!join} is a no-op, so a caller that needs
-    actual concurrency (a loop that only terminates when another
-    worker raises a flag) must check {!available} first and fall back
-    to its single-worker shape. *)
-
-val available : bool
-(** Whether {!spawn} creates a genuinely concurrent worker. *)
+(** The recommended worker count, for callers outside this library
+    that size a pool themselves ([riommu_e2e]'s server domains).
+    {!Pool.run} with [jobs = 0] uses the same count. *)
 
 val cpu_count : unit -> int
-(** Recommended worker count (1 on the sequential backend). *)
-
-type t
-(** A spawned worker. *)
-
-val spawn : (unit -> unit) -> t
-val join : t -> unit
-
-val relax : unit -> unit
-(** Spin-wait hint for busy polling ([Domain.cpu_relax] on OCaml 5,
-    a no-op sequentially). *)
+(** [Domain.recommended_domain_count ()]. *)

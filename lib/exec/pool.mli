@@ -7,15 +7,12 @@
     task is a pure function of its own inputs - the cell contract of
     DESIGN.md §10).
 
-    On OCaml 5 the tasks are spread over a fixed pool of [jobs] domains
-    with per-worker queues and work stealing; on OCaml 4.x (or with
-    [jobs <= 1]) they run sequentially on the calling thread. An
-    exception raised by any task aborts the run and is re-raised (with
-    its backtrace) once the pool has quiesced. *)
+    With [jobs > 1] the tasks are spread over a fixed pool of [jobs]
+    domains with per-worker queues and work stealing; with [jobs <= 1]
+    they run in index order on the calling domain. An exception raised
+    by any task aborts the run and is re-raised (with its backtrace)
+    once the pool has quiesced. *)
 
 val run : ?jobs:int -> (unit -> 'a) array -> 'a array
 (** [jobs] defaults to 1 (sequential). [0] means "one worker per
-    recommended domain" (1 on the sequential backend). Raises [Invalid_argument] on negative [jobs]. *)
-
-val run_list : ?jobs:int -> (unit -> 'a) list -> 'a list
-(** List convenience wrapper over {!run}. *)
+    recommended domain". Raises [Invalid_argument] on negative [jobs]. *)

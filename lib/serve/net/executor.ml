@@ -117,7 +117,7 @@ let executed t = t.executed
    request ring, so spinning here cannot deadlock. *)
 let push_rsp t =
   while not (Spsc.try_push t.rsp ~src:t.rc) do
-    Rio_exec.Domains.relax ()
+    Domain.cpu_relax ()
   done
 
 let step t =
@@ -150,7 +150,7 @@ let run t =
       live := false
     else begin
       incr spins;
-      if !spins <= 64 then Rio_exec.Domains.relax ()
+      if !spins <= 64 then Domain.cpu_relax ()
       else Unix.sleepf 5e-05
     end
   done

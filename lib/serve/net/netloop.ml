@@ -122,8 +122,7 @@ let pipe_of_tok tok = -2 - tok
 
 let effective_domains ~domains ~nshards =
   let d = if domains < 1 then 1 else domains in
-  let d = if d > nshards then nshards else d in
-  if d > 1 && not Rio_exec.Domains.available then 1 else d
+  if d > nshards then nshards else d
 
 let serve ?stop ?(on_tick = fun (_ : stats) -> ()) ~shards (cfg : config) =
   let nshards = Array.length shards in
@@ -214,7 +213,7 @@ let serve ?stop ?(on_tick = fun (_ : stats) -> ()) ~shards (cfg : config) =
       Readiness.interest r ~handle:h ~read:true ~write:false)
     pipes;
   let handles =
-    Array.map (fun ex -> Rio_exec.Domains.spawn (fun () -> Executor.run ex))
+    Array.map (fun ex -> Domain.spawn (fun () -> Executor.run ex))
       executors
   in
   let req = Wire.create_req ~sg_limit:cfg.sg_limit in
@@ -245,7 +244,7 @@ let serve ?stop ?(on_tick = fun (_ : stats) -> ()) ~shards (cfg : config) =
     let slot = req_cell.(Cell.q_slot) in
     while not (Spsc.try_push ring ~src:req_cell) do
       drain_rsp_rings ();
-      Rio_exec.Domains.relax ()
+      Domain.cpu_relax ()
     done;
     c_outstanding.(slot) <- c_outstanding.(slot) + 1
   in
@@ -441,10 +440,10 @@ let serve ?stop ?(on_tick = fun (_ : stats) -> ()) ~shards (cfg : config) =
     let outstanding () = Array.fold_left ( + ) 0 c_outstanding in
     while outstanding () > 0 do
       drain_rsp_rings ();
-      Rio_exec.Domains.relax ()
+      Domain.cpu_relax ()
     done;
     Array.iter Executor.request_stop executors;
-    Array.iter Rio_exec.Domains.join handles;
+    Array.iter Domain.join handles;
     drain_rsp_rings ()
   end;
   for slot = 0 to cap - 1 do

@@ -11,8 +11,7 @@
     With [domains = 1] (the default) shards execute on the loop
     thread ({!Dispatch.flush_all}), the single-dispatcher design of
     DESIGN.md §14.
-    With [domains = N > 1] (OCaml 5 only; silently clamped to 1 where
-    domains are unavailable, and to the shard count always), N shard
+    With [domains = N > 1] (clamped to the shard count), N shard
     executor domains each own a contiguous slice of the shard array:
     flushes pack batch slots into fixed-width integer cells pushed
     over bounded {!Spsc} rings, executors run them against their

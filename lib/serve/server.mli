@@ -3,10 +3,10 @@
     [run] hosts [shards] independent {!Shard}s, each driven by its own
     {!Loadgen}, and advances them in lockstep over snapshot intervals:
     every tick, a {!Rio_exec.Pool.run} fans the shards out over [jobs]
-    worker domains (sequential on the 4.x backend), each shard executes
-    its event queue up to the tick's simulated-time deadline, and the
-    join barrier publishes the shards' histograms to the reporter,
-    which merges them into a cumulative {!snapshot}.
+    worker domains, each shard executes its event queue up to the
+    tick's simulated-time deadline, and the join barrier publishes the
+    shards' histograms to the reporter, which merges them into a
+    cumulative {!snapshot}.
 
     Because each shard's schedule is a pure function of (seed, shard
     id, specs) and shards share no mutable state between barriers, the

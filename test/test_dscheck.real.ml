@@ -7,7 +7,7 @@
    Exec.Pool directly (which spawns real domains dscheck cannot
    preempt). The models mirror the code shape:
 
-   - {b Pool steal path} (lib/exec/backend.domains.ml): every task
+   - {b Pool steal path} (lib/exec/pool.ml): every task
      index is claimed with a fetch-and-add on its slice cursor, both by
      the owner draining its slice and by a thief stealing from the
      fullest victim. The property: no task is executed twice and none
@@ -29,10 +29,10 @@
      no duplication, no reorder, no read of an unpublished lane —
      under every interleaving.
 
-   This executable only builds when the optional [dscheck] library is
-   available: the (enabled_if %{lib-available:dscheck}) guard in
-   test/dune skips it cleanly everywhere else (it is exercised by the
-   TSan CI job, which installs dscheck). *)
+   This file is built only when the optional [dscheck] library is
+   available: the (select) in test/dune picks test_dscheck.stub.ml,
+   a clean skip, everywhere else (this model runs in the TSan CI job,
+   which installs dscheck). *)
 
 module Atomic = Dscheck.TracedAtomic
 
@@ -40,7 +40,7 @@ module Atomic = Dscheck.TracedAtomic
 
 (* Two workers, three tasks: worker 0 owns [0,2), worker 1 owns [2,3).
    Worker 1 drains its slice then steals from worker 0's cursor, as in
-   Backend.run. [executed.(k)] counts claims of task k. *)
+   Pool.run. [executed.(k)] counts claims of task k. *)
 let pool_steal_model () =
   let n = 3 in
   let lo = [| 0; 2; n |] in

@@ -135,11 +135,6 @@ let test_pool_exception () =
         (fun () -> ignore (Pool.run ~jobs tasks)))
     [ 1; 4 ]
 
-let test_pool_run_list () =
-  Alcotest.(check (list string))
-    "run_list keeps order" [ "a"; "b"; "c" ]
-    (Pool.run_list ~jobs:2 [ (fun () -> "a"); (fun () -> "b"); (fun () -> "c") ])
-
 (* {1 Memo} *)
 
 let test_memo_computes_once () =
@@ -258,7 +253,6 @@ let () =
             test_pool_empty_and_single;
           Alcotest.test_case "negative jobs" `Quick test_pool_negative_jobs;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception;
-          Alcotest.test_case "run_list" `Quick test_pool_run_list;
         ] );
       ( "memo",
         [

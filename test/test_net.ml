@@ -6,7 +6,8 @@
    the shard-affinity dispatcher (pinning, batch-full handoff,
    bad_request rejection, end-to-end map/translate through a real
    shard with responses decoded back out of the connection's write
-   buffer). *)
+   buffer), the executor rings, and Netloop.serve on a unix socket at
+   one and two executor domains. *)
 
 module Wire = Rio_serve_net.Wire
 module Conn = Rio_serve_net.Conn
@@ -15,6 +16,7 @@ module Spsc = Rio_serve_net.Spsc
 module Cell = Rio_serve_net.Cell
 module Executor = Rio_serve_net.Executor
 module Readiness = Rio_serve_net.Readiness
+module Netloop = Rio_serve_net.Netloop
 module Shard = Rio_serve.Shard
 module Shared_iotlb = Rio_domain.Shared_iotlb
 module Addr = Rio_memory.Addr
@@ -776,6 +778,122 @@ let test_inline_matches_ring () =
   Unix.close rd;
   Unix.close wr
 
+(* {1 Netloop: the executor topology over a real socket} *)
+
+let really_read fd b ~pos ~len =
+  let off = ref 0 in
+  while !off < len do
+    let n = Unix.read fd b (pos + !off) (len - !off) in
+    if n = 0 then Alcotest.fail "server closed the connection";
+    off := !off + n
+  done
+
+(* The server binds on its own domain: retry until the path accepts. *)
+let rec connect_retry path tries =
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match Unix.connect fd (Unix.ADDR_UNIX path) with
+  | () -> fd
+  | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+    when tries > 0 ->
+      Unix.close fd;
+      Unix.sleepf 0.01;
+      connect_retry path (tries - 1)
+
+(* One connection's fixed stream, as blocking round trips: hello and
+   two maps, then translates and unmaps of the returned IOVAs (ok,
+   fault and not_mapped outcomes). Returns every response frame's
+   bytes in arrival order. A tenant lives on one shard, so its
+   responses arrive in request order at any domain count. *)
+let netloop_stream fd ~tenant ~bdf ~phys =
+  let b = Bytes.create 512 in
+  let resp = Wire.create_resp ~sg_limit in
+  let got = Buffer.create 512 in
+  let round ~pos n =
+    let off = ref 0 in
+    while !off < pos do
+      off := !off + Unix.write fd b !off (pos - !off)
+    done;
+    Array.init n (fun _ ->
+        let hdr = Bytes.create Wire.len_bytes in
+        really_read fd hdr ~pos:0 ~len:Wire.len_bytes;
+        let len = Int32.to_int (Bytes.get_int32_le hdr 0) in
+        let frame = Bytes.extend hdr 0 len in
+        really_read fd frame ~pos:Wire.len_bytes ~len;
+        Alcotest.(check int) "one whole response" (Bytes.length frame)
+          (Wire.decode_response frame ~pos:0 ~avail:(Bytes.length frame) resp);
+        Buffer.add_bytes got frame;
+        (resp.Wire.status, resp.Wire.r_iova))
+  in
+  let pos = Wire.encode_hello b ~pos:0 ~bdf ~flags:0 in
+  let pos = Wire.encode_map b ~pos ~tenant ~req_id:1 ~phys ~bytes:4096 in
+  let pos = Wire.encode_map b ~pos ~tenant ~req_id:2 ~phys:(phys + 0x1000) ~bytes:8192 in
+  let maps = round ~pos 2 in
+  Array.iter (fun (st, _) -> Alcotest.(check int) "map ok" Wire.st_ok st) maps;
+  let i1 = snd maps.(0) and i2 = snd maps.(1) in
+  let pos = Wire.encode_translate b ~pos:0 ~tenant ~req_id:3 ~iova:i1 ~write:false in
+  let pos = Wire.encode_translate b ~pos ~tenant ~req_id:4 ~iova:(i2 + 0x1000) ~write:true in
+  let pos = Wire.encode_unmap b ~pos ~tenant ~req_id:5 ~iova:i1 in
+  let pos = Wire.encode_translate b ~pos ~tenant ~req_id:6 ~iova:i1 ~write:false in
+  let pos = Wire.encode_unmap b ~pos ~tenant ~req_id:7 ~iova:i1 in
+  let pos = Wire.encode_unmap b ~pos ~tenant ~req_id:8 ~iova:i2 in
+  let statuses = Array.map fst (round ~pos 6) in
+  Alcotest.(check (array int)) "stream outcomes"
+    Wire.[| st_ok; st_ok; st_ok; st_fault; st_not_mapped; st_ok |]
+    statuses;
+  Buffer.contents got
+
+(* Serve two shards on a temp unix: path from a spawned domain, drive
+   one connection per shard (each with its own tenant, picked so that
+   it pins to that shard), raise the stop flag and join. *)
+let serve_streams ~domains =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "rio-test-net-%d-%d.sock" (Unix.getpid ()) domains)
+  in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let shards = make_shards 2 in
+  let probe = Dispatch.create ~shards:(make_shards 2) ~batch:1 ~sg_limit () in
+  let cfg =
+    { (Netloop.default_config ~addr:(Netloop.Unix_path path)) with domains; sg_limit }
+  in
+  let stop = Rio_exec.Flag.create () in
+  let server = Domain.spawn (fun () -> Netloop.serve ~stop ~shards cfg) in
+  let bytes =
+    Fun.protect
+      ~finally:(fun () -> Rio_exec.Flag.set stop)
+      (fun () ->
+        Array.init 2 (fun shard ->
+            let bdf = 0x100 + shard in
+            let rec pick tenant =
+              if Dispatch.shard_of probe ~tenant ~bdf = shard then tenant
+              else pick (tenant + 1)
+            in
+            let fd = connect_retry path 500 in
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () ->
+                netloop_stream fd ~tenant:(pick (1 + (16 * shard))) ~bdf
+                  ~phys:(0x40_0000 * (shard + 1)))))
+  in
+  (Domain.join server, bytes)
+
+let test_netloop_two_domains () =
+  let one, bytes1 = serve_streams ~domains:1 in
+  let two, bytes2 = serve_streams ~domains:2 in
+  Alcotest.(check int) "one loop domain" 1 one.Netloop.domains;
+  Alcotest.(check int) "two executor domains" 2 two.Netloop.domains;
+  Array.iteri
+    (fun e n ->
+      Alcotest.(check bool) (Printf.sprintf "executor %d ran requests" e) true (n > 0))
+    two.Netloop.domain_ops;
+  List.iter
+    (fun (s : Netloop.stats) ->
+      Alcotest.(check int) "requests = responses" s.requests s.responses)
+    [ one; two ];
+  Alcotest.(check (array string)) "same response bytes at 1 and 2 domains" bytes1
+    bytes2
+
 (* {1 Runner} *)
 
 let () =
@@ -818,5 +936,7 @@ let () =
             test_executor_step_roundtrip;
           Alcotest.test_case "inline matches the ring" `Quick
             test_inline_matches_ring;
+          Alcotest.test_case "socket at 2 domains = 1" `Quick
+            test_netloop_two_domains;
         ] );
     ]

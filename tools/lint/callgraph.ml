@@ -1,7 +1,7 @@
 (* Whole-program call graph over the scanned .cmt typed trees. Only
    version-stable corners of compiler-libs are touched (wildcard
-   payloads everywhere a constructor's shape moved between 4.14 and
-   5.x), so the same source builds on every CI compiler. *)
+   payloads everywhere a constructor's shape moves between compiler
+   releases), so the same source builds on every CI compiler. *)
 
 open Typedtree
 
@@ -237,7 +237,7 @@ let rec resolve_mods t u ~depth mods fname =
                 | _ :: _ as ds -> ds
                 | [] -> (
                     (* manifest hint: functor parameter / first-class
-                       module / select facade *)
+                       module *)
                     match Hashtbl.find_opt t.m_aliases (u.u_file, head) with
                     | Some targets ->
                         List.concat_map

@@ -1,9 +1,5 @@
 (* Seeded violations: ownership (two-role reach + spawner escape). *)
 
-module Pool : sig
-  val run : (unit -> unit) -> unit
-end
-
 val shared_cursor : int ref
 val guarded : int Atomic.t
 val io_entry : unit -> unit

@@ -25,9 +25,8 @@ type boundary = { b_name : string; b_just : string }
 
 type cg_alias = { a_file : string; a_module : string; a_targets : string list }
 (** A call-graph resolution hint: inside [a_file], calls through module
-    prefix [a_module] (a functor parameter, a first-class module, a
-    dune-(select)ed backend facade) resolve to each dotted module path
-    in [a_targets]. *)
+    prefix [a_module] (a functor parameter, a first-class module)
+    resolve to each dotted module path in [a_targets]. *)
 
 type root = { r_file : string; r_funs : string list; r_role : string }
 (** An ownership-rule role root that is not zero-alloc gated (event
@@ -53,7 +52,7 @@ type t = {
   own_roots : root list;
   own_sanctioned : string list;
       (** constructors whose module-level state the ownership rule
-          accepts across roles (Atomic.make, Lock.create, ...) *)
+          accepts across roles (Atomic.make, Mutex.create, ...) *)
   own_spawners : string list;
       (** functions whose literal closure arguments cross a domain
           boundary (Domain.spawn, Pool.run, ...) *)

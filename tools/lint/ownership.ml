@@ -138,7 +138,7 @@ let check (m : Manifest.t) cg =
                        role %s (%s)"
                       d.d_display r1 (pp_chain c1) r2 (pp_chain c2))
                  ~hint:
-                   "guard it with Atomic/Spsc/Exec.Lock, move it into the \
+                   "guard it with Atomic/Spsc/Mutex, move it into the \
                     owning role, or waive with a justification"
                  ~chain:c1 d.d_loc)
               with Finding.file = d.d_file;
@@ -183,7 +183,7 @@ let check (m : Manifest.t) cg =
                                              ~hint:
                                                "pass the state through the \
                                                 spawn argument, guard it \
-                                                with Atomic/Spsc/Exec.Lock, \
+                                                with Atomic/Spsc/Mutex, \
                                                 or waive with a justification"
                                              ~chain arg.exp_loc)
                                           with Finding.file = d.d_file;

@@ -47,7 +47,4 @@ val transitive_zero_alloc :
 
 val interface : Manifest.t -> root:string -> Finding.t list
 (** Every [.ml] under the scan dirs must ship a sibling [.mli].
-    Generated [.ml-gen] alias modules are excluded, as are
-    dune-(select)ed variants ([name.variant.ml]) whose base [name.mli]
-    exists — dune applies that interface to whichever variant it
-    picks. *)
+    Generated [.ml-gen] alias modules are excluded. *)
