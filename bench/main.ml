@@ -65,8 +65,7 @@ let sample ?(ops_per_iter = 1) ~group ~iters f =
    [translate_exn] — Dma_api.translate_exn → Driver.translate_exn →
    Iotlb.find on the driver's own IOTLB: the working set fits the IOTLB,
    so every lookup hits the packed-key fast path, and the hit path
-   allocates nothing — no result/handle/int64 boxing anywhere on the
-   chain. *)
+   allocates nothing — no result boxing anywhere on the chain. *)
 let json_translate ~iters =
   let api = Dma_api.create (Dma_api.default_config ~mode:Mode.Strict) in
   let frames = Dma_api.frames api in
@@ -77,7 +76,7 @@ let json_translate ~iters =
         match
           Dma_api.map api ~ring:0 ~phys:buf ~bytes:4096 ~dir:Rpte.Bidirectional
         with
-        | Ok h -> Int64.to_int (Dma_api.addr api h)
+        | Ok iova -> iova
         | Error _ -> failwith "bench: map failed")
   in
   let i = ref 0 in
@@ -106,14 +105,16 @@ let json_map_unmap ~iters =
       { (Dma_api.default_config ~mode:Mode.Strict) with Dma_api.rcache = true }
   in
   let buf = Rio_memory.Frame_allocator.alloc_exn (Dma_api.frames api) in
-  let map_one () = Dma_api.map_exn api ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional in
+  let map_one () =
+    Dma_api.map_exn api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional
+  in
   let prime = 4352 in
   let iovas = Array.make (max prime iters) 0 in
   for k = 0 to prime - 1 do
     iovas.(k) <- map_one ()
   done;
   for k = 0 to prime - 1 do
-    Dma_api.unmap_exn api ~iova:iovas.(k)
+    Dma_api.unmap_exn api ~iova:iovas.(k) ~end_of_burst:true
   done;
   let i = ref 0 in
   let m =
@@ -124,7 +125,7 @@ let json_map_unmap ~iters =
   let j = ref 0 in
   let u =
     sample ~group:"unmap" ~iters (fun () ->
-        Dma_api.unmap_exn api ~iova:iovas.(!j);
+        Dma_api.unmap_exn api ~iova:iovas.(!j) ~end_of_burst:true;
         incr j)
   in
   [ m; u ]

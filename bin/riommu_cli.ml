@@ -228,7 +228,11 @@ let tenants_cmd =
     Arg.(
       value
       & opt mode_conv Rio_protect.Mode.Strict
-      & info [ "mode" ] ~docv:"MODE" ~doc:"strict, defer or riommu.")
+      & info [ "mode" ] ~docv:"MODE"
+          ~doc:
+            "strict, defer, riommu or riommu-. Every tenant runs the \
+             constant-time IOVA allocator, so strict and defer are the \
+             paper's strict+ and defer+; the + names are rejected.")
   in
   let policy =
     Arg.(
@@ -254,6 +258,13 @@ let tenants_cmd =
         Printf.eprintf
           "riommu-cli: tenants: mode %s has no protection path; use the \
            strict, defer or riommu families.\n"
+          (Rio_protect.Mode.name mode);
+        2
+    | Rio_protect.Mode.(Strict_plus | Defer_plus) ->
+        Printf.eprintf
+          "riommu-cli: tenants: every tenant already runs the constant-time \
+           IOVA allocator; use %s, not %s.\n"
+          (if mode = Rio_protect.Mode.Strict_plus then "strict" else "defer")
           (Rio_protect.Mode.name mode);
         2
     | _ ->

@@ -31,20 +31,19 @@ let scenario mode =
   let wild =
     match mode with
     | Mode.Riommu | Mode.Riommu_minus ->
-        Rio_core.Riova.encode (Rio_core.Riova.pack ~offset:0 ~rentry:7 ~rid:0)
-    | _ -> 0x7000L
+        (Rio_core.Riova.pack ~offset:0 ~rentry:7 ~rid:0 :> int)
+    | _ -> 0x7000
   in
   outcome "errant DMA to unmapped address" (Dma_api.translate api ~addr:wild ~offset:0 ~write:true);
 
   (* 2. use-after-unmap *)
   let buf = Rio_memory.Frame_allocator.alloc_exn frames in
-  let h =
+  let addr =
     Result.get_ok
       (Dma_api.map api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional)
   in
-  let addr = Dma_api.addr api h in
   ignore (Dma_api.translate api ~addr ~offset:0 ~write:true);
-  Result.get_ok (Dma_api.unmap api h ~end_of_burst:true);
+  Result.get_ok (Dma_api.unmap api ~addr ~end_of_burst:true);
   outcome "use-after-unmap" (Dma_api.translate api ~addr ~offset:0 ~write:true);
 
   (* 3. same-page overreach: buffer A [0,1500) and B [2048,3548) share a
@@ -56,12 +55,11 @@ let scenario mode =
   in
   (match bufs with
   | [ _a; b ] ->
-      let hb =
+      let addr_b =
         Result.get_ok
           (Dma_api.map api ~ring:0 ~phys:b.Rio_memory.Dma_buffer.base ~bytes:1500
              ~dir:Rpte.Bidirectional)
       in
-      let addr_b = Dma_api.addr api hb in
       (* reaching 2 KB past B's start lands in the page's tail; reaching
          -2048 (via the page base under the baseline) lands in A *)
       let overreach =
@@ -72,7 +70,7 @@ let scenario mode =
             (* baseline IOVAs are page-granular: the device can address
                the page base, i.e. buffer A's first byte *)
             Dma_api.translate api
-              ~addr:(Int64.logand addr_b (Int64.lognot 0xFFFL))
+              ~addr:(addr_b land lnot 0xFFF)
               ~offset:0 ~write:true
       in
       outcome "same-page overreach into neighbour" overreach

@@ -27,13 +27,12 @@ let () =
 
   (* 2. ...maps it for receive into ring 0 (two integer updates plus one
      rPTE write - compare Figure 11 of the paper)... *)
-  let handle =
+  let iova =
     Result.get_ok
       (Dma_api.map api ~ring:0 ~phys:buf.Rio_memory.Dma_buffer.base ~bytes:1500
          ~dir:Rio_core.Rpte.To_memory)
   in
-  let iova = Dma_api.addr api handle in
-  Printf.printf "mapped as rIOVA %Lx (ring 0, entry 0)\n" iova;
+  Printf.printf "mapped as rIOVA %x (ring 0, entry 0)\n" iova;
 
   (* 3. The device receives a packet: the rIOMMU translates the rIOVA
      and the payload lands in the buffer. *)
@@ -44,7 +43,7 @@ let () =
 
   (* 4. The driver unmaps FIRST (only then is it safe to read), ending
      the burst so the rIOTLB entry is invalidated... *)
-  Result.get_ok (Dma_api.unmap api handle ~end_of_burst:true);
+  Result.get_ok (Dma_api.unmap api ~addr:iova ~end_of_burst:true);
   let received =
     Rio_memory.Phys_mem.read mem buf.Rio_memory.Dma_buffer.base
       (Bytes.length payload)

@@ -50,7 +50,7 @@ let capture () =
 let to_trace log =
   let events = ref [] in
   Op_log.iter log (fun e ->
-      let page addr = Int64.to_int (Int64.shift_right_logical addr 12) in
+      let page addr = addr lsr 12 in
       match e.Op_log.op with
       | Op_log.Map { addr; _ } -> events := Trace.Map (page addr) :: !events
       | Op_log.Unmap { addr } -> events := Trace.Unmap (page addr) :: !events

@@ -1,9 +1,9 @@
 (** The rIOMMU hardware logic (Figure 10).
 
-    [rtranslate] is the entry point every DMA address goes through; the
-    table walk, entry synchronization and prefetch routines mirror the
-    paper's pseudocode. Out-of-order accesses to valid rPTEs are legal -
-    they merely miss the prefetched [next] and pay a walk (§4,
+    [rtranslate_exn] is the entry point every DMA address goes through;
+    the table walk, entry synchronization and prefetch routines mirror
+    the paper's pseudocode. Out-of-order accesses to valid rPTEs are
+    legal - they merely miss the prefetched [next] and pay a walk (§4,
     Applicability). All violations raise I/O page faults; drivers pin
     buffers, so faults indicate errant devices or driver bugs and OSes
     typically reinitialize the device. *)
@@ -18,19 +18,38 @@ type fault =
 
 val pp_fault : Format.formatter -> fault -> unit
 
+exception Translation_fault
+(** Constant exception raised by {!rtranslate_exn} for every fault
+    class, so the fast path never builds a fault value. *)
+
 type t
 
 val create : clock:Rio_sim.Cycles.t -> cost:Rio_sim.Cost_model.t -> t
 
 val attach : t -> Rdevice.t -> unit
-(** Install the device's rDEVICE (context-table entry). *)
+(** Install the device's rDEVICE (context-table entry) and one empty
+    rIOTLB entry per ring, replacing any device at the same rid. *)
 
 val detach : t -> rid:int -> unit
+(** Remove the context-table entry and drop its rIOTLB entries. *)
+
 val riotlb : t -> Riotlb.t
 
+val invalidate : t -> bdf:int -> ring:int -> unit
+(** Explicitly invalidate one ring's rIOTLB entry (charged even when
+    the device or ring is unknown, like the command it models). *)
+
+val rtranslate_exn : t -> bdf:int -> iova:int -> write:bool -> Rio_memory.Addr.phys
+(** Translate one DMA address; [write] = device writes memory. Every
+    fault bumps {!faults}, notes its class for {!last_fault} and raises
+    {!Translation_fault}. Allocation-free. *)
+
 val rtranslate :
-  t -> bdf:int -> iova:Riova.t -> write:bool -> (Rio_memory.Addr.phys, fault) result
-(** Translate one DMA address; [write] = device writes memory. *)
+  t -> bdf:int -> iova:int -> write:bool -> (Rio_memory.Addr.phys, fault) result
+(** {!rtranslate_exn} with its fault class as a result. *)
+
+val last_fault : t -> fault
+(** The class of the last fault {!rtranslate_exn} raised. *)
 
 val faults : t -> int
 val walks : t -> int

@@ -14,7 +14,8 @@ val create :
   coherency:Rio_memory.Coherency.t ->
   t
 (** One rRING per element of [ring_sizes], indexed in order. [rid] is
-    the device's 16-bit request identifier. *)
+    the device's 16-bit request identifier. Raises [Invalid_argument]
+    for no rings or more than [2^]{!Riova.ring_bits}. *)
 
 val rid : t -> int
 val ring_count : t -> int
@@ -22,5 +23,3 @@ val ring_count : t -> int
 val ring : t -> int -> Rring.t
 (** Raises [Invalid_argument] on out-of-range ring id (the hardware path
     instead faults; see {!Hw}). *)
-
-val ring_opt : t -> int -> Rring.t option

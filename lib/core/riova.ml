@@ -1,30 +1,15 @@
-type t = { offset : int; rentry : int; rid : int }
+type t = int
 
 let offset_bits = 30
 let rentry_bits = 18
-let rid_bits = 16
+let ring_bits = 14
 
 let pack ~offset ~rentry ~rid =
   if offset < 0 || offset lsr offset_bits <> 0 then invalid_arg "Riova.pack: offset";
   if rentry < 0 || rentry lsr rentry_bits <> 0 then invalid_arg "Riova.pack: rentry";
-  if rid < 0 || rid lsr rid_bits <> 0 then invalid_arg "Riova.pack: rid";
-  { offset; rentry; rid }
+  if rid < 0 || rid lsr ring_bits <> 0 then invalid_arg "Riova.pack: rid";
+  (rid lsl (offset_bits + rentry_bits)) lor (rentry lsl offset_bits) lor offset
 
-let with_offset t offset = pack ~offset ~rentry:t.rentry ~rid:t.rid
-
-let encode t =
-  let open Int64 in
-  logor
-    (shift_left (of_int t.rid) (offset_bits + rentry_bits))
-    (logor (shift_left (of_int t.rentry) offset_bits) (of_int t.offset))
-
-let decode bits =
-  let open Int64 in
-  let mask n = sub (shift_left 1L n) 1L in
-  pack
-    ~offset:(to_int (logand bits (mask offset_bits)))
-    ~rentry:(to_int (logand (shift_right_logical bits offset_bits) (mask rentry_bits)))
-    ~rid:(to_int (logand (shift_right_logical bits (offset_bits + rentry_bits)) (mask rid_bits)))
-
-let equal a b = a.offset = b.offset && a.rentry = b.rentry && a.rid = b.rid
-let pp fmt t = Format.fprintf fmt "rid:%d[%d]+%d" t.rid t.rentry t.offset
+let rid iova = iova asr (offset_bits + rentry_bits)
+let rentry iova = (iova lsr offset_bits) land ((1 lsl rentry_bits) - 1)
+let offset iova = iova land ((1 lsl offset_bits) - 1)

@@ -1,67 +1,17 @@
-module Addr = Rio_memory.Addr
-
 type dir = To_memory | From_memory | Bidirectional
 
-type t = { phys_addr : Addr.phys; size : int; dir : dir; valid : bool }
-
 let size_bits = 30
-let max_size = 1 lsl size_bits
-
-let invalid =
-  { phys_addr = Addr.phys_of_int 0; size = 0; dir = Bidirectional; valid = false }
-
-let make ~phys_addr ~size ~dir =
-  if size <= 0 || size >= max_size then invalid_arg "Rpte.make: size";
-  { phys_addr; size; dir; valid = true }
-
-let permits t ~write =
-  t.valid
-  &&
-  match (t.dir, write) with
-  | Bidirectional, _ -> true
-  | To_memory, true -> true
-  | From_memory, false -> true
-  | To_memory, false | From_memory, true -> false
-
+let invalid = 0
 let dir_code = function To_memory -> 1 | From_memory -> 2 | Bidirectional -> 3
 
-let dir_of_code = function
-  | 1 -> To_memory
-  | 2 -> From_memory
-  | 3 -> Bidirectional
-  | _ -> invalid_arg "Rpte.dir_of_code"
+let word1 ~size ~dir =
+  if size <= 0 || size lsr size_bits <> 0 then invalid_arg "Rpte.word1: size";
+  (size lsl 3) lor (dir_code dir lsl 1) lor 1
 
-let encode t =
-  let word0 = Int64.of_int (Addr.to_int t.phys_addr) in
-  let word1 =
-    Int64.logor
-      (Int64.of_int (t.size lsl 3))
-      (Int64.of_int ((dir_code t.dir lsl 1) lor if t.valid then 1 else 0))
-  in
-  (word0, word1)
+let valid w = w land 1 <> 0
+let size w = w lsr 3
 
-let decode (word0, word1) =
-  let valid = Int64.logand word1 1L <> 0L in
-  if not valid then invalid
-  else begin
-    let bits = Int64.to_int word1 in
-    {
-      phys_addr = Addr.phys_of_int (Int64.to_int word0);
-      size = bits lsr 3;
-      dir = dir_of_code ((bits lsr 1) land 3);
-      valid = true;
-    }
-  end
-
-let equal a b =
-  Addr.equal a.phys_addr b.phys_addr
-  && a.size = b.size && a.dir = b.dir && a.valid = b.valid
-
-let pp fmt t =
-  if not t.valid then Format.pp_print_string fmt "<invalid>"
-  else
-    Format.fprintf fmt "%a+%d %s" Addr.pp t.phys_addr t.size
-      (match t.dir with
-      | To_memory -> "rx"
-      | From_memory -> "tx"
-      | Bidirectional -> "rw")
+(* valid plus the direction bit the access needs *)
+let permits w ~write =
+  let need = if write then 0b011 else 0b101 in
+  w land need = need

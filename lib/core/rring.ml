@@ -4,11 +4,11 @@ module Frame_allocator = Rio_memory.Frame_allocator
 
 let bytes_per_rpte = 16
 
-type slot = { mutable cpu : Rpte.t; mutable hw : Rpte.t }
-
+(* Slot [i] owns words [2i] (phys) and [2i+1] (word1) of each view. *)
 type t = {
   base : Addr.phys;
-  slots : slot array;
+  cpu : int array;
+  hw : int array;
   coherency : Coherency.t;
   mutable tail : int;
   mutable nmapped : int;
@@ -25,13 +25,14 @@ let create ~size ~frames ~coherency =
   in
   {
     base;
-    slots = Array.init size (fun _ -> { cpu = Rpte.invalid; hw = Rpte.invalid });
+    cpu = Array.make (2 * size) 0;
+    hw = Array.make (2 * size) 0;
     coherency;
     tail = 0;
     nmapped = 0;
   }
 
-let size t = Array.length t.slots
+let size t = Array.length t.cpu / 2
 let tail t = t.tail
 let nmapped t = t.nmapped
 
@@ -41,15 +42,21 @@ let set_tail t v =
 
 let incr_nmapped t = t.nmapped <- t.nmapped + 1
 let decr_nmapped t = t.nmapped <- t.nmapped - 1
-let get_cpu t i = t.slots.(i).cpu
-let get_hw t i = t.slots.(i).hw
+let cpu_word1 t i = t.cpu.((2 * i) + 1)
+let hw_phys t i = t.hw.(2 * i)
+let hw_word1 t i = t.hw.((2 * i) + 1)
 let slot_addr t i = Addr.add t.base (i * bytes_per_rpte)
 
-let set_cpu t i v =
-  t.slots.(i).cpu <- v;
+let set_cpu t i ~phys ~word1 =
+  t.cpu.(2 * i) <- phys;
+  t.cpu.((2 * i) + 1) <- word1;
   Coherency.cpu_write t.coherency (slot_addr t i);
-  if Coherency.is_coherent t.coherency then t.slots.(i).hw <- v
+  if Coherency.is_coherent t.coherency then begin
+    t.hw.(2 * i) <- phys;
+    t.hw.((2 * i) + 1) <- word1
+  end
 
 let sync t i =
   Coherency.sync_mem t.coherency (slot_addr t i);
-  t.slots.(i).hw <- t.slots.(i).cpu
+  t.hw.(2 * i) <- t.cpu.(2 * i);
+  t.hw.((2 * i) + 1) <- t.cpu.((2 * i) + 1)

@@ -3,9 +3,10 @@
     An array of rPTEs backed by physically-contiguous memory (so
     cacheline flushes have real addresses), plus the software-only [tail]
     and [nmapped] fields the driver uses for allocation. Each rPTE slot
-    keeps a CPU view and a hardware (walker) view; on a non-coherent
-    system the walker view catches up only at [sync] - exactly the
-    riommu vs riommu- distinction. *)
+    keeps a CPU view and a hardware (walker) view, two int lanes holding
+    the two {!Rpte} words per slot; on a non-coherent system the walker
+    view catches up only at [sync] - exactly the riommu vs riommu-
+    distinction. *)
 
 type t
 
@@ -24,14 +25,15 @@ val set_tail : t -> int -> unit
 val incr_nmapped : t -> unit
 val decr_nmapped : t -> unit
 
-val get_cpu : t -> int -> Rpte.t
-(** The OS's view of slot [i]. *)
+val cpu_word1 : t -> int -> int
+(** The OS's view of slot [i]'s word1. *)
 
-val get_hw : t -> int -> Rpte.t
+val hw_phys : t -> int -> int
+val hw_word1 : t -> int -> int
 (** The walker's view of slot [i] (stale until synced when
     non-coherent). *)
 
-val set_cpu : t -> int -> Rpte.t -> unit
+val set_cpu : t -> int -> phys:int -> word1:int -> unit
 (** CPU store to slot [i]: updates the CPU view; visible to the walker
     immediately only on a coherent system. *)
 

@@ -9,7 +9,7 @@
 val write_to_memory :
   api:Rio_protect.Dma_api.t ->
   mem:Rio_memory.Phys_mem.t ->
-  addr:int64 ->
+  addr:int ->
   data:bytes ->
   (unit, string) result
 (** Device-to-memory DMA (receive path): store [data] at descriptor
@@ -18,7 +18,7 @@ val write_to_memory :
 val read_from_memory :
   api:Rio_protect.Dma_api.t ->
   mem:Rio_memory.Phys_mem.t ->
-  addr:int64 ->
+  addr:int ->
   len:int ->
   (bytes, string) result
 (** Memory-to-device DMA (transmit path): fetch [len] bytes from

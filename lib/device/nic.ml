@@ -15,10 +15,10 @@ let ring_sizes profile =
     (profile.Nic_profiles.tx_ring * profile.Nic_profiles.bufs_per_packet) + 1;
   ]
 
-(* One mapped target buffer: its protection handle plus the frames to
+(* One mapped target buffer: its descriptor address plus the frames to
    return when the packet retires. *)
 type mapped_buf = {
-  handle : Dma_api.handle;
+  addr : int;
   buf : Dma_buffer.t;
   bytes : int;
   phys : Addr.phys;  (* mapped start (kmalloc offset included) *)
@@ -78,13 +78,13 @@ let alloc_and_map t ~ring ~bytes ~dir ~kmalloc =
   | Some buf -> (
       let phys = Addr.add buf.Dma_buffer.base offset in
       match Dma_api.map t.api ~ring ~phys ~bytes ~dir with
-      | Ok handle -> Some { handle; buf; bytes; phys }
+      | Ok addr -> Some { addr; buf; bytes; phys }
       | Error (`Exhausted | `Overflow) ->
           Dma_buffer.free (Dma_api.frames t.api) buf;
           None)
 
 let unmap_and_free t mb ~end_of_burst =
-  (match Dma_api.unmap t.api mb.handle ~end_of_burst with
+  (match Dma_api.unmap t.api ~addr:mb.addr ~end_of_burst with
   | Ok () -> ()
   | Error `Not_mapped -> invalid_arg "Nic: buffer was not mapped");
   Dma_buffer.free (Dma_api.frames t.api) mb.buf
@@ -153,7 +153,7 @@ let device_tx_process t ~max =
             if t.data_movement then begin
               match
                 Dma.read_from_memory ~api:t.api ~mem:t.mem
-                  ~addr:(Dma_api.addr t.api mb.handle)
+                  ~addr:mb.addr
                   ~len:(min mb.bytes pkt.payload_len)
               with
               | Ok _ -> ()
@@ -162,7 +162,7 @@ let device_tx_process t ~max =
             else begin
               match
                 Dma_api.translate t.api
-                  ~addr:(Dma_api.addr t.api mb.handle)
+                  ~addr:mb.addr
                   ~offset:0 ~write:false
               with
               | Ok _ -> ()
@@ -225,12 +225,12 @@ let device_rx_deliver t ~payload =
       let outcome =
         if t.data_movement then
           Dma.write_to_memory ~api:t.api ~mem:t.mem
-            ~addr:(Dma_api.addr t.api slot.mb.handle)
+            ~addr:slot.mb.addr
             ~data:(Bytes.sub payload 0 len)
         else begin
           match
             Dma_api.translate t.api
-              ~addr:(Dma_api.addr t.api slot.mb.handle)
+              ~addr:slot.mb.addr
               ~offset:0 ~write:true
           with
           | Ok _ -> Ok ()
@@ -251,7 +251,7 @@ let rx_reap_next t ~end_of_burst =
   | Some slot ->
       (* unmap BEFORE touching the contents: "only after unmap is it safe
          for the driver to access the buffer" (§2.1, footnote 1) *)
-      (match Dma_api.unmap t.api slot.mb.handle ~end_of_burst with
+      (match Dma_api.unmap t.api ~addr:slot.mb.addr ~end_of_burst with
       | Ok () -> ()
       | Error `Not_mapped -> invalid_arg "Nic.rx_reap: buffer was not mapped");
       let payload =

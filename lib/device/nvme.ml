@@ -4,7 +4,7 @@ module Rpte = Rio_core.Rpte
 module Dma_api = Rio_protect.Dma_api
 module Ring = Rio_ring.Ring
 
-type command = { handle : Dma_api.handle; buf : Dma_buffer.t; bytes : int; write : bool }
+type command = { addr : int; buf : Dma_buffer.t; bytes : int; write : bool }
 
 type queue_pair = { sq : command Ring.t; cq : command Queue.t }
 
@@ -48,8 +48,8 @@ let submit t ~queue ~bytes ~write =
         | Error (`Exhausted | `Overflow) ->
             Dma_buffer.free (Dma_api.frames t.api) buf;
             Error `Map_failed
-        | Ok handle -> (
-            match Ring.post q.sq { handle; buf; bytes; write } with
+        | Ok addr -> (
+            match Ring.post q.sq { addr; buf; bytes; write } with
             | Ok _ -> Ok ()
             | Error `Full -> assert false))
   end
@@ -62,7 +62,7 @@ let device_process t ~queue ~max =
     match Ring.consume q.sq with
     | None -> continue := false
     | Some cmd ->
-        let addr = Dma_api.addr t.api cmd.handle in
+        let addr = cmd.addr in
         let outcome =
           if t.data_movement then
             if cmd.write then
@@ -88,7 +88,7 @@ let reclaim t ~queue =
   let i = ref 0 in
   Queue.iter
     (fun cmd ->
-      (match Dma_api.unmap t.api cmd.handle ~end_of_burst:(!i = n - 1) with
+      (match Dma_api.unmap t.api ~addr:cmd.addr ~end_of_burst:(!i = n - 1) with
       | Ok () -> ()
       | Error `Not_mapped -> invalid_arg "Nvme.reclaim: buffer was not mapped");
       Dma_buffer.free (Dma_api.frames t.api) cmd.buf;

@@ -3,7 +3,9 @@
     NVMe interaction is ring-based: up to 64K submission/completion queue
     pairs, each holding up to 64K commands, processed in ring order -
     which is exactly the discipline the rIOMMU exploits, so PCIe SSDs
-    benefit from it just like NICs. Each command carries one target
+    benefit from it just like NICs. Each queue pair takes one rRING
+    here, and a device has at most [2^14] of them (the ring field of
+    {!Rio_core.Riova}), so this model covers 16K of the 64K pairs. Each command carries one target
     buffer here (a PRP list collapses to a contiguous range in this
     model). *)
 

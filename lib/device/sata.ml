@@ -7,7 +7,7 @@ module Dma_api = Rio_protect.Dma_api
 
 let slots = 32
 
-type request = { handle : Dma_api.handle; buf : Dma_buffer.t; bytes : int; write : bool }
+type request = { addr : int; buf : Dma_buffer.t; bytes : int; write : bool }
 
 type t = {
   api : Dma_api.t;
@@ -52,9 +52,9 @@ let submit t ~bytes ~write =
         | Error (`Exhausted | `Overflow) ->
             Dma_buffer.free (Dma_api.frames t.api) buf;
             Error `Map_failed
-        | Ok handle ->
+        | Ok addr ->
             t.disk_cycles <- t.disk_cycles + service_cycles t bytes;
-            t.in_flight <- { handle; buf; bytes; write } :: t.in_flight;
+            t.in_flight <- { addr; buf; bytes; write } :: t.in_flight;
             Ok ())
   end
 
@@ -66,7 +66,7 @@ let device_complete t ~max =
     let idx = Rng.int t.rng (Array.length arr) in
     let req = arr.(idx) in
     t.in_flight <- List.filteri (fun i _ -> i <> idx) t.in_flight;
-    let addr = Dma_api.addr t.api req.handle in
+    let addr = req.addr in
     let outcome =
       if t.data_movement then
         if req.write then
@@ -91,7 +91,7 @@ let reclaim t =
   let i = ref 0 in
   Queue.iter
     (fun req ->
-      (match Dma_api.unmap t.api req.handle ~end_of_burst:(!i = n - 1) with
+      (match Dma_api.unmap t.api ~addr:req.addr ~end_of_burst:(!i = n - 1) with
       | Ok () -> ()
       | Error `Not_mapped -> invalid_arg "Sata.reclaim: buffer was not mapped");
       Dma_buffer.free (Dma_api.frames t.api) req.buf;

@@ -62,8 +62,8 @@ let create ?rcache ~table ~allocator ~target ~rid ~policy ~clock ~cost () =
       clock;
       cost;
       queue = Queue.create ();
-      bm = Breakdown.create ~clock;
-      bu = Breakdown.create ~clock;
+      bm = Breakdown.create ();
+      bu = Breakdown.create ();
       faults = 0;
       fault_class = No_translation;
     }
@@ -148,9 +148,12 @@ let find_node_exn t ~iova =
 let clear_ptes t node =
   let s = Cycles.now t.clock in
   for p = Rbtree.lo node to Rbtree.hi node do
-    (* map installed every page of the range, so Not_mapped cannot
-       fire here *)
-    ignore (Arena.unmap_exn t.table ~iova:(p lsl Addr.page_shift))
+    (* map installed every page of the range together, so only a range
+       already cleared misses here: a deferred-mode double unmap, whose
+       IOVA stays allocated until the batched flush *)
+    match Arena.unmap_exn t.table ~iova:(p lsl Addr.page_shift) with
+    | (_ : int) -> ()
+    | exception Arena.Not_mapped -> raise Not_mapped
   done;
   Breakdown.charge t.bu Page_table (Cycles.since t.clock s)
 
@@ -350,4 +353,5 @@ let translate t ~iova ~write =
   | phys -> Ok phys
   | exception Translation_fault -> Error t.fault_class
 
+let last_fault t = t.fault_class
 let faults t = t.faults

@@ -203,5 +203,8 @@ val translate :
   t -> iova:int -> write:bool -> (Rio_memory.Addr.phys, fault) result
 (** {!translate_exn} with its fault class as a result. *)
 
+val last_fault : t -> fault
+(** The class of the last fault {!translate_exn} raised. *)
+
 val faults : t -> int
 (** I/O page faults raised by this driver's device. *)

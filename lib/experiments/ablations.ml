@@ -30,17 +30,17 @@ let burst_sweep ~rounds =
       let pairs = ref 0 in
       Dma_api.reset_driver_cycles api;
       for _ = 1 to rounds do
-        let handles =
+        let addrs =
           List.init burst (fun _ ->
               Result.get_ok
                 (Dma_api.map api ~ring:0 ~phys:buf ~bytes:1500
                    ~dir:Rpte.Bidirectional))
         in
         List.iteri
-          (fun i h ->
-            ignore (Dma_api.unmap api h ~end_of_burst:(i = burst - 1));
+          (fun i addr ->
+            ignore (Dma_api.unmap api ~addr ~end_of_burst:(i = burst - 1));
             incr pairs)
-          handles
+          addrs
       done;
       let per_pair = Dma_api.driver_cycles api / !pairs in
       let inv_share = Cost_model.default.Cost_model.iotlb_invalidate / burst in
@@ -71,12 +71,10 @@ let ring_sizing ~attempts =
       for _ = 1 to attempts do
         (* keep L DMAs in flight: map one, retire the oldest beyond L *)
         (match Dma_api.map api ~ring:0 ~phys:buf ~bytes:100 ~dir:Rpte.Bidirectional with
-        | Ok h -> Queue.add h live
+        | Ok addr -> Queue.add addr live
         | Error (`Overflow | `Exhausted) -> incr overflows);
-        if Queue.length live > l then begin
-          let h = Queue.pop live in
-          ignore (Dma_api.unmap api h ~end_of_burst:true)
-        end
+        if Queue.length live > l then
+          ignore (Dma_api.unmap api ~addr:(Queue.pop live) ~end_of_burst:true)
       done;
       Table.add_row t
         [
@@ -112,7 +110,7 @@ let iotlb_capacity ?(seed = 17) ~accesses () =
               Dma_api.map api ~ring:0 ~phys:buf ~bytes:Addr.page_size
                 ~dir:Rpte.Bidirectional
             with
-            | Ok h -> Dma_api.addr api h
+            | Ok addr -> addr
             | Error _ -> failwith "ablation: map failed")
       in
       (* count misses by cost: a miss pays the 4-reference walk *)
@@ -149,13 +147,13 @@ let coherency_cost ~pairs =
     (* warm the allocator *)
     for _ = 1 to 50 do
       match Dma_api.map api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional with
-      | Ok h -> ignore (Dma_api.unmap api h ~end_of_burst:false)
+      | Ok addr -> ignore (Dma_api.unmap api ~addr ~end_of_burst:false)
       | Error _ -> ()
     done;
     Dma_api.reset_driver_cycles api;
     for _ = 1 to pairs do
       match Dma_api.map api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional with
-      | Ok h -> ignore (Dma_api.unmap api h ~end_of_burst:false)
+      | Ok addr -> ignore (Dma_api.unmap api ~addr ~end_of_burst:false)
       | Error _ -> ()
     done;
     Dma_api.driver_cycles api / pairs
@@ -320,7 +318,7 @@ let rcache_value ?(seed = 9) ~rounds () =
       let h_fifo = Queue.create () and d_fifo = Queue.create () in
       let map_one fifo bytes =
         match Dma_api.map api ~ring:0 ~phys:buf ~bytes ~dir:Rpte.Bidirectional with
-        | Ok h -> Queue.add h fifo
+        | Ok addr -> Queue.add addr fifo
         | Error _ -> ()
       in
       let data_bytes rng = 2048 + (Rng.int rng 2 * 4096) in
@@ -337,7 +335,7 @@ let rcache_value ?(seed = 9) ~rounds () =
             (fun is_h ->
               let fifo = if is_h then h_fifo else d_fifo in
               (match Queue.take_opt fifo with
-              | Some h -> ignore (Dma_api.unmap api h ~end_of_burst:true)
+              | Some addr -> ignore (Dma_api.unmap api ~addr ~end_of_burst:true)
               | None -> ());
               map_one fifo (if is_h then 100 else data_bytes rng);
               incr pairs)

@@ -25,14 +25,14 @@ let measure ?(pool = 2_000) ?(accesses = 20_000) ?(seed = 5) () =
   let frames = Dma_api.frames api in
   (* a large pool of persistently mapped buffers (ibverbs-style
      registration: mapped once, used many times) *)
-  let handles =
+  let addrs =
     Array.init pool (fun _ ->
         let buf = Rio_memory.Frame_allocator.alloc_exn frames in
         match
           Dma_api.map api ~ring:0 ~phys:buf ~bytes:Addr.page_size
             ~dir:Rio_core.Rpte.Bidirectional
         with
-        | Ok h -> Dma_api.addr api h
+        | Ok addr -> addr
         | Error _ -> failwith "iotlb_miss: map failed")
   in
   let translate addr =
@@ -41,16 +41,16 @@ let measure ?(pool = 2_000) ?(accesses = 20_000) ?(seed = 5) () =
     | Error e -> failwith ("iotlb_miss: fault " ^ e)
   in
   (* single-buffer experiment: always hits after the first access *)
-  translate handles.(0);
+  translate addrs.(0);
   let start = Cycles.now clock in
   for _ = 1 to accesses do
-    translate handles.(0)
+    translate addrs.(0)
   done;
   let hit_cycles = float_of_int (Cycles.since clock start) /. float_of_int accesses in
   (* random-pool experiment: the 64-entry IOTLB almost always misses *)
   let start = Cycles.now clock in
   for _ = 1 to accesses do
-    translate handles.(Rng.int rng pool)
+    translate addrs.(Rng.int rng pool)
   done;
   let miss_cycles = float_of_int (Cycles.since clock start) /. float_of_int accesses in
   let penalty = miss_cycles -. hit_cycles in

@@ -14,7 +14,6 @@ module Hw = Rio_core.Hw
 module Rdevice = Rio_core.Rdevice
 module R_driver = Rio_core.Driver
 module Riotlb = Rio_core.Riotlb
-module Riova = Rio_core.Riova
 module Rpte = Rio_core.Rpte
 
 type device_class = Nic | Nvme | Sata
@@ -127,18 +126,18 @@ let working_set spec frames map =
       | None -> failwith "Scheduler: working-set map failed")
 
 (* One burst, the same in every mode: each I/O maps a fresh buffer, the
-   device translates each of its pages ([page iova offset]) and
-   [touches] random working-set pages, then the buffer is unmapped
-   ([last] on the burst's final I/O). A failed map (IOVA space
-   exhausted, ring full) skips that I/O's DMA. *)
-let burst spec frames rng pool ~map ~page ~translate ~unmap =
+   device translates each of its pages (the IOVA or rIOVA plus the
+   page's byte offset) and [touches] random working-set pages, then the
+   buffer is unmapped ([last] on the burst's final I/O). A failed map
+   (IOVA space exhausted, ring full) skips that I/O's DMA. *)
+let burst spec frames rng pool ~map ~translate ~unmap =
   for io = 1 to spec.burst do
     let frame = Frame_allocator.alloc_exn frames in
     (match map frame with
     | Some iova ->
         let npages = (spec.io_bytes + Addr.page_size - 1) / Addr.page_size in
         for p = 0 to npages - 1 do
-          translate (page iova (p lsl Addr.page_shift))
+          translate (iova + (p lsl Addr.page_shift))
         done;
         for _ = 1 to spec.touches do
           translate pool.(Rng.int rng spec.pool_pages)
@@ -160,7 +159,7 @@ let baseline_tenant mgr frames rng i spec =
   let pool = working_set spec frames (map Addr.page_size) in
   let rng = Rng.split rng in
   let transact () =
-    burst spec frames rng pool ~map:(map spec.io_bytes) ~page:( + )
+    burst spec frames rng pool ~map:(map spec.io_bytes)
       ~translate:(fun iova ->
         ignore (Manager.translate mgr ~rid ~iova ~write:true))
       ~unmap:(fun iova ~last:_ -> ignore (Driver.unmap driver ~iova))
@@ -210,7 +209,6 @@ let riommu_tenant hw frames coherency clock cost rng i spec =
     let faults0 = Hw.faults hw in
     let done_ =
       burst spec frames rng pool ~map:(map 1 spec.io_bytes)
-        ~page:Riova.with_offset
         ~translate:(fun iova ->
           ignore (Hw.rtranslate hw ~bdf ~iova ~write:true))
         ~unmap:(fun iova ~last ->
@@ -245,7 +243,11 @@ let run cfg specs =
   (match cfg.mode with
   | Mode.None_ | Mode.Hw_passthrough | Mode.Sw_passthrough ->
       invalid_arg "Scheduler.run: mode has no protection path"
-  | _ -> ());
+  | Mode.Strict_plus | Mode.Defer_plus ->
+      invalid_arg
+        "Scheduler.run: strict/defer tenants already run the constant-time \
+         allocator"
+  | Mode.Strict | Mode.Defer | Mode.Riommu_minus | Mode.Riommu -> ());
   let clock = Cycles.create () in
   let cost = Cost_model.default in
   let frames = Frame_allocator.create ~total_frames:400_000 in

@@ -10,10 +10,10 @@
     lists), then unmap.
 
     Protection modes (reusing {!Rio_protect.Mode}):
-    - strict / strict+: immediate per-page invalidation through the
-      shared IOTLB ({!Rio_domain.Manager});
-    - defer / defer+: per-tenant deferred queues, batched flush at the
-      configured {!Rio_domain.Manager.invalidation} scope;
+    - strict: immediate per-page invalidation through the shared IOTLB
+      ({!Rio_domain.Manager});
+    - defer: per-tenant deferred queues, batched flush at the configured
+      {!Rio_domain.Manager.invalidation} scope;
     - riommu / riommu-: the {!Rio_core} engine itself. Each tenant is an
       {!Rio_core.Rdevice} attached to one shared {!Rio_core.Hw}, so all
       tenants share one rIOTLB holding one entry per rRING. Ring 0
@@ -27,7 +27,12 @@
 
     Interference is read off the per-tenant results: a noisy neighbor
     inflates a victim's shared-IOTLB miss rate and therefore its cycles
-    per I/O. *)
+    per I/O.
+
+    Every {!Rio_domain.Manager} tenant runs the constant-time IOVA
+    allocator, so strict and defer here are already what {!Rio_protect.Mode}
+    calls strict+ and defer+; the + modes are rejected rather than
+    rerun under another name. *)
 
 type device_class = Nic | Nvme | Sata
 
@@ -99,4 +104,4 @@ val default_config :
 val run : config -> tenant_spec list -> tenant_result list
 (** Run every tenant to completion; results in tenant order. Raises
     [Invalid_argument] for modes with no protection path here
-    (none / passthrough). *)
+    (none / passthrough) and for strict+ / defer+. *)

@@ -38,11 +38,6 @@ let default_config ~mode =
     rcache = false;
   }
 
-type handle =
-  | H_phys of { phys : Addr.phys }
-  | H_base of { iova : int }
-  | H_rio of { iova : Riova.t }
-
 type backend =
   | B_plain of { sw_iotlb : bool Iotlb.t option }
       (** none / HWpt (no iotlb) / SWpt (identity iotlb) *)
@@ -139,13 +134,6 @@ let clock t = t.clock
 let cost t = t.cost
 let frames t = t.frames
 
-let addr t handle =
-  match (t.backend, handle) with
-  | B_plain _, H_phys { phys } -> Int64.of_int (Addr.to_int phys)
-  | B_base _, H_base { iova } -> Int64.of_int iova
-  | B_rio _, H_rio { iova } -> Riova.encode iova
-  | _ -> invalid_arg "Dma_api.addr: handle from another mode"
-
 (* Two plain projections instead of one tuple-returning [dir_perms]: the
    zero-alloc paths must not build a (bool * bool) box per call. *)
 let dir_read = function
@@ -158,120 +146,82 @@ let dir_write = function
   | Rpte.From_memory -> false
   | Rpte.Bidirectional -> true
 
-(* The baseline arm's one body: raw IOVA in, raw IOVA out, no handle
-   box, no result box, no op-log record. [map]/[unmap] wrap it, so the
-   baseline's live and driver-cycle accounting exists here only. *)
-let map_exn t ~phys ~bytes ~dir =
-  match t.backend with
-  | B_base { driver } -> (
-      let start = Cycles.now t.clock in
-      match
-        I_driver.map_exn driver ~phys ~bytes ~read:(dir_read dir)
-          ~write:(dir_write dir)
-      with
-      | iova ->
-          t.live <- t.live + 1;
-          t.driver_cycles <- t.driver_cycles + Cycles.since t.clock start;
-          iova
-      | exception I_driver.Exhausted ->
-          t.driver_cycles <- t.driver_cycles + Cycles.since t.clock start;
-          raise I_driver.Exhausted)
-  | B_plain _ | B_rio _ ->
-      invalid_arg "Dma_api.map_exn: baseline-IOMMU modes only"
+(* The one body per op, for all nine modes: int addresses in and out, no
+   result box, no op-log record. The live and driver-cycle accounting
+   exists here only; [map]/[unmap]/[translate] wrap these. *)
 
-let unmap_exn t ~iova =
-  match t.backend with
-  | B_base { driver } -> (
-      let start = Cycles.now t.clock in
-      match I_driver.unmap_exn driver ~iova with
-      | () ->
-          t.live <- t.live - 1;
-          t.driver_cycles <- t.driver_cycles + Cycles.since t.clock start
-      | exception I_driver.Not_mapped ->
-          t.driver_cycles <- t.driver_cycles + Cycles.since t.clock start;
-          raise I_driver.Not_mapped)
-  | B_plain _ | B_rio _ ->
-      invalid_arg "Dma_api.unmap_exn: baseline-IOMMU modes only"
-
-(* The same accounting for the pass-through and rIOMMU arms, whose
-   bodies live outside this module. *)
-let account t ~start ~live result =
-  (match result with Ok _ -> t.live <- t.live + live | Error _ -> ());
-  t.driver_cycles <- t.driver_cycles + Cycles.since t.clock start;
-  result
-
-let map t ~ring ~phys ~bytes ~dir =
+let map_exn t ~ring ~phys ~bytes ~dir =
   let start = Cycles.now t.clock in
-  let result =
+  match
     match t.backend with
-    | B_base _ -> (
-        match map_exn t ~phys ~bytes ~dir with
-        | iova -> Ok (H_base { iova })
-        | exception I_driver.Exhausted -> Error `Exhausted)
     | B_plain _ ->
         if t.mode <> Mode.None_ then Cycles.charge t.clock passthrough_overhead;
-        account t ~start ~live:1 (Ok (H_phys { phys }))
-    | B_rio { driver; _ } ->
-        account t ~start ~live:1
-          (match R_driver.map driver ~rid:ring ~phys ~size:bytes ~dir with
-          | Ok iova -> Ok (H_rio { iova })
-          | Error `Overflow -> Error `Overflow)
-  in
-  (match (result, t.log) with
-  | Ok h, Some _ -> log_op t (Op_log.Map { ring; addr = addr t h; bytes })
-  | _ -> ());
-  result
+        Addr.to_int phys
+    | B_base { driver } ->
+        I_driver.map_exn driver ~phys ~bytes ~read:(dir_read dir)
+          ~write:(dir_write dir)
+    | B_rio { driver; _ } -> R_driver.map_exn driver ~rid:ring ~phys ~size:bytes ~dir
+  with
+  | addr ->
+      t.live <- t.live + 1;
+      t.driver_cycles <- t.driver_cycles + Cycles.since t.clock start;
+      addr
+  | exception e ->
+      t.driver_cycles <- t.driver_cycles + Cycles.since t.clock start;
+      raise e
 
-let unmap t handle ~end_of_burst =
+let unmap_exn t ~iova ~end_of_burst =
   let start = Cycles.now t.clock in
-  let result =
-    match (t.backend, handle) with
-    | B_base _, H_base { iova } -> (
-        match unmap_exn t ~iova with
-        | () -> Ok ()
-        | exception I_driver.Not_mapped -> Error `Not_mapped)
-    | B_plain _, H_phys _ ->
-        if t.mode <> Mode.None_ then Cycles.charge t.clock passthrough_overhead;
-        account t ~start ~live:(-1) (Ok ())
-    | B_rio { driver; _ }, H_rio { iova } ->
-        account t ~start ~live:(-1) (R_driver.unmap driver iova ~end_of_burst)
-    | _ -> invalid_arg "Dma_api.unmap: handle from another mode"
-  in
-  (match (result, t.log) with
-  | Ok (), Some _ -> log_op t (Op_log.Unmap { addr = addr t handle })
-  | _ -> ());
-  result
+  match
+    match t.backend with
+    | B_plain _ -> if t.mode <> Mode.None_ then Cycles.charge t.clock passthrough_overhead
+    | B_base { driver } -> I_driver.unmap_exn driver ~iova
+    | B_rio { driver; _ } -> (
+        (* one exception per outcome across the modes *)
+        try R_driver.unmap_exn driver iova ~end_of_burst
+        with R_driver.Not_mapped -> raise I_driver.Not_mapped)
+  with
+  | () ->
+      t.live <- t.live - 1;
+      t.driver_cycles <- t.driver_cycles + Cycles.since t.clock start
+  | exception e ->
+      t.driver_cycles <- t.driver_cycles + Cycles.since t.clock start;
+      raise e
 
-let map_sg t ~ring ~segments ~dir =
-  if segments = [] then invalid_arg "Dma_api.map_sg: empty list";
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | (phys, bytes) :: rest -> (
-        match map t ~ring ~phys ~bytes ~dir with
-        | Ok h -> go (h :: acc) rest
-        | Error e ->
-            (* unwind the prefix so a failed SG map leaves nothing live *)
-            List.iteri
-              (fun i h ->
-                match unmap t h ~end_of_burst:(i = List.length acc - 1) with
-                | Ok () -> ()
-                | Error `Not_mapped -> assert false)
-              acc;
-            Error e)
-  in
-  go [] segments
+let translate_exn t ~iova ~write =
+  match t.backend with
+  | B_plain { sw_iotlb = None } -> Addr.phys_of_int iova
+  | B_plain { sw_iotlb = Some iotlb } ->
+      (* SWpt: identity translation still exercises the IOTLB and the
+         page walk on a miss (§5.1's methodology validation). *)
+      let phys = Addr.phys_of_int iova in
+      let vpn = Addr.pfn phys in
+      if not (Iotlb.find iotlb ~bdf:t.rid ~vpn ~absent:false) then begin
+        Cycles.charge t.clock (4 * t.cost.Cost_model.io_walk_ref);
+        ignore (Iotlb.insert iotlb ~bdf:t.rid ~vpn true : int)
+      end;
+      phys
+  | B_base { driver } -> I_driver.translate_exn driver ~iova ~write
+  | B_rio { hw; _ } -> (
+      try R_hw.rtranslate_exn hw ~bdf:t.rid ~iova ~write
+      with R_hw.Translation_fault -> raise I_driver.Translation_fault)
 
-let unmap_sg t handles ~end_of_burst =
-  let n = List.length handles in
-  if n = 0 then invalid_arg "Dma_api.unmap_sg: empty list";
-  let rec go i = function
-    | [] -> Ok ()
-    | h :: rest -> (
-        match unmap t h ~end_of_burst:(end_of_burst && i = n - 1) with
-        | Ok () -> go (i + 1) rest
-        | Error `Not_mapped -> Error `Not_mapped)
-  in
-  go 0 handles
+let map t ~ring ~phys ~bytes ~dir =
+  match map_exn t ~ring ~phys ~bytes ~dir with
+  | addr ->
+      (match t.log with
+      | Some _ -> log_op t (Op_log.Map { ring; addr; bytes })
+      | None -> ());
+      Ok addr
+  | exception I_driver.Exhausted -> Error `Exhausted
+  | exception R_driver.Overflow -> Error `Overflow
+
+let unmap t ~addr ~end_of_burst =
+  match unmap_exn t ~iova:addr ~end_of_burst with
+  | () ->
+      (match t.log with Some _ -> log_op t (Op_log.Unmap { addr }) | None -> ());
+      Ok ()
+  | exception I_driver.Not_mapped -> Error `Not_mapped
 
 let flush t =
   let start = Cycles.now t.clock in
@@ -280,7 +230,7 @@ let flush t =
   | B_rio { hw; device; _ } ->
       (* quiesce: drop every ring's rIOTLB entry (device reinit, §2.2) *)
       for ring = 0 to Rdevice.ring_count device - 1 do
-        Rio_core.Riotlb.invalidate (R_hw.riotlb hw) ~bdf:t.rid ~rid:ring
+        R_hw.invalidate hw ~bdf:t.rid ~ring
       done
   | B_plain _ -> ());
   t.driver_cycles <- t.driver_cycles + Cycles.since t.clock start
@@ -288,51 +238,28 @@ let flush t =
 let driver_cycles t = t.driver_cycles
 let reset_driver_cycles t = t.driver_cycles <- 0
 
-let translate t ~addr:target ~offset ~write =
+let fault_name t =
+  match t.backend with
+  | B_plain _ -> assert false (* pass-through translation never faults *)
+  | B_base { driver } -> Format.asprintf "%a" I_driver.pp_fault (I_driver.last_fault driver)
+  | B_rio { hw; _ } -> Format.asprintf "%a" R_hw.pp_fault (R_hw.last_fault hw)
+
+let translate t ~addr ~offset ~write =
   let result =
     match t.backend with
-  | B_plain { sw_iotlb } -> (
-      let phys = Addr.phys_of_int (Int64.to_int target + offset) in
-      match sw_iotlb with
-      | None -> Ok phys
-      | Some iotlb ->
-          (* SWpt: identity translation still exercises the IOTLB and the
-             page walk on a miss (§5.1's methodology validation). *)
-          let vpn = Addr.pfn phys in
-          if not (Iotlb.find iotlb ~bdf:t.rid ~vpn ~absent:false) then begin
-            Cycles.charge t.clock (4 * t.cost.Cost_model.io_walk_ref);
-            ignore (Iotlb.insert iotlb ~bdf:t.rid ~vpn true : int)
-          end;
-          Ok phys)
-  | B_base { driver } -> (
-      match
-        I_driver.translate driver ~iova:(Int64.to_int target + offset) ~write
-      with
-      | Ok phys -> Ok phys
-      | Error f -> Error (Format.asprintf "%a" I_driver.pp_fault f))
-  | B_rio { hw; _ } -> (
-      let iova = Riova.decode target in
-      let iova = Riova.with_offset iova (iova.Riova.offset + offset) in
-      match R_hw.rtranslate hw ~bdf:t.rid ~iova ~write with
-      | Ok phys -> Ok phys
-      | Error f -> Error (Format.asprintf "%a" R_hw.pp_fault f))
+    | B_rio _
+      when offset < 0 || Riova.offset addr + offset >= 1 lsl Riova.offset_bits ->
+        Error (Format.asprintf "%a" R_hw.pp_fault R_hw.Offset_out_of_range)
+    | _ -> (
+        match translate_exn t ~iova:(addr + offset) ~write with
+        | phys -> Ok phys
+        | exception I_driver.Translation_fault -> Error (fault_name t))
   in
   (match t.log with
   | None -> ()
   | Some _ ->
-      log_op t
-        (Op_log.Access { addr = target; offset; write; ok = Result.is_ok result }));
+      log_op t (Op_log.Access { addr; offset; write; ok = Result.is_ok result }));
   result
-
-(* Zero-alloc device-side form of [translate] for the baseline-IOMMU
-   modes: raw IOVA in, phys out, no result/error boxing, no op-log
-   record. The driver's one translate body; faults raise its constant
-   exception. *)
-let translate_exn t ~iova ~write =
-  match t.backend with
-  | B_base { driver } -> I_driver.translate_exn driver ~iova ~write
-  | B_plain _ | B_rio _ ->
-      invalid_arg "Dma_api.translate_exn: baseline-IOMMU modes only"
 
 let map_breakdown t =
   match t.backend with

@@ -31,17 +31,35 @@ val default_config : mode:Mode.t -> config
 
 type t
 
-type handle
-(** An opaque mapped-buffer handle; encodes to the 64-bit descriptor
-    address via {!addr}. *)
-
 val create : ?cost:Rio_sim.Cost_model.t -> config -> t
 val mode : t -> Mode.t
 val clock : t -> Rio_sim.Cycles.t
 val cost : t -> Rio_sim.Cost_model.t
 val frames : t -> Rio_memory.Frame_allocator.t
 
-(** {1 Driver side (the CPU-cycle critical path, §3.3)} *)
+(** {1 Driver side (the CPU-cycle critical path, §3.3)}
+
+    Each op has one body for all nine modes, its [_exn] form: it takes
+    and returns plain [int] addresses, skips the op log and allocates
+    no heap words after warm-up (the deferred modes' release queue
+    aside). The address a map returns is the one
+    the driver writes into its DMA descriptor: the physical address
+    (none and the pass-throughs), the IOVA (baseline IOMMU) or the
+    rIOVA ({!Rio_core.Riova}). The result forms wrap the [_exn] forms:
+    they box the outcome and record the op log. The cycles an op spends
+    count in {!driver_cycles} whether or not it succeeds. *)
+
+val map_exn :
+  t ->
+  ring:int ->
+  phys:Rio_memory.Addr.phys ->
+  bytes:int ->
+  dir:Rio_core.Rpte.dir ->
+  int
+(** Map a buffer into [ring] (rIOMMU modes; the others pool all rings
+    into one IOVA space). Raises {!Rio_domain.Driver.Exhausted} when the
+    baseline IOVA space is full and {!Rio_core.Driver.Overflow} when the
+    rIOMMU ring is. *)
 
 val map :
   t ->
@@ -49,71 +67,36 @@ val map :
   phys:Rio_memory.Addr.phys ->
   bytes:int ->
   dir:Rio_core.Rpte.dir ->
-  (handle, [ `Exhausted | `Overflow ]) result
+  (int, [ `Exhausted | `Overflow ]) result
 
-val unmap : t -> handle -> end_of_burst:bool -> (unit, [ `Not_mapped ]) result
-(** [end_of_burst] is meaningful to the rIOMMU modes only; others ignore
-    it. *)
+val unmap_exn : t -> iova:int -> end_of_burst:bool -> unit
+(** Unmap an address {!map_exn} returned. [end_of_burst] is meaningful
+    to the rIOMMU modes only; others ignore it. Raises
+    {!Rio_domain.Driver.Not_mapped} in every protected mode. *)
 
-val map_exn :
-  t ->
-  phys:Rio_memory.Addr.phys ->
-  bytes:int ->
-  dir:Rio_core.Rpte.dir ->
-  int
-(** Zero-allocation map for the baseline-IOMMU modes: returns the raw
-    IOVA (no handle box), skips the op log, and allocates no heap words
-    after warm-up. It is the body {!map} runs for those modes. Raises
-    {!Rio_domain.Driver.Exhausted} when the IOVA space is full and
-    [Invalid_argument] under non-baseline modes. The cycles spent count
-    in {!driver_cycles} whether or not the map succeeds. *)
-
-val unmap_exn : t -> iova:int -> unit
-(** Zero-allocation unmap of an IOVA returned by {!map_exn} (or
-    {!map}+{!addr}); the body {!unmap} runs for the baseline modes.
-    Raises {!Rio_domain.Driver.Not_mapped} and, under non-baseline
-    modes, [Invalid_argument]. Skips the op log. The cycles spent count
-    in {!driver_cycles} either way. *)
-
-val map_sg :
-  t ->
-  ring:int ->
-  segments:(Rio_memory.Addr.phys * int) list ->
-  dir:Rio_core.Rpte.dir ->
-  (handle list, [ `Exhausted | `Overflow ]) result
-(** Map a scatter-gather list (one handle per segment, as NIC/NVMe
-    descriptors carry K addresses, §4). All-or-nothing: on failure the
-    segments already mapped are unwound. *)
-
-val unmap_sg : t -> handle list -> end_of_burst:bool -> (unit, [ `Not_mapped ]) result
-(** Unmap a scatter-gather list; only the last segment carries
-    [end_of_burst]. *)
+val unmap : t -> addr:int -> end_of_burst:bool -> (unit, [ `Not_mapped ]) result
 
 val flush : t -> unit
 (** Quiesce translation state: drain a deferred-mode invalidation queue,
     or (rIOMMU modes) invalidate every ring's rIOTLB entry, as a device
     reinitialization does. No-op for unprotected modes. *)
 
-val addr : t -> handle -> int64
-(** The address the driver writes into the DMA descriptor. *)
-
 (** {1 Device side} *)
 
-val translate :
-  t -> addr:int64 -> offset:int -> write:bool -> (Rio_memory.Addr.phys, string) result
-(** Resolve a descriptor address (+ byte offset) to physical memory the
-    way the (r)IOMMU would; the error string names the fault. Charges
-    device-side costs (IOTLB lookups, walks) but - per the validated
-    model of §3.3 - these do not slow the core. *)
-
 val translate_exn : t -> iova:int -> write:bool -> Rio_memory.Addr.phys
-(** Zero-allocation {!translate} for the baseline-IOMMU modes: takes the
-    raw IOVA (no int64 descriptor encoding), skips the op log, and
-    allocates no heap words on the IOTLB-hit path. It and {!translate}
-    run the same body for those modes, the driver's
-    {!Rio_domain.Driver.translate_exn}. Faults raise the constant
-    {!Rio_domain.Driver.Translation_fault}; non-baseline modes raise
-    [Invalid_argument]. *)
+(** Resolve a device address the way the (r)IOMMU would: a descriptor
+    address plus a byte offset, already added. Charges device-side
+    costs (IOTLB lookups, walks) but - per the validated model of §3.3
+    - these do not slow the core. Every fault raises the constant
+    {!Rio_domain.Driver.Translation_fault}; allocation-free on hits and
+    misses alike. *)
+
+val translate :
+  t -> addr:int -> offset:int -> write:bool -> (Rio_memory.Addr.phys, string) result
+(** {!translate_exn} of [addr + offset]; the error string names the
+    fault. Under the rIOMMU modes an [offset] that is negative or would
+    carry out of the rIOVA's offset field is the "offset out of range"
+    fault (the sum would name another ring entry). *)
 
 (** {1 Logging} *)
 
@@ -140,7 +123,7 @@ val reset_driver_cycles : t -> unit
 
 val faults : t -> int
 val live_mappings : t -> int
-(** Currently mapped handles (as seen by this layer). *)
+(** Currently mapped buffers (as seen by this layer). *)
 
 val rcache_stats : t -> Rio_iova.Magazine.stats option
 (** Magazine-cache counters when [rcache] was enabled; [None]

@@ -1,7 +1,7 @@
 type op =
-  | Map of { ring : int; addr : int64; bytes : int }
-  | Unmap of { addr : int64 }
-  | Access of { addr : int64; offset : int; write : bool; ok : bool }
+  | Map of { ring : int; addr : int; bytes : int }
+  | Unmap of { addr : int }
+  | Access of { addr : int; offset : int; write : bool; ok : bool }
 
 type entry = { seq : int; cycles : int; op : op }
 
@@ -28,10 +28,10 @@ let to_csv t =
       let row =
         match e.op with
         | Map { ring; addr; bytes } ->
-            Printf.sprintf "%d,%d,map,%Ld,%d,%d" e.seq e.cycles addr ring bytes
-        | Unmap { addr } -> Printf.sprintf "%d,%d,unmap,%Ld,0,0" e.seq e.cycles addr
+            Printf.sprintf "%d,%d,map,%d,%d,%d" e.seq e.cycles addr ring bytes
+        | Unmap { addr } -> Printf.sprintf "%d,%d,unmap,%d,0,0" e.seq e.cycles addr
         | Access { addr; offset; write; ok } ->
-            Printf.sprintf "%d,%d,%s,%Ld,%d,%d" e.seq e.cycles
+            Printf.sprintf "%d,%d,%s,%d,%d,%d" e.seq e.cycles
               (if write then "write" else "read")
               addr offset
               (if ok then 1 else 0)
@@ -49,7 +49,7 @@ let of_csv text =
         try
           let seq = int_of_string seq in
           let cycles = int_of_string cycles in
-          let addr = Int64.of_string addr in
+          let addr = int_of_string addr in
           let arg1 = int_of_string arg1 in
           let arg2 = int_of_string arg2 in
           let op =

@@ -7,9 +7,9 @@
     prefetcher evaluation. *)
 
 type op =
-  | Map of { ring : int; addr : int64; bytes : int }
-  | Unmap of { addr : int64 }
-  | Access of { addr : int64; offset : int; write : bool; ok : bool }
+  | Map of { ring : int; addr : int; bytes : int }
+  | Unmap of { addr : int }
+  | Access of { addr : int; offset : int; write : bool; ok : bool }
 
 type entry = { seq : int; cycles : int; op : op }
 

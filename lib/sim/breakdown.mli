@@ -2,7 +2,8 @@
 
     Table 1 of the paper decomposes the map and unmap driver calls into
     components (IOVA allocation, page-table update, IOTLB invalidation,
-    IOVA find/free, other). Drivers wrap each phase in {!phase} so the
+    IOVA find/free, other). Drivers bracket each phase with
+    {!Cycles.now}/{!Cycles.since} and {!charge} the difference, so the
     experiment harness can print the same rows. *)
 
 type component =
@@ -18,14 +19,10 @@ val all_components : component list
 
 type t
 
-val create : clock:Cycles.t -> t
-
-val phase : t -> component -> (unit -> 'a) -> 'a
-(** Run the thunk and attribute the cycles it charges to the component. *)
+val create : unit -> t
 
 val charge : t -> component -> int -> unit
-(** Attribute [n] already-charged cycles to a component without running a
-    thunk (for costs accounted elsewhere). *)
+(** Attribute [n] already-charged cycles to a component. *)
 
 val record_call : t -> unit
 (** Count one driver invocation (map or unmap) for averaging. *)

@@ -17,16 +17,16 @@ let pair_cost ~mode ~burst ~rounds =
   Dma_api.reset_driver_cycles api;
   let pairs = ref 0 in
   for _ = 1 to rounds do
-    let handles =
+    let addrs =
       List.init burst (fun _ ->
           Result.get_ok
             (Dma_api.map api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional))
     in
     List.iteri
-      (fun i h ->
-        ignore (Dma_api.unmap api h ~end_of_burst:(i = burst - 1));
+      (fun i addr ->
+        ignore (Dma_api.unmap api ~addr ~end_of_burst:(i = burst - 1));
         incr pairs)
-      handles
+      addrs
   done;
   Dma_api.driver_cycles api / !pairs
 
@@ -72,10 +72,10 @@ let test_overflow_cliff () =
     let attempts = 2_000 in
     for _ = 1 to attempts do
       (match Dma_api.map api ~ring:0 ~phys:buf ~bytes:100 ~dir:Rpte.Bidirectional with
-      | Ok h -> Queue.add h live
+      | Ok addr -> Queue.add addr live
       | Error (`Overflow | `Exhausted) -> incr overflows);
       if Queue.length live > l then
-        ignore (Dma_api.unmap api (Queue.pop live) ~end_of_burst:true)
+        ignore (Dma_api.unmap api ~addr:(Queue.pop live) ~end_of_burst:true)
     done;
     float_of_int !overflows /. float_of_int attempts
   in

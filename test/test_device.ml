@@ -22,12 +22,11 @@ let test_dma_roundtrip_cross_page () =
   let buf =
     Option.get (Rio_memory.Dma_buffer.alloc (Dma_api.frames api) ~size:9000)
   in
-  let h =
+  let addr =
     Result.get_ok
       (Dma_api.map api ~ring:0 ~phys:buf.Rio_memory.Dma_buffer.base ~bytes:9000
          ~dir:Rpte.Bidirectional)
   in
-  let addr = Dma_api.addr api h in
   let data = Bytes.init 9000 (fun i -> Char.chr (i land 0xff)) in
   Alcotest.(check bool) "write ok" true
     (Dma.write_to_memory ~api ~mem ~addr ~data = Ok ());
@@ -39,10 +38,9 @@ let test_dma_fault_aborts () =
   let api = Dma_api.create (Dma_api.default_config ~mode:Mode.Riommu) in
   let mem = Phys_mem.create () in
   let buf = Rio_memory.Frame_allocator.alloc_exn (Dma_api.frames api) in
-  let h =
+  let addr =
     Result.get_ok (Dma_api.map api ~ring:0 ~phys:buf ~bytes:100 ~dir:Rpte.To_memory)
   in
-  let addr = Dma_api.addr api h in
   (* writing 200 bytes overruns the 100-byte rPTE window: chunk 2 faults *)
   Alcotest.(check bool) "overrun faults" true
     (Result.is_error (Dma.write_to_memory ~api ~mem ~addr ~data:(Bytes.make 200 'z')))

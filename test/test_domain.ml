@@ -703,7 +703,7 @@ let check_front_doors mode (rcache, ops) =
     (match op with
     | F_map (bytes, off, dir) ->
         let phys = Addr.phys_of_int ((((i * 7) + 1) lsl Addr.page_shift) + off) in
-        let ia = Rio_protect.Dma_api.map_exn api ~phys ~bytes ~dir in
+        let ia = Rio_protect.Dma_api.map_exn api ~ring:0 ~phys ~bytes ~dir in
         let read, write =
           match dir with
           | Rio_core.Rpte.Bidirectional -> (true, true)
@@ -721,7 +721,7 @@ let check_front_doors mode (rcache, ops) =
         let iova = !live.(k mod n) in
         live := Array.append (Array.sub !live 0 (k mod n))
             (Array.sub !live ((k mod n) + 1) (n - (k mod n) - 1));
-        Rio_protect.Dma_api.unmap_exn api ~iova;
+        Rio_protect.Dma_api.unmap_exn api ~iova ~end_of_burst:true;
         if Driver.unmap (Manager.driver d) ~iova <> Ok () then fail "op %d: unmap" i
     | F_unmap _ -> ()
     | F_translate (pick, off, write) ->
@@ -805,7 +805,17 @@ let test_scheduler_completes_all_tenants () =
         (r.Scheduler.ios >= 100);
       Alcotest.(check bool) "consumed cycles" true (r.Scheduler.cycles > 0);
       Alcotest.(check int) "no faults" 0 r.Scheduler.faults)
-    results
+    results;
+  (* strict already runs the constant-time allocator: strict+ and
+     defer+ would only rerun strict/defer under another name *)
+  List.iter
+    (fun mode ->
+      match
+        Scheduler.run { cfg with Scheduler.mode } small_tenants
+      with
+      | _ -> Alcotest.failf "%s ran" (Mode.name mode)
+      | exception Invalid_argument _ -> ())
+    [ Mode.Strict_plus; Mode.Defer_plus ]
 
 let test_scheduler_deterministic () =
   let run () =

@@ -165,6 +165,10 @@ let test_deferred_vulnerability_window () =
     (Result.is_ok (Driver.translate r.driver ~iova ~write:true));
   Alcotest.(check bool) "unmap ok" true (Driver.unmap r.driver ~iova = Ok ());
   Alcotest.(check int) "invalidation pending" 1 (Driver.pending r.driver);
+  (* the IOVA stays allocated until the flush, yet it is not mapped *)
+  Alcotest.(check bool) "double unmap while pending" true
+    (Driver.unmap r.driver ~iova = Error `Not_mapped);
+  Alcotest.(check int) "still one pending" 1 (Driver.pending r.driver);
   (match Driver.translate r.driver ~iova ~write:true with
   | Ok p -> Alcotest.check phys_check "STALE ACCESS SUCCEEDS (the window)" buf p
   | Error f -> Alcotest.failf "window should be open: %a" Driver.pp_fault f);

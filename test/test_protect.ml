@@ -2,9 +2,18 @@
    the uniform map/translate/unmap behaviour across all nine modes. *)
 
 module Addr = Rio_memory.Addr
+module Coherency = Rio_memory.Coherency
+module Frame_allocator = Rio_memory.Frame_allocator
+module Cycles = Rio_sim.Cycles
+module Cost_model = Rio_sim.Cost_model
 module Mode = Rio_protect.Mode
 module Dma_api = Rio_protect.Dma_api
+module I_driver = Rio_domain.Driver
 module Rpte = Rio_core.Rpte
+module Riova = Rio_core.Riova
+module Rdevice = Rio_core.Rdevice
+module Hw = Rio_core.Hw
+module R_driver = Rio_core.Driver
 
 let test_mode_names_roundtrip () =
   List.iter
@@ -33,19 +42,18 @@ let make mode = Dma_api.create (Dma_api.default_config ~mode)
 let roundtrip mode () =
   let api = make mode in
   let buf = Rio_memory.Frame_allocator.alloc_exn (Dma_api.frames api) in
-  let h =
+  let addr =
     Result.get_ok
       (Dma_api.map api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional)
   in
   Alcotest.(check int) "one live mapping" 1 (Dma_api.live_mappings api);
-  let addr = Dma_api.addr api h in
   (match Dma_api.translate api ~addr ~offset:100 ~write:true with
   | Ok p ->
       Alcotest.(check int) "translates to buffer+offset"
         (Addr.to_int buf + 100) (Addr.to_int p)
   | Error e -> Alcotest.failf "%s: unexpected fault %s" (Mode.name mode) e);
   Alcotest.(check bool) "unmap ok" true
-    (Dma_api.unmap api h ~end_of_burst:true = Ok ());
+    (Dma_api.unmap api ~addr ~end_of_burst:true = Ok ());
   Alcotest.(check int) "no live mappings" 0 (Dma_api.live_mappings api);
   Dma_api.flush api;
   let safe = Mode.is_safe mode || not (Mode.is_protected mode) in
@@ -66,21 +74,21 @@ let test_driver_cycle_ordering () =
     let frames = Dma_api.frames api in
     for _ = 1 to 50 do
       let buf = Rio_memory.Frame_allocator.alloc_exn frames in
-      let h =
+      let addr =
         Result.get_ok
           (Dma_api.map api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional)
       in
-      ignore (Dma_api.unmap api h ~end_of_burst:true);
+      ignore (Dma_api.unmap api ~addr ~end_of_burst:true);
       Rio_memory.Frame_allocator.free frames buf
     done;
     Dma_api.reset_driver_cycles api;
     for _ = 1 to 100 do
       let buf = Rio_memory.Frame_allocator.alloc_exn frames in
-      let h =
+      let addr =
         Result.get_ok
           (Dma_api.map api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional)
       in
-      ignore (Dma_api.unmap api h ~end_of_burst:true);
+      ignore (Dma_api.unmap api ~addr ~end_of_burst:true);
       Rio_memory.Frame_allocator.free frames buf
     done;
     Dma_api.driver_cycles api / 100
@@ -95,16 +103,41 @@ let test_driver_cycle_ordering () =
   Alcotest.(check bool) "riommu < riommu-" true (riommu < riommu_m);
   Alcotest.(check bool) "riommu- < strict" true (riommu_m < strict)
 
-let test_handles_not_interchangeable () =
-  let a = make Mode.Strict in
-  let b = make Mode.Riommu in
-  let buf = Rio_memory.Frame_allocator.alloc_exn (Dma_api.frames a) in
-  let h =
-    Result.get_ok (Dma_api.map a ~ring:0 ~phys:buf ~bytes:100 ~dir:Rpte.Bidirectional)
+(* Out-of-range rIOVAs are typed outcomes, never stray exceptions: an
+   unmap past the ring's end or of a ring the device lacks is
+   [Not_mapped], and a translate whose offset leaves the rIOVA's 30-bit
+   field is the offset fault. A map into a ring the device lacks is the
+   driver's own bug and stays [Invalid_argument]. *)
+let test_out_of_range_riovas () =
+  let clock = Cycles.create () and cost = Cost_model.default in
+  let frames = Frame_allocator.create ~total_frames:1_000 in
+  let coherency = Coherency.create ~coherent:true ~cost ~clock in
+  let device = Rdevice.create ~rid:0x300 ~ring_sizes:[ 8 ] ~frames ~coherency in
+  let hw = Hw.create ~clock ~cost in
+  Hw.attach hw device;
+  let driver = R_driver.create ~device ~hw ~clock ~cost in
+  let buf = Frame_allocator.alloc_exn frames in
+  let past_end = (Riova.pack ~offset:0 ~rentry:8 ~rid:0 :> int) in
+  let no_ring = (Riova.pack ~offset:0 ~rentry:0 ~rid:1 :> int) in
+  Alcotest.(check bool) "unmap past the ring's end" true
+    (R_driver.unmap driver past_end ~end_of_burst:true = Error `Not_mapped);
+  Alcotest.(check bool) "unmap of a missing ring" true
+    (R_driver.unmap driver no_ring ~end_of_burst:true = Error `Not_mapped);
+  Alcotest.check_raises "map to a missing ring"
+    (Invalid_argument "Rdevice.ring: rid range") (fun () ->
+      ignore (R_driver.map driver ~rid:1 ~phys:buf ~size:100 ~dir:Rpte.Bidirectional));
+  let api = make Mode.Riommu in
+  let addr =
+    Result.get_ok
+      (Dma_api.map api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional)
   in
-  Alcotest.check_raises "foreign handle"
-    (Invalid_argument "Dma_api.unmap: handle from another mode") (fun () ->
-      ignore (Dma_api.unmap b h ~end_of_burst:true))
+  let offset_fault = Error "offset out of range" in
+  Alcotest.(check bool) "translate at offset 2^30" true
+    (Dma_api.translate api ~addr ~offset:(1 lsl 30) ~write:true = offset_fault);
+  Alcotest.(check bool) "translate at offset -1" true
+    (Dma_api.translate api ~addr ~offset:(-1) ~write:true = offset_fault);
+  Alcotest.(check bool) "Dma_api unmap of a missing ring" true
+    (Dma_api.unmap api ~addr:no_ring ~end_of_burst:true = Error `Not_mapped)
 
 let test_swpt_charges_walks () =
   (* SWpt translates through a real identity IOTLB: the first touch of a
@@ -112,10 +145,9 @@ let test_swpt_charges_walks () =
   let api = make Mode.Sw_passthrough in
   let clock = Dma_api.clock api in
   let buf = Rio_memory.Frame_allocator.alloc_exn (Dma_api.frames api) in
-  let h =
+  let addr =
     Result.get_ok (Dma_api.map api ~ring:0 ~phys:buf ~bytes:100 ~dir:Rpte.Bidirectional)
   in
-  let addr = Dma_api.addr api h in
   let _, first =
     Rio_sim.Cycles.measure clock (fun () ->
         ignore (Dma_api.translate api ~addr ~offset:0 ~write:false))
@@ -127,51 +159,148 @@ let test_swpt_charges_walks () =
   Alcotest.(check bool) "first pays a walk" true (first > second);
   Alcotest.(check bool) "second is cheap" true (second < 100)
 
-let test_map_sg_roundtrip () =
+(* {2 One body per op}
+
+   The result forms wrap the [_exn] forms, so twin instances driven
+   through each must agree op for op: the same addresses, phys values
+   and outcome classes, the same clock and [driver_cycles]. *)
+
+type op =
+  | O_map of int * int  (* ring, bytes *)
+  | O_unmap of int  (* pick among ever-mapped addresses *)
+  | O_translate of int * int * bool  (* pick, offset, write *)
+
+let op_to_string = function
+  | O_map (r, b) -> Printf.sprintf "map(r%d,%d)" r b
+  | O_unmap k -> Printf.sprintf "unmap(#%d)" k
+  | O_translate (p, o, w) -> Printf.sprintf "translate(#%d+%d,%s)" p o (if w then "w" else "r")
+
+let ops_arb =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun r b -> O_map (r, b)) (int_bound 1) (int_range 1 9000));
+          (2, map (fun k -> O_unmap k) (int_bound 1000));
+          ( 4,
+            map3
+              (fun p o w -> O_translate (p, o, w))
+              (int_bound 1000) (int_bound 12_000) bool );
+        ])
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat " " (List.map op_to_string ops))
+    QCheck.Gen.(list_size (int_range 1 200) op)
+
+let check_exn_result_twins mode ops =
+  (* small rings and deferred batches so sequences reach overflow and
+     the batched flush *)
+  let cfg = { (Dma_api.default_config ~mode) with ring_sizes = [ 8; 8 ]; defer_batch = 8 } in
+  let r = Dma_api.create cfg and e = Dma_api.create cfg in
+  let fail fmt = Printf.ksprintf failwith ("%s " ^^ fmt) (Mode.name mode) in
+  let seen = ref [||] in
+  let pick k = if !seen = [||] then 0x5000 + k else !seen.(k mod Array.length !seen) in
+  List.iteri
+    (fun i op ->
+      let phys = Addr.phys_of_int ((i + 1) * 0x3000) in
+      (match op with
+      | O_map (ring, bytes) ->
+          let via_r =
+            match Dma_api.map r ~ring ~phys ~bytes ~dir:Rpte.Bidirectional with
+            | Ok a -> Ok a
+            | Error `Exhausted -> Error "exhausted"
+            | Error `Overflow -> Error "overflow"
+          in
+          let via_e =
+            match Dma_api.map_exn e ~ring ~phys ~bytes ~dir:Rpte.Bidirectional with
+            | a -> Ok a
+            | exception I_driver.Exhausted -> Error "exhausted"
+            | exception R_driver.Overflow -> Error "overflow"
+          in
+          if via_r <> via_e then fail "op %d %s: map outcomes differ" i (op_to_string op);
+          Result.iter (fun a -> seen := Array.append !seen [| a |]) via_r
+      | O_unmap k ->
+          let addr = pick k in
+          let via_r = Dma_api.unmap r ~addr ~end_of_burst:(k land 1 = 0) in
+          let via_e =
+            match Dma_api.unmap_exn e ~iova:addr ~end_of_burst:(k land 1 = 0) with
+            | () -> Ok ()
+            | exception I_driver.Not_mapped -> Error `Not_mapped
+          in
+          if via_r <> via_e then fail "op %d %s: unmap outcomes differ" i (op_to_string op)
+      | O_translate (p, offset, write) ->
+          let addr = pick p in
+          let via_r = Result.map Addr.to_int (Dma_api.translate r ~addr ~offset ~write) in
+          let via_e =
+            match Dma_api.translate_exn e ~iova:(addr + offset) ~write with
+            | phys -> Ok (Addr.to_int phys)
+            | exception I_driver.Translation_fault -> Error "fault"
+          in
+          (match (via_r, via_e) with
+          | Ok a, Ok b when a = b -> ()
+          | Error _, Error _ -> ()
+          | _ -> fail "op %d %s: translate outcomes differ" i (op_to_string op)));
+      if Cycles.now (Dma_api.clock r) <> Cycles.now (Dma_api.clock e) then
+        fail "after op %d: clocks differ" i;
+      if Dma_api.driver_cycles r <> Dma_api.driver_cycles e then
+        fail "after op %d: driver cycles differ" i;
+      if Dma_api.faults r <> Dma_api.faults e then fail "after op %d: faults differ" i;
+      if Dma_api.live_mappings r <> Dma_api.live_mappings e then
+        fail "after op %d: live mappings differ" i)
+    ops
+
+let prop_exn_result_twins =
+  QCheck.Test.make ~count:30 ~name:"exn and result forms agree (twin replay)"
+    ops_arb (fun ops ->
+      List.iter (fun mode -> check_exn_result_twins mode ops) Mode.all;
+      true)
+
+(* The rIOMMU arms of the [_exn] forms allocate nothing after warm-up:
+   FIFO ring discipline (map a burst, the device translates it in ring
+   order, unmap it oldest first), words measured as Gc.minor_words
+   deltas less the probe's own overhead, the way the service's
+   allocation probe measures its ops. *)
+let words_per_op mode =
+  let api = make mode in
+  let buf = Frame_allocator.alloc_exn (Dma_api.frames api) in
+  let n = 256 in
+  let addrs = Array.make n 0 in
+  let overhead =
+    let a = Gc.minor_words () in
+    let b = Gc.minor_words () in
+    b -. a
+  in
+  let per_op delta = Float.max 0. ((delta -. overhead) /. float_of_int n) in
+  let round () =
+    let a = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      addrs.(i) <- Dma_api.map_exn api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional
+    done;
+    let b = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      ignore (Sys.opaque_identity (Dma_api.translate_exn api ~iova:(addrs.(i) + 64) ~write:true))
+    done;
+    let c = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      Dma_api.unmap_exn api ~iova:addrs.(i) ~end_of_burst:(i = n - 1)
+    done;
+    let d = Gc.minor_words () in
+    (per_op (b -. a), per_op (c -. b), per_op (d -. c))
+  in
+  ignore (round ());
+  round ()
+
+let test_riommu_words_per_op () =
   List.iter
     (fun mode ->
-      let api = make mode in
-      let frames = Dma_api.frames api in
-      let segments =
-        List.map
-          (fun bytes -> (Rio_memory.Frame_allocator.alloc_exn frames, bytes))
-          [ 128; 1500; 4096 ]
-      in
-      let handles =
-        Result.get_ok (Dma_api.map_sg api ~ring:0 ~segments ~dir:Rpte.Bidirectional)
-      in
-      Alcotest.(check int) "three handles" 3 (List.length handles);
-      Alcotest.(check int) "three live" 3 (Dma_api.live_mappings api);
-      List.iter2
-        (fun h (phys, _) ->
-          match Dma_api.translate api ~addr:(Dma_api.addr api h) ~offset:0 ~write:true with
-          | Ok p -> Alcotest.(check int) "segment resolves" (Addr.to_int phys) (Addr.to_int p)
-          | Error e -> Alcotest.failf "%s: %s" (Mode.name mode) e)
-        handles segments;
-      Alcotest.(check bool) "unmap_sg" true
-        (Dma_api.unmap_sg api handles ~end_of_burst:true = Ok ());
-      Alcotest.(check int) "none live" 0 (Dma_api.live_mappings api))
-    [ Mode.Strict; Mode.Defer_plus; Mode.Riommu; Mode.None_ ]
-
-let test_map_sg_unwinds_on_failure () =
-  (* a tiny rIOMMU ring: the third segment overflows, the first two must
-     be unwound *)
-  let api =
-    Dma_api.create
-      { (Dma_api.default_config ~mode:Mode.Riommu) with Dma_api.ring_sizes = [ 2; 2 ] }
-  in
-  let frames = Dma_api.frames api in
-  let seg () = (Rio_memory.Frame_allocator.alloc_exn frames, 100) in
-  let segments = [ seg (); seg (); seg () ] in
-  Alcotest.(check bool) "fails" true
-    (Dma_api.map_sg api ~ring:0 ~segments ~dir:Rpte.Bidirectional = Error `Overflow);
-  Alcotest.(check int) "nothing left mapped" 0 (Dma_api.live_mappings api);
-  (* the ring is reusable afterwards *)
-  let h =
-    Result.get_ok
-      (Dma_api.map api ~ring:0 ~phys:(fst (seg ())) ~bytes:100 ~dir:Rpte.Bidirectional)
-  in
-  ignore (Dma_api.unmap api h ~end_of_burst:true)
+      let map, translate, unmap = words_per_op mode in
+      List.iter
+        (fun (op, w) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s words/op" (Mode.name mode) op)
+            "0.00" (Printf.sprintf "%.2f" w))
+        [ ("map_exn", map); ("translate_exn", translate); ("unmap_exn", unmap) ])
+    [ Mode.Riommu; Mode.Riommu_minus ]
 
 (* Cross-mode agreement: every device access inside a mapped buffer's
    window resolves to the buffer's physical byte - identically - under
@@ -189,23 +318,21 @@ let prop_strict_riommu_agree =
               let bytes = max 1 bytes (* range shrinkers can escape *) in
               let phys = Rio_memory.Frame_allocator.alloc_exn (Dma_api.frames api) in
               match Dma_api.map api ~ring:0 ~phys ~bytes ~dir:Rpte.Bidirectional with
-              | Ok h -> Some (h, phys, bytes, op)
+              | Ok addr -> Some (addr, phys, bytes, op)
               | Error _ -> None)
             specs
         in
         List.iter
-          (fun (h, phys, bytes, op) ->
+          (fun (addr, phys, bytes, op) ->
             let offset = op * (bytes - 1) / 3 in
-            match
-              Dma_api.translate api ~addr:(Dma_api.addr api h) ~offset ~write:true
-            with
+            match Dma_api.translate api ~addr ~offset ~write:true with
             | Ok p ->
                 if Addr.to_int p <> Addr.to_int phys + offset then ok := false
             | Error _ -> ok := false)
           mapped;
         List.iter
-          (fun (h, _, _, _) ->
-            if Dma_api.unmap api h ~end_of_burst:true <> Ok () then ok := false)
+          (fun (addr, _, _, _) ->
+            if Dma_api.unmap api ~addr ~end_of_burst:true <> Ok () then ok := false)
           mapped;
         !ok && Dma_api.live_mappings api = 0
       in
@@ -229,12 +356,11 @@ let test_op_log_records_driver_and_device_ops () =
   let log = Rio_protect.Op_log.create () in
   Dma_api.set_log api (Some log);
   let buf = Rio_memory.Frame_allocator.alloc_exn (Dma_api.frames api) in
-  let h =
+  let addr =
     Result.get_ok (Dma_api.map api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional)
   in
-  let addr = Dma_api.addr api h in
   ignore (Dma_api.translate api ~addr ~offset:64 ~write:true);
-  ignore (Dma_api.unmap api h ~end_of_burst:true);
+  ignore (Dma_api.unmap api ~addr ~end_of_burst:true);
   ignore (Dma_api.translate api ~addr ~offset:0 ~write:true);
   let ops = Rio_protect.Op_log.entries log in
   Alcotest.(check int) "four events" 4 (List.length ops);
@@ -245,7 +371,7 @@ let test_op_log_records_driver_and_device_ops () =
    Rio_protect.Op_log.Unmap { addr = a' };
    Rio_protect.Op_log.Access { ok = false; _ };
   ] ->
-      Alcotest.(check int64) "map/unmap address agree" a a'
+      Alcotest.(check int) "map/unmap address agree" a a'
   | _ -> Alcotest.fail "unexpected op sequence");
   (* timestamps are nondecreasing simulated cycles *)
   let rec mono = function
@@ -266,7 +392,6 @@ let prop_op_log_csv_roundtrip =
       let log = Rio_protect.Op_log.create () in
       List.iteri
         (fun i (kind, addr, arg) ->
-          let addr = Int64.of_int addr in
           let op =
             match kind with
             | 0 -> Rio_protect.Op_log.Map { ring = arg mod 4; addr; bytes = arg + 1 }
@@ -306,14 +431,14 @@ let () =
           Mode.all
         @ [
             Alcotest.test_case "driver cycle ordering" `Quick test_driver_cycle_ordering;
-            Alcotest.test_case "handles not interchangeable" `Quick
-              test_handles_not_interchangeable;
+            Alcotest.test_case "out-of-range rIOVAs are typed faults" `Quick
+              test_out_of_range_riovas;
             Alcotest.test_case "swpt charges walks" `Quick test_swpt_charges_walks;
             Alcotest.test_case "riommu overflow surfaces" `Quick
               test_riommu_overflow_surfaces;
-            Alcotest.test_case "scatter-gather round trip" `Quick test_map_sg_roundtrip;
-            Alcotest.test_case "scatter-gather unwinds" `Quick
-              test_map_sg_unwinds_on_failure;
+            QCheck_alcotest.to_alcotest prop_exn_result_twins;
+            Alcotest.test_case "riommu exn forms allocate nothing" `Quick
+              test_riommu_words_per_op;
             QCheck_alcotest.to_alcotest prop_strict_riommu_agree;
           ] );
       ( "op_log",

@@ -189,12 +189,11 @@ let test_packet_survives_dma () =
   let buf =
     Rio_memory.Frame_allocator.alloc_exn (Rio_protect.Dma_api.frames api)
   in
-  let h =
+  let addr =
     Result.get_ok
       (Rio_protect.Dma_api.map api ~ring:0 ~phys:buf ~bytes:1500
          ~dir:Rio_core.Rpte.Bidirectional)
   in
-  let addr = Rio_protect.Dma_api.addr api h in
   let payload = Bytes.init 1500 (fun i -> Char.chr ((7 + (31 * i)) land 0xff)) in
   Alcotest.(check bool) "dma write" true
     (Rio_device.Dma.write_to_memory ~api ~mem ~addr ~data:payload = Ok ());
