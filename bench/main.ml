@@ -153,10 +153,10 @@ let json_map_sg ~iters =
   in
   let burst = 200 in
   let buf = Rio_memory.Frame_allocator.alloc_exn frames in
-  let segs = Array.make burst (buf, 1500) in
+  let phys = Array.make burst buf and bytes = Array.make burst 1500 in
   let iovas = Array.make burst 0 in
   let batch () =
-    ignore (Driver.map_sg_exn d ~segs ~iovas ~read:true ~write:true () : int);
+    ignore (Driver.map_sg_exn d ~phys ~bytes ~iovas ~read:true ~write:true () : int);
     Driver.unmap_sg_exn d ~iovas ~flush:Driver.Once ()
   in
   (* prime the magazines (4352-IOVA park capacity) and the arena *)

@@ -41,15 +41,16 @@ let () =
       ~write:true
   in
   Printf.printf "tenant-a mapped a buffer at IOVA 0x%x\n" iova;
-  (match Manager.translate mgr ~rid:(Manager.rid a) ~iova ~write:true with
-  | Ok _ -> print_endline "tenant-a's device translates it: ok"
-  | Error _ -> failwith "tenant-a should translate its own mapping");
-  (match Manager.translate mgr ~rid:(Manager.rid b) ~iova ~write:true with
-  | Error _ ->
+  (match Manager.translate_exn mgr ~rid:(Manager.rid a) ~iova ~write:true with
+  | _ -> print_endline "tenant-a's device translates it: ok"
+  | exception Manager.Translation_fault ->
+      failwith "tenant-a should translate its own mapping");
+  (match Manager.translate_exn mgr ~rid:(Manager.rid b) ~iova ~write:true with
+  | exception Manager.Translation_fault ->
       Printf.printf
         "tenant-b's device faults on the same IOVA (faults recorded: %d)\n"
         (Manager.faults mgr b)
-  | Ok _ -> failwith "isolation hole!");
+  | _ -> failwith "isolation hole!");
 
   (* {1 Interference} *)
   let victim = Scheduler.nic_tenant ~latency_critical:true ~name:"victim" () in

@@ -4,7 +4,7 @@ module Cycles = Rio_sim.Cycles
 module Cost_model = Rio_sim.Cost_model
 
 exception Overflow
-exception Not_mapped
+exception Not_mapped = Rio_iommu.Fault.Not_mapped
 
 type t = {
   device : Rdevice.t;
@@ -49,11 +49,6 @@ let map_exn t ~rid ~phys ~size ~dir =
   Breakdown.charge t.bm Page_table (Cycles.since t.clock s);
   (Riova.pack ~offset:0 ~rentry:slot ~rid :> int)
 
-let map t ~rid ~phys ~size ~dir =
-  match map_exn t ~rid ~phys ~size ~dir with
-  | iova -> Ok iova
-  | exception Overflow -> Error `Overflow
-
 let unmap_exn t iova ~end_of_burst =
   enter t t.bu;
   let rid = Riova.rid iova and slot = Riova.rentry iova in
@@ -75,11 +70,6 @@ let unmap_exn t iova ~end_of_burst =
     Hw.invalidate t.hw ~bdf:(Rdevice.rid t.device) ~ring:rid;
     Breakdown.charge t.bu Iotlb_inv (Cycles.since t.clock s)
   end
-
-let unmap t iova ~end_of_burst =
-  match unmap_exn t iova ~end_of_burst with
-  | () -> Ok ()
-  | exception Not_mapped -> Error `Not_mapped
 
 let map_breakdown t = t.bm
 let unmap_breakdown t = t.bu

@@ -19,7 +19,9 @@ exception Overflow
 (** Raised by {!map_exn} when the ring has no free rPTE. *)
 
 exception Not_mapped
-(** Raised by {!unmap_exn} for an rIOVA with no live rPTE. *)
+(** Raised by {!unmap_exn} for an rIOVA with no live rPTE: an alias of
+    {!Rio_iommu.Fault.Not_mapped}, which the baseline engine raises
+    too. *)
 
 type t
 
@@ -41,23 +43,11 @@ val map_exn :
     the driver must slow down (§4). A ring the device does not have is the
     caller's bug: [Invalid_argument]. Allocation-free. *)
 
-val map :
-  t ->
-  rid:int ->
-  phys:Rio_memory.Addr.phys ->
-  size:int ->
-  dir:Rpte.dir ->
-  (int, [ `Overflow ]) result
-(** Result-typed wrapper over {!map_exn}. *)
-
 val unmap_exn : t -> int -> end_of_burst:bool -> unit
 (** Invalidate the rIOVA's rPTE. Set [end_of_burst] on the last unmap of
     a completion burst to trigger the (single) rIOTLB invalidation.
     Raises {!Not_mapped} when the rPTE is not valid, and for a ring or
     entry the device does not have. Allocation-free. *)
-
-val unmap : t -> int -> end_of_burst:bool -> (unit, [ `Not_mapped ]) result
-(** Result-typed wrapper over {!unmap_exn}. *)
 
 val map_breakdown : t -> Rio_sim.Breakdown.t
 val unmap_breakdown : t -> Rio_sim.Breakdown.t

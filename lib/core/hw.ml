@@ -21,7 +21,7 @@ let pp_fault fmt f =
     | Offset_out_of_range -> "offset out of range"
     | Direction_denied -> "direction denied")
 
-exception Translation_fault
+exception Translation_fault = Rio_iommu.Fault.Translation_fault
 
 (* A context-table entry: the rDEVICE and its rIOTLB entries, one per
    ring. *)
@@ -142,11 +142,6 @@ let rtranslate_exn t ~bdf ~iova ~write =
   if offset >= Rpte.size e.word1 then fault t Offset_out_of_range;
   if not (Rpte.permits e.word1 ~write) then fault t Direction_denied;
   Addr.phys_of_int (e.phys + offset)
-
-let rtranslate t ~bdf ~iova ~write =
-  match rtranslate_exn t ~bdf ~iova ~write with
-  | phys -> Ok phys
-  | exception Translation_fault -> Error t.fault_class
 
 let last_fault t = t.fault_class
 let faults t = t.faults

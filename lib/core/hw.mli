@@ -19,8 +19,9 @@ type fault =
 val pp_fault : Format.formatter -> fault -> unit
 
 exception Translation_fault
-(** Constant exception raised by {!rtranslate_exn} for every fault
-    class, so the fast path never builds a fault value. *)
+(** Raised by {!rtranslate_exn} for every fault class: an alias of
+    {!Rio_iommu.Fault.Translation_fault}, which the baseline engine
+    raises too. {!last_fault} names the class. *)
 
 type t
 
@@ -43,10 +44,6 @@ val rtranslate_exn : t -> bdf:int -> iova:int -> write:bool -> Rio_memory.Addr.p
 (** Translate one DMA address; [write] = device writes memory. Every
     fault bumps {!faults}, notes its class for {!last_fault} and raises
     {!Translation_fault}. Allocation-free. *)
-
-val rtranslate :
-  t -> bdf:int -> iova:int -> write:bool -> (Rio_memory.Addr.phys, fault) result
-(** {!rtranslate_exn} with its fault class as a result. *)
 
 val last_fault : t -> fault
 (** The class of the last fault {!rtranslate_exn} raised. *)

@@ -12,15 +12,14 @@ module Cost_model = Rio_sim.Cost_model
 type policy = Immediate | Deferred of { batch : int }
 
 exception Exhausted
-exception Not_mapped
-exception Translation_fault
+exception Not_mapped = Rio_iommu.Fault.Not_mapped
+exception Translation_fault = Rio_iommu.Fault.Translation_fault
 
-type fault = No_translation | Not_permitted | Unknown_device
+type fault = No_translation | Not_permitted
 
 let pp_fault fmt = function
   | No_translation -> Format.pp_print_string fmt "no translation"
   | Not_permitted -> Format.pp_print_string fmt "direction not permitted"
-  | Unknown_device -> Format.pp_print_string fmt "unknown device"
 
 type t = {
   table : Arena.t;
@@ -35,7 +34,7 @@ type t = {
   bm : Breakdown.t;  (* map breakdown *)
   bu : Breakdown.t;  (* unmap breakdown *)
   mutable faults : int;
-  (* class of the last fault [translate_exn] raised, for [translate] *)
+  (* class of the last fault [translate_exn] raised, for [last_fault] *)
   mutable fault_class : fault;
 }
 
@@ -128,11 +127,6 @@ let map_exn t ~phys ~bytes ~read ~write =
   enter t t.bm;
   map_seg_exn t ~phys ~bytes ~read ~write
 
-let map t ~phys ~bytes ~read ~write =
-  match map_exn t ~phys ~bytes ~read ~write with
-  | iova -> Ok iova
-  | exception Exhausted -> Error `Exhausted
-
 (* {2 Unmap phases} *)
 
 let find_node_exn t ~iova =
@@ -149,11 +143,10 @@ let clear_ptes t node =
   let s = Cycles.now t.clock in
   for p = Rbtree.lo node to Rbtree.hi node do
     (* map installed every page of the range together, so only a range
-       already cleared misses here: a deferred-mode double unmap, whose
-       IOVA stays allocated until the batched flush *)
-    match Arena.unmap_exn t.table ~iova:(p lsl Addr.page_shift) with
-    | (_ : int) -> ()
-    | exception Arena.Not_mapped -> raise Not_mapped
+       already cleared misses here (Arena raises our Not_mapped): a
+       deferred-mode double unmap, whose IOVA stays allocated until the
+       batched flush *)
+    ignore (Arena.unmap_exn t.table ~iova:(p lsl Addr.page_shift) : int)
   done;
   Breakdown.charge t.bu Page_table (Cycles.since t.clock s)
 
@@ -234,17 +227,6 @@ let unmap_exn t ~iova =
   enter t t.bu;
   unmap_one_exn t ~iova
 
-(* Named results: an inline [Ok ()] is a static block too, but the
-   zero-alloc lint cannot tell it from a fresh one, and the service's
-   gated unmap path returns through [unmap]. *)
-let unmapped = Ok ()
-let not_mapped = Error `Not_mapped
-
-let unmap t ~iova =
-  match unmap_exn t ~iova with
-  | () -> unmapped
-  | exception Not_mapped -> not_mapped
-
 (* {2 Scatter-gather batches} *)
 
 let batch_length name ~n len =
@@ -263,16 +245,17 @@ let rollback t ~iovas n =
     release t node
   done
 
-let map_sg_exn t ~segs ?n ~iovas ~read ~write () =
-  let n = batch_length "Driver.map_sg: n" ~n (Array.length segs) in
-  if n > Array.length iovas then invalid_arg "Driver.map_sg: iovas too small";
+let map_sg_exn t ~phys ~bytes ?n ~iovas ~read ~write () =
+  let n = batch_length "Driver.map_sg: n" ~n (Array.length phys) in
+  if n > Array.length bytes || n > Array.length iovas then
+    invalid_arg "Driver.map_sg: arrays too small";
   enter t t.bm;
   let i = ref 0 in
   match
     while !i < n do
-      let phys, bytes = segs.(!i) in
-      if bytes <= 0 then invalid_arg "Driver.map_sg: bytes";
-      iovas.(!i) <- map_seg_exn t ~phys ~bytes ~read ~write;
+      let b = bytes.(!i) in
+      if b <= 0 then invalid_arg "Driver.map_sg: bytes";
+      iovas.(!i) <- map_seg_exn t ~phys:phys.(!i) ~bytes:b ~read ~write;
       incr i
     done
   with
@@ -324,7 +307,7 @@ let fault t cls =
    a miss, permission check. Allocation-free hit or miss: the phys
    result is an immediate and every fault class raises the constant
    [Translation_fault], after bumping the counter and noting the class
-   for [translate]. *)
+   for [last_fault]. *)
 let[@inline] translate_exn t ~iova ~write =
   let vpn = iova lsr Addr.page_shift in
   let pte =
@@ -347,11 +330,6 @@ let[@inline] translate_exn t ~iova ~write =
   in
   if not (Pte.packed_permits pte ~write) then fault t Not_permitted;
   Addr.add (Pte.packed_frame pte) (iova land (Addr.page_size - 1))
-
-let translate t ~iova ~write =
-  match translate_exn t ~iova ~write with
-  | phys -> Ok phys
-  | exception Translation_fault -> Error t.fault_class
 
 let last_fault t = t.fault_class
 let faults t = t.faults

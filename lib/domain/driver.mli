@@ -6,10 +6,12 @@
     device models); {!Manager} runs one per tenant for the interference
     experiment and the translation service.
 
-    [map] allocates an IOVA range, installs the translations in the
+    [map_exn] allocates an IOVA range, installs the translations in the
     device's page-table hierarchy, and returns the I/O virtual address
-    the device driver should put in its DMA descriptor. [unmap] removes
-    the translations, invalidates the IOTLB, and releases the IOVA.
+    the device driver should put in its DMA descriptor. [unmap_exn]
+    removes the translations, invalidates the IOTLB, and releases the
+    IOVA. Each op is one raising call; a failure is a constant
+    exception, shared with the rIOMMU engine ({!Rio_iommu.Fault}).
 
     Two axes give the paper's four baseline protection modes:
     - allocator: {!Rio_iova.Allocator.kind} [Linux] (strict / defer) or
@@ -41,7 +43,7 @@ exception Exhausted
 
 exception Not_mapped
 (** Raised by {!unmap_exn} and {!unmap_sg_exn} for an IOVA with no live
-    mapping. *)
+    mapping: an alias of {!Rio_iommu.Fault.Not_mapped}. *)
 
 type t
 
@@ -99,26 +101,12 @@ val map_exn :
     words on the OCaml heap. Raises {!Exhausted} when no IOVA range of
     the required size is free. *)
 
-val map :
-  t ->
-  phys:Rio_memory.Addr.phys ->
-  bytes:int ->
-  read:bool ->
-  write:bool ->
-  (int, [ `Exhausted ]) result
-(** Result-typed convenience wrapper over {!map_exn} (allocates the
-    [Ok]/[Error] box). *)
-
 val unmap_exn : t -> iova:int -> unit
-(** Tear down the mapping that [map] returned. Order per Figure 6:
+(** Tear down the mapping that {!map_exn} returned. Order per Figure 6:
     page-table removal, IOTLB invalidation, IOVA release. Zero-alloc
     under [Immediate]; deferred modes queue the pending release (which
     allocates) and flush at the {!target}'s scope once the queue reaches
     [batch]. Raises {!Not_mapped}. *)
-
-val unmap : t -> iova:int -> (unit, [ `Not_mapped ]) result
-(** Result-typed wrapper over {!unmap_exn}; allocation-free (both
-    results are constants). *)
 
 (** {1 Scatter-gather batches}
 
@@ -128,18 +116,20 @@ val unmap : t -> iova:int -> (unit, [ `Not_mapped ]) result
 
 val map_sg_exn :
   t ->
-  segs:(Rio_memory.Addr.phys * int) array ->
+  phys:Rio_memory.Addr.phys array ->
+  bytes:int array ->
   ?n:int ->
   iovas:int array ->
   read:bool ->
   write:bool ->
   unit ->
   int
-(** Map the first [n] (default all) [(phys, bytes)] segments as one
-    batch, writing each segment's IOVA into [iovas.(i)] and returning
-    the count mapped. Exhaustion is atomic: {!Exhausted} is raised after
-    every segment mapped so far has been rolled back (no invalidation:
-    the device never saw them). Allocation-free after warm-up. *)
+(** Map the first [n] (default all of [phys]) segments as one batch:
+    segment [i] is [bytes.(i)] bytes at [phys.(i)]. Writes each
+    segment's IOVA into [iovas.(i)] and returns the count mapped.
+    Exhaustion is atomic: {!Exhausted} is raised after every segment
+    mapped so far has been rolled back (no invalidation: the device
+    never saw them). Allocation-free after warm-up. *)
 
 (** How {!unmap_sg_exn} closes the batch's stale IOTLB windows. *)
 type sg_flush =
@@ -181,15 +171,13 @@ val rcache : t -> Rio_iova.Magazine.t option
 type fault =
   | No_translation  (** no valid mapping for the IOVA *)
   | Not_permitted  (** mapping exists but forbids this DMA direction *)
-  | Unknown_device
-      (** request identifier with no domain: {!Manager.translate}
-          returns it, a driver never does *)
 
 val pp_fault : Format.formatter -> fault -> unit
 
 exception Translation_fault
-(** Constant exception raised by {!translate_exn} for every fault
-    class, so the fast path never builds a fault value. *)
+(** Raised by {!translate_exn} for every fault class: an alias of
+    {!Rio_iommu.Fault.Translation_fault}. {!last_fault} names the
+    class. *)
 
 val translate_exn : t -> iova:int -> write:bool -> Rio_memory.Addr.phys
 (** One DMA from this driver's device: IOTLB lookup at the {!target}
@@ -198,10 +186,6 @@ val translate_exn : t -> iova:int -> write:bool -> Rio_memory.Addr.phys
     device write into memory needs write permission). Allocation-free
     on hits and misses alike: the phys result is returned unboxed, and
     every fault bumps {!faults} and raises {!Translation_fault}. *)
-
-val translate :
-  t -> iova:int -> write:bool -> (Rio_memory.Addr.phys, fault) result
-(** {!translate_exn} with its fault class as a result. *)
 
 val last_fault : t -> fault
 (** The class of the last fault {!translate_exn} raised. *)

@@ -126,11 +126,6 @@ let[@inline] domain_exn t rid =
 let translate_exn t ~rid ~iova ~write =
   Driver.translate_exn (domain_exn t rid).driver ~iova ~write
 
-let translate t ~rid ~iova ~write =
-  match domain_exn t rid with
-  | d -> Driver.translate d.driver ~iova ~write
-  | exception Translation_fault -> Error Driver.Unknown_device
-
 let faults _t d = Driver.faults d.driver
 let unknown_rid_faults t = t.unknown_rid_faults
 let iotlb_stats t d = Shared_iotlb.stats t.iotlb ~domain:d.id

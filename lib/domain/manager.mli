@@ -8,7 +8,7 @@
     translate engine the paper experiments run, so a tenant's per-op
     cycles are Table 1's by construction. All tenants contend on one
     {!Shared_iotlb}. The OS side of the paper's Figure 2 is {!Driver}
-    on {!driver}; the hardware side is {!translate}: the rid lookup,
+    on {!driver}; the hardware side is {!translate_exn}: the rid lookup,
     then the tenant's {!Driver.translate_exn}.
 
     Invalidation scoping decides the blast radius of a deferred-mode
@@ -71,31 +71,23 @@ val iotlb : t -> Shared_iotlb.t
 
 (** {1 Hardware side} *)
 
-val translate :
-  t ->
-  rid:int ->
-  iova:int ->
-  write:bool ->
-  (Rio_memory.Addr.phys, Driver.fault) result
-(** One DMA: {!translate_exn} with its fault class as a result
-    ([Unknown_device] for a rid with no tenant). A tenant's rid can
-    only reach its own page table — domain A translating domain B's
-    IOVA faults with [No_translation] and is recorded against A. *)
-
 exception Translation_fault
 (** {!Driver.Translation_fault} under the name the service catches: the
     constant exception {!translate_exn} raises for every fault class
     (the specific class is recorded in the counters: {!faults} /
-    {!unknown_rid_faults}). *)
+    {!unknown_rid_faults}, and in the tenant driver's
+    {!Driver.last_fault}). *)
 
 val translate_exn : t -> rid:int -> iova:int -> write:bool -> Rio_memory.Addr.phys
 (** One DMA, the service's per-DMA hot path: the tenant lookup by
     request id (an unknown rid counts in {!unknown_rid_faults} and
     raises), then the tenant's {!Driver.translate_exn}: shared-IOTLB
     lookup (charged and attributed), table walk and fill on a miss,
-    permission check. Allocation-free on hits and misses alike: the
-    phys result is returned unboxed and faults raise the constant
-    {!Translation_fault}. *)
+    permission check. A tenant's rid can only reach its own page table:
+    domain A translating domain B's IOVA faults with
+    {!Driver.No_translation}, recorded against A. Allocation-free on
+    hits and misses alike: the phys result is returned unboxed and
+    faults raise the constant {!Translation_fault}. *)
 
 val faults : t -> domain -> int
 (** I/O page faults raised by this tenant's device

@@ -193,18 +193,17 @@ let prefetch_value ?(seed = 23) ~packets () =
       let n = 32 in
       let iovas =
         Array.init n (fun _ ->
-            Result.get_ok
-              (Rio_core.Driver.map driver ~rid:0 ~phys:buf ~size:1500
-                 ~dir:Rpte.Bidirectional))
+            Rio_core.Driver.map_exn driver ~rid:0 ~phys:buf ~size:1500
+              ~dir:Rpte.Bidirectional)
       in
       if shuffle then Rng.shuffle rng iovas;
       Array.iter
         (fun iova ->
-          ignore (Rio_core.Hw.rtranslate hw ~bdf:7 ~iova ~write:true))
+          ignore
+            (Rio_core.Hw.rtranslate_exn hw ~bdf:7 ~iova ~write:true : Addr.phys))
         iovas;
       Array.iteri
-        (fun i iova ->
-          ignore (Rio_core.Driver.unmap driver iova ~end_of_burst:(i = n - 1)))
+        (fun i iova -> Rio_core.Driver.unmap_exn driver iova ~end_of_burst:(i = n - 1))
         iovas;
       done_ := !done_ + n
     done;

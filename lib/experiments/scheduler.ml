@@ -122,8 +122,9 @@ let bdf_of_index i = Bdf.make ~bus:(1 + (i / 8)) ~device:(i mod 8) ~func:0
 let working_set spec frames map =
   Array.init spec.pool_pages (fun _ ->
       match map (Frame_allocator.alloc_exn frames) with
-      | Some iova -> iova
-      | None -> failwith "Scheduler: working-set map failed")
+      | iova -> iova
+      | exception (Driver.Exhausted | R_driver.Overflow) ->
+          failwith "Scheduler: working-set map failed")
 
 (* One burst, the same in every mode: each I/O maps a fresh buffer, the
    device translates each of its pages (the IOVA or rIOVA plus the
@@ -131,10 +132,15 @@ let working_set spec frames map =
    buffer is unmapped ([last] on the burst's final I/O). A failed map
    (IOVA space exhausted, ring full) skips that I/O's DMA. *)
 let burst spec frames rng pool ~map ~translate ~unmap =
+  (* both engines raise the one fault constant; the engine counts it *)
+  let translate iova =
+    try ignore (translate iova : Addr.phys)
+    with Rio_iommu.Fault.Translation_fault -> ()
+  in
   for io = 1 to spec.burst do
     let frame = Frame_allocator.alloc_exn frames in
     (match map frame with
-    | Some iova ->
+    | iova ->
         let npages = (spec.io_bytes + Addr.page_size - 1) / Addr.page_size in
         for p = 0 to npages - 1 do
           translate (iova + (p lsl Addr.page_shift))
@@ -143,7 +149,7 @@ let burst spec frames rng pool ~map ~translate ~unmap =
           translate pool.(Rng.int rng spec.pool_pages)
         done;
         unmap iova ~last:(io = spec.burst)
-    | None -> ());
+    | exception (Driver.Exhausted | R_driver.Overflow) -> ());
     Frame_allocator.free frames frame
   done;
   spec.burst
@@ -153,16 +159,13 @@ let burst spec frames rng pool ~map ~translate ~unmap =
 let baseline_tenant mgr frames rng i spec =
   let dom = Manager.add_domain mgr ~name:spec.name ~bdf:(bdf_of_index i) () in
   let rid = Manager.rid dom and driver = Manager.driver dom in
-  let map bytes phys =
-    Result.to_option (Driver.map driver ~phys ~bytes ~read:true ~write:true)
-  in
+  let map bytes phys = Driver.map_exn driver ~phys ~bytes ~read:true ~write:true in
   let pool = working_set spec frames (map Addr.page_size) in
   let rng = Rng.split rng in
   let transact () =
     burst spec frames rng pool ~map:(map spec.io_bytes)
-      ~translate:(fun iova ->
-        ignore (Manager.translate mgr ~rid ~iova ~write:true))
-      ~unmap:(fun iova ~last:_ -> ignore (Driver.unmap driver ~iova))
+      ~translate:(fun iova -> Manager.translate_exn mgr ~rid ~iova ~write:true)
+      ~unmap:(fun iova ~last:_ -> Driver.unmap_exn driver ~iova)
   in
   let counters () =
     let s = Manager.iotlb_stats mgr dom in
@@ -180,7 +183,7 @@ let baseline_tenant mgr frames rng i spec =
    working set, mapped once at setup - the rRING rdevice.mli assigns to
    pages mapped at initialization; ring 1 takes each I/O buffer as one
    byte-granular rPTE. Every page the device touches goes through
-   [Hw.rtranslate]; the burst's last unmap issues the single rIOTLB
+   [Hw.rtranslate_exn]; the burst's last unmap issues the single rIOTLB
    invalidation (Figure 10's amortization). Hits, walks and faults are
    the engine's own counters, read as deltas around each burst: bursts
    run one at a time on one clock. *)
@@ -196,8 +199,7 @@ let riommu_tenant hw frames coherency clock cost rng i spec =
   Hw.attach hw device;
   let driver = R_driver.create ~device ~hw ~clock ~cost in
   let map ring size phys =
-    Result.to_option
-      (R_driver.map driver ~rid:ring ~phys ~size ~dir:Rpte.Bidirectional)
+    R_driver.map_exn driver ~rid:ring ~phys ~size ~dir:Rpte.Bidirectional
   in
   let pool = working_set spec frames (map 0 Addr.page_size) in
   (* every rtranslate looks its ring up in the rIOTLB exactly once *)
@@ -209,10 +211,8 @@ let riommu_tenant hw frames coherency clock cost rng i spec =
     let faults0 = Hw.faults hw in
     let done_ =
       burst spec frames rng pool ~map:(map 1 spec.io_bytes)
-        ~translate:(fun iova ->
-          ignore (Hw.rtranslate hw ~bdf ~iova ~write:true))
-        ~unmap:(fun iova ~last ->
-          ignore (R_driver.unmap driver iova ~end_of_burst:last))
+        ~translate:(fun iova -> Hw.rtranslate_exn hw ~bdf ~iova ~write:true)
+        ~unmap:(fun iova ~last -> R_driver.unmap_exn driver iova ~end_of_burst:last)
     in
     let walks = Hw.walks hw - walks0 in
     misses := !misses + walks;

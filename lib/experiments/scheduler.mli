@@ -19,8 +19,8 @@
       tenants share one rIOTLB holding one entry per rRING. Ring 0
       holds the working set, mapped once at setup; ring 1 takes each
       I/O buffer as one byte-granular rPTE through
-      {!Rio_core.Driver.map}. Every page the device touches goes
-      through {!Rio_core.Hw.rtranslate}, and the burst's last unmap
+      {!Rio_core.Driver.map_exn}. Every page the device touches goes
+      through {!Rio_core.Hw.rtranslate_exn}, and the burst's last unmap
       issues the one rIOTLB invalidation. Hits, misses (flat-table
       walks) and faults are the engine's counters, read as deltas
       around each burst.

@@ -28,7 +28,7 @@ let iova_bits = 48
 let fanout = 512
 
 exception Already_mapped
-exception Not_mapped
+exception Not_mapped = Rio_iommu.Fault.Not_mapped
 
 type t = {
   frames : Frame_allocator.t;
@@ -186,16 +186,6 @@ let unmap_exn t ~iova =
     v lsr 1
   end
   else raise Not_mapped
-
-let map t ~iova ~pte =
-  match map_exn t ~iova ~pte with
-  | () -> Ok ()
-  | exception Already_mapped -> Error `Already_mapped
-
-let unmap t ~iova =
-  match unmap_exn t ~iova with
-  | pte -> Ok pte
-  | exception Not_mapped -> Error `Not_mapped
 
 let lookup_cpu t ~iova =
   check_iova iova;

@@ -20,6 +20,8 @@ type t
 
 exception Already_mapped
 exception Not_mapped
+(** An alias of {!Rio_iommu.Fault.Not_mapped}, the engines' one unmap
+    failure. *)
 
 val create :
   frames:Rio_memory.Frame_allocator.t ->
@@ -45,12 +47,6 @@ val map_exn : t -> iova:int -> pte:int -> unit
 val unmap_exn : t -> iova:int -> int
 (** Remove the translation and sync; returns the packed PTE that was
     mapped. Allocation-free. @raise Not_mapped if absent. *)
-
-val map : t -> iova:int -> pte:int -> (unit, [ `Already_mapped ]) result
-(** Result-typed wrapper over {!map_exn} (may allocate the result). *)
-
-val unmap : t -> iova:int -> (int, [ `Not_mapped ]) result
-(** Result-typed wrapper over {!unmap_exn}. *)
 
 val lookup_cpu : t -> iova:int -> int
 (** The CPU's (OS's) current view, without charging cycles: the packed

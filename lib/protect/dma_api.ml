@@ -174,12 +174,13 @@ let unmap_exn t ~iova ~end_of_burst =
   let start = Cycles.now t.clock in
   match
     match t.backend with
-    | B_plain _ -> if t.mode <> Mode.None_ then Cycles.charge t.clock passthrough_overhead
+    | B_plain _ ->
+        if t.mode <> Mode.None_ then Cycles.charge t.clock passthrough_overhead;
+        (* nothing translates here, so only an unmap with nothing live
+           is known to be stray *)
+        if t.live = 0 then raise I_driver.Not_mapped
     | B_base { driver } -> I_driver.unmap_exn driver ~iova
-    | B_rio { driver; _ } -> (
-        (* one exception per outcome across the modes *)
-        try R_driver.unmap_exn driver iova ~end_of_burst
-        with R_driver.Not_mapped -> raise I_driver.Not_mapped)
+    | B_rio { driver; _ } -> R_driver.unmap_exn driver iova ~end_of_burst
   with
   | () ->
       t.live <- t.live - 1;
@@ -202,9 +203,7 @@ let translate_exn t ~iova ~write =
       end;
       phys
   | B_base { driver } -> I_driver.translate_exn driver ~iova ~write
-  | B_rio { hw; _ } -> (
-      try R_hw.rtranslate_exn hw ~bdf:t.rid ~iova ~write
-      with R_hw.Translation_fault -> raise I_driver.Translation_fault)
+  | B_rio { hw; _ } -> R_hw.rtranslate_exn hw ~bdf:t.rid ~iova ~write
 
 let map t ~ring ~phys ~bytes ~dir =
   match map_exn t ~ring ~phys ~bytes ~dir with

@@ -72,7 +72,11 @@ val map :
 val unmap_exn : t -> iova:int -> end_of_burst:bool -> unit
 (** Unmap an address {!map_exn} returned. [end_of_burst] is meaningful
     to the rIOMMU modes only; others ignore it. Raises
-    {!Rio_domain.Driver.Not_mapped} in every protected mode. *)
+    {!Rio_iommu.Fault.Not_mapped}, the one exception both engines
+    raise, for an address with no live mapping. None and the
+    pass-throughs keep no mappings, only a count of live buffers: they
+    raise it when nothing is live, but cannot tell a stray unmap from
+    a real one while other buffers are. *)
 
 val unmap : t -> addr:int -> end_of_burst:bool -> (unit, [ `Not_mapped ]) result
 
@@ -88,8 +92,8 @@ val translate_exn : t -> iova:int -> write:bool -> Rio_memory.Addr.phys
     address plus a byte offset, already added. Charges device-side
     costs (IOTLB lookups, walks) but - per the validated model of §3.3
     - these do not slow the core. Every fault raises the constant
-    {!Rio_domain.Driver.Translation_fault}; allocation-free on hits and
-    misses alike. *)
+    {!Rio_iommu.Fault.Translation_fault}, which both engines raise;
+    allocation-free on hits and misses alike. *)
 
 val translate :
   t -> addr:int -> offset:int -> write:bool -> (Rio_memory.Addr.phys, string) result

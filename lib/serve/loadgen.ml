@@ -20,7 +20,8 @@ type flow = {
   mutable stream : Splittable_rng.t;
   mutable conn_serial : int;
   mutable reqs_left : int;
-  segs : (Rio_memory.Addr.phys * int) array;
+  seg_phys : Rio_memory.Addr.phys array;  (* map_sg scratch: two lanes *)
+  seg_bytes : int array;
   iovas : int array;
 }
 
@@ -70,12 +71,13 @@ let create ~shard ~specs ~seed ~flows_per_tenant ~sg_max =
      which is the IOTLB-resident traffic ring-buffer devices generate. *)
   let ring_map tenant =
     match
-      Rio_domain.Driver.map
+      Rio_domain.Driver.map_exn
         (Rio_domain.Manager.driver (Shard.domain shard ~tenant))
         ~phys:(Shard.next_buf shard) ~bytes:page_size ~read:true ~write:true
     with
-    | Ok iova -> iova
-    | Error `Exhausted -> invalid_arg "Loadgen.create: iova space exhausted"
+    | iova -> iova
+    | exception Rio_domain.Driver.Exhausted ->
+        invalid_arg "Loadgen.create: iova space exhausted"
   in
   let flows =
     Array.init
@@ -88,7 +90,8 @@ let create ~shard ~specs ~seed ~flows_per_tenant ~sg_max =
           stream = base;
           conn_serial = 0;
           reqs_left = 0;
-          segs = Array.make sg_max (Rio_memory.Addr.phys_of_int 0, 0);
+          seg_phys = Array.make sg_max (Rio_memory.Addr.phys_of_int 0);
+          seg_bytes = Array.make sg_max 0;
           iovas = Array.make sg_max 0;
         })
   in
@@ -149,12 +152,13 @@ let step t flow =
      for i = 0 to pages - 1 do
        let b = if !rem > page_size then page_size else !rem in
        let b = if b < 1 then 1 else b in
-       flow.segs.(i) <- (Shard.next_buf t.shard, b);
+       flow.seg_phys.(i) <- Shard.next_buf t.shard;
+       flow.seg_bytes.(i) <- b;
        rem := !rem - b
      done;
      match
-       Shard.map_sg_record t.shard ~tenant ~segs:flow.segs ~n:pages
-         ~iovas:flow.iovas
+       Shard.map_sg_record t.shard ~tenant ~phys:flow.seg_phys
+         ~bytes:flow.seg_bytes ~n:pages ~iovas:flow.iovas
      with
      | Error `Exhausted -> t.dropped <- t.dropped + 1
      | Ok _ ->

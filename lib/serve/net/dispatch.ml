@@ -10,10 +10,10 @@
    flush repacks it for the one op body: [flush_all] runs
    [Executor.exec] on it in place and [complete]s the response cell;
    [flush_cells] copies it onto an executor's ring. [enqueue], the
-   translate arm of the body and [complete] are allocation-free (lint
-   manifest + the dispatch-translate bench gate). The colder ops
-   (map/map_sg/unmap) pay small result/tuple boxes inside the manager
-   API they call. *)
+   translate and unmap arms of the body and [complete] are
+   allocation-free (lint manifest + the dispatch-translate bench
+   gate). Map and map_sg pay one result box each in the Shard call
+   they make. *)
 
 open Rio_serve
 

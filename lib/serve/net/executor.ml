@@ -15,7 +15,8 @@ open Rio_serve
 type body = {
   shards : Shard.t array;
   sg_limit : int;
-  segs : (Addr.phys * int) array; (* map_sg scratch *)
+  phys : Addr.phys array; (* map_sg scratch: the cell's two segment lanes *)
+  bytes : int array;
   iovas : int array;
 }
 
@@ -23,7 +24,8 @@ let body ~shards ~sg_limit =
   {
     shards;
     sg_limit;
-    segs = Array.make sg_limit (Addr.phys_of_int 0, 0);
+    phys = Array.make sg_limit (Addr.phys_of_int 0);
+    bytes = Array.make sg_limit 0;
     iovas = Array.make sg_limit 0;
   }
 
@@ -55,10 +57,13 @@ let exec_map_sg b sh ~tenant ~req ~at ~rsp =
   let nseg = req.(at + Cell.q_nseg) in
   let segs = at + Cell.q_segs in
   for k = 0 to nseg - 1 do
-    b.segs.(k) <-
-      (Addr.phys_of_int req.(segs + k), req.(segs + b.sg_limit + k))
+    b.phys.(k) <- Addr.phys_of_int req.(segs + k);
+    b.bytes.(k) <- req.(segs + b.sg_limit + k)
   done;
-  match Shard.map_sg_record sh ~tenant ~segs:b.segs ~n:nseg ~iovas:b.iovas with
+  match
+    Shard.map_sg_record sh ~tenant ~phys:b.phys ~bytes:b.bytes ~n:nseg
+      ~iovas:b.iovas
+  with
   | Ok _span ->
       rsp.(Cell.r_status) <- Wire.st_ok;
       rsp.(Cell.r_nseg) <- nseg;

@@ -19,8 +19,8 @@
 
     {!exec} is the service's one op body: {!step} runs it here, and
     {!Dispatch.flush_all} runs it inline at one domain. It allocates
-    nothing on translate (lint-gated): cells are int lanes, scratch is
-    preallocated, and shard counters are plain ints. *)
+    nothing on translate or unmap (lint-gated): cells are int lanes,
+    scratch is preallocated, and shard counters are plain ints. *)
 
 type body
 (** The op body's state: the global shard array and map_sg scratch.

@@ -309,12 +309,15 @@ let alloc_probe () =
   words.(Shard.op_index Shard.Translate) <- per_op (b -. a) iters;
   let nseg = 4 in
   let sg_iters = 2_048 in
-  let segs = Array.init nseg (fun _ -> (Shard.next_buf shard, 4_096)) in
+  let phys = Array.init nseg (fun _ -> Shard.next_buf shard) in
+  let bytes = Array.make nseg 4_096 in
   let scratch = Array.make nseg 0 in
   let store = Array.make (2 * sg_iters * nseg) 0 in
   let do_map_sg lo hi =
     for i = lo to hi - 1 do
-      (match Shard.map_sg_record shard ~tenant ~segs ~n:nseg ~iovas:scratch with
+      (match
+         Shard.map_sg_record shard ~tenant ~phys ~bytes ~n:nseg ~iovas:scratch
+       with
       | Ok _ -> ()
       | Error `Exhausted -> failwith "Server.alloc_probe: exhausted");
       Array.blit scratch 0 store (i * nseg) nseg

@@ -58,8 +58,11 @@ val map_record :
 val unmap_record : t -> tenant:int -> iova:int -> (unit, [ `Not_mapped ]) result
 
 val map_sg_record :
-  t -> tenant:int -> segs:(Rio_memory.Addr.phys * int) array -> n:int ->
-  iovas:int array -> (int, [ `Exhausted ]) result
+  t -> tenant:int -> phys:Rio_memory.Addr.phys array -> bytes:int array ->
+  n:int -> iovas:int array -> (int, [ `Exhausted ]) result
+(** Map the first [n] segments ([bytes.(i)] bytes at [phys.(i)]) with
+    {!Rio_domain.Driver.map_sg_exn}, recorded in the [Map_sg]
+    histogram as one operation. *)
 
 val unmap_sg_record :
   t -> tenant:int -> iovas:int array -> n:int -> (unit, [ `Not_mapped ]) result

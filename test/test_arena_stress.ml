@@ -41,9 +41,9 @@ let churn_digest seed =
          carve path of all four levels *)
       let iova = (page lsr 3) lsl (12 + (9 * (page land 3))) in
       let pte = Pte.pack_make ~read:true ~write:(page land 1 = 0) ~pfn:page in
-      (match Arena.map arena ~iova ~pte with
-      | Ok () -> note 1
-      | Error `Already_mapped -> note 2);
+      (match Arena.map_exn arena ~iova ~pte with
+      | () -> note 1
+      | exception Arena.Already_mapped -> note 2);
       note (Arena.walk arena ~iova)
     done;
     note (Arena.mapped_count arena);
@@ -54,9 +54,9 @@ let churn_digest seed =
     for _ = 1 to batch do
       let page = Rng.int rng 4096 in
       let iova = (page lsr 3) lsl (12 + (9 * (page land 3))) in
-      match Arena.unmap arena ~iova with
-      | Ok p -> note (Pte.packed_pfn p)
-      | Error `Not_mapped -> note 3
+      match Arena.unmap_exn arena ~iova with
+      | p -> note (Pte.packed_pfn p)
+      | exception Arena.Not_mapped -> note 3
     done;
     if round land 1 = 0 then begin
       Arena.reset arena;

@@ -90,18 +90,24 @@ let make_rig ?(coherent = true) ?(ring_sizes = [ 8; 8 ]) () =
 
 let map_buf r ?(rid = 0) ?(size = 1500) ?(dir = Rpte.Bidirectional) () =
   let buf = Frame_allocator.alloc_exn r.frames in
-  let iova = Result.get_ok (Driver.map r.driver ~rid ~phys:buf ~size ~dir) in
-  (buf, iova)
+  (buf, Driver.map_exn r.driver ~rid ~phys:buf ~size ~dir)
+
+(* One DMA with its fault class as a value: the engine raises the
+   constant [Translation_fault] and names the class in [last_fault]. *)
+let rtranslate hw ~bdf ~iova ~write =
+  match Hw.rtranslate_exn hw ~bdf ~iova ~write with
+  | p -> Ok p
+  | exception Hw.Translation_fault -> Error (Hw.last_fault hw)
 
 (* {1 Translation} *)
 
 let test_map_translate () =
   let r = make_rig () in
   let buf, iova = map_buf r () in
-  (match Hw.rtranslate r.hw ~bdf:r.bdf ~iova ~write:true with
+  (match rtranslate r.hw ~bdf:r.bdf ~iova ~write:true with
   | Ok p -> Alcotest.check phys_check "base" buf p
   | Error f -> Alcotest.failf "fault: %a" Hw.pp_fault f);
-  match Hw.rtranslate r.hw ~bdf:r.bdf ~iova:(iova + 1000) ~write:true with
+  match rtranslate r.hw ~bdf:r.bdf ~iova:(iova + 1000) ~write:true with
   | Ok p -> Alcotest.check phys_check "offset added" (Addr.add buf 1000) p
   | Error f -> Alcotest.failf "fault: %a" Hw.pp_fault f
 
@@ -117,18 +123,17 @@ let test_byte_granular_protection () =
   match bufs with
   | [ a; b ] ->
       let iova_b =
-        Result.get_ok
-          (Driver.map r.driver ~rid:0 ~phys:b.Rio_memory.Dma_buffer.base ~size:1500
-             ~dir:Rpte.Bidirectional)
+        Driver.map_exn r.driver ~rid:0 ~phys:b.Rio_memory.Dma_buffer.base ~size:1500
+          ~dir:Rpte.Bidirectional
       in
       (* B's window reaches exactly its 1500 bytes... *)
       Alcotest.(check bool) "last byte ok" true
         (Result.is_ok
-           (Hw.rtranslate r.hw ~bdf:r.bdf ~iova:(iova_b + 1499)
+           (rtranslate r.hw ~bdf:r.bdf ~iova:(iova_b + 1499)
               ~write:true));
       (* ...and cannot reach A's bytes on the same page. *)
       Alcotest.(check bool) "offset beyond size faults" true
-        (Hw.rtranslate r.hw ~bdf:r.bdf ~iova:(iova_b + 1500)
+        (rtranslate r.hw ~bdf:r.bdf ~iova:(iova_b + 1500)
            ~write:true
         = Error Hw.Offset_out_of_range);
       ignore a
@@ -138,24 +143,24 @@ let test_direction_enforcement () =
   let r = make_rig () in
   let _, iova = map_buf r ~dir:Rpte.From_memory () in
   Alcotest.(check bool) "tx read ok" true
-    (Result.is_ok (Hw.rtranslate r.hw ~bdf:r.bdf ~iova ~write:false));
+    (Result.is_ok (rtranslate r.hw ~bdf:r.bdf ~iova ~write:false));
   Alcotest.(check bool) "tx write denied" true
-    (Hw.rtranslate r.hw ~bdf:r.bdf ~iova ~write:true = Error Hw.Direction_denied)
+    (rtranslate r.hw ~bdf:r.bdf ~iova ~write:true = Error Hw.Direction_denied)
 
 let test_fault_conditions () =
   let r = make_rig () in
   let _, iova = map_buf r () in
   Alcotest.(check bool) "unknown device" true
-    (Hw.rtranslate r.hw ~bdf:0xBEEF ~iova ~write:true = Error Hw.Unknown_device);
+    (rtranslate r.hw ~bdf:0xBEEF ~iova ~write:true = Error Hw.Unknown_device);
   let bad_ring = (Riova.pack ~offset:0 ~rentry:0 ~rid:7 :> int) in
   Alcotest.(check bool) "bad ring id" true
-    (Hw.rtranslate r.hw ~bdf:r.bdf ~iova:bad_ring ~write:true = Error Hw.Bad_ring);
+    (rtranslate r.hw ~bdf:r.bdf ~iova:bad_ring ~write:true = Error Hw.Bad_ring);
   let bad_entry = (Riova.pack ~offset:0 ~rentry:200 ~rid:0 :> int) in
   Alcotest.(check bool) "bad rentry" true
-    (Hw.rtranslate r.hw ~bdf:r.bdf ~iova:bad_entry ~write:true = Error Hw.Bad_entry);
+    (rtranslate r.hw ~bdf:r.bdf ~iova:bad_entry ~write:true = Error Hw.Bad_entry);
   let unmapped = (Riova.pack ~offset:0 ~rentry:5 ~rid:0 :> int) in
   Alcotest.(check bool) "invalid rPTE" true
-    (Hw.rtranslate r.hw ~bdf:r.bdf ~iova:unmapped ~write:true = Error Hw.Invalid_entry);
+    (rtranslate r.hw ~bdf:r.bdf ~iova:unmapped ~write:true = Error Hw.Invalid_entry);
   Alcotest.(check bool) "faults counted" true (Hw.faults r.hw >= 4)
 
 (* {1 Sequential prefetch} *)
@@ -170,7 +175,7 @@ let test_sequential_prefetch () =
   in
   List.iter
     (fun iova ->
-      match Hw.rtranslate r.hw ~bdf:r.bdf ~iova ~write:true with
+      match rtranslate r.hw ~bdf:r.bdf ~iova ~write:true with
       | Ok _ -> ()
       | Error f -> Alcotest.failf "fault: %a" Hw.pp_fault f)
     iovas;
@@ -186,7 +191,7 @@ let test_out_of_order_access_legal () =
   let order = [ 3; 0; 5; 1; 7; 2; 6; 4 ] in
   List.iter
     (fun i ->
-      match Hw.rtranslate r.hw ~bdf:r.bdf ~iova:iovas.(i) ~write:true with
+      match rtranslate r.hw ~bdf:r.bdf ~iova:iovas.(i) ~write:true with
       | Ok _ -> ()
       | Error f -> Alcotest.failf "out-of-order access faulted: %a" Hw.pp_fault f)
     order;
@@ -200,9 +205,8 @@ let test_ring_overflow () =
     ignore (map_buf r ())
   done;
   let buf = Frame_allocator.alloc_exn r.frames in
-  Alcotest.(check bool) "fifth map overflows" true
-    (Driver.map r.driver ~rid:0 ~phys:buf ~size:100 ~dir:Rpte.Bidirectional
-    = Error `Overflow);
+  Alcotest.check_raises "fifth map overflows" Driver.Overflow (fun () ->
+      ignore (Driver.map_exn r.driver ~rid:0 ~phys:buf ~size:100 ~dir:Rpte.Bidirectional));
   Alcotest.(check int) "nmapped at capacity" 4 (Driver.nmapped r.driver ~rid:0);
   (* unmapping out of order frees a slot, but not the tail's: the next
      map must overflow rather than re-map the live entry 0 *)
@@ -211,23 +215,22 @@ let test_ring_overflow () =
   let _, iova1 = map_buf r () in
   ignore (map_buf r ());
   ignore (map_buf r ());
-  ignore (Driver.unmap r.driver iova1 ~end_of_burst:true);
-  Alcotest.(check bool) "tail still live overflows" true
-    (Driver.map r.driver ~rid:0 ~phys:buf ~size:100 ~dir:Rpte.Bidirectional
-    = Error `Overflow);
-  match Hw.rtranslate r.hw ~bdf:r.bdf ~iova:iova0 ~write:true with
+  Driver.unmap_exn r.driver iova1 ~end_of_burst:true;
+  Alcotest.check_raises "tail still live overflows" Driver.Overflow (fun () ->
+      ignore (Driver.map_exn r.driver ~rid:0 ~phys:buf ~size:100 ~dir:Rpte.Bidirectional));
+  match rtranslate r.hw ~bdf:r.bdf ~iova:iova0 ~write:true with
   | Ok p -> Alcotest.check phys_check "entry 0 keeps its buffer" buf0 p
   | Error f -> Alcotest.failf "fault: %a" Hw.pp_fault f
 
 let test_unmap_invalidates () =
   let r = make_rig () in
   let _, iova = map_buf r () in
-  ignore (Hw.rtranslate r.hw ~bdf:r.bdf ~iova ~write:true);
-  Alcotest.(check bool) "unmap" true (Driver.unmap r.driver iova ~end_of_burst:true = Ok ());
+  ignore (rtranslate r.hw ~bdf:r.bdf ~iova ~write:true);
+  Driver.unmap_exn r.driver iova ~end_of_burst:true;
   Alcotest.(check bool) "access faults after unmap+invalidate" true
-    (Hw.rtranslate r.hw ~bdf:r.bdf ~iova ~write:true = Error Hw.Invalid_entry);
-  Alcotest.(check bool) "double unmap rejected" true
-    (Driver.unmap r.driver iova ~end_of_burst:false = Error `Not_mapped)
+    (rtranslate r.hw ~bdf:r.bdf ~iova ~write:true = Error Hw.Invalid_entry);
+  Alcotest.check_raises "double unmap rejected" Driver.Not_mapped (fun () ->
+      Driver.unmap_exn r.driver iova ~end_of_burst:false)
 
 let test_implicit_invalidation_within_burst () =
   (* The single rIOTLB entry per ring means translating entry k+1 makes
@@ -235,20 +238,20 @@ let test_implicit_invalidation_within_burst () =
   let r = make_rig ~ring_sizes:[ 8 ] () in
   let _, iova0 = map_buf r () in
   let _, iova1 = map_buf r () in
-  ignore (Hw.rtranslate r.hw ~bdf:r.bdf ~iova:iova0 ~write:true);
+  ignore (rtranslate r.hw ~bdf:r.bdf ~iova:iova0 ~write:true);
   (* unmap entry 0 without end_of_burst; device moves on to entry 1 *)
-  ignore (Driver.unmap r.driver iova0 ~end_of_burst:false);
-  ignore (Hw.rtranslate r.hw ~bdf:r.bdf ~iova:iova1 ~write:true);
+  Driver.unmap_exn r.driver iova0 ~end_of_burst:false;
+  ignore (rtranslate r.hw ~bdf:r.bdf ~iova:iova1 ~write:true);
   (* entry 0 now requires a fresh walk, which sees the invalid rPTE *)
   Alcotest.(check bool) "stale entry 0 unreachable" true
-    (Hw.rtranslate r.hw ~bdf:r.bdf ~iova:iova0 ~write:true = Error Hw.Invalid_entry)
+    (rtranslate r.hw ~bdf:r.bdf ~iova:iova0 ~write:true = Error Hw.Invalid_entry)
 
 let test_burst_amortizes_invalidation () =
   let r = make_rig ~ring_sizes:[ 256 ] () in
   let iovas = List.init 200 (fun _ -> snd (map_buf r ())) in
   let n = List.length iovas in
   List.iteri
-    (fun i iova -> ignore (Driver.unmap r.driver iova ~end_of_burst:(i = n - 1)))
+    (fun i iova -> Driver.unmap_exn r.driver iova ~end_of_burst:(i = n - 1))
     iovas;
   let bu = Driver.unmap_breakdown r.driver in
   let inv = Cost_model.default.Cost_model.iotlb_invalidate in
@@ -271,10 +274,9 @@ let test_coherency_cost_split () =
     let _, cost =
       Cycles.measure r.clock (fun () ->
           let iova =
-            Result.get_ok
-              (Driver.map r.driver ~rid:0 ~phys:buf ~size:1500 ~dir:Rpte.Bidirectional)
+            Driver.map_exn r.driver ~rid:0 ~phys:buf ~size:1500 ~dir:Rpte.Bidirectional
           in
-          ignore (Driver.unmap r.driver iova ~end_of_burst:false))
+          Driver.unmap_exn r.driver iova ~end_of_burst:false)
     in
     cost
   in
@@ -293,7 +295,7 @@ let test_map_unmap_breakdowns () =
   let r = make_rig () in
   for _ = 1 to 10 do
     let _, iova = map_buf r () in
-    ignore (Driver.unmap r.driver iova ~end_of_burst:false)
+    Driver.unmap_exn r.driver iova ~end_of_burst:false
   done;
   let bm = Driver.map_breakdown r.driver in
   Alcotest.(check int) "calls" 10 (Breakdown.calls bm);
@@ -306,13 +308,13 @@ let test_multi_ring_independence () =
   let r = make_rig ~ring_sizes:[ 4; 4 ] () in
   let _, iova_r0 = map_buf r ~rid:0 () in
   let buf1, iova_r1 = map_buf r ~rid:1 () in
-  ignore (Hw.rtranslate r.hw ~bdf:r.bdf ~iova:iova_r0 ~write:true);
-  ignore (Hw.rtranslate r.hw ~bdf:r.bdf ~iova:iova_r1 ~write:true);
+  ignore (rtranslate r.hw ~bdf:r.bdf ~iova:iova_r0 ~write:true);
+  ignore (rtranslate r.hw ~bdf:r.bdf ~iova:iova_r1 ~write:true);
   (* invalidating ring 0's entry leaves ring 1's cached entry intact *)
-  ignore (Driver.unmap r.driver iova_r0 ~end_of_burst:true);
+  Driver.unmap_exn r.driver iova_r0 ~end_of_burst:true;
   let riotlb = Hw.riotlb r.hw in
   let hits = Riotlb.hits riotlb in
-  (match Hw.rtranslate r.hw ~bdf:r.bdf ~iova:iova_r1 ~write:true with
+  (match rtranslate r.hw ~bdf:r.bdf ~iova:iova_r1 ~write:true with
   | Ok p -> Alcotest.check phys_check "ring 1 unaffected" buf1 p
   | Error f -> Alcotest.failf "fault: %a" Hw.pp_fault f);
   Alcotest.(check int) "ring 1 still cached (no new walk)" (hits + 1)
@@ -333,23 +335,23 @@ let test_multi_device_isolation () =
   let driver_a = Driver.create ~device:dev_a ~hw ~clock ~cost in
   let buf = Frame_allocator.alloc_exn frames in
   let iova =
-    Result.get_ok (Driver.map driver_a ~rid:0 ~phys:buf ~size:100 ~dir:Rpte.Bidirectional)
+    Driver.map_exn driver_a ~rid:0 ~phys:buf ~size:100 ~dir:Rpte.Bidirectional
   in
   Alcotest.(check bool) "device A resolves its mapping" true
-    (Result.is_ok (Hw.rtranslate hw ~bdf:0x100 ~iova ~write:true));
+    (Result.is_ok (rtranslate hw ~bdf:0x100 ~iova ~write:true));
   (* device B presenting the same rIOVA hits ITS (empty) flat table *)
   Alcotest.(check bool) "device B cannot use A's rIOVA" true
-    (Hw.rtranslate hw ~bdf:0x200 ~iova ~write:true = Error Hw.Invalid_entry);
+    (rtranslate hw ~bdf:0x200 ~iova ~write:true = Error Hw.Invalid_entry);
   (* detach revokes wholesale *)
   Hw.detach hw ~rid:0x100;
   Alcotest.(check bool) "detached device faults" true
-    (Hw.rtranslate hw ~bdf:0x100 ~iova ~write:true = Error Hw.Unknown_device)
+    (rtranslate hw ~bdf:0x100 ~iova ~write:true = Error Hw.Unknown_device)
 
 let test_riotlb_one_entry_per_ring () =
   let r = make_rig ~ring_sizes:[ 64 ] () in
   for _ = 1 to 32 do
     let _, iova = map_buf r () in
-    ignore (Hw.rtranslate r.hw ~bdf:r.bdf ~iova ~write:true)
+    ignore (rtranslate r.hw ~bdf:r.bdf ~iova ~write:true)
   done;
   Alcotest.(check int) "a single riotlb entry" 1 (Riotlb.entries (Hw.riotlb r.hw))
 
@@ -369,16 +371,16 @@ let prop_translate_matches_mapping =
               | _ -> Rpte.Bidirectional
             in
             let buf = Frame_allocator.alloc_exn r.frames in
-            match Driver.map r.driver ~rid:0 ~phys:buf ~size ~dir with
-            | Ok iova -> Some (buf, size, dir, iova)
-            | Error `Overflow -> None)
+            match Driver.map_exn r.driver ~rid:0 ~phys:buf ~size ~dir with
+            | iova -> Some (buf, size, dir, iova)
+            | exception Driver.Overflow -> None)
           specs
       in
       List.for_all
         (fun (buf, size, dir, iova) ->
           let write = dir <> Rpte.From_memory in
           let off = (size - 1) / 2 in
-          match Hw.rtranslate r.hw ~bdf:r.bdf ~iova:(iova + off) ~write with
+          match rtranslate r.hw ~bdf:r.bdf ~iova:(iova + off) ~write with
           | Ok p -> Addr.equal p (Addr.add buf off)
           | Error _ -> false)
         mapped)
@@ -391,13 +393,14 @@ let prop_ring_wraparound =
       let ok = ref true in
       for _ = 1 to churn do
         let buf = Frame_allocator.alloc_exn r.frames in
-        match Driver.map r.driver ~rid:0 ~phys:buf ~size:100 ~dir:Rpte.Bidirectional with
-        | Ok iova ->
-            if Result.is_error (Hw.rtranslate r.hw ~bdf:r.bdf ~iova ~write:true) then
+        match Driver.map_exn r.driver ~rid:0 ~phys:buf ~size:100 ~dir:Rpte.Bidirectional with
+        | iova ->
+            if Result.is_error (rtranslate r.hw ~bdf:r.bdf ~iova ~write:true) then
               ok := false;
-            if Result.is_error (Driver.unmap r.driver iova ~end_of_burst:true) then
-              ok := false
-        | Error `Overflow -> ok := false
+            (match Driver.unmap_exn r.driver iova ~end_of_burst:true with
+            | () -> ()
+            | exception Driver.Not_mapped -> ok := false)
+        | exception Driver.Overflow -> ok := false
       done;
       !ok && Driver.nmapped r.driver ~rid:0 = 0)
 

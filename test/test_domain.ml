@@ -40,7 +40,21 @@ let make_rig ?(iotlb_policy = Shared_iotlb.Shared) ?(iotlb_capacity = 16)
 
 let map_exn r d bytes =
   let buf = Frame_allocator.alloc_exn r.frames in
-  Result.get_ok (Driver.map (Manager.driver d) ~phys:buf ~bytes ~read:true ~write:true)
+  Driver.map_exn (Manager.driver d) ~phys:buf ~bytes ~read:true ~write:true
+
+(* One DMA with its fault class as a value. [translate_exn] raises one
+   constant for every class: an unknown rid shows in
+   [unknown_rid_faults], a tenant's class in its driver's
+   [last_fault]. *)
+let translate mgr ~rid ~iova ~write =
+  let unknown = Manager.unknown_rid_faults mgr in
+  match Manager.translate_exn mgr ~rid ~iova ~write with
+  | p -> Ok p
+  | exception Manager.Translation_fault ->
+      if Manager.unknown_rid_faults mgr > unknown then Error `Unknown_device
+      else
+        let d = List.find (fun d -> Manager.rid d = rid) (Manager.domains mgr) in
+        Error (`Fault (Driver.last_fault (Manager.driver d)))
 
 (* {1 Isolation} *)
 
@@ -48,20 +62,18 @@ let test_isolation () =
   let r = make_rig () in
   let iova = map_exn r r.a 1500 in
   Alcotest.(check bool) "owner translates" true
-    (Result.is_ok
-       (Manager.translate r.mgr ~rid:(Manager.rid r.a) ~iova ~write:true));
+    (Result.is_ok (translate r.mgr ~rid:(Manager.rid r.a) ~iova ~write:true));
   (* domain B's device presenting A's IOVA walks B's (empty) table *)
   Alcotest.(check bool) "other domain faults" true
-    (Manager.translate r.mgr ~rid:(Manager.rid r.b) ~iova ~write:true
-    = Error Driver.No_translation);
+    (translate r.mgr ~rid:(Manager.rid r.b) ~iova ~write:true
+    = Error (`Fault Driver.No_translation));
   Alcotest.(check int) "fault recorded against B" 1 (Manager.faults r.mgr r.b);
   Alcotest.(check int) "no fault against A" 0 (Manager.faults r.mgr r.a)
 
 let test_unknown_rid () =
   let r = make_rig () in
-  Alcotest.(check bool) "unknown rid faults" true
-    (Manager.translate r.mgr ~rid:0xBEEF ~iova:0x1000 ~write:true
-    = Error Driver.Unknown_device);
+  Alcotest.check_raises "unknown rid faults" Manager.Translation_fault (fun () ->
+      ignore (Manager.translate_exn r.mgr ~rid:0xBEEF ~iova:0x1000 ~write:true));
   Alcotest.(check int) "counted" 1 (Manager.unknown_rid_faults r.mgr)
 
 let test_private_iova_spaces () =
@@ -71,19 +83,13 @@ let test_private_iova_spaces () =
   let iova_a = map_exn r r.a 100 in
   let iova_b = map_exn r r.b 100 in
   Alcotest.(check int) "same iova, both spaces" iova_a iova_b;
-  let pa =
-    Result.get_ok
-      (Manager.translate r.mgr ~rid:(Manager.rid r.a) ~iova:iova_a ~write:true)
-  in
-  let pb =
-    Result.get_ok
-      (Manager.translate r.mgr ~rid:(Manager.rid r.b) ~iova:iova_b ~write:true)
-  in
+  let pa = Manager.translate_exn r.mgr ~rid:(Manager.rid r.a) ~iova:iova_a ~write:true in
+  let pb = Manager.translate_exn r.mgr ~rid:(Manager.rid r.b) ~iova:iova_b ~write:true in
   Alcotest.(check bool) "different frames" false (Addr.equal pa pb)
 
 (* {1 Policies and accounting} *)
 
-let touch r d iova = ignore (Manager.translate r.mgr ~rid:(Manager.rid d) ~iova ~write:true)
+let touch r d iova = ignore (translate r.mgr ~rid:(Manager.rid d) ~iova ~write:true)
 
 let test_shared_cross_eviction_accounted () =
   let r = make_rig ~iotlb_policy:Shared_iotlb.Shared ~iotlb_capacity:8 () in
@@ -176,7 +182,7 @@ let test_deferred_per_domain_flush_drains_own_queue () =
   let unmap_n d n =
     for _ = 1 to n do
       let iova = map_exn r d Addr.page_size in
-      Alcotest.(check bool) "unmap ok" true (Driver.unmap (Manager.driver d) ~iova = Ok ())
+      Driver.unmap_exn (Manager.driver d) ~iova
     done
   in
   unmap_n r.a 3;
@@ -197,7 +203,7 @@ let test_deferred_global_flush_drains_all_queues () =
   let unmap_n d n =
     for _ = 1 to n do
       let iova = map_exn r d Addr.page_size in
-      ignore (Driver.unmap (Manager.driver d) ~iova)
+      Driver.unmap_exn (Manager.driver d) ~iova
     done
   in
   unmap_n r.b 2;
@@ -213,15 +219,14 @@ let test_deferred_window_closes () =
   in
   let iova = map_exn r r.a 100 in
   touch r r.a iova;
-  Alcotest.(check bool) "unmap" true (Driver.unmap (Manager.driver r.a) ~iova = Ok ());
+  Driver.unmap_exn (Manager.driver r.a) ~iova;
   (* stale entry still live: the window *)
   Alcotest.(check bool) "window open" true
-    (Result.is_ok
-       (Manager.translate r.mgr ~rid:(Manager.rid r.a) ~iova ~write:true));
+    (Result.is_ok (translate r.mgr ~rid:(Manager.rid r.a) ~iova ~write:true));
   Driver.flush (Manager.driver r.a);
   Alcotest.(check bool) "window closed" true
-    (Manager.translate r.mgr ~rid:(Manager.rid r.a) ~iova ~write:true
-    = Error Driver.No_translation)
+    (translate r.mgr ~rid:(Manager.rid r.a) ~iova ~write:true
+    = Error (`Fault Driver.No_translation))
 
 (* {1 Shared-policy attribution against a reference model}
 
@@ -428,7 +433,8 @@ let prop_shared_attribution =
 (* {1 translate / translate_exn parity}
 
    Twin managers replay one op sequence; one answers every DMA through
-   the result-typed [translate], the other through [translate_exn].
+   [translate], which names the fault class, the other through
+   [translate_exn] alone.
    Both must return the same phys (or fault), bump the same
    unknown-rid and per-domain fault counters, keep identical IOTLB
    stats and charge identical cycles. Bdf slots 0-3 attach, detach,
@@ -521,9 +527,7 @@ let check_translate_parity ops =
           match t.t_slots.(k) with
           | Some d ->
               let phys = Frame_allocator.alloc_exn t.t_frames in
-              Some
-                (Result.get_ok
-                   (Driver.map (Manager.driver d) ~phys ~bytes:4096 ~read:true ~write))
+              Some (Driver.map_exn (Manager.driver d) ~phys ~bytes:4096 ~read:true ~write)
           | None -> None
         in
         match (map b, map e) with
@@ -544,7 +548,7 @@ let check_translate_parity ops =
           | Some d -> Manager.faults e.t_mgr d
           | None -> 0
         in
-        let boxed = Manager.translate b.t_mgr ~rid ~iova ~write in
+        let boxed = translate b.t_mgr ~rid ~iova ~write in
         let unboxed =
           match Manager.translate_exn e.t_mgr ~rid ~iova ~write with
           | p -> Some p
@@ -559,19 +563,19 @@ let check_translate_parity ops =
         (match (boxed, unboxed) with
         | Ok p, Some q when Addr.equal p q ->
             if unknown_delta + dom_delta <> 0 then fail "hit bumped a fault"
-        | Error Driver.Unknown_device, None ->
+        | Error `Unknown_device, None ->
             if unknown_delta <> 1 || dom_delta <> 0 then
               fail "unknown rid counted elsewhere"
-        | Error (Driver.No_translation | Driver.Not_permitted), None ->
+        | Error (`Fault _), None ->
             if unknown_delta <> 0 || dom_delta <> 1 then
               fail "domain fault counted elsewhere"
         | _ -> fail "translate and translate_exn disagree");
         classes :=
           (match boxed with
           | Ok _ -> "ok"
-          | Error Driver.Unknown_device -> "unknown"
-          | Error Driver.No_translation -> "no-translation"
-          | Error Driver.Not_permitted -> "not-permitted")
+          | Error `Unknown_device -> "unknown"
+          | Error (`Fault Driver.No_translation) -> "no-translation"
+          | Error (`Fault Driver.Not_permitted) -> "not-permitted")
           :: !classes
   in
   List.iter
@@ -710,9 +714,7 @@ let check_front_doors mode (rcache, ops) =
           | Rio_core.Rpte.To_memory -> (false, true)
           | Rio_core.Rpte.From_memory -> (true, false)
         in
-        let im =
-          Result.get_ok (Driver.map (Manager.driver d) ~phys ~bytes ~read ~write)
-        in
+        let im = Driver.map_exn (Manager.driver d) ~phys ~bytes ~read ~write in
         if ia <> im then fail "op %d: iova %#x vs %#x" i ia im;
         live := Array.append !live [| ia |];
         seen := Array.append !seen [| ia |]
@@ -722,7 +724,7 @@ let check_front_doors mode (rcache, ops) =
         live := Array.append (Array.sub !live 0 (k mod n))
             (Array.sub !live ((k mod n) + 1) (n - (k mod n) - 1));
         Rio_protect.Dma_api.unmap_exn api ~iova ~end_of_burst:true;
-        if Driver.unmap (Manager.driver d) ~iova <> Ok () then fail "op %d: unmap" i
+        Driver.unmap_exn (Manager.driver d) ~iova
     | F_unmap _ -> ()
     | F_translate (pick, off, write) ->
         let from a = Array.length a > 0 in
@@ -887,7 +889,7 @@ let test_riommu_isolation () =
   Alcotest.(check bool) "riommu victim degrades less than strict/shared" true
     (degradation Mode.Riommu < degradation Mode.Strict)
 
-(* Every rIOMMU translation goes through Hw.rtranslate exactly once: a
+(* Every rIOMMU translation goes through Hw.rtranslate_exn exactly once: a
    walk is a miss, any other translation a hit, and none faults. *)
 let test_riommu_runs_engine () =
   let cfg =

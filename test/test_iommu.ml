@@ -52,21 +52,28 @@ let make_rig ?(alloc_kind = Allocator.Linux) ?(policy = Driver.Immediate)
 
 let phys_check = Alcotest.testable Addr.pp Addr.equal
 
+(* One DMA with its fault class as a value: the driver raises the
+   constant [Translation_fault] and names the class in [last_fault]. *)
+let translate d ~iova ~write =
+  match Driver.translate_exn d ~iova ~write with
+  | p -> Ok p
+  | exception Driver.Translation_fault -> Error (Driver.last_fault d)
+
 let test_map_translate_unmap () =
   let r = make_rig () in
   let buf = Frame_allocator.alloc_exn r.frames in
   let iova =
-    Result.get_ok (Driver.map r.driver ~phys:buf ~bytes:1500 ~read:true ~write:true)
+    Driver.map_exn r.driver ~phys:buf ~bytes:1500 ~read:true ~write:true
   in
-  (match Driver.translate r.driver ~iova ~write:true with
+  (match translate r.driver ~iova ~write:true with
   | Ok p -> Alcotest.check phys_check "translates to buffer" buf p
   | Error f -> Alcotest.failf "unexpected fault: %a" Driver.pp_fault f);
   (* offsets within the buffer follow the page offset *)
-  (match Driver.translate r.driver ~iova:(iova + 100) ~write:true with
+  (match translate r.driver ~iova:(iova + 100) ~write:true with
   | Ok p -> Alcotest.check phys_check "offset preserved" (Addr.add buf 100) p
   | Error f -> Alcotest.failf "unexpected fault: %a" Driver.pp_fault f);
-  Alcotest.(check bool) "unmap ok" true (Driver.unmap r.driver ~iova = Ok ());
-  (match Driver.translate r.driver ~iova ~write:true with
+  Driver.unmap_exn r.driver ~iova;
+  (match translate r.driver ~iova ~write:true with
   | Error Driver.No_translation -> ()
   | Ok _ -> Alcotest.fail "strict mode must fault after unmap"
   | Error f -> Alcotest.failf "wrong fault: %a" Driver.pp_fault f)
@@ -76,10 +83,10 @@ let test_unaligned_buffer_keeps_offset () =
   let frame = Frame_allocator.alloc_exn r.frames in
   let buf = Addr.add frame 0x123 in
   let iova =
-    Result.get_ok (Driver.map r.driver ~phys:buf ~bytes:64 ~read:true ~write:false)
+    Driver.map_exn r.driver ~phys:buf ~bytes:64 ~read:true ~write:false
   in
   Alcotest.(check int) "iova keeps page offset" 0x123 (iova land (Addr.page_size - 1));
-  match Driver.translate r.driver ~iova ~write:false with
+  match translate r.driver ~iova ~write:false with
   | Ok p -> Alcotest.check phys_check "maps to unaligned base" buf p
   | Error f -> Alcotest.failf "unexpected fault: %a" Driver.pp_fault f
 
@@ -87,37 +94,36 @@ let test_multi_page_map () =
   let r = make_rig () in
   let buf = Option.get (Rio_memory.Dma_buffer.alloc r.frames ~size:9000) in
   let iova =
-    Result.get_ok
-      (Driver.map r.driver ~phys:buf.Rio_memory.Dma_buffer.base ~bytes:9000
-         ~read:true ~write:true)
+    Driver.map_exn r.driver ~phys:buf.Rio_memory.Dma_buffer.base ~bytes:9000
+      ~read:true ~write:true
   in
   (* last byte of the third page translates correctly *)
-  (match Driver.translate r.driver ~iova:(iova + 8999) ~write:true with
+  (match translate r.driver ~iova:(iova + 8999) ~write:true with
   | Ok p ->
       Alcotest.check phys_check "third page"
         (Addr.add buf.Rio_memory.Dma_buffer.base 8999)
         p
   | Error f -> Alcotest.failf "unexpected fault: %a" Driver.pp_fault f);
-  Alcotest.(check bool) "unmap whole range" true (Driver.unmap r.driver ~iova = Ok ());
+  Driver.unmap_exn r.driver ~iova;
   Alcotest.(check bool) "all pages gone" true
-    (Driver.translate r.driver ~iova:(iova + 8192) ~write:true
+    (translate r.driver ~iova:(iova + 8192) ~write:true
     = Error Driver.No_translation)
 
 let test_direction_enforcement () =
   let r = make_rig () in
   let buf = Frame_allocator.alloc_exn r.frames in
   let iova =
-    Result.get_ok (Driver.map r.driver ~phys:buf ~bytes:512 ~read:true ~write:false)
+    Driver.map_exn r.driver ~phys:buf ~bytes:512 ~read:true ~write:false
   in
   Alcotest.(check bool) "read allowed" true
-    (Result.is_ok (Driver.translate r.driver ~iova ~write:false));
+    (Result.is_ok (translate r.driver ~iova ~write:false));
   Alcotest.(check bool) "write denied" true
-    (Driver.translate r.driver ~iova ~write:true = Error Driver.Not_permitted)
+    (translate r.driver ~iova ~write:true = Error Driver.Not_permitted)
 
 let test_fault_counted () =
   let r = make_rig () in
   Alcotest.(check bool) "nothing mapped" true
-    (Driver.translate r.driver ~iova:0x1000 ~write:false
+    (translate r.driver ~iova:0x1000 ~write:false
     = Error Driver.No_translation);
   Alcotest.(check int) "fault counted" 1 (Driver.faults r.driver)
 
@@ -125,14 +131,14 @@ let test_iotlb_caching_on_translate () =
   let r = make_rig () in
   let buf = Frame_allocator.alloc_exn r.frames in
   let iova =
-    Result.get_ok (Driver.map r.driver ~phys:buf ~bytes:100 ~read:true ~write:true)
+    Driver.map_exn r.driver ~phys:buf ~bytes:100 ~read:true ~write:true
   in
   let walk_cost = 4 * Cost_model.default.Cost_model.io_walk_ref in
   let _, first = Cycles.measure r.clock (fun () ->
-      ignore (Driver.translate r.driver ~iova ~write:true))
+      ignore (translate r.driver ~iova ~write:true))
   in
   let _, second = Cycles.measure r.clock (fun () ->
-      ignore (Driver.translate r.driver ~iova ~write:true))
+      ignore (translate r.driver ~iova ~write:true))
   in
   Alcotest.(check bool) "first translate pays the walk" true (first >= walk_cost);
   Alcotest.(check bool) "second is an IOTLB hit" true (second < walk_cost / 4)
@@ -141,10 +147,10 @@ let test_strict_unmap_charges_invalidation () =
   let r = make_rig () in
   let buf = Frame_allocator.alloc_exn r.frames in
   let iova =
-    Result.get_ok (Driver.map r.driver ~phys:buf ~bytes:100 ~read:true ~write:true)
+    Driver.map_exn r.driver ~phys:buf ~bytes:100 ~read:true ~write:true
   in
   let _, cost = Cycles.measure r.clock (fun () ->
-      ignore (Driver.unmap r.driver ~iova))
+      Driver.unmap_exn r.driver ~iova)
   in
   Alcotest.(check bool)
     (Printf.sprintf "strict unmap cost %d includes ~2100-cycle invalidation" cost)
@@ -158,29 +164,29 @@ let test_deferred_vulnerability_window () =
   let r = make_rig ~policy:(Driver.Deferred { batch = 250 }) () in
   let buf = Frame_allocator.alloc_exn r.frames in
   let iova =
-    Result.get_ok (Driver.map r.driver ~phys:buf ~bytes:100 ~read:true ~write:true)
+    Driver.map_exn r.driver ~phys:buf ~bytes:100 ~read:true ~write:true
   in
   (* device touches the buffer: IOTLB now caches the translation *)
   Alcotest.(check bool) "initial access ok" true
-    (Result.is_ok (Driver.translate r.driver ~iova ~write:true));
-  Alcotest.(check bool) "unmap ok" true (Driver.unmap r.driver ~iova = Ok ());
+    (Result.is_ok (translate r.driver ~iova ~write:true));
+  Driver.unmap_exn r.driver ~iova;
   Alcotest.(check int) "invalidation pending" 1 (Driver.pending r.driver);
   (* the IOVA stays allocated until the flush, yet it is not mapped *)
-  Alcotest.(check bool) "double unmap while pending" true
-    (Driver.unmap r.driver ~iova = Error `Not_mapped);
+  Alcotest.check_raises "double unmap while pending" Driver.Not_mapped (fun () ->
+      Driver.unmap_exn r.driver ~iova);
   Alcotest.(check int) "still one pending" 1 (Driver.pending r.driver);
-  (match Driver.translate r.driver ~iova ~write:true with
+  (match translate r.driver ~iova ~write:true with
   | Ok p -> Alcotest.check phys_check "STALE ACCESS SUCCEEDS (the window)" buf p
   | Error f -> Alcotest.failf "window should be open: %a" Driver.pp_fault f);
   (* 249 more unmaps trigger the batched flush *)
   for _ = 1 to 249 do
     let b = Frame_allocator.alloc_exn r.frames in
-    let i = Result.get_ok (Driver.map r.driver ~phys:b ~bytes:64 ~read:true ~write:true) in
-    Alcotest.(check bool) "churn unmap" true (Driver.unmap r.driver ~iova:i = Ok ())
+    let i = Driver.map_exn r.driver ~phys:b ~bytes:64 ~read:true ~write:true in
+    Driver.unmap_exn r.driver ~iova:i
   done;
   Alcotest.(check int) "queue drained" 0 (Driver.pending r.driver);
   Alcotest.(check bool) "window closed after flush" true
-    (Driver.translate r.driver ~iova ~write:true = Error Driver.No_translation)
+    (translate r.driver ~iova ~write:true = Error Driver.No_translation)
 
 let test_deferred_defers_iova_reuse () =
   (* The freed IOVA must not be handed out again while the stale IOTLB
@@ -188,12 +194,12 @@ let test_deferred_defers_iova_reuse () =
   let r = make_rig ~policy:(Driver.Deferred { batch = 250 }) () in
   let buf = Frame_allocator.alloc_exn r.frames in
   let iova =
-    Result.get_ok (Driver.map r.driver ~phys:buf ~bytes:100 ~read:true ~write:true)
+    Driver.map_exn r.driver ~phys:buf ~bytes:100 ~read:true ~write:true
   in
-  Alcotest.(check bool) "unmap" true (Driver.unmap r.driver ~iova = Ok ());
+  Driver.unmap_exn r.driver ~iova;
   let buf2 = Frame_allocator.alloc_exn r.frames in
   let iova2 =
-    Result.get_ok (Driver.map r.driver ~phys:buf2 ~bytes:100 ~read:true ~write:true)
+    Driver.map_exn r.driver ~phys:buf2 ~bytes:100 ~read:true ~write:true
   in
   Alcotest.(check bool) "different IOVA while flush pending" true
     (iova2 lsr Addr.page_shift <> iova lsr Addr.page_shift)
@@ -202,14 +208,14 @@ let test_explicit_flush () =
   let r = make_rig ~policy:(Driver.Deferred { batch = 250 }) () in
   let buf = Frame_allocator.alloc_exn r.frames in
   let iova =
-    Result.get_ok (Driver.map r.driver ~phys:buf ~bytes:100 ~read:true ~write:true)
+    Driver.map_exn r.driver ~phys:buf ~bytes:100 ~read:true ~write:true
   in
-  ignore (Driver.translate r.driver ~iova ~write:true);
-  ignore (Driver.unmap r.driver ~iova);
+  ignore (translate r.driver ~iova ~write:true);
+  Driver.unmap_exn r.driver ~iova;
   Driver.flush r.driver;
   Alcotest.(check int) "queue empty" 0 (Driver.pending r.driver);
   Alcotest.(check bool) "window closed" true
-    (Driver.translate r.driver ~iova ~write:true = Error Driver.No_translation)
+    (translate r.driver ~iova ~write:true = Error Driver.No_translation)
 
 (* Section 4: page-granularity protection leaks between buffers sharing a
    page. Buffer A is unmapped, but because buffer B still maps the same
@@ -223,24 +229,22 @@ let test_same_page_leakage () =
   match bufs with
   | [ a; b ] ->
       let iova_a =
-        Result.get_ok
-          (Driver.map r.driver ~phys:a.Rio_memory.Dma_buffer.base ~bytes:1500
-             ~read:true ~write:true)
+        Driver.map_exn r.driver ~phys:a.Rio_memory.Dma_buffer.base ~bytes:1500
+          ~read:true ~write:true
       in
       let _iova_b =
-        Result.get_ok
-          (Driver.map r.driver ~phys:b.Rio_memory.Dma_buffer.base ~bytes:1500
-             ~read:true ~write:true)
+        Driver.map_exn r.driver ~phys:b.Rio_memory.Dma_buffer.base ~bytes:1500
+          ~read:true ~write:true
       in
-      Alcotest.(check bool) "A unmapped" true (Driver.unmap r.driver ~iova:iova_a = Ok ());
+      Driver.unmap_exn r.driver ~iova:iova_a;
       (* A's own IOVA faults... *)
       Alcotest.(check bool) "A's iova faults" true
-        (Driver.translate r.driver ~iova:iova_a ~write:true
+        (translate r.driver ~iova:iova_a ~write:true
         = Error Driver.No_translation);
       (* ...but B's IOVA page still maps the whole frame, so the device
          reaches A's first byte at B's page + A's page offset (0). *)
       let b_page = _iova_b land lnot (Addr.page_size - 1) in
-      (match Driver.translate r.driver ~iova:b_page ~write:true with
+      (match translate r.driver ~iova:b_page ~write:true with
       | Ok p ->
           Alcotest.check phys_check "leaks into A's bytes"
             a.Rio_memory.Dma_buffer.base p
@@ -252,9 +256,9 @@ let test_breakdown_components_populated () =
   for _ = 1 to 10 do
     let buf = Frame_allocator.alloc_exn r.frames in
     let iova =
-      Result.get_ok (Driver.map r.driver ~phys:buf ~bytes:100 ~read:true ~write:true)
+      Driver.map_exn r.driver ~phys:buf ~bytes:100 ~read:true ~write:true
     in
-    ignore (Driver.unmap r.driver ~iova)
+    Driver.unmap_exn r.driver ~iova
   done;
   let bm = Driver.map_breakdown r.driver and bu = Driver.unmap_breakdown r.driver in
   Alcotest.(check int) "10 maps" 10 (Breakdown.calls bm);
@@ -286,16 +290,15 @@ let test_exhaustion_error () =
   in
   let buf = Frame_allocator.alloc_exn frames in
   for _ = 1 to 4 do
-    Alcotest.(check bool) "fits" true
-      (Result.is_ok (Driver.map driver ~phys:buf ~bytes:10 ~read:true ~write:true))
+    ignore (Driver.map_exn driver ~phys:buf ~bytes:10 ~read:true ~write:true : int)
   done;
-  Alcotest.(check bool) "exhausted" true
-    (Driver.map driver ~phys:buf ~bytes:10 ~read:true ~write:true = Error `Exhausted)
+  Alcotest.check_raises "exhausted" Driver.Exhausted (fun () ->
+      ignore (Driver.map_exn driver ~phys:buf ~bytes:10 ~read:true ~write:true))
 
 let test_unmap_unknown_iova () =
   let r = make_rig () in
-  Alcotest.(check bool) "unmapped iova rejected" true
-    (Driver.unmap r.driver ~iova:0x5000 = Error `Not_mapped)
+  Alcotest.check_raises "unmapped iova rejected" Driver.Not_mapped (fun () ->
+      Driver.unmap_exn r.driver ~iova:0x5000)
 
 let prop_map_unmap_balanced =
   QCheck.Test.make ~name:"live mappings = maps - unmaps under random churn"
@@ -309,25 +312,25 @@ let prop_map_unmap_balanced =
         (fun op ->
           if op < 3 then begin
             let buf = Frame_allocator.alloc_exn r.frames in
-            match Driver.map r.driver ~phys:buf ~bytes:((op + 1) * 1000)
+            match Driver.map_exn r.driver ~phys:buf ~bytes:((op + 1) * 1000)
                     ~read:true ~write:true
             with
-            | Ok iova ->
+            | iova ->
                 live := iova :: !live;
                 expected := !expected + op + 1
-            | Error `Exhausted -> ()
+            | exception Driver.Exhausted -> ()
           end
           else begin
             match !live with
             | [] -> ()
             | iova :: rest ->
-                ignore (Driver.unmap r.driver ~iova);
+                Driver.unmap_exn r.driver ~iova;
                 live := rest
           end)
         ops;
       (* check via hardware: every live iova translates, count matches *)
       List.for_all
-        (fun iova -> Result.is_ok (Driver.translate r.driver ~iova ~write:true))
+        (fun iova -> Result.is_ok (translate r.driver ~iova ~write:true))
         !live)
 
 (* Rid_table against Hashtbl over random replace/remove/find: keys are

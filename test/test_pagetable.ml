@@ -205,16 +205,18 @@ let prop_arena_matches_radix =
         (match Rng.int rng 3 with
         | 0 ->
             let rr = Radix.map radix ~iova (pte pfn) in
-            let ar = Arena.map arena ~iova ~pte:(Pte.pack (pte pfn)) in
             agree "map outcome"
               (match rr with Ok () -> 1 | Error `Already_mapped -> 0)
-              (match ar with Ok () -> 1 | Error `Already_mapped -> 0)
+              (match Arena.map_exn arena ~iova ~pte:(Pte.pack (pte pfn)) with
+              | () -> 1
+              | exception Arena.Already_mapped -> 0)
         | 1 ->
             let rr = Radix.unmap radix ~iova in
-            let ar = Arena.unmap arena ~iova in
             agree "unmap pfn"
               (match rr with Ok p -> p.Pte.pfn | Error `Not_mapped -> -1)
-              (match ar with Ok p -> Pte.packed_pfn p | Error `Not_mapped -> -1)
+              (match Arena.unmap_exn arena ~iova with
+              | p -> Pte.packed_pfn p
+              | exception Arena.Not_mapped -> -1)
         | _ ->
             let rr = Radix.walk radix ~iova in
             let ar = Arena.walk arena ~iova in
@@ -242,12 +244,12 @@ let test_arena_node_accounting_trail () =
     let iova = page * Addr.page_size * (1 lsl (9 * (page land 3))) in
     if Hashtbl.mem live iova then begin
       ignore (Radix.unmap radix ~iova);
-      ignore (Arena.unmap arena ~iova);
+      ignore (Arena.unmap_exn arena ~iova : int);
       Hashtbl.remove live iova
     end
     else begin
       ignore (Radix.map radix ~iova (pte page));
-      ignore (Arena.map arena ~iova ~pte:(Pte.pack_make ~read:true ~write:true ~pfn:page));
+      Arena.map_exn arena ~iova ~pte:(Pte.pack_make ~read:true ~write:true ~pfn:page);
       Hashtbl.add live iova ()
     end;
     Alcotest.(check int) "node_count tracks reference"
@@ -260,7 +262,7 @@ let test_arena_node_accounting_trail () =
   let high_water = Arena.store_nodes arena in
   Hashtbl.iter (fun iova () ->
       ignore (Radix.unmap radix ~iova);
-      ignore (Arena.unmap arena ~iova)) live;
+      ignore (Arena.unmap_exn arena ~iova : int)) live;
   Alcotest.(check int) "drained: no mappings left" 0 (Arena.mapped_count arena);
   Alcotest.(check int) "drained: node_count still tracks reference"
     (Radix.node_count radix) (Arena.node_count arena);
@@ -274,8 +276,8 @@ let test_arena_node_accounting_trail () =
 let test_arena_reset_retains_store () =
   let arena, _ = make_arena () in
   for page = 0 to 63 do
-    ignore (Arena.map arena ~iova:(page * Addr.page_size * 513)
-              ~pte:(Pte.pack_make ~read:true ~write:false ~pfn:page))
+    Arena.map_exn arena ~iova:(page * Addr.page_size * 513)
+      ~pte:(Pte.pack_make ~read:true ~write:false ~pfn:page)
   done;
   let high_water = Arena.store_nodes arena in
   Arena.reset arena;
@@ -285,8 +287,8 @@ let test_arena_reset_retains_store () =
     (Arena.store_nodes arena);
   (* the freelist must actually be reusable *)
   for page = 0 to 63 do
-    ignore (Arena.map arena ~iova:(page * Addr.page_size * 513)
-              ~pte:(Pte.pack_make ~read:true ~write:false ~pfn:page))
+    Arena.map_exn arena ~iova:(page * Addr.page_size * 513)
+      ~pte:(Pte.pack_make ~read:true ~write:false ~pfn:page)
   done;
   Alcotest.(check int) "remap reuses freed nodes, carves nothing new"
     high_water (Arena.store_nodes arena)

@@ -119,13 +119,13 @@ let test_out_of_range_riovas () =
   let buf = Frame_allocator.alloc_exn frames in
   let past_end = (Riova.pack ~offset:0 ~rentry:8 ~rid:0 :> int) in
   let no_ring = (Riova.pack ~offset:0 ~rentry:0 ~rid:1 :> int) in
-  Alcotest.(check bool) "unmap past the ring's end" true
-    (R_driver.unmap driver past_end ~end_of_burst:true = Error `Not_mapped);
-  Alcotest.(check bool) "unmap of a missing ring" true
-    (R_driver.unmap driver no_ring ~end_of_burst:true = Error `Not_mapped);
+  Alcotest.check_raises "unmap past the ring's end" R_driver.Not_mapped (fun () ->
+      R_driver.unmap_exn driver past_end ~end_of_burst:true);
+  Alcotest.check_raises "unmap of a missing ring" R_driver.Not_mapped (fun () ->
+      R_driver.unmap_exn driver no_ring ~end_of_burst:true);
   Alcotest.check_raises "map to a missing ring"
     (Invalid_argument "Rdevice.ring: rid range") (fun () ->
-      ignore (R_driver.map driver ~rid:1 ~phys:buf ~size:100 ~dir:Rpte.Bidirectional));
+      ignore (R_driver.map_exn driver ~rid:1 ~phys:buf ~size:100 ~dir:Rpte.Bidirectional));
   let api = make Mode.Riommu in
   let addr =
     Result.get_ok
@@ -158,6 +158,24 @@ let test_swpt_charges_walks () =
   in
   Alcotest.(check bool) "first pays a walk" true (first > second);
   Alcotest.(check bool) "second is cheap" true (second < 100)
+
+(* None and the pass-throughs keep only a count of live buffers: an
+   unmap with nothing live is stray, and is [Not_mapped] as in the
+   protected modes, with the count left at zero. *)
+let test_passthrough_stray_unmap () =
+  List.iter
+    (fun mode ->
+      let api = make mode in
+      let name = Mode.name mode in
+      Alcotest.(check bool) (name ^ ": stray unmap") true
+        (Dma_api.unmap api ~addr:0x5000 ~end_of_burst:true = Error `Not_mapped);
+      let buf = Rio_memory.Frame_allocator.alloc_exn (Dma_api.frames api) in
+      let addr = Dma_api.map_exn api ~ring:0 ~phys:buf ~bytes:64 ~dir:Rpte.Bidirectional in
+      Dma_api.unmap_exn api ~iova:addr ~end_of_burst:true;
+      Alcotest.check_raises (name ^ ": second unmap") I_driver.Not_mapped (fun () ->
+          Dma_api.unmap_exn api ~iova:addr ~end_of_burst:true);
+      Alcotest.(check int) (name ^ ": live stays 0") 0 (Dma_api.live_mappings api))
+    [ Mode.None_; Mode.Hw_passthrough; Mode.Sw_passthrough ]
 
 (* {2 One body per op}
 
@@ -440,6 +458,8 @@ let () =
             Alcotest.test_case "riommu exn forms allocate nothing" `Quick
               test_riommu_words_per_op;
             QCheck_alcotest.to_alcotest prop_strict_riommu_agree;
+            Alcotest.test_case "pass-through stray unmap" `Quick
+              test_passthrough_stray_unmap;
           ] );
       ( "op_log",
         [

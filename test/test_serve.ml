@@ -239,12 +239,11 @@ let test_map_sg_roundtrip () =
     Manager.add_domain mgr ~name:"sg" ~bdf:(Bdf.make ~bus:1 ~device:0 ~func:0) ()
   in
   let n = 4 in
-  let segs =
-    Array.init n (fun i -> (Frame_allocator.alloc_exn frames, 512 * (i + 1)))
-  in
+  let phys = Array.init n (fun _ -> Frame_allocator.alloc_exn frames) in
+  let bytes = Array.init n (fun i -> 512 * (i + 1)) in
   let iovas = Array.make n 0 in
   let drv = Manager.driver d in
-  (match Driver.map_sg_exn drv ~segs ~iovas ~read:true ~write:true () with
+  (match Driver.map_sg_exn drv ~phys ~bytes ~iovas ~read:true ~write:true () with
   | k -> Alcotest.(check int) "all segments mapped" n k
   | exception Driver.Exhausted -> Alcotest.fail "map_sg exhausted");
   Alcotest.(check int) "distinct iovas" n
@@ -252,13 +251,11 @@ let test_map_sg_roundtrip () =
   Alcotest.(check int) "live mappings" n (Driver.live_mappings (Manager.driver d));
   Array.iteri
     (fun i iova ->
-      let phys =
-        Manager.translate_exn mgr ~rid:(Manager.rid d) ~iova ~write:true
-      in
+      let p = Manager.translate_exn mgr ~rid:(Manager.rid d) ~iova ~write:true in
       Alcotest.(check int)
         (Printf.sprintf "seg %d translates to its frame" i)
-        (Addr.to_int (fst segs.(i)))
-        (Addr.to_int phys))
+        (Addr.to_int phys.(i))
+        (Addr.to_int p))
     iovas;
   (match Driver.unmap_sg_exn drv ~iovas ~flush:Driver.Per_iova () with
   | () -> ()
@@ -276,17 +273,16 @@ let test_map_sg_rollback () =
       ~bdf:(Bdf.make ~bus:1 ~device:0 ~func:0)
       ~iova_limit_pfn:4 ()
   in
-  let segs =
-    Array.init 8 (fun _ -> (Frame_allocator.alloc_exn frames, 4096))
-  in
+  let phys = Array.init 8 (fun _ -> Frame_allocator.alloc_exn frames) in
+  let bytes = Array.make 8 4096 in
   let iovas = Array.make 8 0 in
   let drv = Manager.driver d in
   Alcotest.check_raises "batch exhausts" Driver.Exhausted (fun () ->
-      ignore (Driver.map_sg_exn drv ~segs ~iovas ~read:true ~write:true ()));
+      ignore (Driver.map_sg_exn drv ~phys ~bytes ~iovas ~read:true ~write:true ()));
   Alcotest.(check int) "rollback leaves nothing mapped" 0
     (Driver.live_mappings (Manager.driver d));
   (* the rolled-back ranges are reusable: a fitting batch now succeeds *)
-  (match Driver.map_sg_exn drv ~segs ~n:2 ~iovas ~read:true ~write:true () with
+  (match Driver.map_sg_exn drv ~phys ~bytes ~n:2 ~iovas ~read:true ~write:true () with
   | k -> Alcotest.(check int) "small batch fits after rollback" 2 k
   | exception Driver.Exhausted -> Alcotest.fail "space not released by rollback");
   Alcotest.(check int) "two live" 2 (Driver.live_mappings (Manager.driver d))
@@ -298,23 +294,26 @@ let test_translate_exn_parity () =
   in
   let buf = Frame_allocator.alloc_exn frames in
   let iova =
-    Result.get_ok (Driver.map (Manager.driver d) ~phys:buf ~bytes:4096 ~read:true ~write:false)
+    Driver.map_exn (Manager.driver d) ~phys:buf ~bytes:4096 ~read:true ~write:false
   in
   let rid = Manager.rid d in
-  (* hit path: both report the same phys, offsets preserved *)
-  let boxed = Manager.translate mgr ~rid ~iova:(iova + 129) ~write:false in
-  let unboxed = Manager.translate_exn mgr ~rid ~iova:(iova + 129) ~write:false in
-  Alcotest.(check bool) "same phys as translate" true
-    (boxed = Ok unboxed);
-  Alcotest.(check int) "offset preserved" 129 (Addr.page_offset unboxed);
-  (* permission fault: read-only mapping refuses a write *)
+  (* hit path: the mapped phys, offsets preserved *)
+  let phys = Manager.translate_exn mgr ~rid ~iova:(iova + 129) ~write:false in
+  Alcotest.(check bool) "same phys as the mapping" true
+    (Addr.equal phys (Addr.add buf 129));
+  Alcotest.(check int) "offset preserved" 129 (Addr.page_offset phys);
+  (* permission fault: read-only mapping refuses a write; the class is
+     the tenant driver's last fault *)
+  let last_fault () = Driver.last_fault (Manager.driver d) in
   Alcotest.check_raises "write to read-only faults" Manager.Translation_fault
     (fun () -> ignore (Manager.translate_exn mgr ~rid ~iova ~write:true));
+  Alcotest.(check bool) "class: not permitted" true (last_fault () = Driver.Not_permitted);
   (* no-translation fault *)
   Alcotest.check_raises "unmapped iova faults" Manager.Translation_fault
     (fun () ->
       ignore (Manager.translate_exn mgr ~rid ~iova:0xDEAD000 ~write:false));
-  Alcotest.(check int) "faults recorded like translate" 2
+  Alcotest.(check bool) "class: no translation" true (last_fault () = Driver.No_translation);
+  Alcotest.(check int) "faults recorded" 2
     (Manager.faults mgr d);
   (* unknown rid *)
   Alcotest.check_raises "unknown rid faults" Manager.Translation_fault
@@ -329,9 +328,7 @@ let test_online_attach_policies () =
     Manager.add_domain mgr ~name:"a" ~bdf:(Bdf.make ~bus:1 ~device:0 ~func:0) ()
   in
   let buf = Frame_allocator.alloc_exn frames in
-  let iova =
-    Result.get_ok (Driver.map (Manager.driver a) ~phys:buf ~bytes:4096 ~read:true ~write:true)
-  in
+  let iova = Driver.map_exn (Manager.driver a) ~phys:buf ~bytes:4096 ~read:true ~write:true in
   ignore (Manager.translate_exn mgr ~rid:(Manager.rid a) ~iova ~write:false);
   let late =
     Manager.add_domain mgr ~name:"late"
@@ -339,8 +336,7 @@ let test_online_attach_policies () =
       ()
   in
   let iova2 =
-    Result.get_ok
-      (Driver.map (Manager.driver late) ~phys:buf ~bytes:4096 ~read:true ~write:true)
+    Driver.map_exn (Manager.driver late) ~phys:buf ~bytes:4096 ~read:true ~write:true
   in
   ignore
     (Manager.translate_exn mgr ~rid:(Manager.rid late) ~iova:iova2 ~write:false);
@@ -365,8 +361,7 @@ let test_online_attach_policies () =
   in
   let pbuf = Frame_allocator.alloc_exn frames2 in
   let piova =
-    Result.get_ok
-      (Driver.map (Manager.driver p) ~phys:pbuf ~bytes:4096 ~read:true ~write:true)
+    Driver.map_exn (Manager.driver p) ~phys:pbuf ~bytes:4096 ~read:true ~write:true
   in
   ignore (Manager.translate_exn pmgr ~rid:(Manager.rid p) ~iova:piova ~write:false);
   Alcotest.check_raises "partitioned refuses late attach"
@@ -470,9 +465,8 @@ let churn_task sid () =
         ()
     in
     let iova =
-      Result.get_ok
-        (Driver.map (Manager.driver d) ~phys:(Shard.next_buf shard) ~bytes:4096 ~read:true
-           ~write:true)
+      Driver.map_exn (Manager.driver d) ~phys:(Shard.next_buf shard) ~bytes:4096
+        ~read:true ~write:true
     in
     let p = Manager.translate_exn mgr ~rid:(Manager.rid d) ~iova ~write:true in
     digest := (!digest * 31) + Addr.to_int p + iova;
