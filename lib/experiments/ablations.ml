@@ -239,9 +239,9 @@ let pathology_growth ?(seed = 3) ~windows ~rounds_per_window () =
     let rng = Rng.create ~seed in
     let h_fifo = Queue.create () and d_fifo = Queue.create () in
     let alloc_one fifo size =
-      match Rio_iova.Allocator.alloc alloc ~size with
-      | Ok pfn -> Queue.add pfn fifo
-      | Error `Exhausted -> ()
+      match Rio_iova.Allocator.alloc_pfn alloc ~size with
+      | -1 -> ()
+      | pfn -> Queue.add pfn fifo
     in
     for _ = 1 to 512 do
       alloc_one h_fifo 1;
@@ -251,9 +251,9 @@ let pathology_growth ?(seed = 3) ~windows ~rounds_per_window () =
       match Queue.take_opt fifo with
       | None -> ()
       | Some pfn -> (
-          match Rio_iova.Allocator.find alloc ~pfn with
-          | Some node -> Rio_iova.Allocator.free alloc node
-          | None -> ())
+          match Rio_iova.Allocator.find_exn alloc ~pfn with
+          | node -> Rio_iova.Allocator.free alloc node
+          | exception Not_found -> ())
     in
     List.init windows (fun _ ->
         let t0 = Cycles.now clock in

@@ -291,9 +291,10 @@ let run cfg specs =
      think times genuinely collide *)
   Array.iteri (fun i _ -> Event_queue.push queue ~time:i i) states;
   let rec loop () =
-    match Event_queue.pop queue with
-    | None -> ()
-    | Some (now, i) ->
+    match Event_queue.next_time queue with
+    | exception Not_found -> ()
+    | now ->
+        let i = Event_queue.pop_exn queue in
         let st = states.(i) in
         if st.t_remaining > 0 then begin
           let done_, cyc = Cycles.measure clock st.transact in

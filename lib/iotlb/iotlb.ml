@@ -237,8 +237,3 @@ let capacity t = t.capacity
 let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.evictions <- 0

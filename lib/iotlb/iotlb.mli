@@ -58,4 +58,3 @@ val capacity : 'a t -> int
 val hits : 'a t -> int
 val misses : 'a t -> int
 val evictions : 'a t -> int
-val reset_stats : 'a t -> unit

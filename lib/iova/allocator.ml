@@ -1,13 +1,3 @@
-module type S = sig
-  type t
-
-  val alloc : t -> size:int -> (int, [ `Exhausted ]) result
-  val alloc_pfn : t -> size:int -> int
-  val find_exn : t -> pfn:int -> Rbtree.node
-  val free : t -> Rbtree.node -> unit
-  val live : t -> int
-end
-
 type kind = Linux | Fast
 
 type t = L of Linux_allocator.t | F of Fast_allocator.t
@@ -17,22 +7,10 @@ let create ~kind ~limit_pfn ~clock ~cost =
   | Linux -> L (Linux_allocator.create ~limit_pfn ~clock ~cost)
   | Fast -> F (Fast_allocator.create ~limit_pfn ~clock ~cost)
 
-let kind = function L _ -> Linux | F _ -> Fast
-
-let alloc t ~size =
-  match t with
-  | L a -> Linux_allocator.alloc a ~size
-  | F a -> Fast_allocator.alloc a ~size
-
 let alloc_pfn t ~size =
   match t with
   | L a -> Linux_allocator.alloc_pfn a ~size
   | F a -> Fast_allocator.alloc_pfn a ~size
-
-let find t ~pfn =
-  match t with
-  | L a -> Linux_allocator.find a ~pfn
-  | F a -> Fast_allocator.find a ~pfn
 
 let find_exn t ~pfn =
   match t with

@@ -37,8 +37,11 @@ let charge t refs =
   Cycles.charge t.clock
     (t.cost.Cost_model.call_overhead + (refs * t.cost.Cost_model.tree_ref))
 
-let alloc t ~size =
-  if size <= 0 then invalid_arg "Fast_allocator.alloc: size";
+(* The first pfn, or -1 on exhaustion. The cold carve allocates
+   (hashtable bucket, list cons): acceptable, the zero-alloc map path
+   reaches it only on magazine misses. *)
+let alloc_pfn t ~size =
+  if size <= 0 then invalid_arg "Fast_allocator.alloc_pfn: size";
   let m = magazine t size in
   match !m with
   | node :: rest ->
@@ -47,7 +50,7 @@ let alloc t ~size =
       t.parked <- t.parked - 1;
       t.live <- t.live + 1;
       charge t 2;
-      Ok (Rbtree.lo node)
+      Rbtree.lo node
   | [] ->
       (* Cold start: carve a fresh range below everything carved so far.
          Tree insertion cost (logarithmic) is charged via visit counting. *)
@@ -55,7 +58,7 @@ let alloc t ~size =
       let lo = hi - size + 1 in
       if lo < 0 then begin
         charge t 1;
-        Error `Exhausted
+        -1
       end
       else begin
         let v0 = Rbtree.visits t.tree in
@@ -65,13 +68,8 @@ let alloc t ~size =
         charge t 2;
         Cycles.charge t.clock
           ((Rbtree.visits t.tree - v0) * t.cost.Cost_model.tree_ref);
-        Ok lo
+        lo
       end
-
-(* The cold carve allocates (hashtable bucket, list cons): acceptable —
-   the zero-alloc map path reaches it only on magazine misses. *)
-let alloc_pfn t ~size =
-  match alloc t ~size with Ok pfn -> pfn | Error `Exhausted -> -1
 
 (* Parked ranges ([cached_free]) raise like absent ones: the unmap path
    must not resolve a stale pfn. *)
@@ -87,9 +85,6 @@ let find_exn t ~pfn =
       Cycles.charge t.clock
         ((Rbtree.visits t.tree - v0) * t.cost.Cost_model.tree_ref);
       raise Not_found
-
-let find t ~pfn =
-  match find_exn t ~pfn with n -> Some n | exception Not_found -> None
 
 let free t node =
   if Rbtree.cached_free node then

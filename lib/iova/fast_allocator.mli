@@ -14,19 +14,14 @@ type t
 val create :
   limit_pfn:int -> clock:Rio_sim.Cycles.t -> cost:Rio_sim.Cost_model.t -> t
 
-val alloc : t -> size:int -> (int, [ `Exhausted ]) result
-(** Recycle a parked range of the same size if one exists (O(1));
-    otherwise carve a fresh range below all existing ones. *)
-
 val alloc_pfn : t -> size:int -> int
-(** Unboxed {!alloc}: the first pfn, or [-1] on exhaustion. *)
-
-val find : t -> pfn:int -> Rbtree.node option
-(** Logarithmic search in the (fuller) tree; only live ranges match. *)
+(** Recycle a parked range of the same size if one exists (O(1));
+    otherwise carve a fresh range below all existing ones. The first
+    pfn, or [-1] on exhaustion. *)
 
 val find_exn : t -> pfn:int -> Rbtree.node
-(** Allocation-free {!find}; parked ranges raise like absent ones.
-    @raise Not_found when no live range contains [pfn]. *)
+(** Logarithmic search in the (fuller) tree; parked ranges raise like
+    absent ones. @raise Not_found when no live range contains [pfn]. *)
 
 val free : t -> Rbtree.node -> unit
 (** Park the range in its size-class magazine. *)

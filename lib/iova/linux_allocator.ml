@@ -45,20 +45,23 @@ let scan_start t =
   | Some n -> (Rbtree.prev t.tree n, Rbtree.lo n - 1)
   | None -> (Rbtree.max_node t.tree, t.limit_pfn)
 
-let alloc t ~size =
-  if size <= 0 then invalid_arg "Linux_allocator.alloc: size";
+(* The first pfn, or -1 on exhaustion. The downward scan itself
+   allocates (options and closures): acceptable here because the
+   zero-alloc map path reaches this allocator only on magazine misses. *)
+let alloc_pfn t ~size =
+  if size <= 0 then invalid_arg "Linux_allocator.alloc_pfn: size";
   let v0 = Rbtree.visits t.tree in
   Cycles.charge t.clock t.cost.Cost_model.call_overhead;
   t.last_scan <- 0;
   let place ~hi =
     let lo = hi - size + 1 in
-    if lo < 0 then Error `Exhausted
+    if lo < 0 then -1
     else begin
       let node = Rbtree.insert t.tree ~lo ~hi in
       (* __cached_rbnode_insert_update *)
       t.cached <- Some node;
       charge_visits t v0;
-      Ok lo
+      lo
     end
   in
   (* __alloc_and_insert_iova_range's downward scan. *)
@@ -79,15 +82,9 @@ let alloc t ~size =
         else scan (Rbtree.prev t.tree n) (Rbtree.lo n - 1)
   in
   let curr, limit = scan_start t in
-  let result = scan curr limit in
-  (match result with Error `Exhausted -> charge_visits t v0 | Ok _ -> ());
-  result
-
-(* The downward scan itself allocates (options and closures): acceptable
-   here because the zero-alloc map path reaches this allocator only on
-   magazine misses. The unboxed result spares the caller the [Ok]. *)
-let alloc_pfn t ~size =
-  match alloc t ~size with Ok pfn -> pfn | Error `Exhausted -> -1
+  let pfn = scan curr limit in
+  if pfn < 0 then charge_visits t v0;
+  pfn
 
 (* Identical charges whether the pfn resolves or not. *)
 let find_exn t ~pfn =
@@ -100,9 +97,6 @@ let find_exn t ~pfn =
   | exception Not_found ->
       charge_visits t v0;
       raise Not_found
-
-let find t ~pfn =
-  match find_exn t ~pfn with n -> Some n | exception Not_found -> None
 
 (* __free_iova = __cached_rbnode_delete_update + rb_erase *)
 let free t node =
@@ -117,4 +111,3 @@ let free t node =
 
 let live t = Rbtree.size t.tree
 let last_scan_length t = t.last_scan
-let limit_pfn t = t.limit_pfn

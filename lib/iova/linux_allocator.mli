@@ -20,19 +20,15 @@ val create :
   limit_pfn:int -> clock:Rio_sim.Cycles.t -> cost:Rio_sim.Cost_model.t -> t
 (** Allocations are handed out below (and including) [limit_pfn]. *)
 
-val alloc : t -> size:int -> (int, [ `Exhausted ]) result
-(** Allocate [size] contiguous IOVA pages; returns the first pfn of the
-    range. Charges cycles proportional to the nodes scanned. *)
-
 val alloc_pfn : t -> size:int -> int
-(** Unboxed {!alloc}: the first pfn, or [-1] on exhaustion. *)
-
-val find : t -> pfn:int -> Rbtree.node option
-(** [find_iova]: locate the range containing [pfn] (logarithmic search,
-    charged). This is the "iova find" component of Table 1's unmap. *)
+(** Allocate [size] contiguous IOVA pages: the first pfn of the range,
+    or [-1] on exhaustion. Charges cycles proportional to the nodes
+    scanned. *)
 
 val find_exn : t -> pfn:int -> Rbtree.node
-(** Allocation-free {!find} (same charges either way).
+(** [find_iova]: the range containing [pfn] (logarithmic search,
+    charged the same whether it resolves or not). This is the "iova
+    find" component of Table 1's unmap.
     @raise Not_found when no live range contains [pfn]. *)
 
 val free : t -> Rbtree.node -> unit
@@ -43,7 +39,5 @@ val live : t -> int
 (** Currently allocated ranges. *)
 
 val last_scan_length : t -> int
-(** Nodes stepped over by the most recent {!alloc} (for tests asserting
-    the pathology). *)
-
-val limit_pfn : t -> int
+(** Nodes stepped over by the most recent {!alloc_pfn} (for tests
+    asserting the pathology). *)

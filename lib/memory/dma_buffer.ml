@@ -6,7 +6,10 @@ let alloc fa ~size =
   if size <= 0 then invalid_arg "Dma_buffer.alloc: size";
   let n = frames_for size in
   let base =
-    if n = 1 then Frame_allocator.alloc fa
+    if n = 1 then (
+      match Frame_allocator.alloc_exn fa with
+      | frame -> Some frame
+      | exception Frame_allocator.Exhausted -> None)
     else Frame_allocator.alloc_contiguous fa ~frames:n
   in
   match base with
@@ -23,9 +26,9 @@ let alloc_sub_page fa ~offsets ~size =
   in
   if List.exists (fun o -> o < 0) sorted || not (disjoint sorted) then
     invalid_arg "Dma_buffer.alloc_sub_page: overlapping or out of page";
-  match Frame_allocator.alloc fa with
-  | None -> None
-  | Some frame ->
+  match Frame_allocator.alloc_exn fa with
+  | exception Frame_allocator.Exhausted -> None
+  | frame ->
       Some
         (List.map
            (fun off -> { base = Addr.add frame off; size; pinned = true })

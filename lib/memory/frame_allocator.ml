@@ -9,25 +9,20 @@ let create ~total_frames =
   if total_frames <= 0 then invalid_arg "Frame_allocator.create";
   { total = total_frames; bump = 0; free_list = []; live = Hashtbl.create 256 }
 
-let alloc t =
+exception Exhausted
+
+let alloc_exn t =
   match t.free_list with
   | pfn :: rest ->
       t.free_list <- rest;
       Hashtbl.replace t.live pfn ();
-      Some (Addr.of_pfn pfn)
+      Addr.of_pfn pfn
   | [] ->
-      if t.bump >= t.total then None
-      else begin
-        let pfn = t.bump in
-        t.bump <- t.bump + 1;
-        Hashtbl.replace t.live pfn ();
-        Some (Addr.of_pfn pfn)
-      end
-
-let alloc_exn t =
-  match alloc t with
-  | Some a -> a
-  | None -> failwith "Frame_allocator: out of physical memory"
+      if t.bump >= t.total then raise Exhausted;
+      let pfn = t.bump in
+      t.bump <- t.bump + 1;
+      Hashtbl.replace t.live pfn ();
+      Addr.of_pfn pfn
 
 let alloc_contiguous t ~frames =
   if frames <= 0 then invalid_arg "Frame_allocator.alloc_contiguous";

@@ -10,11 +10,12 @@ type t
 val create : total_frames:int -> t
 (** A memory of [total_frames] 4 KB frames starting at physical 0. *)
 
-val alloc : t -> Addr.phys option
-(** Allocate one frame; [None] when physical memory is exhausted. *)
+exception Exhausted
+(** Physical memory has no free frame left. *)
 
 val alloc_exn : t -> Addr.phys
-(** Like {!alloc} but raises [Failure] on exhaustion. *)
+(** Allocate one frame. @raise Exhausted when physical memory is
+    exhausted. *)
 
 val alloc_contiguous : t -> frames:int -> Addr.phys option
 (** Allocate [frames] physically contiguous frames (for rings and page

@@ -31,6 +31,11 @@ let linux_ring ?(burst = 32) ~ring_size ~packets () =
     Rio_iova.Linux_allocator.create ~limit_pfn:0xFFFFF ~clock
       ~cost:Rio_sim.Cost_model.default
   in
+  let alloc_pfn size =
+    match Rio_iova.Linux_allocator.alloc_pfn alloc ~size with
+    | -1 -> failwith "Trace.linux_ring: IOVA space exhausted"
+    | pfn -> pfn
+  in
   let rng = Rio_sim.Rng.create ~seed:11 in
   let fifo = Queue.create () in
   let events = ref [] in
@@ -40,9 +45,9 @@ let linux_ring ?(burst = 32) ~ring_size ~packets () =
     let fresh =
       List.concat_map
         (fun _ ->
-          let h = Result.get_ok (Rio_iova.Linux_allocator.alloc alloc ~size:1) in
+          let h = alloc_pfn 1 in
           let dsize = 1 + Rio_sim.Rng.int rng 2 in
-          let d = Result.get_ok (Rio_iova.Linux_allocator.alloc alloc ~size:dsize) in
+          let d = alloc_pfn dsize in
           [ h; d ])
         (List.init n Fun.id)
     in
@@ -54,7 +59,7 @@ let linux_ring ?(burst = 32) ~ring_size ~packets () =
     List.iter (fun pfn -> events := Access pfn :: !events) fresh;
     while Queue.length fifo > 2 * ring_size do
       let old = Queue.pop fifo in
-      let node = Option.get (Rio_iova.Linux_allocator.find alloc ~pfn:old) in
+      let node = Rio_iova.Linux_allocator.find_exn alloc ~pfn:old in
       Rio_iova.Linux_allocator.free alloc node;
       events := Unmap old :: !events
     done;

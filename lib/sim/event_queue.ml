@@ -3,7 +3,7 @@
    Heap position i holds an event's time ([times.(i)]), its push order
    ([seqs.(i)], the FIFO tie-break among equal times) and the pool slot
    its payload lives in ([slots.(i)]). A payload is written once into
-   its slot at [push] and cleared at [pop]; sifting moves only the
+   its slot at [push] and cleared at [pop_exn]; sifting moves only the
    three int lanes, so it never runs the write barrier ([caml_modify])
    that moving boxed payloads would. Positions [len, capacity) of
    [slots] hold the free pool slots, so [slots] is always a permutation
@@ -116,11 +116,3 @@ let pop_exn t =
 let next_time t =
   if t.len = 0 then raise Not_found;
   t.times.(0)
-
-let pop t =
-  if t.len = 0 then None
-  else
-    let time = t.times.(0) in
-    Some (time, pop_exn t)
-
-let peek_time t = if t.len = 0 then None else Some t.times.(0)

@@ -7,9 +7,9 @@
 
     The implementation is one binary min-heap ordered by (time, seq)
     over int arrays, with each payload written once into a pooled slot
-    at {!push} and cleared at pop, so sifting moves only ints. Steady-state
-    [push], [pop_exn] and [next_time] allocate nothing, and the pool's
-    spare capacity never pins popped values. *)
+    at {!push} and cleared at {!pop_exn}, so sifting moves only ints.
+    Steady-state [push], [pop_exn] and [next_time] allocate nothing, and
+    the pool's spare capacity never pins popped values. *)
 
 type 'a t
 
@@ -20,16 +20,11 @@ val length : 'a t -> int
 val push : 'a t -> time:int -> 'a -> unit
 (** Schedule an event at absolute [time]. *)
 
-val pop : 'a t -> (int * 'a) option
-(** Remove and return the earliest event as [(time, payload)]. *)
-
 val pop_exn : 'a t -> 'a
-(** Allocation-free pop: the earliest event's payload (read its time
-    first with {!next_time}). @raise Not_found when empty. *)
-
-val next_time : 'a t -> int
-(** Allocation-free peek: time of the earliest event.
+(** Remove the earliest event and return its payload (read its time
+    first with {!next_time}). Allocation-free.
     @raise Not_found when empty. *)
 
-val peek_time : 'a t -> int option
-(** Time of the earliest event without removing it. *)
+val next_time : 'a t -> int
+(** Time of the earliest event, without removing it. Allocation-free.
+    @raise Not_found when empty. *)

@@ -94,22 +94,22 @@ let test_pathology_growth_direction () =
     let rng = Rio_sim.Rng.create ~seed:3 in
     let fifo = Queue.create () in
     for _ = 1 to 512 do
-      (match Rio_iova.Allocator.alloc alloc ~size:(1 + Rio_sim.Rng.int rng 2) with
-      | Ok pfn -> Queue.add pfn fifo
-      | Error `Exhausted -> ())
+      (match Rio_iova.Allocator.alloc_pfn alloc ~size:(1 + Rio_sim.Rng.int rng 2) with
+      | -1 -> ()
+      | pfn -> Queue.add pfn fifo)
     done;
     List.init 3 (fun _ ->
         let t0 = Rio_sim.Cycles.now clock in
         for _ = 1 to 4_000 do
           (match Queue.take_opt fifo with
           | Some pfn -> (
-              match Rio_iova.Allocator.find alloc ~pfn with
-              | Some node -> Rio_iova.Allocator.free alloc node
-              | None -> ())
+              match Rio_iova.Allocator.find_exn alloc ~pfn with
+              | node -> Rio_iova.Allocator.free alloc node
+              | exception Not_found -> ())
           | None -> ());
-          match Rio_iova.Allocator.alloc alloc ~size:(1 + Rio_sim.Rng.int rng 2) with
-          | Ok pfn -> Queue.add pfn fifo
-          | Error `Exhausted -> ()
+          match Rio_iova.Allocator.alloc_pfn alloc ~size:(1 + Rio_sim.Rng.int rng 2) with
+          | -1 -> ()
+          | pfn -> Queue.add pfn fifo
         done;
         Rio_sim.Cycles.since clock t0)
   in

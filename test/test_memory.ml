@@ -33,7 +33,8 @@ let test_frame_allocator_exhaustion () =
   let fa = Frame_allocator.create ~total_frames:2 in
   ignore (Frame_allocator.alloc_exn fa);
   ignore (Frame_allocator.alloc_exn fa);
-  Alcotest.(check bool) "exhausted" true (Frame_allocator.alloc fa = None)
+  Alcotest.check_raises "exhausted" Frame_allocator.Exhausted (fun () ->
+      ignore (Frame_allocator.alloc_exn fa))
 
 let test_frame_allocator_double_free () =
   let fa = Frame_allocator.create ~total_frames:2 in
@@ -193,9 +194,9 @@ let prop_frame_allocator_no_double_alloc =
       List.for_all
         (fun op ->
           if op < 2 then begin
-            match Frame_allocator.alloc fa with
-            | None -> true
-            | Some a ->
+            match Frame_allocator.alloc_exn fa with
+            | exception Frame_allocator.Exhausted -> true
+            | a ->
                 let fresh = not (Hashtbl.mem live (Addr.pfn a)) in
                 Hashtbl.replace live (Addr.pfn a) ();
                 stack := a :: !stack;

@@ -113,22 +113,30 @@ let test_rng_shuffle_permutes () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "same multiset" (Array.init 50 Fun.id) sorted
 
+(* The earliest event as [(time, payload)], read with the queue's two
+   allocation-free calls. *)
+let pop q =
+  if Event_queue.is_empty q then None
+  else
+    let time = Event_queue.next_time q in
+    Some (time, Event_queue.pop_exn q)
+
 let test_event_queue_ordering () =
   let q = Event_queue.create () in
   Alcotest.(check bool) "starts empty" true (Event_queue.is_empty q);
   Event_queue.push q ~time:30 "c";
   Event_queue.push q ~time:10 "a";
   Event_queue.push q ~time:20 "b";
-  Alcotest.(check (option int)) "peek" (Some 10) (Event_queue.peek_time q);
-  Alcotest.(check (option (pair int string))) "pop a" (Some (10, "a")) (Event_queue.pop q);
-  Alcotest.(check (option (pair int string))) "pop b" (Some (20, "b")) (Event_queue.pop q);
-  Alcotest.(check (option (pair int string))) "pop c" (Some (30, "c")) (Event_queue.pop q);
-  Alcotest.(check (option (pair int string))) "pop empty" None (Event_queue.pop q)
+  Alcotest.(check int) "peek" 10 (Event_queue.next_time q);
+  Alcotest.(check (option (pair int string))) "pop a" (Some (10, "a")) (pop q);
+  Alcotest.(check (option (pair int string))) "pop b" (Some (20, "b")) (pop q);
+  Alcotest.(check (option (pair int string))) "pop c" (Some (30, "c")) (pop q);
+  Alcotest.(check (option (pair int string))) "pop empty" None (pop q)
 
 let test_event_queue_fifo_ties () =
   let q = Event_queue.create () in
   List.iteri (fun i s -> Event_queue.push q ~time:(5 + (0 * i)) s) [ "x"; "y"; "z" ];
-  let order = List.init 3 (fun _ -> snd (Option.get (Event_queue.pop q))) in
+  let order = List.init 3 (fun _ -> snd (Option.get (pop q))) in
   Alcotest.(check (list string)) "insertion order on tie" [ "x"; "y"; "z" ] order
 
 (* The determinism guarantee the multi-tenant scheduler builds on: when
@@ -141,11 +149,11 @@ let test_event_queue_ties_across_interleaved_pops () =
   Event_queue.push q ~time:5 "a2";
   Event_queue.push q ~time:3 "early";
   Alcotest.(check (option (pair int string))) "earlier time first"
-    (Some (3, "early")) (Event_queue.pop q);
+    (Some (3, "early")) (pop q);
   (* new same-time arrivals after a pop still rank behind survivors *)
   Event_queue.push q ~time:5 "a3";
   Event_queue.push q ~time:5 "a4";
-  let order = List.init 4 (fun _ -> snd (Option.get (Event_queue.pop q))) in
+  let order = List.init 4 (fun _ -> snd (Option.get (pop q))) in
   Alcotest.(check (list string)) "insertion order preserved"
     [ "a1"; "a2"; "a3"; "a4" ] order
 
@@ -159,7 +167,7 @@ let prop_event_queue_stable_ties =
       let q = Event_queue.create () in
       List.iteri (fun i t -> Event_queue.push q ~time:t i) times;
       let rec drain acc =
-        match Event_queue.pop q with
+        match pop q with
         | None -> List.rev acc
         | Some (t, seq) -> drain ((t, seq) :: acc)
       in
@@ -179,7 +187,7 @@ let prop_event_queue_sorted =
       let q = Event_queue.create () in
       List.iteri (fun i t -> Event_queue.push q ~time:t i) times;
       let rec drain last =
-        match Event_queue.pop q with
+        match pop q with
         | None -> true
         | Some (t, _) -> t >= last && drain t
       in
@@ -301,7 +309,7 @@ let prop_event_queue_spreads_and_late_pushes =
       done;
       (* full drain: remaining events must come out in (time, seq) order *)
       let rec drain last =
-        match Event_queue.pop q with
+        match pop q with
         | None -> true
         | Some (t, ((time, _) as e)) ->
             t = time && e > last && drain e

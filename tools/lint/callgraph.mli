@@ -5,8 +5,8 @@
     Resolution handles, in order: same-unit references (matched by
     [Ident] stamp, so local shadowing cannot mislink), file-level module
     aliases ([module I_driver = Rio_domain.Driver]), functor
-    instantiations ([module M = Magazine.Make (...)] routes [M.f] to the
-    functor body), dune-wrapped library paths ([Rio_iova.Rbtree.lo] and
+    instantiations ([module M = F (Impl)] routes [M.f] to [F]'s
+    body), dune-wrapped library paths ([Rio_iova.Rbtree.lo] and
     [Rio_iova__Rbtree.lo]), same-unit submodule paths, and finally the
     manifest's [(callgraph (aliases ...))] hints for functor parameters
     and first-class modules the typed tree cannot resolve statically.
@@ -19,9 +19,9 @@ type def = {
   d_id : int;
   d_unit : string;  (** dotted unit path, e.g. ["Rio_domain.Driver"] *)
   d_file : string;  (** canonical source path *)
-  d_qual : string;  (** submodule-qualified name, e.g. ["Make.alloc_pfn"] *)
+  d_qual : string;  (** submodule-qualified name, e.g. ["F.drive"] *)
   d_name : string;  (** bare binding name *)
-  d_display : string;  (** e.g. ["Driver.map_exn"], ["Magazine.Make.alloc_pfn"] *)
+  d_display : string;  (** e.g. ["Driver.map_exn"], ["Cg_funct.F.drive"] *)
   d_canon : string;  (** e.g. ["Rio_domain.Driver.map_exn"], for boundary matching *)
   d_loc : Location.t;
   d_expr : Typedtree.expression;

@@ -168,7 +168,8 @@ let binding_name vb =
 
 (* Structure walk shared by the toplevel-scoped rules: visits value
    bindings at module level, descending into submodules and functor
-   bodies (so functorized code like Magazine.Make is covered). *)
+   bodies (so functorized code, like the fixture's Cg_funct.F, is
+   covered). *)
 let rec walk_structure on_binding str =
   List.iter
     (fun item ->
