@@ -50,7 +50,6 @@ let slot_addr t i = Addr.add t.base (i * bytes_per_rpte)
 let set_cpu t i ~phys ~word1 =
   t.cpu.(2 * i) <- phys;
   t.cpu.((2 * i) + 1) <- word1;
-  Coherency.cpu_write t.coherency (slot_addr t i);
   if Coherency.is_coherent t.coherency then begin
     t.hw.(2 * i) <- phys;
     t.hw.((2 * i) + 1) <- word1

@@ -39,7 +39,7 @@ type t = {
 }
 
 and target =
-  | Own of int Iotlb.t  (* payloads: packed PTEs *)
+  | Own of Iotlb.t  (* payloads: packed PTEs *)
   | Domain of Shared_iotlb.t * int
   | Global of group * int
 

@@ -55,7 +55,7 @@ val group : Shared_iotlb.t -> group
 
 (** Where this driver's invalidations land. *)
 type target =
-  | Own of int Rio_iotlb.Iotlb.t
+  | Own of Rio_iotlb.Iotlb.t
       (** a private IOTLB: per-page {!Rio_iotlb.Iotlb.invalidate}; a
           deferred flush is {!Rio_iotlb.Iotlb.flush_all} *)
   | Domain of Shared_iotlb.t * int

@@ -57,7 +57,7 @@ type dom = {
   (* The IOTLB this domain's traffic goes to: the shared LRU under
      Shared, its own partition under Partitioned/Quota once [freeze]
      has built it (the placeholder [shared] until then). *)
-  mutable tlb : int Iotlb.t;
+  mutable tlb : Iotlb.t;
 }
 
 (* Every table here is sized to the registered set: domain ids are
@@ -81,7 +81,7 @@ type t = {
      Partitioned/Quota a one-entry placeholder that no traffic reaches.
      [flushing] is the id whose entries [sweep] drops during a
      domain-selective flush; the closure is built once, at create. *)
-  shared : int Iotlb.t;
+  shared : Iotlb.t;
   mutable flushing : int;
   mutable sweep : bdf:int -> vpn:int -> int -> unit;
 }

@@ -286,7 +286,7 @@ let run cfg specs =
            })
          specs)
   in
-  let queue : int Event_queue.t = Event_queue.create () in
+  let queue = Event_queue.create () in
   (* stagger the first submissions so same-time ties only occur when
      think times genuinely collide *)
   Array.iteri (fun i _ -> Event_queue.push queue ~time:i i) states;

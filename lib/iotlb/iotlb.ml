@@ -7,8 +7,9 @@ module Cost_model = Rio_sim.Cost_model
    indexed by entry slot, with [-1] as the null link. Steady state
    lookup/insert/invalidate touch no allocator at all.
 
-   Entry storage is struct-of-arrays: [e_key], [e_val], [e_chain],
-   [e_prev], [e_next], all of length [capacity]. Free entry slots are
+   Entry storage is struct-of-arrays of ints: [e_key], [e_val],
+   [e_chain], [e_prev], [e_next], all of length [capacity], so no store
+   runs the write barrier. Free entry slots are
    chained through [e_next]. [buckets] maps a hash to the first entry of
    its chain (-1 = empty) and [e_chain] links the rest; with at least
    two buckets per entry a chain is usually one entry long, a lookup
@@ -27,12 +28,12 @@ let[@inline] pack ~bdf ~vpn =
 let key_bdf key = key lsr vpn_bits
 let key_vpn key = key land vpn_mask
 
-type 'a t = {
+type t = {
   capacity : int;
   mask : int;  (* bucket count - 1 (power of two) *)
   buckets : int array;  (* hash -> first entry of its chain, -1 = empty *)
   e_key : int array;
-  e_val : 'a array;
+  e_val : int array;  (* payload, e.g. a packed PTE *)
   e_chain : int array;  (* next entry in the same bucket, -1 = end *)
   e_prev : int array;  (* toward MRU *)
   e_next : int array;  (* toward LRU; also the free-list link *)
@@ -46,11 +47,6 @@ type 'a t = {
   mutable misses : int;
   mutable evictions : int;
 }
-
-(* Entry-value slots are cleared to this immediate on release so popped
-   payloads are not pinned. Safe because the arrays are created from the
-   same immediate (never a float), so they are uniform boxed arrays. *)
-let null_value : 'a. unit -> 'a = fun () -> Obj.magic 0
 
 (* smallest power of two >= 2*capacity, floor 16 *)
 let bucket_count capacity =
@@ -66,7 +62,7 @@ let create ~capacity ~clock ~cost () =
       mask = nbuckets - 1;
       buckets = Array.make nbuckets (-1);
       e_key = Array.make capacity (-1);
-      e_val = Array.make capacity (null_value ());
+      e_val = Array.make capacity 0;
       e_chain = Array.make capacity (-1);
       e_prev = Array.make capacity (-1);
       e_next = Array.make capacity (-1);
@@ -149,13 +145,12 @@ let find t ~bdf ~vpn ~absent =
     absent
   end
 
-(* Detach an entry: remove from its chain and the LRU, return it to the
-   free list, and clear its value slot so the payload is released. *)
+(* Detach an entry: remove from its chain and the LRU and return it to
+   the free list. *)
 let detach t e key =
   chain_remove t e key;
   unlink t e;
   t.e_key.(e) <- -1;
-  t.e_val.(e) <- null_value ();
   t.e_next.(e) <- t.free;
   t.free <- e;
   t.len <- t.len - 1
@@ -201,7 +196,6 @@ let flush_all t =
   Cycles.charge t.clock t.cost.Cost_model.iotlb_global_flush;
   Array.fill t.buckets 0 (Array.length t.buckets) (-1);
   Array.fill t.e_key 0 t.capacity (-1);
-  Array.fill t.e_val 0 t.capacity (null_value ());
   for i = 0 to t.capacity - 2 do
     t.e_prev.(i) <- -1;
     t.e_next.(i) <- i + 1

@@ -14,47 +14,48 @@
     int, the index is hash buckets whose chains are threaded through the
     entry arrays (at least two buckets per entry), and the LRU is an
     intrusive index-based list — steady-state lookup, insert and
-    invalidate allocate nothing. *)
+    invalidate allocate nothing. Payloads are ints (the baseline
+    engine's packed PTEs), stored in an int lane. *)
 
-type 'a t
+type t
 
 val create :
-  capacity:int -> clock:Rio_sim.Cycles.t -> cost:Rio_sim.Cost_model.t -> unit -> 'a t
+  capacity:int -> clock:Rio_sim.Cycles.t -> cost:Rio_sim.Cost_model.t -> unit -> t
 (** [capacity] entries, fully associative, LRU replacement. *)
 
-val find : 'a t -> bdf:int -> vpn:int -> absent:'a -> 'a
+val find : t -> bdf:int -> vpn:int -> absent:int -> int
 (** Hardware lookup: charges the (device-side) lookup cost, updates LRU
     and hit/miss counters, and returns the payload, or [absent] on a
     miss — pick an [absent] no payload can equal. Allocation- and
     exception-free. *)
 
-val insert : 'a t -> bdf:int -> vpn:int -> 'a -> int
+val insert : t -> bdf:int -> vpn:int -> int -> int
 (** Fill after a table walk; evicts the LRU entry at capacity. Returns
     the evicted entry's bdf, or -1 when nothing was evicted (explicit
     invalidations and flushes never count): what the multi-tenant layer
     uses to attribute cross-domain evictions. *)
 
-val invalidate : 'a t -> bdf:int -> vpn:int -> unit
+val invalidate : t -> bdf:int -> vpn:int -> unit
 (** Explicit single-entry invalidation: charges the full invalidation
     command cost whether or not the entry is present (the OS cannot
     know). *)
 
-val flush_all : 'a t -> unit
+val flush_all : t -> unit
 (** Global flush: drops every entry, charging one flush-command cost. *)
 
-val drop : 'a t -> bdf:int -> vpn:int -> bool
+val drop : t -> bdf:int -> vpn:int -> bool
 (** Remove an entry without charging any cycle cost; returns whether it
     was present. Building block for scoped (domain-selective)
     invalidation, whose single command cost the caller charges itself. *)
 
-val iter : 'a t -> (bdf:int -> vpn:int -> 'a -> unit) -> unit
+val iter : t -> (bdf:int -> vpn:int -> int -> unit) -> unit
 (** Visit every resident entry (MRU first). No cycle cost: used by OS
     bookkeeping layers, not by the hardware path. The callback may
     {!drop} the entry it is visiting (and only that one). Allocates
     nothing itself. *)
 
-val occupancy : 'a t -> int
-val capacity : 'a t -> int
-val hits : 'a t -> int
-val misses : 'a t -> int
-val evictions : 'a t -> int
+val occupancy : t -> int
+val capacity : t -> int
+val hits : t -> int
+val misses : t -> int
+val evictions : t -> int

@@ -1,6 +1,5 @@
 let page_size = 4096
 let page_shift = 12
-let cacheline_size = 64
 
 type phys = int
 
@@ -13,7 +12,6 @@ let pfn a = a lsr page_shift
 let of_pfn p = p lsl page_shift
 let page_offset a = a land (page_size - 1)
 let add a off = phys_of_int (a + off)
-let line_of a = a / cacheline_size
 let is_page_aligned a = page_offset a = 0
 let pp fmt a = Format.fprintf fmt "0x%08x" a
 let equal = Int.equal

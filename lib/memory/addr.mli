@@ -29,9 +29,6 @@ val page_offset : phys -> int
 val add : phys -> int -> phys
 (** Byte offset arithmetic. *)
 
-val line_of : phys -> int
-(** Cacheline index: [addr / 64]. *)
-
 val is_page_aligned : phys -> bool
 val pp : Format.formatter -> phys -> unit
 (** Hex rendering, e.g. [0x00012000]. *)

@@ -1,137 +1,19 @@
-(* Dirty-line tracking is an open-addressing int set (linear probing with
-   tombstones) rather than a Hashtbl: [cpu_write]/[flush_line] sit on the
-   zero-alloc map/unmap fast path, and Hashtbl.replace allocates a bucket
-   cons on every insertion. Slots store [line + 1]; 0 is empty and -1 a
-   tombstone, and an insertion reuses the first tombstone on its probe
-   path, so the steady-state dirty/flush cycle of one line never grows
-   the table. *)
+(* Charges only: what a non-coherent walker sees is modelled by the
+   structures themselves (the twin CPU/walker lanes of [Arena] and
+   [Rring]), so this module keeps no per-line state. *)
 
 type t = {
   coherent : bool;
   cost : Rio_sim.Cost_model.t;
   clock : Rio_sim.Cycles.t;
-  mutable slots : int array; (* 0 = empty, -1 = tombstone, else line+1 *)
-  mutable spare : int array; (* same-size rebuild target (double buffer) *)
-  mutable live : int; (* stored lines *)
-  mutable used : int; (* live + tombstones *)
 }
 
-let initial_capacity = 128
-
-let create ~coherent ~cost ~clock =
-  {
-    coherent;
-    cost;
-    clock;
-    slots = Array.make initial_capacity 0;
-    spare = Array.make initial_capacity 0;
-    live = 0;
-    used = 0;
-  }
-
+let create ~coherent ~cost ~clock = { coherent; cost; clock }
 let is_coherent t = t.coherent
 
-(* Fibonacci-style multiplicative hash (same constant as the IOTLB's
-   packed-key table); capacities are powers of two. *)
-let hash slots line = line * 0x2545F4914F6CDD1D land max_int land (Array.length slots - 1)
-
-let insert_into slots line =
-  let mask = Array.length slots - 1 in
-  let i = ref (hash slots line) in
-  let dst = ref (-1) in
-  let res = ref (-2) in
-  while !res = -2 do
-    let v = slots.(!i) in
-    if v = 0 then begin
-      (* absent: land in the first tombstone seen, else here *)
-      let d = if !dst >= 0 then !dst else !i in
-      slots.(d) <- line + 1;
-      res := if !dst >= 0 then 1 else 0 (* 1: reused tombstone *)
-    end
-    else if v = -1 then begin
-      if !dst < 0 then dst := !i;
-      i := (!i + 1) land mask
-    end
-    else if v = line + 1 then res := 2 (* already present *)
-    else i := (!i + 1) land mask
-  done;
-  !res
-
-let rehash t =
-  (* Doubling when genuinely full, same size when tombstones dominate.
-     The same-size case — the steady-state one, since a write/flush
-     cycle keeps [live] near zero while tombstones accumulate — rebuilds
-     into the preallocated double buffer and swaps, so the hot
-     map/unmap path never allocates. Growth (rare, warm-up only)
-     allocates a fresh pair. *)
-  let cap = Array.length t.slots in
-  let src = t.slots in
-  if t.live * 4 >= cap then begin
-    let dst = Array.make (cap * 2) 0 in
-    for i = 0 to cap - 1 do
-      let v = src.(i) in
-      if v > 0 then ignore (insert_into dst (v - 1))
-    done;
-    t.slots <- dst;
-    t.spare <- Array.make (cap * 2) 0
-  end
-  else begin
-    let dst = t.spare in
-    Array.fill dst 0 cap 0;
-    for i = 0 to cap - 1 do
-      let v = src.(i) in
-      if v > 0 then ignore (insert_into dst (v - 1))
-    done;
-    t.slots <- dst;
-    t.spare <- src
-  end;
-  t.used <- t.live
-
-let add t line =
-  if t.used * 2 >= Array.length t.slots then rehash t;
-  match insert_into t.slots line with
-  | 0 ->
-      t.live <- t.live + 1;
-      t.used <- t.used + 1
-  | 1 -> t.live <- t.live + 1 (* tombstone reused: [used] unchanged *)
-  | _ -> ()
-
-let remove t line =
-  let mask = Array.length t.slots - 1 in
-  let i = ref (hash t.slots line) in
-  let continue = ref true in
-  while !continue do
-    let v = t.slots.(!i) in
-    if v = 0 then continue := false
-    else begin
-      if v = line + 1 then begin
-        t.slots.(!i) <- -1;
-        t.live <- t.live - 1;
-        continue := false
-      end
-      else i := (!i + 1) land mask
-    end
-  done
-
-let mem t line =
-  let mask = Array.length t.slots - 1 in
-  let i = ref (hash t.slots line) in
-  let res = ref (-1) in
-  while !res = -1 do
-    let v = t.slots.(!i) in
-    if v = 0 then res := 0
-    else if v = line + 1 then res := 1
-    else i := (!i + 1) land mask
-  done;
-  !res = 1
-
-let cpu_write t addr = if not t.coherent then add t (Addr.line_of addr)
-
-let flush_line t addr =
-  if not t.coherent then begin
-    Rio_sim.Cycles.charge t.clock t.cost.Rio_sim.Cost_model.cacheline_flush;
-    remove t (Addr.line_of addr)
-  end
+let flush_line t _addr =
+  if not t.coherent then
+    Rio_sim.Cycles.charge t.clock t.cost.Rio_sim.Cost_model.cacheline_flush
 
 let barrier t = Rio_sim.Cycles.charge t.clock t.cost.Rio_sim.Cost_model.barrier
 
@@ -141,6 +23,3 @@ let sync_mem t addr =
     flush_line t addr
   end;
   barrier t
-
-let walker_sees_fresh t addr = t.coherent || not (mem t (Addr.line_of addr))
-let dirty_lines t = t.live

@@ -3,10 +3,11 @@
     On machines where the I/O page walker is not coherent with the CPU
     caches (the common case on the paper's testbed), a page-table or rPTE
     update written by the CPU is invisible to the IOMMU until the driver
-    issues a barrier and a cacheline flush. This module makes that
-    observable: CPU writes to tracked structures mark their cachelines
-    dirty; a walker read of a dirty line sees stale data until the line is
-    flushed. Cycle costs of barriers and flushes are charged here, which is
+    issues a barrier and a cacheline flush. The structures the walker
+    reads model that visibility themselves: [Arena] and [Rring] keep a
+    CPU lane and a walker lane, and a CPU store reaches the walker lane
+    only on a coherent system or at the entry's sync. This module
+    charges the cycle costs of those barriers and flushes, which is
     precisely the riommu vs riommu- difference the paper measures. *)
 
 type t
@@ -15,10 +16,8 @@ val create :
   coherent:bool -> cost:Rio_sim.Cost_model.t -> clock:Rio_sim.Cycles.t -> t
 
 val is_coherent : t -> bool
-
-val cpu_write : t -> Addr.phys -> unit
-(** Record that the CPU stored to the cacheline containing the address.
-    No cycle cost (the store itself is part of the structure update). *)
+(** Whether the walker sees CPU stores without a flush: a structure
+    copies a store into its walker lane at once when this holds. *)
 
 val flush_line : t -> Addr.phys -> unit
 (** Flush the cacheline containing the address; charges the flush cost.
@@ -32,10 +31,3 @@ val sync_mem : t -> Addr.phys -> unit
 (** The paper's [sync_mem] (Figure 11): on a non-coherent system, a
     barrier, a cacheline flush, then a second barrier; on a coherent
     system a single barrier. *)
-
-val walker_sees_fresh : t -> Addr.phys -> bool
-(** Whether an IOMMU table walk reading this address observes the latest
-    CPU write. Always [true] on a coherent system. *)
-
-val dirty_lines : t -> int
-(** Number of lines written but not yet flushed (0 when coherent). *)

@@ -109,11 +109,10 @@ let new_node t =
 
 let cell_addr t node idx = Addr.add t.node_frame.(node) (idx * 8)
 
-(* CPU-side store to a cell: update the CPU view, mark the line dirty;
-   on a coherent system the walker sees it immediately. *)
+(* CPU-side store to a cell: update the CPU view; on a coherent system
+   the walker sees it immediately, otherwise only at [sync_cell]. *)
 let cell_write t node idx v =
   t.cpu.((node * fanout) + idx) <- v;
-  Coherency.cpu_write t.coherency (cell_addr t node idx);
   if Coherency.is_coherent t.coherency then t.hw.((node * fanout) + idx) <- v
 
 (* Publish a cell to the walker: barrier + flush (+ barrier) per Fig. 11. *)

@@ -39,8 +39,9 @@ let default_config ~mode =
   }
 
 type backend =
-  | B_plain of { sw_iotlb : bool Iotlb.t option }
-      (** none / HWpt (no iotlb) / SWpt (identity iotlb) *)
+  | B_plain of { sw_iotlb : Iotlb.t option }
+      (** none / HWpt (no iotlb) / SWpt (identity iotlb; payload 1 marks a
+          cached page) *)
   | B_base of { driver : I_driver.t }
   | B_rio of { driver : R_driver.t; hw : R_hw.t; device : Rdevice.t }
 
@@ -197,9 +198,9 @@ let translate_exn t ~iova ~write =
          page walk on a miss (§5.1's methodology validation). *)
       let phys = Addr.phys_of_int iova in
       let vpn = Addr.pfn phys in
-      if not (Iotlb.find iotlb ~bdf:t.rid ~vpn ~absent:false) then begin
+      if Iotlb.find iotlb ~bdf:t.rid ~vpn ~absent:0 = 0 then begin
         Cycles.charge t.clock (4 * t.cost.Cost_model.io_walk_ref);
-        ignore (Iotlb.insert iotlb ~bdf:t.rid ~vpn true : int)
+        ignore (Iotlb.insert iotlb ~bdf:t.rid ~vpn 1 : int)
       end;
       phys
   | B_base { driver } -> I_driver.translate_exn driver ~iova ~write

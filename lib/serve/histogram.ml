@@ -31,24 +31,17 @@ type t = {
   mutable win_max : int;
 }
 
-(* Highest set bit of each byte value (entry 0 is unused). *)
-let msb_byte =
-  String.init 256 (fun b ->
-      let rec go e b = if b > 1 then go (e + 1) (b lsr 1) else e in
-      Char.chr (go 0 b))
-
-(* Position of the highest set bit of v >= 1: three halving steps
-   narrow v to its top byte (so the unchecked load is in bounds), then
-   one table load. The steps compute 0/1 ints rather than branch:
-   recorded latencies vary, so data-dependent branches mispredict. *)
+(* Position of the highest set bit of v >= 1, read from the exponent
+   field of v converted to a double: no loop, no table and no
+   data-dependent branch (recorded latencies vary, so a branchy scan
+   mispredicts). The conversion is exact below 2^53. Above it, rounding
+   to nearest can carry v into the next power of two, one more than
+   its highest set bit; such a v has its top 53 bits all set, so it
+   sits in its octave's last sub-bucket, which [index] computes to the
+   same value from either octave. *)
 let[@inline] msb v =
-  let s = Bool.to_int (v lsr 32 <> 0) lsl 5 in
-  let v = v lsr s and e = s in
-  let s = Bool.to_int (v lsr 16 <> 0) lsl 4 in
-  let v = v lsr s and e = e + s in
-  let s = Bool.to_int (v lsr 8 <> 0) lsl 3 in
-  let v = v lsr s and e = e + s in
-  e + Char.code (String.unsafe_get msb_byte v)
+  Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float (float_of_int v)) 52)
+  - 1023
 
 let[@inline] clamp t v = if v < 0 then 0 else if v > t.max_value then t.max_value else v
 

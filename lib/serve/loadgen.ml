@@ -17,7 +17,7 @@ type flow = {
   tenant : int;
   slot : int;
   ring_iova : int;  (* long-lived descriptor-ring page, mapped at create *)
-  mutable stream : Splittable_rng.t;
+  stream : Splittable_rng.cursor;  (* this connection's draws *)
   mutable conn_serial : int;
   mutable reqs_left : int;
   seg_phys : Rio_memory.Addr.phys array;  (* map_sg scratch: two lanes *)
@@ -30,7 +30,7 @@ type t = {
   specs : tenant_spec array;
   base : Splittable_rng.t;  (* seed / "serve" / shard *)
   flows : flow array;
-  eq : int Rio_sim.Event_queue.t;  (* payload: flow slot *)
+  eq : Rio_sim.Event_queue.t;  (* payload: flow slot *)
   sg_max : int;
   mutable requests : int;
   mutable connections : int;
@@ -39,21 +39,18 @@ type t = {
 
 let page_size = Rio_memory.Addr.page_size
 
-let draw flow =
-  let v, s = Splittable_rng.next flow.stream in
-  flow.stream <- s;
-  v
+let[@inline] draw flow = Splittable_rng.draw flow.stream
 
-let drawf flow = Objects.u01 (draw flow)
+(* the top 53 bits of a draw: the uniform the Objects samplers take *)
+let[@inline] draw53 flow = Int64.to_int (Int64.shift_right_logical (draw flow) 11)
 
 let open_connection t flow =
   let spec = t.specs.(flow.tenant) in
-  flow.stream <-
-    Splittable_rng.(
-      t.base |> fun s ->
-      descend (descend (descend s flow.tenant) flow.slot) flow.conn_serial);
+  Splittable_rng.(
+    seek flow.stream
+      (descend (descend (descend t.base flow.tenant) flow.slot) flow.conn_serial));
   flow.conn_serial <- flow.conn_serial + 1;
-  flow.reqs_left <- Objects.requests_per_connection ~mean:spec.conn_mean (drawf flow);
+  flow.reqs_left <- Objects.requests_per_connection ~mean:spec.conn_mean (draw53 flow);
   t.connections <- t.connections + 1
 
 let create ~shard ~specs ~seed ~flows_per_tenant ~sg_max =
@@ -87,7 +84,7 @@ let create ~shard ~specs ~seed ~flows_per_tenant ~sg_max =
           tenant = slot / flows_per_tenant;
           slot;
           ring_iova = ring_map (slot / flows_per_tenant);
-          stream = base;
+          stream = Splittable_rng.cursor base;
           conn_serial = 0;
           reqs_left = 0;
           seg_phys = Array.make sg_max (Rio_memory.Addr.phys_of_int 0);
@@ -112,7 +109,7 @@ let create ~shard ~specs ~seed ~flows_per_tenant ~sg_max =
     (fun flow ->
       open_connection t flow;
       let spec = specs.(flow.tenant) in
-      let gap = Objects.think_cycles ~mean:spec.think_mean (drawf flow) in
+      let gap = Objects.think_cycles ~mean:spec.think_mean (draw53 flow) in
       Event_queue.push t.eq ~time:gap flow.slot)
     flows;
   t
@@ -124,7 +121,7 @@ let step t flow =
     (Shard.translate_record t.shard ~tenant:flow.tenant ~iova:flow.ring_iova
        ~write:false
       : Rio_memory.Addr.phys);
-  let u = drawf flow in
+  let u = draw53 flow in
   let bytes =
     match spec.profile with
     | Http -> Objects.http_bytes u
@@ -175,7 +172,7 @@ let step t flow =
   t.requests <- t.requests + 1;
   flow.reqs_left <- flow.reqs_left - 1;
   if flow.reqs_left <= 0 then open_connection t flow;
-  let gap = Objects.think_cycles ~mean:spec.think_mean (drawf flow) in
+  let gap = Objects.think_cycles ~mean:spec.think_mean (draw53 flow) in
   let clock = Shard.clock t.shard in
   Event_queue.push t.eq ~time:(Cycles.now clock + gap) flow.slot
 

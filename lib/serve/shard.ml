@@ -30,8 +30,7 @@ type t = {
   mgr : Manager.t;
   clock : Rio_sim.Cycles.t;
   doms : Manager.domain array;
-  drivers : Driver.t array;  (* per tenant: the map/unmap engine *)
-  rids : int array;
+  drivers : Driver.t array;  (* per tenant: the map/unmap/translate engine *)
   hists : Histogram.t array;  (* indexed by op_index *)
   tenant_hists : Histogram.t array;  (* per tenant, all op kinds pooled *)
   bufs : Addr.phys array;
@@ -62,7 +61,6 @@ let create ~id ~tenants ~iotlb_capacity ~iotlb_policy ~rcache ?(buf_pool = 1024)
           ())
   in
   let drivers = Array.map Manager.driver doms in
-  let rids = Array.map Manager.rid doms in
   let bufs = Array.init buf_pool (fun _ -> Frame_allocator.alloc_exn frames) in
   {
     id;
@@ -70,7 +68,6 @@ let create ~id ~tenants ~iotlb_capacity ~iotlb_policy ~rcache ?(buf_pool = 1024)
     clock;
     doms;
     drivers;
-    rids;
     hists = Array.init op_count (fun _ -> Histogram.create ());
     tenant_hists = Array.init tenants (fun _ -> Histogram.create ());
     bufs;
@@ -81,12 +78,13 @@ let id t = t.id
 let tenants t = Array.length t.doms
 let clock t = t.clock
 let manager t = t.mgr
-let rid t ~tenant = t.rids.(tenant)
 let domain t ~tenant = t.doms.(tenant)
 
 let next_buf t =
   let b = t.bufs.(t.buf_next) in
-  t.buf_next <- (t.buf_next + 1) mod Array.length t.bufs;
+  let n = t.buf_next + 1 in
+  (* a compare, not [mod]: this runs once per mapped page *)
+  t.buf_next <- (if n = Array.length t.bufs then 0 else n);
   b
 
 (* Inlined: [translate_record] is the per-DMA hot path. *)
@@ -146,7 +144,7 @@ let unmap_sg_record t ~tenant ~iovas ~n =
 
 let translate_record t ~tenant ~iova ~write =
   let start = Rio_sim.Cycles.now t.clock in
-  let phys = Manager.translate_exn t.mgr ~rid:t.rids.(tenant) ~iova ~write in
+  let phys = Driver.translate_exn t.drivers.(tenant) ~iova ~write in
   record t 2 ~tenant start;
   phys
 

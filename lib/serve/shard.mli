@@ -10,9 +10,9 @@
 
     The [*_record] wrappers are the four op kinds the service serves;
     each charges the op's simulated cost to the shard clock and records
-    the cycle latency in the op kind's histogram. Map and unmap run the
-    tenant's {!Rio_domain.Driver}, the engine the paper experiments
-    run. [translate_record] (the per-DMA steady-state path) and
+    the cycle latency in the op kind's histogram. Every op calls the
+    tenant's {!Rio_domain.Driver} directly, the engine the paper
+    experiments run. [translate_record] (the per-DMA steady-state path) and
     [unmap_record] are allocation-free (lint manifest + bench gate). *)
 
 type op = Map | Unmap | Translate | Map_sg
@@ -43,7 +43,6 @@ val id : t -> int
 val tenants : t -> int
 val clock : t -> Rio_sim.Cycles.t
 val manager : t -> Rio_domain.Manager.t
-val rid : t -> tenant:int -> int
 val domain : t -> tenant:int -> Rio_domain.Manager.domain
 
 val next_buf : t -> Rio_memory.Addr.phys
@@ -72,7 +71,7 @@ val unmap_sg_record :
 val translate_record : t -> tenant:int -> iova:int -> write:bool -> Rio_memory.Addr.phys
 (** One DMA translation, recorded in the [Translate] histogram.
     Allocation-free in steady state; faults propagate
-    {!Rio_domain.Manager.Translation_fault} after being counted. *)
+    {!Rio_domain.Driver.Translation_fault} after being counted. *)
 
 (** {1 Metrics} *)
 

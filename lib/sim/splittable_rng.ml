@@ -13,8 +13,9 @@ type t = { state : int64; gamma : int64 }
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* Stafford's mix13 finalizer - same as Rng.mix, kept here so the two
-   modules stay independently readable. *)
-let mix64 z =
+   modules stay independently readable. Inlined so [draw]'s caller
+   keeps the 64-bit words unboxed. *)
+let[@inline] mix64 z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
@@ -26,10 +27,6 @@ let mix_gamma z = Int64.logor (mix64 z) 1L
 let create ~seed =
   let s = Int64.of_int seed in
   { state = mix64 s; gamma = mix_gamma (Int64.add s golden_gamma) }
-
-let next t =
-  let state = Int64.add t.state t.gamma in
-  (mix64 state, { t with state })
 
 let descend t key =
   (* Hash-combine the parent's identity (state and gamma both count:
@@ -56,3 +53,26 @@ let path t keys = List.fold_left descend_string t keys
 let seed t =
   (* collapse to a nonnegative OCaml int, suitable for [Rng.create] *)
   Int64.to_int (Int64.shift_right_logical (mix64 t.state) 2)
+
+(* The cursor keeps state and gamma as raw 64-bit words in a 16-byte
+   buffer: a mutable [int64] record field would box a fresh value on
+   every store, while these unchecked loads and stores compile to plain
+   moves. *)
+type cursor = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let seek c t =
+  set64 c 0 t.state;
+  set64 c 8 t.gamma
+
+let cursor t =
+  let c = Bytes.create 16 in
+  seek c t;
+  c
+
+let[@inline] draw c =
+  let state = Int64.add (get64 c 0) (get64 c 8) in
+  set64 c 0 state;
+  mix64 state

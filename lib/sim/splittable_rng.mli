@@ -9,6 +9,10 @@
     experiment harness relies on for byte-identical output at any
     [--jobs] level.
 
+    Values are drawn through a {!cursor}: a mutable read head placed at
+    a position, which yields the stream's SplitMix64 values in order
+    without allocating.
+
     Statistical quality is SplitMix64's (Steele, Lea & Flood,
     OOPSLA'14): 64-bit state advanced by a per-stream odd gamma and
     finalized with Stafford's mix13. *)
@@ -17,9 +21,6 @@ type t
 
 val create : seed:int -> t
 (** Root stream of a master seed. *)
-
-val next : t -> int64 * t
-(** Draw one value; pure (returns the advanced stream). *)
 
 val descend : t -> int -> t
 (** Child stream keyed by an integer. Distinct keys give independent
@@ -35,3 +36,18 @@ val path : t -> string list -> t
 val seed : t -> int
 (** Collapse a stream to a nonnegative [int] seed for {!Rng.create} -
     the bridge into the existing mutable simulator RNG. *)
+
+type cursor
+(** A mutable read head over one stream. Drawing advances the cursor,
+    never the [t] it was placed at. *)
+
+val cursor : t -> cursor
+(** A fresh cursor at the start of [t]'s stream. *)
+
+val seek : cursor -> t -> unit
+(** Move the cursor to the start of [t]'s stream. Allocation-free. *)
+
+val draw : cursor -> int64
+(** The next 64-bit value of the stream, advancing the cursor.
+    Allocation-free once inlined (the release build inlines it, so the
+    value stays unboxed in the caller). *)

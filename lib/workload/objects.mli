@@ -1,10 +1,11 @@
 (** Heavy-tailed object-size and inter-arrival models for user flows.
 
-    Pure inverse-CDF samplers: each takes a uniform draw [u] in [0, 1)
-    and returns a deterministic quantile, so a flow whose draws come
-    from its own {!Rio_sim.Splittable_rng} stream produces the same
-    object sequence no matter how many shards or worker domains the
-    service runs with.
+    Pure inverse-CDF samplers: each takes a uniform draw as an int in
+    [0, 2{^53}) — the top 53 bits of one {!Rio_sim.Splittable_rng.draw},
+    read as the float [bits / 2{^53}] in [0, 1) — and returns a
+    deterministic quantile, so a flow whose draws come from its own
+    stream produces the same object sequence no matter how many shards
+    or worker domains the service runs with.
 
     Two profiles, anchored on the calibrated request models the
     experiments already use:
@@ -18,22 +19,18 @@
       of requests move the ~1 KB value (plus 64 B key), the remaining
       10% are multi-KB multigets. *)
 
-val u01 : int64 -> float
-(** Map one raw {!Rio_sim.Splittable_rng.next} draw to a uniform float
-    in [0, 1) (top 53 bits). *)
-
-val http_bytes : float -> int
+val http_bytes : int -> int
 (** Bounded Pareto (alpha 1.2) on [256 B, 1 MB]: median ~1 KB, mean
     dominated by the tail. *)
 
-val kv_bytes : float -> int
+val kv_bytes : int -> int
 (** Memcached-style: 90% in [64 B, 1088 B] (key+value), 10% multigets
     in (1 KB, 16 KB]. *)
 
-val requests_per_connection : mean:int -> float -> int
+val requests_per_connection : mean:int -> int -> int
 (** Geometric number of requests a connection serves before closing
     (>= 1); models connection churn. *)
 
-val think_cycles : mean:int -> float -> int
+val think_cycles : mean:int -> int -> int
 (** Exponential think/inter-arrival gap in cycles for open-loop flows
     (>= 0). [mean 0] always returns 0 (closed-loop back-to-back). *)

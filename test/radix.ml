@@ -47,11 +47,10 @@ let create ~frames ~coherency ~clock ~cost =
   let root = alloc_node ~frames ~clock ~cost in
   { frames; coherency; clock; cost; root; mapped = 0; nodes = 1 }
 
-(* CPU-side write to a slot: update the CPU view, mark the line dirty; on a
-   coherent system the walker sees it immediately. *)
+(* CPU-side write to a slot: update the CPU view; on a coherent system
+   the walker sees it immediately, otherwise only at [sync]. *)
 let cpu_write t cell slot =
   cell.cpu <- slot;
-  Coherency.cpu_write t.coherency cell.addr;
   if Coherency.is_coherent t.coherency then cell.hw <- slot
 
 (* Publish a slot to the walker: barrier + flush (+ barrier) per Fig. 11. *)

@@ -7,16 +7,98 @@ module Pool = Rio_exec.Pool
 module Memo = Rio_exec.Memo
 module Exp = Rio_experiments.Exp
 
+(* The pure SplitMix64 stream the cursor must reproduce: the
+   immutable (state, gamma) walk whose [next] returns each value with
+   the advanced position. Derivation mirrors the library's, so a
+   cursor placed at [Srng.path (Srng.create ~seed) p] draws
+   [Pure.draws (Pure.path (Pure.create ~seed) p)]. *)
+module Pure = struct
+  type t = { state : int64; gamma : int64 }
+
+  let golden_gamma = 0x9E3779B97F4A7C15L
+
+  let mix64 z =
+    let open Int64 in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+    logxor z (shift_right_logical z 31)
+
+  let mix_gamma z = Int64.logor (mix64 z) 1L
+
+  let create ~seed =
+    let s = Int64.of_int seed in
+    { state = mix64 s; gamma = mix_gamma (Int64.add s golden_gamma) }
+
+  let next t =
+    let state = Int64.add t.state t.gamma in
+    (mix64 state, { t with state })
+
+  let descend t key =
+    let k = mix64 (Int64.add (Int64.of_int key) golden_gamma) in
+    let h = mix64 (Int64.logxor t.state (Int64.mul t.gamma k)) in
+    { state = h; gamma = mix_gamma (Int64.add h t.gamma) }
+
+  let descend_string t s =
+    let h = ref 0xCBF29CE484222325L in
+    String.iter
+      (fun c ->
+        h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001B3L)
+      s;
+    descend t (Int64.to_int !h)
+
+  let path t keys = List.fold_left descend_string t keys
+
+  let draws t n =
+    let rec go t n acc =
+      if n = 0 then List.rev acc
+      else
+        let v, t = next t in
+        go t (n - 1) (v :: acc)
+    in
+    go t n []
+end
+
+(* [n] draws from a fresh cursor at [t]. *)
 let draws t n =
-  let rec go t n acc =
-    if n = 0 then List.rev acc
-    else
-      let v, t = Srng.next t in
-      go t (n - 1) (v :: acc)
-  in
-  go t n []
+  let c = Srng.cursor t in
+  let acc = ref [] in
+  for _ = 1 to n do
+    acc := Srng.draw c :: !acc
+  done;
+  List.rev !acc
 
 (* {1 Splittable streams} *)
+
+let test_cursor_matches_pure_stream () =
+  List.iter
+    (fun seed ->
+      let check what got expected =
+        Alcotest.(check (list int64)) (Printf.sprintf "%s, seed %d" what seed)
+          expected got
+      in
+      let t = Srng.create ~seed and p = Pure.create ~seed in
+      check "create" (draws t 64) (Pure.draws p 64);
+      List.iter
+        (fun k ->
+          check (Printf.sprintf "descend %d" k)
+            (draws (Srng.descend t k) 64) (Pure.draws (Pure.descend p k) 64))
+        [ 0; 1; 5; -1; max_int ];
+      List.iter
+        (fun keys ->
+          check
+            (Printf.sprintf "path [%s]" (String.concat "; " keys))
+            (draws (Srng.path t keys) 64) (Pure.draws (Pure.path p keys) 64))
+        [ []; [ "serve" ]; [ "serve"; "3" ]; [ "table1"; "strict"; "trial0" ] ];
+      (* a reused cursor: [seek] restarts it at another position *)
+      let c = Srng.cursor t in
+      for _ = 1 to 7 do
+        ignore (Srng.draw c : int64)
+      done;
+      let q = Srng.descend (Srng.descend t 3) 9 in
+      Srng.seek c q;
+      let got = List.init 16 (fun _ -> Srng.draw c) in
+      check "seek" got (Pure.draws (Pure.descend (Pure.descend p 3) 9) 16))
+    [ 0; 1; 7; 42; 99; -3; max_int ]
 
 let test_same_seed_same_stream () =
   Alcotest.(check (list int64))
@@ -52,7 +134,7 @@ let test_descend_order_independent () =
   let t = Srng.create ~seed:9 in
   let a_first = draws (Srng.descend t 0) 16 in
   let _b = Srng.descend t 1 in
-  let _drawn, _ = Srng.next t in
+  ignore (Srng.draw (Srng.cursor t) : int64);
   let a_second = draws (Srng.descend t 0) 16 in
   Alcotest.(check (list int64)) "split order irrelevant" a_first a_second
 
@@ -75,8 +157,7 @@ let test_seed_nonnegative () =
   for k = 0 to 999 do
     let child = Srng.descend !t k in
     Alcotest.(check bool) "seed >= 0" true (Srng.seed child >= 0);
-    let _, t' = Srng.next !t in
-    t := t'
+    t := Srng.descend child (-k)
   done
 
 let prop_descend_pure =
@@ -87,16 +168,16 @@ let prop_descend_pure =
       let walk () = List.fold_left Srng.descend t keys in
       Srng.seed (walk ()) = Srng.seed (walk ()))
 
-let prop_next_advances =
-  QCheck.Test.make ~count:200 ~name:"next yields a fresh position"
+let prop_draw_advances =
+  QCheck.Test.make ~count:200 ~name:"draw yields a fresh position"
     QCheck.small_int
     (fun seed ->
-      let t = Srng.create ~seed in
-      let v1, t' = Srng.next t in
-      let v2, _ = Srng.next t' in
+      let c = Srng.cursor (Srng.create ~seed) in
+      let v1 = Srng.draw c in
+      let v2 = Srng.draw c in
       (* consecutive draws of one stream almost surely differ; equality
-         here would mean the state failed to advance *)
-      v1 <> v2 || Srng.seed t <> Srng.seed t')
+         here would mean the cursor failed to advance *)
+      v1 <> v2)
 
 (* {1 Pool} *)
 
@@ -244,7 +325,9 @@ let () =
           Alcotest.test_case "path semantics" `Quick test_path_is_folded_descend;
           Alcotest.test_case "seed nonnegative" `Quick test_seed_nonnegative;
           QCheck_alcotest.to_alcotest prop_descend_pure;
-          QCheck_alcotest.to_alcotest prop_next_advances;
+          QCheck_alcotest.to_alcotest prop_draw_advances;
+          Alcotest.test_case "cursor = pure SplitMix stream" `Quick
+            test_cursor_matches_pure_stream;
         ] );
       ( "pool",
         [

@@ -11,8 +11,7 @@ let test_addr_arithmetic () =
   Alcotest.(check int) "of_pfn round trip" 0x12000 (Addr.to_int (Addr.of_pfn 0x12));
   Alcotest.(check bool) "aligned" true (Addr.is_page_aligned (Addr.of_pfn 7));
   Alcotest.(check bool) "unaligned" false (Addr.is_page_aligned a);
-  Alcotest.(check int) "add" 0x12346 (Addr.to_int (Addr.add a 1));
-  Alcotest.(check int) "line" (0x12345 / 64) (Addr.line_of a)
+  Alcotest.(check int) "add" 0x12346 (Addr.to_int (Addr.add a 1))
 
 let test_addr_rejects_negative () =
   Alcotest.check_raises "negative" (Invalid_argument "Addr.phys_of_int: negative")
@@ -90,54 +89,80 @@ let make_coherency coherent =
   in
   (c, clock)
 
+(* What a walker sees lives in the structures' twin lanes: an rRING
+   keeps a CPU and a walker copy of every rPTE, and [Coherency] only
+   decides whether a store reaches the walker copy at once and charges
+   the syncs. *)
+module Rring = Rio_core.Rring
+
+let make_ring coherent =
+  let c, clock = make_coherency coherent in
+  let frames = Frame_allocator.create ~total_frames:16 in
+  (Rring.create ~size:8 ~frames ~coherency:c, c, clock)
+
 let test_coherency_noncoherent_staleness () =
-  let c, _ = make_coherency false in
-  let a = Addr.phys_of_int 0x1000 in
-  Alcotest.(check bool) "fresh before write" true (Coherency.walker_sees_fresh c a);
-  Coherency.cpu_write c a;
-  Alcotest.(check bool) "stale after write" false (Coherency.walker_sees_fresh c a);
-  Alcotest.(check int) "one dirty line" 1 (Coherency.dirty_lines c);
-  Coherency.flush_line c a;
-  Alcotest.(check bool) "fresh after flush" true (Coherency.walker_sees_fresh c a);
-  Alcotest.(check int) "clean" 0 (Coherency.dirty_lines c)
+  let cm = Cost_model.default in
+  let r, _, clock = make_ring false in
+  Alcotest.(check int) "walker starts clean" 0 (Rring.hw_phys r 3);
+  Rring.set_cpu r 3 ~phys:0x5000 ~word1:7;
+  Alcotest.(check int) "CPU view updated" 7 (Rring.cpu_word1 r 3);
+  Alcotest.(check int) "walker phys stale after write" 0 (Rring.hw_phys r 3);
+  Alcotest.(check int) "walker word1 stale after write" 0 (Rring.hw_word1 r 3);
+  Alcotest.(check int) "a store alone is free" 0 (Cycles.now clock);
+  Rring.sync r 3;
+  Alcotest.(check int) "walker phys fresh after sync" 0x5000 (Rring.hw_phys r 3);
+  Alcotest.(check int) "walker word1 fresh after sync" 7 (Rring.hw_word1 r 3);
+  Alcotest.(check int) "sync charged barrier + flush + barrier"
+    ((2 * cm.Cost_model.barrier) + cm.Cost_model.cacheline_flush)
+    (Cycles.now clock)
 
 let test_coherency_coherent_always_fresh () =
-  let c, clock = make_coherency true in
-  let a = Addr.phys_of_int 0x2000 in
-  Coherency.cpu_write c a;
-  Alcotest.(check bool) "coherent sees writes" true (Coherency.walker_sees_fresh c a);
-  let before = Cycles.now clock in
-  Coherency.flush_line c a;
-  Alcotest.(check int) "flush free when coherent" before (Cycles.now clock)
+  let cm = Cost_model.default in
+  let r, c, clock = make_ring true in
+  Rring.set_cpu r 2 ~phys:0x9000 ~word1:5;
+  Alcotest.(check int) "coherent walker sees phys" 0x9000 (Rring.hw_phys r 2);
+  Alcotest.(check int) "coherent walker sees word1" 5 (Rring.hw_word1 r 2);
+  Coherency.flush_line c (Addr.phys_of_int 0x2000);
+  Alcotest.(check int) "flush free when coherent" 0 (Cycles.now clock);
+  Rring.sync r 2;
+  Alcotest.(check int) "sync is one barrier" cm.Cost_model.barrier
+    (Cycles.now clock)
 
 let test_coherency_sync_mem_costs () =
   let cm = Cost_model.default in
   (* Non-coherent: barrier + flush + barrier (Figure 11 sync_mem). *)
   let c, clock = make_coherency false in
   let a = Addr.phys_of_int 0x40 in
-  Coherency.cpu_write c a;
   Coherency.sync_mem c a;
   Alcotest.(check int) "non-coherent sync cost"
     ((2 * cm.Cost_model.barrier) + cm.Cost_model.cacheline_flush)
+    (Cycles.now clock);
+  Coherency.flush_line c a;
+  Alcotest.(check int) "non-coherent flush cost"
+    ((2 * cm.Cost_model.barrier) + (2 * cm.Cost_model.cacheline_flush))
     (Cycles.now clock);
   (* Coherent: single barrier. *)
   let c2, clock2 = make_coherency true in
   Coherency.sync_mem c2 a;
   Alcotest.(check int) "coherent sync cost" cm.Cost_model.barrier (Cycles.now clock2)
 
+(* Staleness is per entry, not per cacheline: four 16-byte rPTEs share
+   a 64-byte line, and syncing one publishes that one only; each sync
+   charges its own flush. *)
 let test_coherency_line_granularity () =
-  let c, _ = make_coherency false in
-  let a = Addr.phys_of_int 0x100 in
-  let same_line = Addr.phys_of_int 0x13f in
-  let other_line = Addr.phys_of_int 0x140 in
-  Coherency.cpu_write c a;
-  Coherency.cpu_write c same_line;
-  Alcotest.(check int) "same line collapses" 1 (Coherency.dirty_lines c);
-  Coherency.cpu_write c other_line;
-  Alcotest.(check int) "distinct lines tracked" 2 (Coherency.dirty_lines c);
-  Coherency.flush_line c same_line;
-  Alcotest.(check bool) "flushing by any addr in line works" true
-    (Coherency.walker_sees_fresh c a)
+  let cm = Cost_model.default in
+  let r, _, clock = make_ring false in
+  Rring.set_cpu r 0 ~phys:0x1000 ~word1:1;
+  Rring.set_cpu r 1 ~phys:0x2000 ~word1:2;
+  Rring.sync r 0;
+  Alcotest.(check int) "synced slot visible" 0x1000 (Rring.hw_phys r 0);
+  Alcotest.(check int) "line neighbour still stale" 0 (Rring.hw_phys r 1);
+  Rring.sync r 1;
+  Alcotest.(check int) "neighbour visible after its own sync" 0x2000
+    (Rring.hw_phys r 1);
+  Alcotest.(check int) "one flush per sync"
+    (2 * ((2 * cm.Cost_model.barrier) + cm.Cost_model.cacheline_flush))
+    (Cycles.now clock)
 
 let test_dma_buffer_alloc_free () =
   let fa = Frame_allocator.create ~total_frames:8 in

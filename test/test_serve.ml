@@ -82,6 +82,46 @@ let prop_bucket_of_matches_reference =
         (fun v -> Histogram.bucket_of h v = reference_bucket ~sub_bits v)
         (v :: powers_of_two_edges))
 
+(* The byte-table highest-set-bit the histogram used before it read the
+   bit from a double's exponent: three branch-free halving steps narrow
+   v to its top byte, then one table load. *)
+let table_msb =
+  let msb_byte =
+    String.init 256 (fun b ->
+        let rec go e b = if b > 1 then go (e + 1) (b lsr 1) else e in
+        Char.chr (go 0 b))
+  in
+  fun v ->
+    let s = Bool.to_int (v lsr 32 <> 0) lsl 5 in
+    let v = v lsr s and e = s in
+    let s = Bool.to_int (v lsr 16 <> 0) lsl 4 in
+    let v = v lsr s and e = e + s in
+    let s = Bool.to_int (v lsr 8 <> 0) lsl 3 in
+    let v = v lsr s and e = e + s in
+    e + Char.code msb_byte.[v]
+
+let table_bucket ~sub_bits v =
+  let sub_count = 1 lsl sub_bits in
+  if v < 2 * sub_count then v
+  else
+    let shift = table_msb v - sub_bits in
+    (shift * sub_count) + (v lsr shift)
+
+(* [bucket_of] against the byte-table index, for random values in
+   [0, max_value] and at every 2^k - 1, 2^k and 2^k + 1 up to it, under
+   the default geometry's max_value (2^40) and under max_int. *)
+let prop_bucket_of_matches_table_msb =
+  QCheck.Test.make ~count:1000 ~name:"bucket_of = byte-table msb index"
+    QCheck.(triple (int_range 1 8) bool (make ~print:Print.int any_width_gen))
+    (fun (sub_bits, wide, v) ->
+      let max_value = if wide then max_int else 1 lsl 40 in
+      let h = Histogram.create ~sub_bits ~max_value () in
+      let v = v mod (max_value + 1) in
+      let edges = List.filter (fun e -> e <= max_value) powers_of_two_edges in
+      List.for_all
+        (fun v -> Histogram.bucket_of h v = table_bucket ~sub_bits v)
+        (v :: edges))
+
 let prop_quantile_bound =
   QCheck.Test.make ~count:500 ~name:"quantile within bucket of exact rank"
     values_arb (fun vs ->
@@ -507,6 +547,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_quantile_bound;
           QCheck_alcotest.to_alcotest prop_merge_is_union;
           QCheck_alcotest.to_alcotest prop_bucket_of_matches_reference;
+          QCheck_alcotest.to_alcotest prop_bucket_of_matches_table_msb;
           QCheck_alcotest.to_alcotest prop_record2_is_two_records;
           Alcotest.test_case "edges" `Quick test_histogram_edges;
         ] );

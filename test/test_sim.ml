@@ -121,22 +121,31 @@ let pop q =
     let time = Event_queue.next_time q in
     Some (time, Event_queue.pop_exn q)
 
+(* Payloads are ints; these tests queue indexes into a name table. *)
+let names = [| "a"; "b"; "c"; "x"; "y"; "z"; "early"; "a1"; "a2"; "a3"; "a4" |]
+let id name =
+  let rec go i = if names.(i) = name then i else go (i + 1) in
+  go 0
+
+let push_name q ~time name = Event_queue.push q ~time (id name)
+let pop_name q = Option.map (fun (time, i) -> (time, names.(i))) (pop q)
+
 let test_event_queue_ordering () =
   let q = Event_queue.create () in
   Alcotest.(check bool) "starts empty" true (Event_queue.is_empty q);
-  Event_queue.push q ~time:30 "c";
-  Event_queue.push q ~time:10 "a";
-  Event_queue.push q ~time:20 "b";
+  push_name q ~time:30 "c";
+  push_name q ~time:10 "a";
+  push_name q ~time:20 "b";
   Alcotest.(check int) "peek" 10 (Event_queue.next_time q);
-  Alcotest.(check (option (pair int string))) "pop a" (Some (10, "a")) (pop q);
-  Alcotest.(check (option (pair int string))) "pop b" (Some (20, "b")) (pop q);
-  Alcotest.(check (option (pair int string))) "pop c" (Some (30, "c")) (pop q);
-  Alcotest.(check (option (pair int string))) "pop empty" None (pop q)
+  Alcotest.(check (option (pair int string))) "pop a" (Some (10, "a")) (pop_name q);
+  Alcotest.(check (option (pair int string))) "pop b" (Some (20, "b")) (pop_name q);
+  Alcotest.(check (option (pair int string))) "pop c" (Some (30, "c")) (pop_name q);
+  Alcotest.(check (option (pair int string))) "pop empty" None (pop_name q)
 
 let test_event_queue_fifo_ties () =
   let q = Event_queue.create () in
-  List.iteri (fun i s -> Event_queue.push q ~time:(5 + (0 * i)) s) [ "x"; "y"; "z" ];
-  let order = List.init 3 (fun _ -> snd (Option.get (pop q))) in
+  List.iteri (fun i s -> push_name q ~time:(5 + (0 * i)) s) [ "x"; "y"; "z" ];
+  let order = List.init 3 (fun _ -> snd (Option.get (pop_name q))) in
   Alcotest.(check (list string)) "insertion order on tie" [ "x"; "y"; "z" ] order
 
 (* The determinism guarantee the multi-tenant scheduler builds on: when
@@ -145,15 +154,15 @@ let test_event_queue_fifo_ties () =
    pushes. *)
 let test_event_queue_ties_across_interleaved_pops () =
   let q = Event_queue.create () in
-  Event_queue.push q ~time:5 "a1";
-  Event_queue.push q ~time:5 "a2";
-  Event_queue.push q ~time:3 "early";
+  push_name q ~time:5 "a1";
+  push_name q ~time:5 "a2";
+  push_name q ~time:3 "early";
   Alcotest.(check (option (pair int string))) "earlier time first"
-    (Some (3, "early")) (pop q);
+    (Some (3, "early")) (pop_name q);
   (* new same-time arrivals after a pop still rank behind survivors *)
-  Event_queue.push q ~time:5 "a3";
-  Event_queue.push q ~time:5 "a4";
-  let order = List.init 4 (fun _ -> snd (Option.get (pop q))) in
+  push_name q ~time:5 "a3";
+  push_name q ~time:5 "a4";
+  let order = List.init 4 (fun _ -> snd (Option.get (pop_name q))) in
   Alcotest.(check (list string)) "insertion order preserved"
     [ "a1"; "a2"; "a3"; "a4" ] order
 
@@ -201,39 +210,19 @@ let test_event_queue_pop_exn_next_time () =
   (match Event_queue.pop_exn q with
   | _ -> Alcotest.fail "pop_exn on empty should raise"
   | exception Not_found -> ());
-  Event_queue.push q ~time:20 "b";
-  Event_queue.push q ~time:10 "a";
+  push_name q ~time:20 "b";
+  push_name q ~time:10 "a";
   Alcotest.(check int) "next_time is the minimum" 10 (Event_queue.next_time q);
-  Alcotest.(check string) "pop_exn pops the minimum" "a" (Event_queue.pop_exn q);
-  Alcotest.(check string) "then the next" "b" (Event_queue.pop_exn q);
+  Alcotest.(check string) "pop_exn pops the minimum" "a"
+    names.(Event_queue.pop_exn q);
+  Alcotest.(check string) "then the next" "b" names.(Event_queue.pop_exn q);
   Alcotest.(check bool) "empty again" true (Event_queue.is_empty q)
-
-(* Satellite: the heap's spare capacity must not pin popped payloads.
-   Allocate and pop inside a closure so no local root outlives it, then
-   a weak pointer tells us whether the queue's payload array was the
-   last thing keeping the value alive. *)
-let test_event_queue_releases_popped_payloads () =
-  let q = Event_queue.create () in
-  let w = Weak.create 1 in
-  let push_and_pop () =
-    let payload = Bytes.make 64 'p' in
-    Weak.set w 0 (Some payload);
-    Event_queue.push q ~time:2 (Bytes.make 16 'k');
-    Event_queue.push q ~time:1 payload;
-    assert (Event_queue.pop_exn q == payload)
-  in
-  push_and_pop ();
-  Gc.full_major ();
-  Gc.full_major ();
-  Alcotest.(check bool) "queue still holds the other event" false
-    (Event_queue.is_empty q);
-  Alcotest.(check bool) "popped payload was not pinned by the heap" true
-    (Weak.get w 0 = None)
 
 (* Random push/pop interleavings (not just push-all-then-drain), seeded
    through the repo's own Rng: every pop must return the minimum
    (time, seq) of the current contents, so within any drain phase pops
-   come out in nondecreasing (time, seq) order. *)
+   come out in nondecreasing (time, seq) order. Each event's payload
+   is its seq; the model keeps (time, seq). *)
 let prop_event_queue_interleaved_matches_model =
   QCheck.Test.make
     ~name:"random push/pop interleavings pop the (time, seq) minimum"
@@ -248,7 +237,7 @@ let prop_event_queue_interleaved_matches_model =
       for _ = 1 to 2_000 do
         if Rng.int rng 100 < 55 || !model = [] then begin
           let time = Rng.int rng 50 in
-          Event_queue.push q ~time (time, !seq);
+          Event_queue.push q ~time !seq;
           model := (time, !seq) :: !model;
           incr seq
         end
@@ -257,7 +246,7 @@ let prop_event_queue_interleaved_matches_model =
             List.fold_left min (List.hd !model) (List.tl !model)
           in
           if Event_queue.next_time q <> fst expected then ok := false;
-          if Event_queue.pop_exn q <> expected then ok := false;
+          if Event_queue.pop_exn q <> snd expected then ok := false;
           model := List.filter (fun e -> e <> expected) !model
         end
       done;
@@ -278,6 +267,7 @@ let prop_event_queue_spreads_and_late_pushes =
       let seq = ref 0 in
       let popped_max = ref 0 in
       let ok = ref true in
+      let pushed_at = Array.make 1_500 (-1) in
       for _ = 1 to 1_500 do
         if Rng.int rng 100 < 50 || !model = [] then begin
           let time =
@@ -294,16 +284,18 @@ let prop_event_queue_spreads_and_late_pushes =
             if Rng.int rng 20 = 0 then time + (1 lsl (30 + Rng.int rng 10))
             else time
           in
-          Event_queue.push q ~time (time, !seq);
+          Event_queue.push q ~time !seq;
+          pushed_at.(!seq) <- time;
           model := (time, !seq) :: !model;
           incr seq
         end
         else begin
           let expected = List.fold_left min (List.hd !model) (List.tl !model) in
-          if Event_queue.next_time q <> fst expected then ok := false;
+          let time = Event_queue.next_time q in
+          if time <> fst expected then ok := false;
           let got = Event_queue.pop_exn q in
-          if got <> expected then ok := false;
-          popped_max := max !popped_max (fst got);
+          if got <> snd expected then ok := false;
+          popped_max := max !popped_max time;
           model := List.filter (fun e -> e <> expected) !model
         end
       done;
@@ -311,8 +303,7 @@ let prop_event_queue_spreads_and_late_pushes =
       let rec drain last =
         match pop q with
         | None -> true
-        | Some (t, ((time, _) as e)) ->
-            t = time && e > last && drain e
+        | Some ((t, seq) as e) -> t = pushed_at.(seq) && e > last && drain e
       in
       !ok && drain (min_int, min_int) && Event_queue.length q = 0)
 
@@ -351,8 +342,6 @@ let () =
             test_event_queue_ties_across_interleaved_pops;
           Alcotest.test_case "pop_exn and next_time" `Quick
             test_event_queue_pop_exn_next_time;
-          Alcotest.test_case "popped payloads are released" `Quick
-            test_event_queue_releases_popped_payloads;
           QCheck_alcotest.to_alcotest prop_event_queue_sorted;
           QCheck_alcotest.to_alcotest prop_event_queue_stable_ties;
           QCheck_alcotest.to_alcotest prop_event_queue_interleaved_matches_model;

@@ -215,6 +215,28 @@ let test_bonnie_strict_equals_none () =
   Alcotest.(check bool) "disk bound" true
     (strict.Bonnie.disk_seconds > strict.Bonnie.cpu_seconds)
 
+(* [Objects.http_bytes] against the bounded Pareto inverse CDF evaluated
+   from scratch, (lo/hi)^alpha included, over the draw range's ends and
+   a spread of 53-bit draws. *)
+let test_objects_http_bytes_formula () =
+  let reference bits =
+    let u = float_of_int bits /. 9007199254740992. in
+    let lo = 256. and hi = 1_048_576. and alpha = 1.2 in
+    let ratio = (lo /. hi) ** alpha in
+    let b = int_of_float (lo /. ((1. -. (u *. (1. -. ratio))) ** (1. /. alpha))) in
+    max 256 (min 1_048_576 b)
+  in
+  let rng = Rio_sim.Rng.create ~seed:5 in
+  let draws =
+    [ 0; 1; 1 lsl 52; (1 lsl 53) - 1 ]
+    @ List.init 2_000 (fun _ -> Rio_sim.Rng.int rng (1 lsl 30) lsl 23)
+  in
+  List.iter
+    (fun bits ->
+      Alcotest.(check int) (Printf.sprintf "draw %d" bits) (reference bits)
+        (Rio_workload.Objects.http_bytes bits))
+    draws
+
 let () =
   Alcotest.run "rio_workload"
     [
@@ -251,5 +273,10 @@ let () =
       ( "bonnie",
         [
           Alcotest.test_case "strict = none on SATA" `Quick test_bonnie_strict_equals_none;
+        ] );
+      ( "objects",
+        [
+          Alcotest.test_case "http_bytes = bounded Pareto formula" `Quick
+            test_objects_http_bytes_formula;
         ] );
     ]
