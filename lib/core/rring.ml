@@ -6,7 +6,6 @@ let bytes_per_rpte = 16
 
 (* Slot [i] owns words [2i] (phys) and [2i+1] (word1) of each view. *)
 type t = {
-  base : Addr.phys;
   cpu : int array;
   hw : int array;
   coherency : Coherency.t;
@@ -18,13 +17,11 @@ let create ~size ~frames ~coherency =
   if size < 1 || size > 1 lsl Riova.rentry_bits then invalid_arg "Rring.create: size";
   let table_bytes = size * bytes_per_rpte in
   let nframes = (table_bytes + Addr.page_size - 1) / Addr.page_size in
-  let base =
-    match Frame_allocator.alloc_contiguous frames ~frames:nframes with
-    | Some b -> b
-    | None -> failwith "Rring.create: out of physical memory for flat table"
-  in
+  (* the flat table still takes its frames, whose address nothing reads
+     ([sync] only charges), so every later frame number stays put *)
+  if Frame_allocator.alloc_contiguous frames ~frames:nframes = None then
+    failwith "Rring.create: out of physical memory for flat table";
   {
-    base;
     cpu = Array.make (2 * size) 0;
     hw = Array.make (2 * size) 0;
     coherency;
@@ -45,7 +42,6 @@ let decr_nmapped t = t.nmapped <- t.nmapped - 1
 let cpu_word1 t i = t.cpu.((2 * i) + 1)
 let hw_phys t i = t.hw.(2 * i)
 let hw_word1 t i = t.hw.((2 * i) + 1)
-let slot_addr t i = Addr.add t.base (i * bytes_per_rpte)
 
 let set_cpu t i ~phys ~word1 =
   t.cpu.(2 * i) <- phys;
@@ -56,6 +52,6 @@ let set_cpu t i ~phys ~word1 =
   end
 
 let sync t i =
-  Coherency.sync_mem t.coherency (slot_addr t i);
+  Coherency.sync_mem t.coherency;
   t.hw.(2 * i) <- t.cpu.(2 * i);
   t.hw.((2 * i) + 1) <- t.cpu.((2 * i) + 1)

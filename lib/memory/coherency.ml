@@ -11,15 +11,11 @@ type t = {
 let create ~coherent ~cost ~clock = { coherent; cost; clock }
 let is_coherent t = t.coherent
 
-let flush_line t _addr =
-  if not t.coherent then
-    Rio_sim.Cycles.charge t.clock t.cost.Rio_sim.Cost_model.cacheline_flush
-
 let barrier t = Rio_sim.Cycles.charge t.clock t.cost.Rio_sim.Cost_model.barrier
 
-let sync_mem t addr =
+let sync_mem t =
   if not t.coherent then begin
     barrier t;
-    flush_line t addr
+    Rio_sim.Cycles.charge t.clock t.cost.Rio_sim.Cost_model.cacheline_flush
   end;
   barrier t

@@ -19,15 +19,12 @@ val is_coherent : t -> bool
 (** Whether the walker sees CPU stores without a flush: a structure
     copies a store into its walker lane at once when this holds. *)
 
-val flush_line : t -> Addr.phys -> unit
-(** Flush the cacheline containing the address; charges the flush cost.
-    No-op (and no cost) on a coherent system. *)
-
 val barrier : t -> unit
 (** Full memory barrier; always charged (both sync_mem variants in the
     paper's Figure 11 execute at least one barrier). *)
 
-val sync_mem : t -> Addr.phys -> unit
+val sync_mem : t -> unit
 (** The paper's [sync_mem] (Figure 11): on a non-coherent system, a
     barrier, a cacheline flush, then a second barrier; on a coherent
-    system a single barrier. *)
+    system a single barrier. Only the charge is modelled: the structure
+    being synced publishes its own entry, so no address is needed. *)

@@ -37,7 +37,6 @@ type t = {
   cost : Cost_model.t;
   mutable cpu : int array; (* capacity*fanout cells, CPU view *)
   mutable hw : int array; (* walker view *)
-  mutable node_frame : Addr.phys array; (* node -> backing frame *)
   mutable high_water : int; (* store slots ever carved *)
   mutable free : int; (* freelist head + 1, 0 = empty *)
   mutable mapped : int;
@@ -56,7 +55,6 @@ let create ~frames ~coherency ~clock ~cost =
       cost;
       cpu = Array.make (cap * fanout) 0;
       hw = Array.make (cap * fanout) 0;
-      node_frame = Array.make cap (Addr.of_pfn 0);
       high_water = 0;
       free = 0;
       mapped = 0;
@@ -65,24 +63,22 @@ let create ~frames ~coherency ~clock ~cost =
   in
   (* the root is node 0; exactly one node allocation is charged, through
      the same Cost_model entry point as the radix reference *)
-  t.node_frame.(0) <- Frame_allocator.alloc_exn frames;
+  (* each node takes a backing frame; nothing reads its address
+     ([sync_cell] only charges), but later frame numbers depend on it *)
+  ignore (Frame_allocator.alloc_exn frames : Addr.phys);
   Cost_model.charge_node_alloc cost clock;
   t.high_water <- 1;
   t.nodes <- 1;
   t
 
 let grow t =
-  let cap = Array.length t.node_frame in
-  let ncap = 2 * cap in
-  let cpu = Array.make (ncap * fanout) 0 in
-  let hw = Array.make (ncap * fanout) 0 in
-  let node_frame = Array.make ncap (Addr.of_pfn 0) in
-  Array.blit t.cpu 0 cpu 0 (cap * fanout);
-  Array.blit t.hw 0 hw 0 (cap * fanout);
-  Array.blit t.node_frame 0 node_frame 0 cap;
+  let cells = Array.length t.cpu in
+  let cpu = Array.make (2 * cells) 0 in
+  let hw = Array.make (2 * cells) 0 in
+  Array.blit t.cpu 0 cpu 0 cells;
+  Array.blit t.hw 0 hw 0 cells;
   t.cpu <- cpu;
-  t.hw <- hw;
-  t.node_frame <- node_frame
+  t.hw <- hw
 
 (* Carve a node from the freelist (frame retained from its previous
    life) or from fresh store. Either way it is one node allocation:
@@ -96,18 +92,16 @@ let new_node t =
       n
     end
     else begin
-      if t.high_water = Array.length t.node_frame then grow t;
+      if t.high_water * fanout = Array.length t.cpu then grow t;
       let n = t.high_water in
       t.high_water <- n + 1;
-      t.node_frame.(n) <- Frame_allocator.alloc_exn t.frames;
+      ignore (Frame_allocator.alloc_exn t.frames : Addr.phys);
       n
     end
   in
   Cost_model.charge_node_alloc t.cost t.clock;
   t.nodes <- t.nodes + 1;
   n
-
-let cell_addr t node idx = Addr.add t.node_frame.(node) (idx * 8)
 
 (* CPU-side store to a cell: update the CPU view; on a coherent system
    the walker sees it immediately, otherwise only at [sync_cell]. *)
@@ -117,7 +111,7 @@ let cell_write t node idx v =
 
 (* Publish a cell to the walker: barrier + flush (+ barrier) per Fig. 11. *)
 let sync_cell t node idx =
-  Coherency.sync_mem t.coherency (cell_addr t node idx);
+  Coherency.sync_mem t.coherency;
   t.hw.((node * fanout) + idx) <- t.cpu.((node * fanout) + idx)
 
 let check_iova iova =

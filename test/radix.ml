@@ -11,9 +11,9 @@ let fanout = 512
 
 type slot = Empty | Table of node | Leaf of Pte.t
 
-and cell = { mutable cpu : slot; mutable hw : slot; addr : Addr.phys }
+and cell = { mutable cpu : slot; mutable hw : slot }
 
-and node = { frame : Addr.phys; cells : cell array }
+and node = { cells : cell array }
 
 type t = {
   frames : Frame_allocator.t;
@@ -28,14 +28,9 @@ type t = {
 (* Allocate and charge one page-table node against the given clock; the
    record-level [make_node] below also bumps the per-table node count. *)
 let alloc_node ~frames ~clock ~cost =
-  let frame = Frame_allocator.alloc_exn frames in
+  ignore (Frame_allocator.alloc_exn frames : Addr.phys);
   Cost_model.charge_node_alloc cost clock;
-  {
-    frame;
-    cells =
-      Array.init fanout (fun i ->
-          { cpu = Empty; hw = Empty; addr = Addr.add frame (i * 8) });
-  }
+  { cells = Array.init fanout (fun _ -> { cpu = Empty; hw = Empty }) }
 
 let make_node t =
   t.nodes <- t.nodes + 1;
@@ -55,7 +50,7 @@ let cpu_write t cell slot =
 
 (* Publish a slot to the walker: barrier + flush (+ barrier) per Fig. 11. *)
 let sync t cell =
-  Coherency.sync_mem t.coherency cell.addr;
+  Coherency.sync_mem t.coherency;
   cell.hw <- cell.cpu
 
 let check_iova iova =

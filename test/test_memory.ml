@@ -98,11 +98,11 @@ module Rring = Rio_core.Rring
 let make_ring coherent =
   let c, clock = make_coherency coherent in
   let frames = Frame_allocator.create ~total_frames:16 in
-  (Rring.create ~size:8 ~frames ~coherency:c, c, clock)
+  (Rring.create ~size:8 ~frames ~coherency:c, clock)
 
 let test_coherency_noncoherent_staleness () =
   let cm = Cost_model.default in
-  let r, _, clock = make_ring false in
+  let r, clock = make_ring false in
   Alcotest.(check int) "walker starts clean" 0 (Rring.hw_phys r 3);
   Rring.set_cpu r 3 ~phys:0x5000 ~word1:7;
   Alcotest.(check int) "CPU view updated" 7 (Rring.cpu_word1 r 3);
@@ -118,12 +118,10 @@ let test_coherency_noncoherent_staleness () =
 
 let test_coherency_coherent_always_fresh () =
   let cm = Cost_model.default in
-  let r, c, clock = make_ring true in
+  let r, clock = make_ring true in
   Rring.set_cpu r 2 ~phys:0x9000 ~word1:5;
   Alcotest.(check int) "coherent walker sees phys" 0x9000 (Rring.hw_phys r 2);
   Alcotest.(check int) "coherent walker sees word1" 5 (Rring.hw_word1 r 2);
-  Coherency.flush_line c (Addr.phys_of_int 0x2000);
-  Alcotest.(check int) "flush free when coherent" 0 (Cycles.now clock);
   Rring.sync r 2;
   Alcotest.(check int) "sync is one barrier" cm.Cost_model.barrier
     (Cycles.now clock)
@@ -132,18 +130,13 @@ let test_coherency_sync_mem_costs () =
   let cm = Cost_model.default in
   (* Non-coherent: barrier + flush + barrier (Figure 11 sync_mem). *)
   let c, clock = make_coherency false in
-  let a = Addr.phys_of_int 0x40 in
-  Coherency.sync_mem c a;
+  Coherency.sync_mem c;
   Alcotest.(check int) "non-coherent sync cost"
     ((2 * cm.Cost_model.barrier) + cm.Cost_model.cacheline_flush)
     (Cycles.now clock);
-  Coherency.flush_line c a;
-  Alcotest.(check int) "non-coherent flush cost"
-    ((2 * cm.Cost_model.barrier) + (2 * cm.Cost_model.cacheline_flush))
-    (Cycles.now clock);
   (* Coherent: single barrier. *)
   let c2, clock2 = make_coherency true in
-  Coherency.sync_mem c2 a;
+  Coherency.sync_mem c2;
   Alcotest.(check int) "coherent sync cost" cm.Cost_model.barrier (Cycles.now clock2)
 
 (* Staleness is per entry, not per cacheline: four 16-byte rPTEs share
@@ -151,7 +144,7 @@ let test_coherency_sync_mem_costs () =
    charges its own flush. *)
 let test_coherency_line_granularity () =
   let cm = Cost_model.default in
-  let r, _, clock = make_ring false in
+  let r, clock = make_ring false in
   Rring.set_cpu r 0 ~phys:0x1000 ~word1:1;
   Rring.set_cpu r 1 ~phys:0x2000 ~word1:2;
   Rring.sync r 0;
