@@ -3,7 +3,6 @@ module Cost_model = Rio_sim.Cost_model
 
 type t = {
   tree : Rbtree.t;
-  limit_pfn : int;
   magazines : (int, Rbtree.node list ref) Hashtbl.t;
   mutable floor : int;  (* lowest pfn of any carved range; fresh carves go below *)
   mutable live : int;
@@ -16,7 +15,6 @@ let create ~limit_pfn ~clock ~cost =
   if limit_pfn <= 0 then invalid_arg "Fast_allocator.create: limit_pfn";
   {
     tree = Rbtree.create ();
-    limit_pfn;
     magazines = Hashtbl.create 8;
     floor = limit_pfn + 1;
     live = 0;

@@ -3,14 +3,14 @@
    double-deletes are detected. *)
 
 type node = {
-  mutable lo : int;
-  mutable hi : int;
+  lo : int;
+  hi : int;
   mutable left : node;
   mutable right : node;
   mutable parent : node;
   mutable red : bool;
   mutable cached : bool;
-  mutable is_nil : bool;
+  is_nil : bool;
 }
 
 type t = { nil : node; mutable root : node; mutable count : int; mutable visits : int }
