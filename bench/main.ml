@@ -73,11 +73,7 @@ let json_translate ~iters =
   let iovas =
     Array.init pool (fun _ ->
         let buf = Rio_memory.Frame_allocator.alloc_exn frames in
-        match
-          Dma_api.map api ~ring:0 ~phys:buf ~bytes:4096 ~dir:Rpte.Bidirectional
-        with
-        | Ok iova -> iova
-        | Error _ -> failwith "bench: map failed")
+        Dma_api.map_exn api ~ring:0 ~phys:buf ~bytes:4096 ~dir:Rpte.Bidirectional)
   in
   let i = ref 0 in
   let f () =

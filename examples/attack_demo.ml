@@ -18,9 +18,13 @@ module Mode = Rio_protect.Mode
 module Dma_api = Rio_protect.Dma_api
 module Rpte = Rio_core.Rpte
 
-let outcome label = function
-  | Ok _ -> Printf.printf "    %-38s DMA SUCCEEDED (vulnerable)\n" label
-  | Error fault -> Printf.printf "    %-38s blocked: %s\n" label fault
+(* One device access, as the (r)IOMMU sees it: the descriptor address
+   plus the byte offset the device reaches for. *)
+let outcome api label ~iova =
+  match Dma_api.translate_exn api ~iova ~write:true with
+  | (_ : Addr.phys) -> Printf.printf "    %-38s DMA SUCCEEDED (vulnerable)\n" label
+  | exception Rio_iommu.Fault.Translation_fault ->
+      Printf.printf "    %-38s blocked: %s\n" label (Dma_api.last_fault api)
 
 let scenario mode =
   Printf.printf "%s:\n" (Mode.name mode);
@@ -34,17 +38,14 @@ let scenario mode =
         (Rio_core.Riova.pack ~offset:0 ~rentry:7 ~rid:0 :> int)
     | _ -> 0x7000
   in
-  outcome "errant DMA to unmapped address" (Dma_api.translate api ~addr:wild ~offset:0 ~write:true);
+  outcome api "errant DMA to unmapped address" ~iova:wild;
 
   (* 2. use-after-unmap *)
   let buf = Rio_memory.Frame_allocator.alloc_exn frames in
-  let addr =
-    Result.get_ok
-      (Dma_api.map api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional)
-  in
-  ignore (Dma_api.translate api ~addr ~offset:0 ~write:true);
-  Result.get_ok (Dma_api.unmap api ~addr ~end_of_burst:true);
-  outcome "use-after-unmap" (Dma_api.translate api ~addr ~offset:0 ~write:true);
+  let iova = Dma_api.map_exn api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional in
+  ignore (Dma_api.translate_exn api ~iova ~write:true : Addr.phys);
+  Dma_api.unmap_exn api ~iova ~end_of_burst:true;
+  outcome api "use-after-unmap" ~iova;
 
   (* 3. same-page overreach: buffer A [0,1500) and B [2048,3548) share a
      page; only B stays mapped; the device reaches for A's bytes through
@@ -56,24 +57,20 @@ let scenario mode =
   (match bufs with
   | [ _a; b ] ->
       let addr_b =
-        Result.get_ok
-          (Dma_api.map api ~ring:0 ~phys:b.Rio_memory.Dma_buffer.base ~bytes:1500
-             ~dir:Rpte.Bidirectional)
+        Dma_api.map_exn api ~ring:0 ~phys:b.Rio_memory.Dma_buffer.base ~bytes:1500
+          ~dir:Rpte.Bidirectional
       in
       (* reaching 2 KB past B's start lands in the page's tail; reaching
          -2048 (via the page base under the baseline) lands in A *)
       let overreach =
         match mode with
-        | Mode.Riommu | Mode.Riommu_minus ->
-            Dma_api.translate api ~addr:addr_b ~offset:2000 ~write:true
+        | Mode.Riommu | Mode.Riommu_minus -> addr_b + 2000
         | _ ->
             (* baseline IOVAs are page-granular: the device can address
                the page base, i.e. buffer A's first byte *)
-            Dma_api.translate api
-              ~addr:(addr_b land lnot 0xFFF)
-              ~offset:0 ~write:true
+            addr_b land lnot 0xFFF
       in
-      outcome "same-page overreach into neighbour" overreach
+      outcome api "same-page overreach into neighbour" ~iova:overreach
   | _ -> assert false);
   print_newline ()
 

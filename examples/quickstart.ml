@@ -28,9 +28,8 @@ let () =
   (* 2. ...maps it for receive into ring 0 (two integer updates plus one
      rPTE write - compare Figure 11 of the paper)... *)
   let iova =
-    Result.get_ok
-      (Dma_api.map api ~ring:0 ~phys:buf.Rio_memory.Dma_buffer.base ~bytes:1500
-         ~dir:Rio_core.Rpte.To_memory)
+    Dma_api.map_exn api ~ring:0 ~phys:buf.Rio_memory.Dma_buffer.base ~bytes:1500
+      ~dir:Rio_core.Rpte.To_memory
   in
   Printf.printf "mapped as rIOVA %x (ring 0, entry 0)\n" iova;
 
@@ -43,7 +42,7 @@ let () =
 
   (* 4. The driver unmaps FIRST (only then is it safe to read), ending
      the burst so the rIOTLB entry is invalidated... *)
-  Result.get_ok (Dma_api.unmap api ~addr:iova ~end_of_burst:true);
+  Dma_api.unmap_exn api ~iova ~end_of_burst:true;
   let received =
     Rio_memory.Phys_mem.read mem buf.Rio_memory.Dma_buffer.base
       (Bytes.length payload)
@@ -51,9 +50,10 @@ let () =
   Printf.printf "driver read back: %S\n" (Bytes.to_string received);
 
   (* 5. ...and any further device access faults. *)
-  (match Dma_api.translate api ~addr:iova ~offset:0 ~write:true with
-  | Error fault -> Printf.printf "late device access correctly faults: %s\n" fault
-  | Ok _ -> failwith "protection hole!");
+  (match Dma_api.translate_exn api ~iova ~write:true with
+  | exception Rio_iommu.Fault.Translation_fault ->
+      Printf.printf "late device access correctly faults: %s\n" (Dma_api.last_fault api)
+  | (_ : Addr.phys) -> failwith "protection hole!");
 
   (* The whole exchange cost this many simulated core cycles in the
      map/unmap path: *)

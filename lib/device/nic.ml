@@ -77,16 +77,15 @@ let alloc_and_map t ~ring ~bytes ~dir ~kmalloc =
   | None -> None
   | Some buf -> (
       let phys = Addr.add buf.Dma_buffer.base offset in
-      match Dma_api.map t.api ~ring ~phys ~bytes ~dir with
-      | Ok addr -> Some { addr; buf; bytes; phys }
-      | Error (`Exhausted | `Overflow) ->
+      match Dma_api.map_exn t.api ~ring ~phys ~bytes ~dir with
+      | addr -> Some { addr; buf; bytes; phys }
+      | exception (Rio_domain.Driver.Exhausted | Rio_core.Driver.Overflow) ->
           Dma_buffer.free (Dma_api.frames t.api) buf;
           None)
 
 let unmap_and_free t mb ~end_of_burst =
-  (match Dma_api.unmap t.api ~addr:mb.addr ~end_of_burst with
-  | Ok () -> ()
-  | Error `Not_mapped -> invalid_arg "Nic: buffer was not mapped");
+  (try Dma_api.unmap_exn t.api ~iova:mb.addr ~end_of_burst
+   with Rio_iommu.Fault.Not_mapped -> invalid_arg "Nic: buffer was not mapped");
   Dma_buffer.free (Dma_api.frames t.api) mb.buf
 
 (* {1 Transmit} *)
@@ -160,13 +159,9 @@ let device_tx_process t ~max =
               | Error _ -> t.faults <- t.faults + 1
             end
             else begin
-              match
-                Dma_api.translate t.api
-                  ~addr:mb.addr
-                  ~offset:0 ~write:false
-              with
-              | Ok _ -> ()
-              | Error _ -> t.faults <- t.faults + 1
+              match Dma_api.translate_exn t.api ~iova:mb.addr ~write:false with
+              | (_ : Addr.phys) -> ()
+              | exception Rio_iommu.Fault.Translation_fault -> t.faults <- t.faults + 1
             end)
           pkt.bufs;
         Queue.add pkt t.tx_done;
@@ -222,28 +217,27 @@ let device_rx_deliver t ~payload =
       Error `No_buffer
   | Some slot ->
       let len = min (Bytes.length payload) slot.mb.bytes in
-      let outcome =
+      let delivered =
         if t.data_movement then
-          Dma.write_to_memory ~api:t.api ~mem:t.mem
-            ~addr:slot.mb.addr
-            ~data:(Bytes.sub payload 0 len)
+          Result.is_ok
+            (Dma.write_to_memory ~api:t.api ~mem:t.mem ~addr:slot.mb.addr
+               ~data:(Bytes.sub payload 0 len))
         else begin
-          match
-            Dma_api.translate t.api
-              ~addr:slot.mb.addr
-              ~offset:0 ~write:true
-          with
-          | Ok _ -> Ok ()
-          | Error e -> Error e
+          match Dma_api.translate_exn t.api ~iova:slot.mb.addr ~write:true with
+          | (_ : Addr.phys) -> true
+          | exception Rio_iommu.Fault.Translation_fault -> false
         end
       in
-      (match outcome with
-      | Ok () ->
-          slot.filled <- len;
-          Queue.add slot t.rx_done;
-          t.rx_packets <- t.rx_packets + 1
-      | Error _ -> t.faults <- t.faults + 1);
-      (match outcome with Ok () -> Ok () | Error _ -> Error `Fault)
+      if delivered then begin
+        slot.filled <- len;
+        Queue.add slot t.rx_done;
+        t.rx_packets <- t.rx_packets + 1;
+        Ok ()
+      end
+      else begin
+        t.faults <- t.faults + 1;
+        Error `Fault
+      end
 
 let rx_reap_next t ~end_of_burst =
   match Queue.take_opt t.rx_done with
@@ -251,9 +245,8 @@ let rx_reap_next t ~end_of_burst =
   | Some slot ->
       (* unmap BEFORE touching the contents: "only after unmap is it safe
          for the driver to access the buffer" (§2.1, footnote 1) *)
-      (match Dma_api.unmap t.api ~addr:slot.mb.addr ~end_of_burst with
-      | Ok () -> ()
-      | Error `Not_mapped -> invalid_arg "Nic.rx_reap: buffer was not mapped");
+      (try Dma_api.unmap_exn t.api ~iova:slot.mb.addr ~end_of_burst
+       with Rio_iommu.Fault.Not_mapped -> invalid_arg "Nic.rx_reap: buffer was not mapped");
       let payload =
         if t.data_movement && slot.filled > 0 then
           Phys_mem.read t.mem slot.mb.phys slot.filled

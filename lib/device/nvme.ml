@@ -44,11 +44,11 @@ let submit t ~queue ~bytes ~write =
     | None -> Error `Map_failed
     | Some buf -> (
         let dir = if write then Rpte.From_memory else Rpte.To_memory in
-        match Dma_api.map t.api ~ring:queue ~phys:buf.Dma_buffer.base ~bytes ~dir with
-        | Error (`Exhausted | `Overflow) ->
+        match Dma_api.map_exn t.api ~ring:queue ~phys:buf.Dma_buffer.base ~bytes ~dir with
+        | exception (Rio_domain.Driver.Exhausted | Rio_core.Driver.Overflow) ->
             Dma_buffer.free (Dma_api.frames t.api) buf;
             Error `Map_failed
-        | Ok addr -> (
+        | addr -> (
             match Ring.post q.sq { addr; buf; bytes; write } with
             | Ok _ -> Ok ()
             | Error `Full -> assert false))
@@ -63,20 +63,20 @@ let device_process t ~queue ~max =
     | None -> continue := false
     | Some cmd ->
         let addr = cmd.addr in
-        let outcome =
+        let ok =
           if t.data_movement then
             if cmd.write then
-              Result.map (fun (_ : bytes) -> ())
-                (Dma.read_from_memory ~api:t.api ~mem:t.mem ~addr ~len:cmd.bytes)
+              Result.is_ok (Dma.read_from_memory ~api:t.api ~mem:t.mem ~addr ~len:cmd.bytes)
             else
-              Dma.write_to_memory ~api:t.api ~mem:t.mem ~addr
-                ~data:(Bytes.make cmd.bytes 'd')
+              Result.is_ok
+                (Dma.write_to_memory ~api:t.api ~mem:t.mem ~addr
+                   ~data:(Bytes.make cmd.bytes 'd'))
           else
-            Result.map
-              (fun (_ : Rio_memory.Addr.phys) -> ())
-              (Dma_api.translate t.api ~addr ~offset:0 ~write:(not cmd.write))
+            match Dma_api.translate_exn t.api ~iova:addr ~write:(not cmd.write) with
+            | (_ : Rio_memory.Addr.phys) -> true
+            | exception Rio_iommu.Fault.Translation_fault -> false
         in
-        (match outcome with Ok () -> () | Error _ -> t.faults <- t.faults + 1);
+        if not ok then t.faults <- t.faults + 1;
         Queue.add cmd q.cq;
         incr n
   done;
@@ -88,9 +88,8 @@ let reclaim t ~queue =
   let i = ref 0 in
   Queue.iter
     (fun cmd ->
-      (match Dma_api.unmap t.api ~addr:cmd.addr ~end_of_burst:(!i = n - 1) with
-      | Ok () -> ()
-      | Error `Not_mapped -> invalid_arg "Nvme.reclaim: buffer was not mapped");
+      (try Dma_api.unmap_exn t.api ~iova:cmd.addr ~end_of_burst:(!i = n - 1)
+       with Rio_iommu.Fault.Not_mapped -> invalid_arg "Nvme.reclaim: buffer was not mapped");
       Dma_buffer.free (Dma_api.frames t.api) cmd.buf;
       incr i)
     q.cq;

@@ -48,11 +48,11 @@ let submit t ~bytes ~write =
     | None -> Error `Map_failed
     | Some buf -> (
         let dir = if write then Rpte.From_memory else Rpte.To_memory in
-        match Dma_api.map t.api ~ring:0 ~phys:buf.Dma_buffer.base ~bytes ~dir with
-        | Error (`Exhausted | `Overflow) ->
+        match Dma_api.map_exn t.api ~ring:0 ~phys:buf.Dma_buffer.base ~bytes ~dir with
+        | exception (Rio_domain.Driver.Exhausted | Rio_core.Driver.Overflow) ->
             Dma_buffer.free (Dma_api.frames t.api) buf;
             Error `Map_failed
-        | Ok addr ->
+        | addr ->
             t.disk_cycles <- t.disk_cycles + service_cycles t bytes;
             t.in_flight <- { addr; buf; bytes; write } :: t.in_flight;
             Ok ())
@@ -67,20 +67,20 @@ let device_complete t ~max =
     let req = arr.(idx) in
     t.in_flight <- List.filteri (fun i _ -> i <> idx) t.in_flight;
     let addr = req.addr in
-    let outcome =
+    let ok =
       if t.data_movement then
         if req.write then
-          Result.map (fun (_ : bytes) -> ())
-            (Dma.read_from_memory ~api:t.api ~mem:t.mem ~addr ~len:req.bytes)
+          Result.is_ok (Dma.read_from_memory ~api:t.api ~mem:t.mem ~addr ~len:req.bytes)
         else
-          Dma.write_to_memory ~api:t.api ~mem:t.mem ~addr
-            ~data:(Bytes.make req.bytes 's')
+          Result.is_ok
+            (Dma.write_to_memory ~api:t.api ~mem:t.mem ~addr
+               ~data:(Bytes.make req.bytes 's'))
       else
-        Result.map
-          (fun (_ : Rio_memory.Addr.phys) -> ())
-          (Dma_api.translate t.api ~addr ~offset:0 ~write:(not req.write))
+        match Dma_api.translate_exn t.api ~iova:addr ~write:(not req.write) with
+        | (_ : Rio_memory.Addr.phys) -> true
+        | exception Rio_iommu.Fault.Translation_fault -> false
     in
-    (match outcome with Ok () -> () | Error _ -> t.faults <- t.faults + 1);
+    if not ok then t.faults <- t.faults + 1;
     Queue.add req t.done_q;
     incr n
   done;
@@ -91,9 +91,8 @@ let reclaim t =
   let i = ref 0 in
   Queue.iter
     (fun req ->
-      (match Dma_api.unmap t.api ~addr:req.addr ~end_of_burst:(!i = n - 1) with
-      | Ok () -> ()
-      | Error `Not_mapped -> invalid_arg "Sata.reclaim: buffer was not mapped");
+      (try Dma_api.unmap_exn t.api ~iova:req.addr ~end_of_burst:(!i = n - 1)
+       with Rio_iommu.Fault.Not_mapped -> invalid_arg "Sata.reclaim: buffer was not mapped");
       Dma_buffer.free (Dma_api.frames t.api) req.buf;
       incr i)
     t.done_q;

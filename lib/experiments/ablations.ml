@@ -32,13 +32,11 @@ let burst_sweep ~rounds =
       for _ = 1 to rounds do
         let addrs =
           List.init burst (fun _ ->
-              Result.get_ok
-                (Dma_api.map api ~ring:0 ~phys:buf ~bytes:1500
-                   ~dir:Rpte.Bidirectional))
+              Dma_api.map_exn api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional)
         in
         List.iteri
-          (fun i addr ->
-            ignore (Dma_api.unmap api ~addr ~end_of_burst:(i = burst - 1));
+          (fun i iova ->
+            Dma_api.unmap_exn api ~iova ~end_of_burst:(i = burst - 1);
             incr pairs)
           addrs
       done;
@@ -70,11 +68,11 @@ let ring_sizing ~attempts =
       let overflows = ref 0 in
       for _ = 1 to attempts do
         (* keep L DMAs in flight: map one, retire the oldest beyond L *)
-        (match Dma_api.map api ~ring:0 ~phys:buf ~bytes:100 ~dir:Rpte.Bidirectional with
-        | Ok addr -> Queue.add addr live
-        | Error (`Overflow | `Exhausted) -> incr overflows);
+        (match Dma_api.map_exn api ~ring:0 ~phys:buf ~bytes:100 ~dir:Rpte.Bidirectional with
+        | addr -> Queue.add addr live
+        | exception Rio_core.Driver.Overflow -> incr overflows);
         if Queue.length live > l then
-          ignore (Dma_api.unmap api ~addr:(Queue.pop live) ~end_of_burst:true)
+          Dma_api.unmap_exn api ~iova:(Queue.pop live) ~end_of_burst:true
       done;
       Table.add_row t
         [
@@ -106,12 +104,8 @@ let iotlb_capacity ?(seed = 17) ~accesses () =
       let addrs =
         Array.init pool (fun _ ->
             let buf = Frame_allocator.alloc_exn frames in
-            match
-              Dma_api.map api ~ring:0 ~phys:buf ~bytes:Addr.page_size
-                ~dir:Rpte.Bidirectional
-            with
-            | Ok addr -> addr
-            | Error _ -> failwith "ablation: map failed")
+            Dma_api.map_exn api ~ring:0 ~phys:buf ~bytes:Addr.page_size
+              ~dir:Rpte.Bidirectional)
       in
       (* count misses by cost: a miss pays the 4-reference walk *)
       let clock = Dma_api.clock api in
@@ -121,7 +115,7 @@ let iotlb_capacity ?(seed = 17) ~accesses () =
         let addr = addrs.(Rng.int rng pool) in
         let _, c =
           Cycles.measure clock (fun () ->
-              ignore (Dma_api.translate api ~addr ~offset:0 ~write:false))
+              ignore (Dma_api.translate_exn api ~iova:addr ~write:false : Addr.phys))
         in
         if c >= walk then incr misses
       done;
@@ -145,16 +139,16 @@ let coherency_cost ~pairs =
     let api = Dma_api.create (Dma_api.default_config ~mode) in
     let buf = Frame_allocator.alloc_exn (Dma_api.frames api) in
     (* warm the allocator *)
+    let pair () =
+      let iova = Dma_api.map_exn api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional in
+      Dma_api.unmap_exn api ~iova ~end_of_burst:false
+    in
     for _ = 1 to 50 do
-      match Dma_api.map api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional with
-      | Ok addr -> ignore (Dma_api.unmap api ~addr ~end_of_burst:false)
-      | Error _ -> ()
+      pair ()
     done;
     Dma_api.reset_driver_cycles api;
     for _ = 1 to pairs do
-      match Dma_api.map api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional with
-      | Ok addr -> ignore (Dma_api.unmap api ~addr ~end_of_burst:false)
-      | Error _ -> ()
+      pair ()
     done;
     Dma_api.driver_cycles api / pairs
   in
@@ -316,9 +310,9 @@ let rcache_value ?(seed = 9) ~rounds () =
       let rng = Rng.create ~seed in
       let h_fifo = Queue.create () and d_fifo = Queue.create () in
       let map_one fifo bytes =
-        match Dma_api.map api ~ring:0 ~phys:buf ~bytes ~dir:Rpte.Bidirectional with
-        | Ok addr -> Queue.add addr fifo
-        | Error _ -> ()
+        match Dma_api.map_exn api ~ring:0 ~phys:buf ~bytes ~dir:Rpte.Bidirectional with
+        | addr -> Queue.add addr fifo
+        | exception Rio_domain.Driver.Exhausted -> ()
       in
       let data_bytes rng = 2048 + (Rng.int rng 2 * 4096) in
       for _ = 1 to 256 do
@@ -334,7 +328,7 @@ let rcache_value ?(seed = 9) ~rounds () =
             (fun is_h ->
               let fifo = if is_h then h_fifo else d_fifo in
               (match Queue.take_opt fifo with
-              | Some addr -> ignore (Dma_api.unmap api ~addr ~end_of_burst:true)
+              | Some iova -> Dma_api.unmap_exn api ~iova ~end_of_burst:true
               | None -> ());
               map_one fifo (if is_h then 100 else data_bytes rng);
               incr pairs)

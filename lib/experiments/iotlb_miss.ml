@@ -28,18 +28,10 @@ let measure ?(pool = 2_000) ?(accesses = 20_000) ?(seed = 5) () =
   let addrs =
     Array.init pool (fun _ ->
         let buf = Rio_memory.Frame_allocator.alloc_exn frames in
-        match
-          Dma_api.map api ~ring:0 ~phys:buf ~bytes:Addr.page_size
-            ~dir:Rio_core.Rpte.Bidirectional
-        with
-        | Ok addr -> addr
-        | Error _ -> failwith "iotlb_miss: map failed")
+        Dma_api.map_exn api ~ring:0 ~phys:buf ~bytes:Addr.page_size
+          ~dir:Rio_core.Rpte.Bidirectional)
   in
-  let translate addr =
-    match Dma_api.translate api ~addr ~offset:0 ~write:false with
-    | Ok _ -> ()
-    | Error e -> failwith ("iotlb_miss: fault " ^ e)
-  in
+  let translate iova = ignore (Dma_api.translate_exn api ~iova ~write:false : Addr.phys) in
   (* single-buffer experiment: always hits after the first access *)
   translate addrs.(0);
   let start = Cycles.now clock in

@@ -8,7 +8,6 @@ module Iotlb = Rio_iotlb.Iotlb
 module Allocator = Rio_iova.Allocator
 module I_driver = Rio_domain.Driver
 module Rpte = Rio_core.Rpte
-module Riova = Rio_core.Riova
 module Rdevice = Rio_core.Rdevice
 module R_hw = Rio_core.Hw
 module R_driver = Rio_core.Driver
@@ -126,10 +125,6 @@ let create ?(cost = Cost_model.default) config =
 
 let mode t = t.mode
 let set_log t log = t.log <- log
-let log_op t op =
-  match t.log with
-  | Some l -> Op_log.record l ~cycles:(Cycles.now t.clock) op
-  | None -> ()
 
 let clock t = t.clock
 let cost t = t.cost
@@ -148,8 +143,8 @@ let dir_write = function
   | Rpte.Bidirectional -> true
 
 (* The one body per op, for all nine modes: int addresses in and out, no
-   result box, no op-log record. The live and driver-cycle accounting
-   exists here only; [map]/[unmap]/[translate] wrap these. *)
+   result box. The live and driver-cycle accounting and the op log
+   exist here only; a log is recorded only when one is attached. *)
 
 let map_exn t ~ring ~phys ~bytes ~dir =
   let start = Cycles.now t.clock in
@@ -166,6 +161,9 @@ let map_exn t ~ring ~phys ~bytes ~dir =
   | addr ->
       t.live <- t.live + 1;
       t.driver_cycles <- t.driver_cycles + Cycles.since t.clock start;
+      (match t.log with
+      | Some log -> Op_log.record_map log ~cycles:(Cycles.now t.clock) ~ring ~addr ~bytes
+      | None -> ());
       addr
   | exception e ->
       t.driver_cycles <- t.driver_cycles + Cycles.since t.clock start;
@@ -183,14 +181,17 @@ let unmap_exn t ~iova ~end_of_burst =
     | B_base { driver } -> I_driver.unmap_exn driver ~iova
     | B_rio { driver; _ } -> R_driver.unmap_exn driver iova ~end_of_burst
   with
-  | () ->
+  | () -> (
       t.live <- t.live - 1;
-      t.driver_cycles <- t.driver_cycles + Cycles.since t.clock start
+      t.driver_cycles <- t.driver_cycles + Cycles.since t.clock start;
+      match t.log with
+      | Some log -> Op_log.record_unmap log ~cycles:(Cycles.now t.clock) ~addr:iova
+      | None -> ())
   | exception e ->
       t.driver_cycles <- t.driver_cycles + Cycles.since t.clock start;
       raise e
 
-let translate_exn t ~iova ~write =
+let translate t ~iova ~write =
   match t.backend with
   | B_plain { sw_iotlb = None } -> Addr.phys_of_int iova
   | B_plain { sw_iotlb = Some iotlb } ->
@@ -206,22 +207,21 @@ let translate_exn t ~iova ~write =
   | B_base { driver } -> I_driver.translate_exn driver ~iova ~write
   | B_rio { hw; _ } -> R_hw.rtranslate_exn hw ~bdf:t.rid ~iova ~write
 
-let map t ~ring ~phys ~bytes ~dir =
-  match map_exn t ~ring ~phys ~bytes ~dir with
-  | addr ->
-      (match t.log with
-      | Some _ -> log_op t (Op_log.Map { ring; addr; bytes })
-      | None -> ());
-      Ok addr
-  | exception I_driver.Exhausted -> Error `Exhausted
-  | exception R_driver.Overflow -> Error `Overflow
-
-let unmap t ~addr ~end_of_burst =
-  match unmap_exn t ~iova:addr ~end_of_burst with
-  | () ->
-      (match t.log with Some _ -> log_op t (Op_log.Unmap { addr }) | None -> ());
-      Ok ()
-  | exception I_driver.Not_mapped -> Error `Not_mapped
+(* A device access is logged with its whole address at offset 0, faults
+   included; only the attached path handles the fault. *)
+let translate_exn t ~iova ~write =
+  match t.log with
+  | None -> translate t ~iova ~write
+  | Some log -> (
+      match translate t ~iova ~write with
+      | phys ->
+          Op_log.record_access log ~cycles:(Cycles.now t.clock) ~addr:iova ~offset:0
+            ~write ~ok:true;
+          phys
+      | exception I_driver.Translation_fault ->
+          Op_log.record_access log ~cycles:(Cycles.now t.clock) ~addr:iova ~offset:0
+            ~write ~ok:false;
+          raise I_driver.Translation_fault)
 
 let flush t =
   let start = Cycles.now t.clock in
@@ -238,28 +238,11 @@ let flush t =
 let driver_cycles t = t.driver_cycles
 let reset_driver_cycles t = t.driver_cycles <- 0
 
-let fault_name t =
+let last_fault t =
   match t.backend with
-  | B_plain _ -> assert false (* pass-through translation never faults *)
+  | B_plain _ -> invalid_arg "Dma_api.last_fault: pass-through translation never faults"
   | B_base { driver } -> Format.asprintf "%a" I_driver.pp_fault (I_driver.last_fault driver)
   | B_rio { hw; _ } -> Format.asprintf "%a" R_hw.pp_fault (R_hw.last_fault hw)
-
-let translate t ~addr ~offset ~write =
-  let result =
-    match t.backend with
-    | B_rio _
-      when offset < 0 || Riova.offset addr + offset >= 1 lsl Riova.offset_bits ->
-        Error (Format.asprintf "%a" R_hw.pp_fault R_hw.Offset_out_of_range)
-    | _ -> (
-        match translate_exn t ~iova:(addr + offset) ~write with
-        | phys -> Ok phys
-        | exception I_driver.Translation_fault -> Error (fault_name t))
-  in
-  (match t.log with
-  | None -> ()
-  | Some _ ->
-      log_op t (Op_log.Access { addr; offset; write; ok = Result.is_ok result }));
-  result
 
 let map_breakdown t =
   match t.backend with

@@ -1,8 +1,10 @@
 (** The DMA-mapping facade: one API over all nine protection modes.
 
-    Device drivers call {!map}/{!unmap} exactly as the Linux DMA API is
-    called in Figures 4 and 6; device models call {!translate} for every
-    DMA access exactly as the IOMMU intercepts addresses in Figure 5.
+    Device drivers call {!map_exn}/{!unmap_exn} once per buffer, exactly
+    as the Linux DMA API is called in Figures 4 and 6; device models call
+    {!translate_exn} once per DMA access, exactly as the IOMMU intercepts
+    addresses in Figure 5. Each op is one raising call; its caller
+    catches the outcomes it expects.
     Which machinery runs underneath - nothing, a pass-through, the
     baseline IOMMU in one of its four modes, or the rIOMMU in either
     coherency configuration - is selected by the {!Mode.t} in the
@@ -39,15 +41,14 @@ val frames : t -> Rio_memory.Frame_allocator.t
 
 (** {1 Driver side (the CPU-cycle critical path, §3.3)}
 
-    Each op has one body for all nine modes, its [_exn] form: it takes
-    and returns plain [int] addresses, skips the op log and allocates
-    no heap words after warm-up (the deferred modes' release queue
-    aside). The address a map returns is the one
-    the driver writes into its DMA descriptor: the physical address
-    (none and the pass-throughs), the IOVA (baseline IOMMU) or the
-    rIOVA ({!Rio_core.Riova}). The result forms wrap the [_exn] forms:
-    they box the outcome and record the op log. The cycles an op spends
-    count in {!driver_cycles} whether or not it succeeds. *)
+    Each op has one body for all nine modes: it takes and returns plain
+    [int] addresses and, with no log attached ({!set_log}), allocates no
+    heap words after warm-up (the deferred modes' release queue aside).
+    The address a map returns is the one the driver writes into its DMA
+    descriptor: the physical address (none and the pass-throughs), the
+    IOVA (baseline IOMMU) or the rIOVA ({!Rio_core.Riova}). The cycles
+    an op spends count in {!driver_cycles} whether or not it
+    succeeds. *)
 
 val map_exn :
   t ->
@@ -61,14 +62,6 @@ val map_exn :
     baseline IOVA space is full and {!Rio_core.Driver.Overflow} when the
     rIOMMU ring is. *)
 
-val map :
-  t ->
-  ring:int ->
-  phys:Rio_memory.Addr.phys ->
-  bytes:int ->
-  dir:Rio_core.Rpte.dir ->
-  (int, [ `Exhausted | `Overflow ]) result
-
 val unmap_exn : t -> iova:int -> end_of_burst:bool -> unit
 (** Unmap an address {!map_exn} returned. [end_of_burst] is meaningful
     to the rIOMMU modes only; others ignore it. Raises
@@ -77,8 +70,6 @@ val unmap_exn : t -> iova:int -> end_of_burst:bool -> unit
     pass-throughs keep no mappings, only a count of live buffers: they
     raise it when nothing is live, but cannot tell a stray unmap from
     a real one while other buffers are. *)
-
-val unmap : t -> addr:int -> end_of_burst:bool -> (unit, [ `Not_mapped ]) result
 
 val flush : t -> unit
 (** Quiesce translation state: drain a deferred-mode invalidation queue,
@@ -89,25 +80,29 @@ val flush : t -> unit
 
 val translate_exn : t -> iova:int -> write:bool -> Rio_memory.Addr.phys
 (** Resolve a device address the way the (r)IOMMU would: a descriptor
-    address plus a byte offset, already added. Charges device-side
-    costs (IOTLB lookups, walks) but - per the validated model of §3.3
-    - these do not slow the core. Every fault raises the constant
-    {!Rio_iommu.Fault.Translation_fault}, which both engines raise;
-    allocation-free on hits and misses alike. *)
+    address plus a byte offset, already added. Under the rIOMMU modes
+    the caller keeps the sum inside the rIOVA's 30-bit offset field: a
+    carry would name another ring entry, and the DMA engine
+    ([Rio_device.Dma]) refuses such a transfer before translating.
+    Charges device-side costs (IOTLB lookups, walks) but - per the
+    validated model of §3.3 - these do not slow the core. Every fault
+    raises the constant {!Rio_iommu.Fault.Translation_fault}, which
+    both engines raise; allocation-free on hits and misses alike when
+    no log is attached. *)
 
-val translate :
-  t -> addr:int -> offset:int -> write:bool -> (Rio_memory.Addr.phys, string) result
-(** {!translate_exn} of [addr + offset]; the error string names the
-    fault. Under the rIOMMU modes an [offset] that is negative or would
-    carry out of the rIOVA's offset field is the "offset out of range"
-    fault (the sum would name another ring entry). *)
+val last_fault : t -> string
+(** The name of the fault class the last {!translate_exn} raised
+    ("no translation", "invalid rPTE", "offset out of range", ...).
+    Meaningful only right after a [Translation_fault]; the unprotected
+    modes never fault and raise [Invalid_argument]. *)
 
 (** {1 Logging} *)
 
 val set_log : t -> Op_log.t option -> unit
-(** Attach (or detach) a DMA operation log: subsequent maps, unmaps and
-    device-side translations are recorded with cycle timestamps - the
-    trace-capture methodology of §5.4. *)
+(** Attach (or detach) a DMA operation log: subsequent successful maps
+    and unmaps, and every device-side translation (faults included, as
+    the whole device address at offset 0), are recorded with cycle
+    timestamps - the trace-capture methodology of §5.4. *)
 
 (** {1 Introspection for experiments and tests} *)
 
@@ -117,7 +112,7 @@ val unmap_breakdown : t -> Rio_sim.Breakdown.t option
     modes. *)
 
 val driver_cycles : t -> int
-(** Total CPU cycles spent inside {!map}/{!unmap}/{!flush} - the
+(** Total CPU cycles spent inside {!map_exn}/{!unmap_exn}/{!flush} - the
     protection cost the core pays, which per the validated §3.3 model is
     the {e only} thing that affects throughput. Device-side translation
     charges are excluded. *)

@@ -13,6 +13,12 @@ let record t ~cycles op =
   t.entries <- { seq = t.next_seq; cycles; op } :: t.entries;
   t.next_seq <- t.next_seq + 1
 
+let record_map t ~cycles ~ring ~addr ~bytes = record t ~cycles (Map { ring; addr; bytes })
+let record_unmap t ~cycles ~addr = record t ~cycles (Unmap { addr })
+
+let record_access t ~cycles ~addr ~offset ~write ~ok =
+  record t ~cycles (Access { addr; offset; write; ok })
+
 let length t = t.next_seq
 let entries t = List.rev t.entries
 let iter t f = List.iter f (entries t)

@@ -19,12 +19,11 @@ let pair_cost ~mode ~burst ~rounds =
   for _ = 1 to rounds do
     let addrs =
       List.init burst (fun _ ->
-          Result.get_ok
-            (Dma_api.map api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional))
+          Dma_api.map_exn api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional)
     in
     List.iteri
-      (fun i addr ->
-        ignore (Dma_api.unmap api ~addr ~end_of_burst:(i = burst - 1));
+      (fun i iova ->
+        Dma_api.unmap_exn api ~iova ~end_of_burst:(i = burst - 1);
         incr pairs)
       addrs
   done;
@@ -71,11 +70,11 @@ let test_overflow_cliff () =
     let overflows = ref 0 in
     let attempts = 2_000 in
     for _ = 1 to attempts do
-      (match Dma_api.map api ~ring:0 ~phys:buf ~bytes:100 ~dir:Rpte.Bidirectional with
-      | Ok addr -> Queue.add addr live
-      | Error (`Overflow | `Exhausted) -> incr overflows);
+      (match Dma_api.map_exn api ~ring:0 ~phys:buf ~bytes:100 ~dir:Rpte.Bidirectional with
+      | addr -> Queue.add addr live
+      | exception Rio_core.Driver.Overflow -> incr overflows);
       if Queue.length live > l then
-        ignore (Dma_api.unmap api ~addr:(Queue.pop live) ~end_of_burst:true)
+        Dma_api.unmap_exn api ~iova:(Queue.pop live) ~end_of_burst:true
     done;
     float_of_int !overflows /. float_of_int attempts
   in

@@ -23,9 +23,8 @@ let test_dma_roundtrip_cross_page () =
     Option.get (Rio_memory.Dma_buffer.alloc (Dma_api.frames api) ~size:9000)
   in
   let addr =
-    Result.get_ok
-      (Dma_api.map api ~ring:0 ~phys:buf.Rio_memory.Dma_buffer.base ~bytes:9000
-         ~dir:Rpte.Bidirectional)
+    Dma_api.map_exn api ~ring:0 ~phys:buf.Rio_memory.Dma_buffer.base ~bytes:9000
+      ~dir:Rpte.Bidirectional
   in
   let data = Bytes.init 9000 (fun i -> Char.chr (i land 0xff)) in
   Alcotest.(check bool) "write ok" true
@@ -38,12 +37,37 @@ let test_dma_fault_aborts () =
   let api = Dma_api.create (Dma_api.default_config ~mode:Mode.Riommu) in
   let mem = Phys_mem.create () in
   let buf = Rio_memory.Frame_allocator.alloc_exn (Dma_api.frames api) in
-  let addr =
-    Result.get_ok (Dma_api.map api ~ring:0 ~phys:buf ~bytes:100 ~dir:Rpte.To_memory)
-  in
+  let addr = Dma_api.map_exn api ~ring:0 ~phys:buf ~bytes:100 ~dir:Rpte.To_memory in
   (* writing 200 bytes overruns the 100-byte rPTE window: chunk 2 faults *)
   Alcotest.(check bool) "overrun faults" true
     (Result.is_error (Dma.write_to_memory ~api ~mem ~addr ~data:(Bytes.make 200 'z')))
+
+(* The DMA engine is the one place that adds offsets to a descriptor
+   address. Under the rIOMMU, a transfer whose last byte would carry out
+   of the rIOVA's 30-bit offset field names another ring entry: it is
+   the offset fault, refused before any translation, so the hardware
+   counts no fault. A transfer that ends exactly at the field's top is
+   translated (and faults on the rPTE's size instead). *)
+let test_dma_offset_carry () =
+  List.iter
+    (fun mode ->
+      let api = Dma_api.create (Dma_api.default_config ~mode) in
+      let mem = Phys_mem.create () in
+      let buf = Rio_memory.Frame_allocator.alloc_exn (Dma_api.frames api) in
+      let addr = Dma_api.map_exn api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional in
+      let top = (1 lsl Rio_core.Riova.offset_bits) - 8 in
+      let name = Mode.name mode in
+      Alcotest.(check bool) (name ^ ": write carrying out of the field") true
+        (Dma.write_to_memory ~api ~mem ~addr:(addr + top) ~data:(Bytes.make 9 'x')
+        = Error "offset out of range");
+      Alcotest.(check bool) (name ^ ": read carrying out of the field") true
+        (Dma.read_from_memory ~api ~mem ~addr:(addr + top) ~len:9
+        = Error "offset out of range");
+      Alcotest.(check int) (name ^ ": no hardware fault counted") 0 (Dma_api.faults api);
+      Alcotest.(check bool) (name ^ ": a read up to the field's top translates") true
+        (Result.is_error (Dma.read_from_memory ~api ~mem ~addr:(addr + top) ~len:8));
+      Alcotest.(check int) (name ^ ": and faults in the hardware") 1 (Dma_api.faults api))
+    [ Mode.Riommu; Mode.Riommu_minus ]
 
 (* {1 NIC} *)
 
@@ -246,6 +270,8 @@ let () =
         [
           Alcotest.test_case "round trip across pages" `Quick test_dma_roundtrip_cross_page;
           Alcotest.test_case "fault aborts transfer" `Quick test_dma_fault_aborts;
+          Alcotest.test_case "offset carry is the offset fault" `Quick
+            test_dma_offset_carry;
         ] );
       ( "nic",
         [

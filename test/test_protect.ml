@@ -42,22 +42,23 @@ let make mode = Dma_api.create (Dma_api.default_config ~mode)
 let roundtrip mode () =
   let api = make mode in
   let buf = Rio_memory.Frame_allocator.alloc_exn (Dma_api.frames api) in
-  let addr =
-    Result.get_ok
-      (Dma_api.map api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional)
-  in
+  let iova = Dma_api.map_exn api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional in
   Alcotest.(check int) "one live mapping" 1 (Dma_api.live_mappings api);
-  (match Dma_api.translate api ~addr ~offset:100 ~write:true with
-  | Ok p ->
+  (match Dma_api.translate_exn api ~iova:(iova + 100) ~write:true with
+  | p ->
       Alcotest.(check int) "translates to buffer+offset"
         (Addr.to_int buf + 100) (Addr.to_int p)
-  | Error e -> Alcotest.failf "%s: unexpected fault %s" (Mode.name mode) e);
-  Alcotest.(check bool) "unmap ok" true
-    (Dma_api.unmap api ~addr ~end_of_burst:true = Ok ());
+  | exception I_driver.Translation_fault ->
+      Alcotest.failf "%s: unexpected fault %s" (Mode.name mode) (Dma_api.last_fault api));
+  Dma_api.unmap_exn api ~iova ~end_of_burst:true;
   Alcotest.(check int) "no live mappings" 0 (Dma_api.live_mappings api);
   Dma_api.flush api;
   let safe = Mode.is_safe mode || not (Mode.is_protected mode) in
-  let blocked = Result.is_error (Dma_api.translate api ~addr ~offset:0 ~write:true) in
+  let blocked =
+    match Dma_api.translate_exn api ~iova ~write:true with
+    | (_ : Addr.phys) -> false
+    | exception I_driver.Translation_fault -> true
+  in
   if Mode.is_protected mode then
     Alcotest.(check bool)
       (Printf.sprintf "%s blocks after unmap+flush" (Mode.name mode))
@@ -74,21 +75,15 @@ let test_driver_cycle_ordering () =
     let frames = Dma_api.frames api in
     for _ = 1 to 50 do
       let buf = Rio_memory.Frame_allocator.alloc_exn frames in
-      let addr =
-        Result.get_ok
-          (Dma_api.map api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional)
-      in
-      ignore (Dma_api.unmap api ~addr ~end_of_burst:true);
+      let iova = Dma_api.map_exn api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional in
+      Dma_api.unmap_exn api ~iova ~end_of_burst:true;
       Rio_memory.Frame_allocator.free frames buf
     done;
     Dma_api.reset_driver_cycles api;
     for _ = 1 to 100 do
       let buf = Rio_memory.Frame_allocator.alloc_exn frames in
-      let addr =
-        Result.get_ok
-          (Dma_api.map api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional)
-      in
-      ignore (Dma_api.unmap api ~addr ~end_of_burst:true);
+      let iova = Dma_api.map_exn api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional in
+      Dma_api.unmap_exn api ~iova ~end_of_burst:true;
       Rio_memory.Frame_allocator.free frames buf
     done;
     Dma_api.driver_cycles api / 100
@@ -105,9 +100,9 @@ let test_driver_cycle_ordering () =
 
 (* Out-of-range rIOVAs are typed outcomes, never stray exceptions: an
    unmap past the ring's end or of a ring the device lacks is
-   [Not_mapped], and a translate whose offset leaves the rIOVA's 30-bit
-   field is the offset fault. A map into a ring the device lacks is the
-   driver's own bug and stays [Invalid_argument]. *)
+   [Not_mapped]. A map into a ring the device lacks is the driver's own
+   bug and stays [Invalid_argument]. (An offset that carries out of the
+   rIOVA's 30-bit field is the DMA engine's check: test_device.) *)
 let test_out_of_range_riovas () =
   let clock = Cycles.create () and cost = Cost_model.default in
   let frames = Frame_allocator.create ~total_frames:1_000 in
@@ -127,17 +122,8 @@ let test_out_of_range_riovas () =
     (Invalid_argument "Rdevice.ring: rid range") (fun () ->
       ignore (R_driver.map_exn driver ~rid:1 ~phys:buf ~size:100 ~dir:Rpte.Bidirectional));
   let api = make Mode.Riommu in
-  let addr =
-    Result.get_ok
-      (Dma_api.map api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional)
-  in
-  let offset_fault = Error "offset out of range" in
-  Alcotest.(check bool) "translate at offset 2^30" true
-    (Dma_api.translate api ~addr ~offset:(1 lsl 30) ~write:true = offset_fault);
-  Alcotest.(check bool) "translate at offset -1" true
-    (Dma_api.translate api ~addr ~offset:(-1) ~write:true = offset_fault);
-  Alcotest.(check bool) "Dma_api unmap of a missing ring" true
-    (Dma_api.unmap api ~addr:no_ring ~end_of_burst:true = Error `Not_mapped)
+  Alcotest.check_raises "Dma_api unmap of a missing ring" I_driver.Not_mapped (fun () ->
+      Dma_api.unmap_exn api ~iova:no_ring ~end_of_burst:true)
 
 let test_swpt_charges_walks () =
   (* SWpt translates through a real identity IOTLB: the first touch of a
@@ -145,16 +131,12 @@ let test_swpt_charges_walks () =
   let api = make Mode.Sw_passthrough in
   let clock = Dma_api.clock api in
   let buf = Rio_memory.Frame_allocator.alloc_exn (Dma_api.frames api) in
-  let addr =
-    Result.get_ok (Dma_api.map api ~ring:0 ~phys:buf ~bytes:100 ~dir:Rpte.Bidirectional)
-  in
+  let iova = Dma_api.map_exn api ~ring:0 ~phys:buf ~bytes:100 ~dir:Rpte.Bidirectional in
   let _, first =
-    Rio_sim.Cycles.measure clock (fun () ->
-        ignore (Dma_api.translate api ~addr ~offset:0 ~write:false))
+    Rio_sim.Cycles.measure clock (fun () -> Dma_api.translate_exn api ~iova ~write:false)
   in
   let _, second =
-    Rio_sim.Cycles.measure clock (fun () ->
-        ignore (Dma_api.translate api ~addr ~offset:0 ~write:false))
+    Rio_sim.Cycles.measure clock (fun () -> Dma_api.translate_exn api ~iova ~write:false)
   in
   Alcotest.(check bool) "first pays a walk" true (first > second);
   Alcotest.(check bool) "second is cheap" true (second < 100)
@@ -167,8 +149,8 @@ let test_passthrough_stray_unmap () =
     (fun mode ->
       let api = make mode in
       let name = Mode.name mode in
-      Alcotest.(check bool) (name ^ ": stray unmap") true
-        (Dma_api.unmap api ~addr:0x5000 ~end_of_burst:true = Error `Not_mapped);
+      Alcotest.check_raises (name ^ ": stray unmap") I_driver.Not_mapped (fun () ->
+          Dma_api.unmap_exn api ~iova:0x5000 ~end_of_burst:true);
       let buf = Rio_memory.Frame_allocator.alloc_exn (Dma_api.frames api) in
       let addr = Dma_api.map_exn api ~ring:0 ~phys:buf ~bytes:64 ~dir:Rpte.Bidirectional in
       Dma_api.unmap_exn api ~iova:addr ~end_of_burst:true;
@@ -177,11 +159,14 @@ let test_passthrough_stray_unmap () =
       Alcotest.(check int) (name ^ ": live stays 0") 0 (Dma_api.live_mappings api))
     [ Mode.None_; Mode.Hw_passthrough; Mode.Sw_passthrough ]
 
-(* {2 One body per op}
+(* {2 The op log is an observer}
 
-   The result forms wrap the [_exn] forms, so twin instances driven
-   through each must agree op for op: the same addresses, phys values
-   and outcome classes, the same clock and [driver_cycles]. *)
+   Logging lives in the one body of each op, so attaching a log must
+   change nothing else: twin instances, one with a log attached, driven
+   through the same ops agree op for op on outcomes, clocks,
+   [driver_cycles], faults and live counts. The log gains exactly one
+   entry per logged op, stamped with the clock after it: a map or unmap
+   when it succeeds, every translate with its [ok] flag. *)
 
 type op =
   | O_map of int * int  (* ring, bytes *)
@@ -210,67 +195,81 @@ let ops_arb =
     ~print:(fun ops -> String.concat " " (List.map op_to_string ops))
     QCheck.Gen.(list_size (int_range 1 200) op)
 
-let check_exn_result_twins mode ops =
+module Op_log = Rio_protect.Op_log
+
+let check_log_observer mode ops =
   (* small rings and deferred batches so sequences reach overflow and
      the batched flush *)
   let cfg = { (Dma_api.default_config ~mode) with ring_sizes = [ 8; 8 ]; defer_batch = 8 } in
-  let r = Dma_api.create cfg and e = Dma_api.create cfg in
+  let d = Dma_api.create cfg and l = Dma_api.create cfg in
+  let log = Op_log.create () in
+  Dma_api.set_log l (Some log);
   let fail fmt = Printf.ksprintf failwith ("%s " ^^ fmt) (Mode.name mode) in
   let seen = ref [||] in
   let pick k = if !seen = [||] then 0x5000 + k else !seen.(k mod Array.length !seen) in
+  let map api ~ring ~phys ~bytes =
+    match Dma_api.map_exn api ~ring ~phys ~bytes ~dir:Rpte.Bidirectional with
+    | a -> Ok a
+    | exception I_driver.Exhausted -> Error "exhausted"
+    | exception R_driver.Overflow -> Error "overflow"
+  in
+  let unmap api ~iova ~end_of_burst =
+    match Dma_api.unmap_exn api ~iova ~end_of_burst with
+    | () -> Ok 0
+    | exception I_driver.Not_mapped -> Error "not mapped"
+  in
+  let translate api ~iova ~write =
+    match Dma_api.translate_exn api ~iova ~write with
+    | phys -> Ok (Addr.to_int phys)
+    | exception I_driver.Translation_fault -> Error (Dma_api.last_fault api)
+  in
   List.iteri
     (fun i op ->
       let phys = Addr.phys_of_int ((i + 1) * 0x3000) in
-      (match op with
-      | O_map (ring, bytes) ->
-          let via_r =
-            match Dma_api.map r ~ring ~phys ~bytes ~dir:Rpte.Bidirectional with
-            | Ok a -> Ok a
-            | Error `Exhausted -> Error "exhausted"
-            | Error `Overflow -> Error "overflow"
-          in
-          let via_e =
-            match Dma_api.map_exn e ~ring ~phys ~bytes ~dir:Rpte.Bidirectional with
-            | a -> Ok a
-            | exception I_driver.Exhausted -> Error "exhausted"
-            | exception R_driver.Overflow -> Error "overflow"
-          in
-          if via_r <> via_e then fail "op %d %s: map outcomes differ" i (op_to_string op);
-          Result.iter (fun a -> seen := Array.append !seen [| a |]) via_r
-      | O_unmap k ->
-          let addr = pick k in
-          let via_r = Dma_api.unmap r ~addr ~end_of_burst:(k land 1 = 0) in
-          let via_e =
-            match Dma_api.unmap_exn e ~iova:addr ~end_of_burst:(k land 1 = 0) with
-            | () -> Ok ()
-            | exception I_driver.Not_mapped -> Error `Not_mapped
-          in
-          if via_r <> via_e then fail "op %d %s: unmap outcomes differ" i (op_to_string op)
-      | O_translate (p, offset, write) ->
-          let addr = pick p in
-          let via_r = Result.map Addr.to_int (Dma_api.translate r ~addr ~offset ~write) in
-          let via_e =
-            match Dma_api.translate_exn e ~iova:(addr + offset) ~write with
-            | phys -> Ok (Addr.to_int phys)
-            | exception I_driver.Translation_fault -> Error "fault"
-          in
-          (match (via_r, via_e) with
-          | Ok a, Ok b when a = b -> ()
-          | Error _, Error _ -> ()
-          | _ -> fail "op %d %s: translate outcomes differ" i (op_to_string op)));
-      if Cycles.now (Dma_api.clock r) <> Cycles.now (Dma_api.clock e) then
+      let before = Op_log.length log in
+      let via_d, via_l, expected =
+        match op with
+        | O_map (ring, bytes) ->
+            let via_d = map d ~ring ~phys ~bytes and via_l = map l ~ring ~phys ~bytes in
+            Result.iter (fun a -> seen := Array.append !seen [| a |]) via_l;
+            ( via_d,
+              via_l,
+              Result.map (fun addr -> Op_log.Map { ring; addr; bytes }) via_l |> Result.to_option )
+        | O_unmap k ->
+            let iova = pick k and end_of_burst = k land 1 = 0 in
+            let via_l = unmap l ~iova ~end_of_burst in
+            ( unmap d ~iova ~end_of_burst,
+              via_l,
+              if Result.is_ok via_l then Some (Op_log.Unmap { addr = iova }) else None )
+        | O_translate (p, offset, write) ->
+            let iova = pick p + offset in
+            let via_l = translate l ~iova ~write in
+            ( translate d ~iova ~write,
+              via_l,
+              Some (Op_log.Access { addr = iova; offset = 0; write; ok = Result.is_ok via_l }) )
+      in
+      if via_d <> via_l then fail "op %d %s: outcomes differ" i (op_to_string op);
+      (match (expected, List.rev (Op_log.entries log)) with
+      | None, _ ->
+          if Op_log.length log <> before then fail "op %d %s: logged a failure" i (op_to_string op)
+      | Some op', e :: _ ->
+          if Op_log.length log <> before + 1 || e.Op_log.op <> op'
+             || e.Op_log.cycles <> Cycles.now (Dma_api.clock l)
+          then fail "op %d %s: wrong log entry" i (op_to_string op)
+      | Some _, [] -> fail "op %d %s: nothing logged" i (op_to_string op));
+      if Cycles.now (Dma_api.clock d) <> Cycles.now (Dma_api.clock l) then
         fail "after op %d: clocks differ" i;
-      if Dma_api.driver_cycles r <> Dma_api.driver_cycles e then
+      if Dma_api.driver_cycles d <> Dma_api.driver_cycles l then
         fail "after op %d: driver cycles differ" i;
-      if Dma_api.faults r <> Dma_api.faults e then fail "after op %d: faults differ" i;
-      if Dma_api.live_mappings r <> Dma_api.live_mappings e then
+      if Dma_api.faults d <> Dma_api.faults l then fail "after op %d: faults differ" i;
+      if Dma_api.live_mappings d <> Dma_api.live_mappings l then
         fail "after op %d: live mappings differ" i)
     ops
 
-let prop_exn_result_twins =
-  QCheck.Test.make ~count:30 ~name:"exn and result forms agree (twin replay)"
+let prop_log_observer =
+  QCheck.Test.make ~count:30 ~name:"op log is an observer (twin replay)"
     ops_arb (fun ops ->
-      List.iter (fun mode -> check_exn_result_twins mode ops) Mode.all;
+      List.iter (fun mode -> check_log_observer mode ops) Mode.all;
       true)
 
 (* The rIOMMU arms of the [_exn] forms allocate nothing after warm-up:
@@ -335,22 +334,23 @@ let prop_strict_riommu_agree =
             (fun (bytes, op) ->
               let bytes = max 1 bytes (* range shrinkers can escape *) in
               let phys = Rio_memory.Frame_allocator.alloc_exn (Dma_api.frames api) in
-              match Dma_api.map api ~ring:0 ~phys ~bytes ~dir:Rpte.Bidirectional with
-              | Ok addr -> Some (addr, phys, bytes, op)
-              | Error _ -> None)
+              match Dma_api.map_exn api ~ring:0 ~phys ~bytes ~dir:Rpte.Bidirectional with
+              | addr -> Some (addr, phys, bytes, op)
+              | exception (I_driver.Exhausted | R_driver.Overflow) -> None)
             specs
         in
         List.iter
           (fun (addr, phys, bytes, op) ->
             let offset = op * (bytes - 1) / 3 in
-            match Dma_api.translate api ~addr ~offset ~write:true with
-            | Ok p ->
+            match Dma_api.translate_exn api ~iova:(addr + offset) ~write:true with
+            | p ->
                 if Addr.to_int p <> Addr.to_int phys + offset then ok := false
-            | Error _ -> ok := false)
+            | exception I_driver.Translation_fault -> ok := false)
           mapped;
         List.iter
-          (fun (addr, _, _, _) ->
-            if Dma_api.unmap api ~addr ~end_of_burst:true <> Ok () then ok := false)
+          (fun (iova, _, _, _) ->
+            try Dma_api.unmap_exn api ~iova ~end_of_burst:true
+            with I_driver.Not_mapped -> ok := false)
           mapped;
         !ok && Dma_api.live_mappings api = 0
       in
@@ -362,10 +362,12 @@ let test_riommu_overflow_surfaces () =
       { (Dma_api.default_config ~mode:Mode.Riommu) with Dma_api.ring_sizes = [ 2; 2 ] }
   in
   let buf = Rio_memory.Frame_allocator.alloc_exn (Dma_api.frames api) in
-  let map () = Dma_api.map api ~ring:0 ~phys:buf ~bytes:64 ~dir:Rpte.Bidirectional in
-  Alcotest.(check bool) "1st" true (Result.is_ok (map ()));
-  Alcotest.(check bool) "2nd" true (Result.is_ok (map ()));
-  Alcotest.(check bool) "3rd overflows" true (map () = Error `Overflow)
+  let map () =
+    ignore (Dma_api.map_exn api ~ring:0 ~phys:buf ~bytes:64 ~dir:Rpte.Bidirectional : int)
+  in
+  map ();
+  map ();
+  Alcotest.check_raises "3rd overflows" R_driver.Overflow map
 
 (* {1 Op_log} *)
 
@@ -374,22 +376,27 @@ let test_op_log_records_driver_and_device_ops () =
   let log = Rio_protect.Op_log.create () in
   Dma_api.set_log api (Some log);
   let buf = Rio_memory.Frame_allocator.alloc_exn (Dma_api.frames api) in
-  let addr =
-    Result.get_ok (Dma_api.map api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional)
+  let iova = Dma_api.map_exn api ~ring:0 ~phys:buf ~bytes:1500 ~dir:Rpte.Bidirectional in
+  let translate iova =
+    try ignore (Dma_api.translate_exn api ~iova ~write:true : Addr.phys)
+    with I_driver.Translation_fault -> ()
   in
-  ignore (Dma_api.translate api ~addr ~offset:64 ~write:true);
-  ignore (Dma_api.unmap api ~addr ~end_of_burst:true);
-  ignore (Dma_api.translate api ~addr ~offset:0 ~write:true);
+  translate (iova + 64);
+  Dma_api.unmap_exn api ~iova ~end_of_burst:true;
+  translate iova;
   let ops = Rio_protect.Op_log.entries log in
   Alcotest.(check int) "four events" 4 (List.length ops);
+  (* a device access is logged as its whole address, at offset 0 *)
   (match List.map (fun e -> e.Rio_protect.Op_log.op) ops with
   | [
    Rio_protect.Op_log.Map { addr = a; bytes = 1500; ring = 0 };
-   Rio_protect.Op_log.Access { ok = true; offset = 64; _ };
+   Rio_protect.Op_log.Access { ok = true; addr = hit; offset = 0; _ };
    Rio_protect.Op_log.Unmap { addr = a' };
-   Rio_protect.Op_log.Access { ok = false; _ };
+   Rio_protect.Op_log.Access { ok = false; addr = miss; offset = 0; _ };
   ] ->
-      Alcotest.(check int) "map/unmap address agree" a a'
+      Alcotest.(check int) "map/unmap address agree" a a';
+      Alcotest.(check int) "access address includes the offset" (a + 64) hit;
+      Alcotest.(check int) "faulting access address" a miss
   | _ -> Alcotest.fail "unexpected op sequence");
   (* timestamps are nondecreasing simulated cycles *)
   let rec mono = function
@@ -400,7 +407,7 @@ let test_op_log_records_driver_and_device_ops () =
   Alcotest.(check bool) "monotonic timestamps" true (mono ops);
   (* detaching stops recording *)
   Dma_api.set_log api None;
-  ignore (Dma_api.translate api ~addr ~offset:0 ~write:true);
+  translate iova;
   Alcotest.(check int) "no further events" 4 (Rio_protect.Op_log.length log)
 
 let prop_op_log_csv_roundtrip =
@@ -410,15 +417,13 @@ let prop_op_log_csv_roundtrip =
       let log = Rio_protect.Op_log.create () in
       List.iteri
         (fun i (kind, addr, arg) ->
-          let op =
-            match kind with
-            | 0 -> Rio_protect.Op_log.Map { ring = arg mod 4; addr; bytes = arg + 1 }
-            | 1 -> Rio_protect.Op_log.Unmap { addr }
-            | _ ->
-                Rio_protect.Op_log.Access
-                  { addr; offset = arg; write = arg mod 2 = 0; ok = arg mod 3 <> 0 }
-          in
-          Rio_protect.Op_log.record log ~cycles:(i * 10) op)
+          let cycles = i * 10 in
+          match kind with
+          | 0 -> Rio_protect.Op_log.record_map log ~cycles ~ring:(arg mod 4) ~addr ~bytes:(arg + 1)
+          | 1 -> Rio_protect.Op_log.record_unmap log ~cycles ~addr
+          | _ ->
+              Rio_protect.Op_log.record_access log ~cycles ~addr ~offset:arg
+                ~write:(arg mod 2 = 0) ~ok:(arg mod 3 <> 0))
         specs;
       match Rio_protect.Op_log.of_csv (Rio_protect.Op_log.to_csv log) with
       | Ok log' ->
@@ -454,7 +459,7 @@ let () =
             Alcotest.test_case "swpt charges walks" `Quick test_swpt_charges_walks;
             Alcotest.test_case "riommu overflow surfaces" `Quick
               test_riommu_overflow_surfaces;
-            QCheck_alcotest.to_alcotest prop_exn_result_twins;
+            QCheck_alcotest.to_alcotest prop_log_observer;
             Alcotest.test_case "riommu exn forms allocate nothing" `Quick
               test_riommu_words_per_op;
             QCheck_alcotest.to_alcotest prop_strict_riommu_agree;

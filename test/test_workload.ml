@@ -190,9 +190,8 @@ let test_packet_survives_dma () =
     Rio_memory.Frame_allocator.alloc_exn (Rio_protect.Dma_api.frames api)
   in
   let addr =
-    Result.get_ok
-      (Rio_protect.Dma_api.map api ~ring:0 ~phys:buf ~bytes:1500
-         ~dir:Rio_core.Rpte.Bidirectional)
+    Rio_protect.Dma_api.map_exn api ~ring:0 ~phys:buf ~bytes:1500
+      ~dir:Rio_core.Rpte.Bidirectional
   in
   let payload = Bytes.init 1500 (fun i -> Char.chr ((7 + (31 * i)) land 0xff)) in
   Alcotest.(check bool) "dma write" true
