@@ -307,8 +307,10 @@ let fault t cls =
    a miss, permission check. Allocation-free hit or miss: the phys
    result is an immediate and every fault class raises the constant
    [Translation_fault], after bumping the counter and noting the class
-   for [last_fault]. *)
+   for [last_fault]. An IOVA outside the 48-bit space (negative ones
+   included) has no translation. *)
 let[@inline] translate_exn t ~iova ~write =
+  if iova lsr Arena.iova_bits <> 0 then fault t No_translation;
   let vpn = iova lsr Addr.page_shift in
   let pte =
     match t.target with

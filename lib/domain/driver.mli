@@ -182,7 +182,8 @@ exception Translation_fault
 val translate_exn : t -> iova:int -> write:bool -> Rio_memory.Addr.phys
 (** One DMA from this driver's device: IOTLB lookup at the {!target}
     (payloads are packed PTE immediates), table walk and fill on a miss,
-    permission check. [write] is the DMA direction seen from memory (a
+    permission check. An [iova] outside the 48-bit IOVA space faults as
+    [No_translation]. [write] is the DMA direction seen from memory (a
     device write into memory needs write permission). Allocation-free
     on hits and misses alike: the phys result is returned unboxed, and
     every fault bumps {!faults} and raises {!Translation_fault}. *)

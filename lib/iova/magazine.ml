@@ -14,7 +14,12 @@ module Cost_model = Rio_sim.Cost_model
    alloc/free cycle — including magazine rotation — allocates nothing.
    Surplus spare magazines beyond the pool's capacity are simply
    dropped; a later shortage re-creates one on the (cold, already
-   allocating) depot-put path. *)
+   allocating) depot-put path.
+
+   A size class is built at the first free of its size. Until then its
+   slot holds the magazine's one [empty] bucket, whose magazines and
+   depot are empty, so [alloc_pfn] misses through it exactly as through
+   a built class that holds nothing; nothing ever writes to it. *)
 
 type stats = {
   hits : int;
@@ -48,7 +53,8 @@ type t = {
   magazine_size : int;
   depot_max : int;
   max_cached_size : int;
-  buckets : bucket array;  (* index = size - 1 *)
+  buckets : bucket array;  (* index = size - 1; [empty] until first free *)
+  empty : bucket;
   clock : Cycles.t;
   cost : Cost_model.t;
   mutable live : int;
@@ -62,26 +68,44 @@ type t = {
 
 let fresh_mag size = { count = 0; nodes = Array.make size (null_node ()) }
 
+(* Cold: the first free of a size builds that class, and only it. *)
+let build_class t ~size =
+  let b =
+    {
+      loaded = fresh_mag t.magazine_size;
+      prev = fresh_mag t.magazine_size;
+      depot = Array.make t.depot_max (null_mag ());
+      depot_len = 0;
+      spares = Array.make ((2 * t.depot_max) + 2) (null_mag ());
+      spare_len = 0;
+    }
+  in
+  t.buckets.(size - 1) <- b;
+  b
+
 let create ?(magazine_size = 128) ?(depot_max = 32) ?(max_cached_size = 8)
     ~base ~clock ~cost () =
   if magazine_size <= 0 then invalid_arg "Magazine.create: magazine_size";
   if depot_max < 0 then invalid_arg "Magazine.create: depot_max";
   if max_cached_size <= 0 then invalid_arg "Magazine.create: max_cached_size";
+  let none = fresh_mag 0 in
+  let empty =
+    {
+      loaded = none;
+      prev = none;
+      depot = [||];
+      depot_len = 0;
+      spares = [||];
+      spare_len = 0;
+    }
+  in
   {
     base;
     magazine_size;
     depot_max;
     max_cached_size;
-    buckets =
-      Array.init max_cached_size (fun _ ->
-          {
-            loaded = fresh_mag magazine_size;
-            prev = fresh_mag magazine_size;
-            depot = Array.make depot_max (null_mag ());
-            depot_len = 0;
-            spares = Array.make ((2 * depot_max) + 2) (null_mag ());
-            spare_len = 0;
-          });
+    buckets = Array.make max_cached_size empty;
+    empty;
     clock;
     cost;
     live = 0;
@@ -197,6 +221,7 @@ let free t node =
   end
   else begin
     let b = t.buckets.(size - 1) in
+    let b = if b == t.empty then build_class t ~size else b in
     if b.loaded.count = t.magazine_size then begin
       if b.prev.count = 0 then begin
         let m = b.loaded in
@@ -225,22 +250,24 @@ let free t node =
 
 let live t = t.live
 
+let drain_bucket t b =
+  flush_mag t b.loaded;
+  flush_mag t b.prev;
+  for i = b.depot_len - 1 downto 0 do
+    let m = b.depot.(i) in
+    b.depot.(i) <- null_mag ();
+    flush_mag t m;
+    if b.spare_len < Array.length b.spares then begin
+      b.spares.(b.spare_len) <- m;
+      b.spare_len <- b.spare_len + 1
+    end
+  done;
+  b.depot_len <- 0
+
+(* [flush_mag] writes a magazine's count even when it is empty, so the
+   shared [empty] bucket is skipped, not drained. *)
 let drain t =
-  Array.iter
-    (fun b ->
-      flush_mag t b.loaded;
-      flush_mag t b.prev;
-      for i = b.depot_len - 1 downto 0 do
-        let m = b.depot.(i) in
-        b.depot.(i) <- null_mag ();
-        flush_mag t m;
-        if b.spare_len < Array.length b.spares then begin
-          b.spares.(b.spare_len) <- m;
-          b.spare_len <- b.spare_len + 1
-        end
-      done;
-      b.depot_len <- 0)
-    t.buckets
+  Array.iter (fun b -> if b != t.empty then drain_bucket t b) t.buckets
 
 let stats t =
   {

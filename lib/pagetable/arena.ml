@@ -43,7 +43,9 @@ type t = {
   mutable nodes : int; (* live nodes, including the root *)
 }
 
-let initial_nodes = 8
+(* One node per level: the first map of a fresh table fills exactly
+   this, and [grow] doubles it from there. *)
+let initial_nodes = levels
 
 let create ~frames ~coherency ~clock ~cost =
   let cap = initial_nodes in

@@ -128,6 +128,16 @@ let reject t conn ~op ~req_id =
     Conn.completed conn
   end
 
+(* A map of zero bytes is malformed, not an engine op ([Driver] raises
+   [Invalid_argument] on it): true for a [map] of no bytes or a
+   [map_sg] with an empty segment. *)
+let rec empty_seg segs i n = i < n && (segs.(i) = 0 || empty_seg segs (i + 1) n)
+
+let maps_nothing req =
+  let op = req.Wire.op in
+  if op = Wire.op_map then req.Wire.bytes = 0
+  else op = Wire.op_map_sg && empty_seg req.Wire.seg_bytes 0 req.Wire.nseg
+
 (* Append one decoded request to its shard's batch. [true] = handled
    (queued, answered as bad_request, or answered as stats); [false] =
    the shard's batch is full — flush and retry. Allocation-free: the
@@ -141,7 +151,7 @@ let enqueue t conn req =
   end
   else begin
     let tenant = req.Wire.tenant in
-    if tenant >= Array.length t.tenant_shard then begin
+    if tenant >= Array.length t.tenant_shard || maps_nothing req then begin
       reject t conn ~op ~req_id:req.Wire.req_id;
       true
     end

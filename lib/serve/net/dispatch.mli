@@ -47,7 +47,8 @@ val shard_of : t -> tenant:int -> bdf:int -> int
 val enqueue : t -> Conn.t -> Wire.req -> bool
 (** Append one decoded request. [true] = handled: queued on its
     shard's batch, or answered immediately (stats; [bad_request] for
-    an out-of-range or unplaceable tenant). [false] = that shard's
+    an out-of-range or unplaceable tenant, a [map] of zero bytes or a
+    [map_sg] with a zero-byte segment). [false] = that shard's
     batch is full — flush and retry. Allocation-free. *)
 
 val flush_all : t -> unit

@@ -502,6 +502,39 @@ let test_magazine_wraps_fast_allocator () =
   ignore (ok_pfn (Magazine.alloc_pfn m ~size:2));
   Alcotest.(check int) "still consistent after drain" 1 (Magazine.live m)
 
+(* A size class is built at the first free of its size. Until then it
+   misses like a built class that holds nothing, and the miss leaves
+   the built classes alone; the first free of a new size builds that
+   class only (as many words as the first class took). *)
+let test_magazine_empty_class () =
+  let m, _ = make_magazine ~magazine_size:4 ~depot_max:1 () in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let free pfn () = Magazine.free m (Magazine.find_exn m ~pfn) in
+  let ones = List.init 3 (fun _ -> ok_pfn (Magazine.alloc_pfn m ~size:1)) in
+  let class1 = words (free (List.nth ones 0)) in
+  Alcotest.(check bool) "first free builds class 1" true (class1 > 0.);
+  Alcotest.(check (float 0.)) "later frees build nothing" 0.
+    (words (free (List.nth ones 1)));
+  free (List.nth ones 2) ();
+  let before = Magazine.stats m in
+  let two = ok_pfn (Magazine.alloc_pfn m ~size:2) in
+  let after = Magazine.stats m in
+  Alcotest.(check int) "unbuilt class misses" (before.Magazine.misses + 1)
+    after.Magazine.misses;
+  Alcotest.(check int) "and hits nothing" before.Magazine.hits
+    after.Magazine.hits;
+  Alcotest.(check (float 0.)) "first free of size 2 builds class 2 alone"
+    class1 (words (free two));
+  Alcotest.(check (list int)) "class 1 intact: LIFO hits" (List.rev ones)
+    (List.init 3 (fun _ -> ok_pfn (Magazine.alloc_pfn m ~size:1)));
+  Alcotest.(check int) "class 2 serves its range" two
+    (Magazine.alloc_pfn m ~size:2);
+  Alcotest.(check int) "every re-alloc hit" 4 (Magazine.stats m).Magazine.hits
+
 let test_magazine_exhaustion () =
   (* Four pages of IOVA space: fill them, then ask again through the
      cache (a miss falls through to the base) and around it (bypass). *)
@@ -632,6 +665,8 @@ let () =
           Alcotest.test_case "drain returns everything" `Quick test_magazine_drain;
           Alcotest.test_case "wraps the fast allocator" `Quick
             test_magazine_wraps_fast_allocator;
+          Alcotest.test_case "size class built on first free" `Quick
+            test_magazine_empty_class;
           Alcotest.test_case "exhaustion passes -1 through" `Quick
             test_magazine_exhaustion;
           Alcotest.test_case "double free rejected" `Quick

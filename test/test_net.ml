@@ -418,6 +418,60 @@ let test_dispatch_rejects_bad_tenant () =
   Alcotest.(check int) "rejection echoes req_id" 7 resp.Wire.r_req_id;
   Alcotest.(check int) "window retired on rejection" 0 (Conn.inflight conn)
 
+(* Frames that decode but name no valid DMA are answered, never raised
+   out of [flush_all] (which would end every tenant's connection): a
+   translate past the 48-bit IOVA space faults, a map of zero bytes and
+   a map_sg with a zero-byte segment are bad requests. The connection
+   keeps serving afterwards. *)
+let test_dispatch_malformed_ops () =
+  let shards = make_shards 1 in
+  let d = Dispatch.create ~shards ~batch:8 ~sg_limit () in
+  let conn = hello_conn ~window:16 in
+  let req = Wire.create_req ~sg_limit in
+  let resp = Wire.create_resp ~sg_limit in
+  let b = Bytes.create 256 in
+  let phys = (Shard.next_buf shards.(0) :> int) in
+  let fin =
+    Wire.encode_translate b ~pos:0 ~tenant:0 ~req_id:1 ~iova:(1 lsl 48)
+      ~write:false
+  in
+  Alcotest.(check bool) "wide translate enqueued" true (push d conn req b fin);
+  let fin = Wire.encode_map b ~pos:0 ~tenant:0 ~req_id:2 ~phys ~bytes:0 in
+  Alcotest.(check bool) "empty map handled" true (push d conn req b fin);
+  let fin =
+    Wire.encode_map_sg b ~pos:0 ~tenant:0 ~req_id:3 ~seg_phys:[| phys; phys |]
+      ~seg_bytes:[| 4096; 0 |] ~n:2
+  in
+  Alcotest.(check bool) "empty segment handled" true (push d conn req b fin);
+  Alcotest.(check int) "only the translate reaches a shard" 1
+    (Dispatch.pending d);
+  Dispatch.flush_all d;
+  let status = Array.make 4 (-1) in
+  for _ = 1 to 3 do
+    drain_one conn resp;
+    status.(resp.Wire.r_req_id) <- resp.Wire.status
+  done;
+  Alcotest.(check int) "wide translate faults" Wire.st_fault status.(1);
+  Alcotest.(check int) "empty map rejected" Wire.st_bad_request status.(2);
+  Alcotest.(check int) "empty segment rejected" Wire.st_bad_request status.(3);
+  Alcotest.(check int) "one fault counted" 1 (Shard.faults shards.(0));
+  let fin = Wire.encode_map b ~pos:0 ~tenant:0 ~req_id:4 ~phys ~bytes:4096 in
+  Alcotest.(check bool) "map enqueued" true (push d conn req b fin);
+  Dispatch.flush_all d;
+  drain_one conn resp;
+  Alcotest.(check int) "map ok" Wire.st_ok resp.Wire.status;
+  let fin =
+    Wire.encode_translate b ~pos:0 ~tenant:0 ~req_id:5 ~iova:resp.Wire.r_iova
+      ~write:true
+  in
+  Alcotest.(check bool) "translate enqueued" true (push d conn req b fin);
+  Dispatch.flush_all d;
+  drain_one conn resp;
+  Alcotest.(check int) "translate ok" Wire.st_ok resp.Wire.status;
+  Alcotest.(check int) "translate returns the mapped frame" phys
+    resp.Wire.r_phys;
+  Alcotest.(check int) "window fully retired" 0 (Conn.inflight conn)
+
 (* {1 SPSC ring: oracle equivalence and boundaries} *)
 
 (* Drive a random push/pop schedule against a Queue.t oracle: pushes
@@ -921,6 +975,8 @@ let () =
           Alcotest.test_case "batch-full handoff" `Quick test_dispatch_batch_full;
           Alcotest.test_case "bad tenant rejected" `Quick
             test_dispatch_rejects_bad_tenant;
+          Alcotest.test_case "malformed ops answered" `Quick
+            test_dispatch_malformed_ops;
         ] );
       ( "spsc",
         [

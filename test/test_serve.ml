@@ -471,6 +471,32 @@ let test_server_stop_flag () =
   Alcotest.(check int) "retired before serving" 0
     (Server.final r).Server.requests
 
+(* {1 Per-tenant footprint} *)
+
+(* Live heap a freshly created shard holds, in KiB: what attaching
+   costs before the first op. State built on first use is not in it. *)
+let shard_kib ~tenants =
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  let shard =
+    Shard.create ~id:0 ~tenants ~iotlb_capacity:256
+      ~iotlb_policy:Shared_iotlb.Shared ~rcache:true ()
+  in
+  let after = live () in
+  ignore (Sys.opaque_identity shard : Shard.t);
+  float_of_int ((after - before) * (Sys.word_size / 8)) /. 1024.
+
+let test_tenant_footprint () =
+  let one = shard_kib ~tenants:1 in
+  let per_tenant = (shard_kib ~tenants:65 -. one) /. 64. in
+  if per_tenant > 48. then
+    Alcotest.failf "%.1f KiB per attached tenant (bound 48)" per_tenant;
+  if one > 128. then
+    Alcotest.failf "%.1f KiB for a one-tenant shard (bound 128)" one
+
 (* {1 Sharded attach/detach churn during active translation} *)
 
 (* Each task owns a private shard (the service's isolation unit) and
@@ -569,5 +595,6 @@ let () =
           Alcotest.test_case "stop flag" `Quick test_server_stop_flag;
           Alcotest.test_case "attach/detach churn stress" `Quick
             test_churn_stress_parallel;
+          Alcotest.test_case "per-tenant footprint" `Quick test_tenant_footprint;
         ] );
     ]
