@@ -385,22 +385,20 @@ let json_spsc_ring ~iters =
   for _ = 1 to 10_000 do f () done;
   sample ~group:"spsc-ring" ~iters f
 
-(* One poll(2) readiness wakeup: wait over a registered always-ready
-   pipe plus the iter_ready sweep that hands tokens back. This is the
-   per-wakeup cost the socket loop pays. *)
+(* One poll(2) readiness wakeup: wait over a set holding one
+   always-ready pipe plus the revents sweep the socket loop runs after
+   it. This is the per-wakeup cost the socket loop pays. *)
 let json_readiness_wait ~iters =
-  let open Rio_serve_net in
-  let r = Readiness.create () in
+  let module Poll_raw = Rio_poll.Poll_raw in
+  let ps = Poll_raw.create ~cap:1 in
   let rd, wr = Unix.pipe ~cloexec:true () in
   let _ = Unix.write wr (Bytes.make 1 '!') 0 1 in
-  let h = Readiness.register r rd ~token:7 in
-  Readiness.interest r ~handle:h ~read:true ~write:false;
+  Poll_raw.set ps ~idx:0 ~fd:rd ~events:Poll_raw.ev_in;
   let hits = ref 0 in
-  let visit _tok _bits = incr hits in
   let f () =
-    if Readiness.wait r ~timeout_ms:0 < 1 then
+    if Poll_raw.wait ps ~n:1 ~timeout_ms:0 < 1 then
       failwith "bench: readiness wait";
-    Readiness.iter_ready r visit
+    if Poll_raw.revents ps ~idx:0 <> 0 then incr hits
   in
   for _ = 1 to 10_000 do f () done;
   let s = sample ~group:"readiness-wait" ~iters f in

@@ -39,6 +39,15 @@ let policy_conv =
       fun fmt p ->
         Format.pp_print_string fmt (Rio_domain.Shared_iotlb.policy_name p) )
 
+(* The stats file of either mode; "-" is stderr. *)
+let write_stats dest json =
+  if dest = "-" then prerr_string json
+  else begin
+    let oc = open_out dest in
+    output_string oc json;
+    close_out oc
+  end
+
 (* --listen mode: real-socket ingestion into the same shard engine.
    Wall-clock lives out here (the lib takes an injected now_s). *)
 let run_listen ~addr ~shards:nshards ~tenants ~capacity ~policy ~rcache ~sg_max
@@ -59,6 +68,9 @@ let run_listen ~addr ~shards:nshards ~tenants ~capacity ~policy ~rcache ~sg_max
       let on_signal = Sys.Signal_handle (fun _ -> Rio_exec.Flag.set stop) in
       Sys.set_signal Sys.sigterm on_signal;
       Sys.set_signal Sys.sigint on_signal;
+      (* a peer that closes with responses still due must cost only its
+         own connection: the write sees EPIPE, and Netloop kills it *)
+      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
       let cfg =
         {
           (Netloop.default_config ~addr) with
@@ -106,103 +118,11 @@ let run_listen ~addr ~shards:nshards ~tenants ~capacity ~policy ~rcache ~sg_max
           1
       | ns ->
           let wall_s = Unix.gettimeofday () -. t0 in
-          let ops = Array.fold_left (fun a s -> a + Shard.total_ops s) 0 shards in
-          let faults = Array.fold_left (fun a s -> a + Shard.faults s) 0 shards in
-          let realized =
-            if ns.Netloop.batch_flushes > 0 then
-              float_of_int ns.Netloop.responses
-              /. float_of_int ns.Netloop.batch_flushes
-            else 0.
-          in
-          Printf.printf "riommu-serve --listen %s\n" (Netloop.addr_to_string addr);
-          Printf.printf "  domains %d  max-conns %d\n" ns.Netloop.domains
-            max_conns;
-          if Array.length ns.Netloop.domain_ops > 0 then begin
-            Printf.printf "  domain ops:";
-            Array.iteri
-              (fun e n -> Printf.printf " d%d %d" e n)
-              ns.Netloop.domain_ops;
-            print_newline ()
-          end;
-          Printf.printf "  wall %.2fs  conns %d (refused %d, protocol errors %d)\n"
-            wall_s ns.Netloop.accepted ns.Netloop.refused ns.Netloop.protocol_errors;
-          Printf.printf "  requests %d  responses %d  rejected %d\n"
-            ns.Netloop.requests ns.Netloop.responses ns.Netloop.rejected;
-          Printf.printf "  batch flushes %d (realized batch %.1f)\n"
-            ns.Netloop.batch_flushes realized;
-          Printf.printf "  ops:";
-          for k = 0 to Shard.op_count - 1 do
-            let op = Shard.op_of_index k in
-            let n = Array.fold_left (fun a s -> a + Shard.ops s op) 0 shards in
-            Printf.printf " %s %d" (Shard.op_name op) n
-          done;
-          Printf.printf "  (total %d, faults %d)\n" ops faults;
-          Printf.printf "  bytes in %d out %d\n%!" ns.Netloop.bytes_in
-            ns.Netloop.bytes_out;
-          (match stats_dest with
-          | None -> ()
-          | Some dest ->
-              let b = Buffer.create 4096 in
-              Buffer.add_string b "{\n";
-              Printf.bprintf b "  \"schema\": \"riommu-serve-net/1\",\n";
-              Printf.bprintf b "  \"addr\": %S,\n" (Netloop.addr_to_string addr);
-              Printf.bprintf b
-                "  \"shards\": %d, \"batch\": %d, \"window\": %d,\n" nshards
-                batch window;
-              Printf.bprintf b "  \"domains\": %d,\n" ns.Netloop.domains;
-              Buffer.add_string b "  \"domain_ops\": [";
-              Array.iteri
-                (fun e n ->
-                  if e > 0 then Buffer.add_string b ", ";
-                  Printf.bprintf b "%d" n)
-                ns.Netloop.domain_ops;
-              Buffer.add_string b "],\n";
-              Printf.bprintf b "  \"wall_s\": %.6f,\n" wall_s;
-              Printf.bprintf b "  \"ops\": %d,\n" ops;
-              Printf.bprintf b "  \"ops_per_sec\": %.1f,\n"
-                (if wall_s > 0. then float_of_int ops /. wall_s else 0.);
-              Printf.bprintf b
-                "  \"requests\": %d, \"responses\": %d, \"rejected\": %d,\n"
-                ns.Netloop.requests ns.Netloop.responses ns.Netloop.rejected;
-              Printf.bprintf b
-                "  \"accepted\": %d, \"refused\": %d, \"closed\": %d, \
-                 \"protocol_errors\": %d,\n"
-                ns.Netloop.accepted ns.Netloop.refused ns.Netloop.closed
-                ns.Netloop.protocol_errors;
-              Printf.bprintf b
-                "  \"batch_flushes\": %d, \"realized_batch\": %.2f,\n"
-                ns.Netloop.batch_flushes realized;
-              Printf.bprintf b "  \"bytes_in\": %d, \"bytes_out\": %d,\n"
-                ns.Netloop.bytes_in ns.Netloop.bytes_out;
-              Printf.bprintf b "  \"faults\": %d,\n" faults;
-              Buffer.add_string b "  \"groups\": [\n";
-              for k = 0 to Shard.op_count - 1 do
-                let op = Shard.op_of_index k in
-                let h = Histogram.create () in
-                Array.iter
-                  (fun s -> Histogram.merge_into ~dst:h (Shard.hist s op))
-                  shards;
-                Printf.bprintf b
-                  "    { \"name\": \"net/%s\", \"iters\": %d, \
-                   \"p50_cycles\": %d, \"p99_cycles\": %d, \"p999_cycles\": \
-                   %d, \"max_cycles\": %d }%s\n"
-                  (Shard.op_name op) (Histogram.count h)
-                  (Histogram.quantile h 0.5)
-                  (Histogram.quantile h 0.99)
-                  (Histogram.quantile h 0.999)
-                  (Histogram.max_recorded h)
-                  (if k < Shard.op_count - 1 then "," else "")
-              done;
-              Buffer.add_string b "  ],\n";
-              Server.bprint_tenants b (Server.tenant_stats_of shards ~tenants);
-              Buffer.add_string b "\n}\n";
-              let json = Buffer.contents b in
-              if dest = "-" then prerr_string json
-              else begin
-                let oc = open_out dest in
-                output_string oc json;
-                close_out oc
-              end);
+          print_string (Netloop.render_summary ns ~shards cfg ~wall_s);
+          flush stdout;
+          Option.iter
+            (fun dest -> write_stats dest (Netloop.render_json ns ~shards cfg ~wall_s))
+            stats_dest;
           0)
 
 let serve_term =
@@ -383,17 +303,11 @@ let serve_term =
     | report ->
         let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
         print_string (Server.render_summary report);
-        (match stats with
-        | None -> ()
-        | Some dest ->
+        Option.iter
+          (fun dest ->
             let words_per_op = Server.alloc_probe () in
-            let json = Server.render_json report ~wall_ns ~words_per_op in
-            if dest = "-" then prerr_string json
-            else begin
-              let oc = open_out dest in
-              output_string oc json;
-              close_out oc
-            end);
+            write_stats dest (Server.render_json report ~wall_ns ~words_per_op))
+          stats;
         0
   in
   Term.(

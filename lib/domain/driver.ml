@@ -1,4 +1,5 @@
 module Addr = Rio_memory.Addr
+module Frame_allocator = Rio_memory.Frame_allocator
 module Pte = Rio_pagetable.Pte
 module Arena = Rio_pagetable.Arena
 module Iotlb = Rio_iotlb.Iotlb
@@ -106,8 +107,20 @@ let enter t bd =
   Cycles.charge t.clock t.cost.Cost_model.call_overhead;
   Breakdown.charge bd Other t.cost.Cost_model.call_overhead
 
-(* One segment's mapping work. The allocator guarantees a fresh range,
-   so Arena.Already_mapped cannot fire. *)
+(* A segment the frame pool ran dry on: clear the [mapped] PTEs it
+   installed, free its IOVA range and report the one exhaustion. Page-
+   table nodes carved on the way stay in the table, as after an
+   unmap. *)
+let unwind_seg t ~iova_pfn ~mapped =
+  for i = 0 to mapped - 1 do
+    ignore (Arena.unmap_exn t.table ~iova:((iova_pfn + i) lsl Addr.page_shift) : int)
+  done;
+  iova_free t (iova_find_exn t ~pfn:iova_pfn);
+  raise Exhausted
+
+(* One segment's mapping work, atomic: it maps every page or, raising
+   [Exhausted], none. The allocator guarantees a fresh range, so
+   Arena.Already_mapped cannot fire. *)
 let map_seg_exn t ~phys ~bytes ~read ~write =
   let npages = pages_spanned ~phys ~bytes in
   let s = Cycles.now t.clock in
@@ -115,10 +128,16 @@ let map_seg_exn t ~phys ~bytes ~read ~write =
   Breakdown.charge t.bm Iova_alloc (Cycles.since t.clock s);
   if iova_pfn < 0 then raise Exhausted;
   let s = Cycles.now t.clock in
-  for i = 0 to npages - 1 do
-    let pte = Pte.pack_make ~read ~write ~pfn:(Addr.pfn phys + i) in
-    Arena.map_exn t.table ~iova:((iova_pfn + i) lsl Addr.page_shift) ~pte
-  done;
+  let i = ref 0 in
+  (match
+     while !i < npages do
+       let pte = Pte.pack_make ~read ~write ~pfn:(Addr.pfn phys + !i) in
+       Arena.map_exn t.table ~iova:((iova_pfn + !i) lsl Addr.page_shift) ~pte;
+       incr i
+     done
+   with
+  | () -> ()
+  | exception Frame_allocator.Exhausted -> unwind_seg t ~iova_pfn ~mapped:!i);
   Breakdown.charge t.bm Page_table (Cycles.since t.clock s);
   (iova_pfn lsl Addr.page_shift) lor Addr.page_offset phys
 

@@ -38,8 +38,8 @@
 type policy = Immediate | Deferred of { batch : int }
 
 exception Exhausted
-(** Raised by {!map_exn} and {!map_sg_exn} when the IOVA space is
-    exhausted. *)
+(** Raised by {!map_exn} and {!map_sg_exn} when the IOVA space, or the
+    frame pool the page table draws its nodes from, is exhausted. *)
 
 exception Not_mapped
 (** Raised by {!unmap_exn} and {!unmap_sg_exn} for an IOVA with no live
@@ -99,7 +99,10 @@ val map_exn :
 
     This is the zero-allocation primary: after warm-up it allocates no
     words on the OCaml heap. Raises {!Exhausted} when no IOVA range of
-    the required size is free. *)
+    the required size is free, or when the frame pool runs dry
+    part-way; either way no page stays mapped and no IOVA range stays
+    allocated (page-table nodes carved on the way stay, as after an
+    unmap). *)
 
 val unmap_exn : t -> iova:int -> unit
 (** Tear down the mapping that {!map_exn} returned. Order per Figure 6:

@@ -94,10 +94,12 @@ let new_node t =
       n
     end
     else begin
+      (* draw the frame first: an exhausted pool leaves the store as
+         it was *)
+      ignore (Frame_allocator.alloc_exn t.frames : Addr.phys);
       if t.high_water * fanout = Array.length t.cpu then grow t;
       let n = t.high_water in
       t.high_water <- n + 1;
-      ignore (Frame_allocator.alloc_exn t.frames : Addr.phys);
       n
     end
   in

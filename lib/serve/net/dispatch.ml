@@ -101,8 +101,6 @@ let set_stats_cb t cb = t.stats_cb <- cb
 let executed t = t.executed
 let flushes t = t.flushes
 let rejected t = t.rejected
-let batch t = t.cap
-let max_tenants t = Array.length t.tenant_shard
 
 (* Fibonacci/Murmur-style mix of the affinity key, finished with an
    avalanche so the mod sees more than the key's low bits — without
@@ -128,15 +126,25 @@ let reject t conn ~op ~req_id =
     Conn.completed conn
   end
 
-(* A map of zero bytes is malformed, not an engine op ([Driver] raises
-   [Invalid_argument] on it): true for a [map] of no bytes or a
-   [map_sg] with an empty segment. *)
-let rec empty_seg segs i n = i < n && (segs.(i) = 0 || empty_seg segs (i + 1) n)
+let phys_bits = 52
 
-let maps_nothing req =
+(* A segment is malformed, not an engine op, when it maps zero bytes
+   ([Driver] raises [Invalid_argument] on it) or its last byte lies at
+   or past [2^phys_bits] (past any host address, and near enough to
+   [max_int] that the page arithmetic overflows). Written as
+   [phys > limit - bytes] so the check itself cannot overflow: wire
+   [bytes] are u32s. *)
+let bad_seg ~phys ~bytes = bytes = 0 || phys > (1 lsl phys_bits) - bytes
+
+let rec bad_segs req i =
+  i < req.Wire.nseg
+  && (bad_seg ~phys:req.Wire.seg_phys.(i) ~bytes:req.Wire.seg_bytes.(i)
+     || bad_segs req (i + 1))
+
+let bad_map req =
   let op = req.Wire.op in
-  if op = Wire.op_map then req.Wire.bytes = 0
-  else op = Wire.op_map_sg && empty_seg req.Wire.seg_bytes 0 req.Wire.nseg
+  if op = Wire.op_map then bad_seg ~phys:req.Wire.phys ~bytes:req.Wire.bytes
+  else op = Wire.op_map_sg && bad_segs req 0
 
 (* Append one decoded request to its shard's batch. [true] = handled
    (queued, answered as bad_request, or answered as stats); [false] =
@@ -151,7 +159,7 @@ let enqueue t conn req =
   end
   else begin
     let tenant = req.Wire.tenant in
-    if tenant >= Array.length t.tenant_shard || maps_nothing req then begin
+    if tenant >= Array.length t.tenant_shard || bad_map req then begin
       reject t conn ~op ~req_id:req.Wire.req_id;
       true
     end

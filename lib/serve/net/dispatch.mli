@@ -44,12 +44,17 @@ val shard_of : t -> tenant:int -> bdf:int -> int
 (** The affinity hash (exposed for tests): which shard a fresh tenant
     presenting from [bdf] would pin to. *)
 
+val phys_bits : int
+(** 52, VT-d's maximum host address width: a [map] or [map_sg]
+    segment whose last byte lies at or past [2^phys_bits] is a bad
+    request. *)
+
 val enqueue : t -> Conn.t -> Wire.req -> bool
 (** Append one decoded request. [true] = handled: queued on its
     shard's batch, or answered immediately (stats; [bad_request] for
-    an out-of-range or unplaceable tenant, a [map] of zero bytes or a
-    [map_sg] with a zero-byte segment). [false] = that shard's
-    batch is full — flush and retry. Allocation-free. *)
+    an out-of-range or unplaceable tenant, or a [map] / [map_sg]
+    segment of zero bytes or reaching past {!phys_bits}). [false] =
+    that shard's batch is full — flush and retry. Allocation-free. *)
 
 val flush_all : t -> unit
 (** The single-domain flush: execute and clear every shard's batch in
@@ -75,8 +80,6 @@ val complete : t -> Conn.t -> cell:int array -> unit
 val pending : t -> int
 (** Requests batched but not yet flushed. *)
 
-val batch : t -> int
-val max_tenants : t -> int
 val executed : t -> int
 val flushes : t -> int
 (** Non-empty batch flushes — [executed / flushes] is the realized

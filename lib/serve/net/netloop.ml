@@ -4,12 +4,15 @@
    flush cadence, and (with [domains > 1]) the traffic between the IO
    domain and the shard executors.
 
-   Readiness comes from {!Readiness} (poll(2)): fds register once
-   into a slot table and only interest *changes* are re-armed.
-   Connections live in parallel arrays indexed by a slot (the
-   readiness token and the {!Cell.q_slot} lane), with a free-slot
-   stack; a slot is recycled only when its connection is dead AND no
-   ring cell still references it.
+   Readiness comes from one fixed poll(2) set ({!Rio_poll.Poll_raw}),
+   sized at start-up: entry 0 is the listener, the next [nexec] are
+   the executor wake pipes, and entry [conn_base + slot] is connection
+   [slot]. A free slot is a hole (fd -1), which poll(2) skips, so the
+   slot is the poll index and nothing is ever compacted; only
+   interest *changes* are re-programmed. Connections live in parallel
+   arrays indexed by that slot (also the {!Cell.q_slot} lane), with a
+   free-slot stack; a slot is recycled only when its connection is
+   dead AND no ring cell still references it.
 
    With [domains = 1] the decoded batches execute inline on this
    thread ({!Dispatch.flush_all}). With [domains = N > 1], N executor
@@ -114,11 +117,11 @@ let close_listener cfg fd =
   | Unix_path p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
   | Tcp _ -> ()
 
-(* Readiness tokens: conn slots are >= 0, the listener and the
-   executor wake pipes get negative tokens. *)
-let tok_listener = -1
-let tok_pipe e = -2 - e
-let pipe_of_tok tok = -2 - tok
+module Poll_raw = Rio_poll.Poll_raw
+module Shard = Rio_serve.Shard
+module Histogram = Rio_serve.Histogram
+
+let sum_shards shards f = Array.fold_left (fun a s -> a + f s) 0 shards
 
 let effective_domains ~domains ~nshards =
   let d = if domains < 1 then 1 else domains in
@@ -162,19 +165,16 @@ let serve ?stop ?(on_tick = fun (_ : stats) -> ()) ~shards (cfg : config) =
       if off < 0 then Conn.kill conn
       else begin
         incr stats_answered;
-        let ops = Array.fold_left (fun a s -> a + Rio_serve.Shard.total_ops s) 0 shards in
-        let faults = Array.fold_left (fun a s -> a + Rio_serve.Shard.faults s) 0 shards in
         Conn.commit conn
-          (Wire.encode_stats_ok (Conn.wbuf conn) ~pos:off ~req_id ~ops
+          (Wire.encode_stats_ok (Conn.wbuf conn) ~pos:off ~req_id
+             ~ops:(sum_shards shards Shard.total_ops)
              ~requests:stats.requests ~conns:stats.accepted
-             ~errors:stats.protocol_errors ~faults);
+             ~errors:stats.protocol_errors
+             ~faults:(sum_shards shards Shard.faults));
         Conn.completed conn
       end);
   let lfd = listen_on cfg.addr in
-  let r = Readiness.create () in
-  let _lhandle = Readiness.register r lfd ~token:tok_listener in
-  Readiness.interest r ~handle:_lhandle ~read:true ~write:false;
-  (* connection slot table *)
+  (* connection slot table; slot [s] polls at entry [conn_base + s] *)
   let dummy =
     Conn.create ~rbuf_bytes:(Wire.max_request_bytes ~sg_limit:1) ~window:1
       ~sg_limit:1 ()
@@ -182,12 +182,18 @@ let serve ?stop ?(on_tick = fun (_ : stats) -> ()) ~shards (cfg : config) =
   Conn.kill dummy;
   let c_conn = Array.make cap dummy in
   let c_fd = Array.make cap Unix.stdin in
-  let c_handle = Array.make cap (-1) in
-  let c_active = Array.make cap false in
+  (* a free slot holds [dummy] *)
+  let active slot = c_conn.(slot) != dummy in
   let c_interest = Array.make cap 0 in
   let c_outstanding = Array.make cap 0 in
   let free = Array.init cap (fun i -> cap - 1 - i) in
   let free_top = ref cap in
+  let conn_base = 1 + nexec in
+  let ps = Poll_raw.create ~cap:(conn_base + cap) in
+  (* slots ever used (a high-water mark): entries past it are holes,
+     so neither poll(2) nor the slot sweeps look beyond it *)
+  let n_used = ref 0 in
+  Poll_raw.set ps ~idx:0 ~fd:lfd ~events:Poll_raw.ev_in;
   (* executor topology: executor e owns the contiguous shard slice
      { sh | sh * nexec / nshards = e } *)
   let exec_of_shard = Array.init nshards (fun sh -> sh * nexec / nshards) in
@@ -208,9 +214,7 @@ let serve ?stop ?(on_tick = fun (_ : stats) -> ()) ~shards (cfg : config) =
           ~wake_fd:(snd pipes.(e)))
   in
   Array.iteri
-    (fun e (rfd, _) ->
-      let h = Readiness.register r rfd ~token:(tok_pipe e) in
-      Readiness.interest r ~handle:h ~read:true ~write:false)
+    (fun e (rfd, _) -> Poll_raw.set ps ~idx:(1 + e) ~fd:rfd ~events:Poll_raw.ev_in)
     pipes;
   let handles =
     Array.map (fun ex -> Domain.spawn (fun () -> Executor.run ex))
@@ -283,12 +287,10 @@ let serve ?stop ?(on_tick = fun (_ : stats) -> ()) ~shards (cfg : config) =
             Conn.set_token c slot;
             c_conn.(slot) <- c;
             c_fd.(slot) <- fd;
-            c_active.(slot) <- true;
             c_outstanding.(slot) <- 0;
-            c_handle.(slot) <- Readiness.register r fd ~token:slot;
-            Readiness.interest r ~handle:c_handle.(slot) ~read:true
-              ~write:false;
-            c_interest.(slot) <- Readiness.ev_read;
+            Poll_raw.set ps ~idx:(conn_base + slot) ~fd ~events:Poll_raw.ev_in;
+            c_interest.(slot) <- Poll_raw.ev_in;
+            if slot >= !n_used then n_used := slot + 1;
             stats.accepted <- stats.accepted + 1
           end
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
@@ -349,32 +351,33 @@ let serve ?stop ?(on_tick = fun (_ : stats) -> ()) ~shards (cfg : config) =
           Conn.kill conn
     end
   in
-  (* Readiness callback (allocated once): reads are handled as they
-     surface; writes wait for the post-flush pass so freshly encoded
-     responses ride the same write call. *)
-  let on_ready token bits =
-    if token >= 0 then begin
-      if bits land Readiness.ev_read <> 0 then handle_read token
-      else if bits land Readiness.ev_err <> 0 then
+  (* One sweep over the last wait's ready bits, by index range. Reads
+     are handled as they surface; writes wait for the post-flush pass
+     so freshly encoded responses ride the same write call. *)
+  let dispatch_ready () =
+    if Poll_raw.revents ps ~idx:0 <> 0 then accept_all ();
+    for e = 0 to nexec - 1 do
+      if Poll_raw.revents ps ~idx:(1 + e) <> 0 then drain_pipe (fst pipes.(e))
+    done;
+    for slot = 0 to !n_used - 1 do
+      let bits = Poll_raw.revents ps ~idx:(conn_base + slot) in
+      if bits land Poll_raw.ev_in <> 0 then handle_read slot
+      else if bits land Poll_raw.ev_err <> 0 then
         (* hangup/error with nothing readable: the peer is gone and
            queued responses are undeliverable *)
-        Conn.kill c_conn.(token)
-    end
-    else if token = tok_listener then accept_all ()
-    else drain_pipe (fst pipes.(pipe_of_tok token))
+        Conn.kill c_conn.(slot)
+    done
   in
   let reap () =
-    for slot = 0 to cap - 1 do
+    for slot = 0 to !n_used - 1 do
       if
-        c_active.(slot)
+        active slot
         && (not (Conn.alive c_conn.(slot)))
         && c_outstanding.(slot) = 0
       then begin
-        Readiness.unregister r ~handle:c_handle.(slot);
+        Poll_raw.clear ps ~idx:(conn_base + slot);
         (try Unix.close c_fd.(slot) with Unix.Unix_error _ -> ());
-        c_active.(slot) <- false;
         c_conn.(slot) <- dummy;
-        c_handle.(slot) <- -1;
         free.(!free_top) <- slot;
         incr free_top;
         stats.closed <- stats.closed + 1
@@ -382,39 +385,41 @@ let serve ?stop ?(on_tick = fun (_ : stats) -> ()) ~shards (cfg : config) =
     done
   in
   let arm_interest () =
-    for slot = 0 to cap - 1 do
-      if c_active.(slot) then begin
+    for slot = 0 to !n_used - 1 do
+      if active slot then begin
         let c = c_conn.(slot) in
         let bits =
-          (if Conn.want_read c then Readiness.ev_read else 0)
-          lor if Conn.want_write c then Readiness.ev_write else 0
+          (if Conn.want_read c then Poll_raw.ev_in else 0)
+          lor if Conn.want_write c then Poll_raw.ev_out else 0
         in
         if bits <> c_interest.(slot) then begin
           c_interest.(slot) <- bits;
-          Readiness.interest r ~handle:c_handle.(slot)
-            ~read:(bits land Readiness.ev_read <> 0)
-            ~write:(bits land Readiness.ev_write <> 0)
+          Poll_raw.set ps ~idx:(conn_base + slot) ~fd:c_fd.(slot) ~events:bits
         end
       end
     done
   in
-  let refresh_domain_ops () =
+  (* the counters [Dispatch] and the executors keep themselves *)
+  let refresh_stats () =
+    stats.responses <- Dispatch.executed d + Dispatch.rejected d + !stats_answered;
+    stats.batch_flushes <- Dispatch.flushes d;
+    stats.rejected <- Dispatch.rejected d;
     for e = 0 to nexec - 1 do
       stats.domain_ops.(e) <- Executor.executed executors.(e)
     done
   in
   let last_tick = ref (cfg.now_s ()) in
   while not (stopped ()) do
-    ignore (Readiness.wait r ~timeout_ms:50 : int);
-    Readiness.iter_ready r on_ready;
+    ignore (Poll_raw.wait ps ~n:(conn_base + !n_used) ~timeout_ms:50 : int);
+    dispatch_ready ();
     (* One flush per wakeup: everything decoded this iteration
        executes (inline, or via the rings) in shard-ordered batches. *)
     flush ();
     if nexec > 0 then drain_rsp_rings ();
     (* Opportunistic writes for freshly encoded responses; a write on
        a momentarily full socket just re-arms write interest. *)
-    for slot = 0 to cap - 1 do
-      if c_active.(slot) && Conn.want_write c_conn.(slot) then
+    for slot = 0 to !n_used - 1 do
+      if active slot && Conn.want_write c_conn.(slot) then
         handle_write slot
     done;
     reap ();
@@ -423,10 +428,7 @@ let serve ?stop ?(on_tick = fun (_ : stats) -> ()) ~shards (cfg : config) =
       let now = cfg.now_s () in
       if now -. !last_tick >= cfg.tick_every_s then begin
         last_tick := now;
-        stats.responses <- Dispatch.executed d + Dispatch.rejected d + !stats_answered;
-        stats.batch_flushes <- Dispatch.flushes d;
-        stats.rejected <- Dispatch.rejected d;
-        refresh_domain_ops ();
+        refresh_stats ();
         on_tick stats
       end
     end
@@ -446,8 +448,8 @@ let serve ?stop ?(on_tick = fun (_ : stats) -> ()) ~shards (cfg : config) =
     Array.iter Domain.join handles;
     drain_rsp_rings ()
   end;
-  for slot = 0 to cap - 1 do
-    if c_active.(slot) then begin
+  for slot = 0 to !n_used - 1 do
+    if active slot then begin
       let c = c_conn.(slot) in
       let tries = ref 8 in
       while Conn.queued c > 0 && !tries > 0 && Conn.alive c do
@@ -465,8 +467,86 @@ let serve ?stop ?(on_tick = fun (_ : stats) -> ()) ~shards (cfg : config) =
       try Unix.close wfd with Unix.Unix_error _ -> ())
     pipes;
   close_listener cfg lfd;
-  stats.responses <- Dispatch.executed d + Dispatch.rejected d + !stats_answered;
-  stats.batch_flushes <- Dispatch.flushes d;
-  stats.rejected <- Dispatch.rejected d;
-  refresh_domain_ops ();
+  refresh_stats ();
   stats
+
+(* {1 The final report} *)
+
+let realized_batch (s : stats) =
+  if s.batch_flushes > 0 then
+    float_of_int s.responses /. float_of_int s.batch_flushes
+  else 0.
+
+let render_summary (s : stats) ~shards (cfg : config) ~wall_s =
+  let b = Buffer.create 512 in
+  Printf.bprintf b "riommu-serve --listen %s\n  domains %d  max-conns %d\n"
+    (addr_to_string cfg.addr) s.domains cfg.max_conns;
+  if Array.length s.domain_ops > 0 then begin
+    Buffer.add_string b "  domain ops:";
+    Array.iteri (fun e n -> Printf.bprintf b " d%d %d" e n) s.domain_ops;
+    Buffer.add_char b '\n'
+  end;
+  Printf.bprintf b
+    "  wall %.2fs  conns %d (refused %d, protocol errors %d)\n\
+    \  requests %d  responses %d  rejected %d\n\
+    \  batch flushes %d (realized batch %.1f)\n\
+    \  ops:"
+    wall_s s.accepted s.refused s.protocol_errors s.requests s.responses
+    s.rejected s.batch_flushes (realized_batch s);
+  for k = 0 to Shard.op_count - 1 do
+    let op = Shard.op_of_index k in
+    Printf.bprintf b " %s %d" (Shard.op_name op)
+      (sum_shards shards (fun sh -> Shard.ops sh op))
+  done;
+  Printf.bprintf b "  (total %d, faults %d)\n  bytes in %d out %d\n"
+    (sum_shards shards Shard.total_ops)
+    (sum_shards shards Shard.faults)
+    s.bytes_in s.bytes_out;
+  Buffer.contents b
+
+let render_json (s : stats) ~shards (cfg : config) ~wall_s =
+  let b = Buffer.create 4096 in
+  let ops = sum_shards shards Shard.total_ops in
+  Printf.bprintf b
+    "{\n\
+    \  \"schema\": \"riommu-serve-net/1\",\n\
+    \  \"addr\": %S,\n\
+    \  \"shards\": %d, \"batch\": %d, \"window\": %d,\n\
+    \  \"domains\": %d,\n\
+    \  \"domain_ops\": [%s],\n\
+    \  \"wall_s\": %.6f,\n\
+    \  \"ops\": %d,\n\
+    \  \"ops_per_sec\": %.1f,\n\
+    \  \"requests\": %d, \"responses\": %d, \"rejected\": %d,\n\
+    \  \"accepted\": %d, \"refused\": %d, \"closed\": %d, \"protocol_errors\": %d,\n\
+    \  \"batch_flushes\": %d, \"realized_batch\": %.2f,\n\
+    \  \"bytes_in\": %d, \"bytes_out\": %d,\n\
+    \  \"faults\": %d,\n\
+    \  \"groups\": [\n"
+    (addr_to_string cfg.addr) (Array.length shards) cfg.batch cfg.window
+    s.domains
+    (String.concat ", " (Array.to_list (Array.map string_of_int s.domain_ops)))
+    wall_s ops
+    (if wall_s > 0. then float_of_int ops /. wall_s else 0.)
+    s.requests s.responses s.rejected s.accepted s.refused s.closed
+    s.protocol_errors s.batch_flushes (realized_batch s) s.bytes_in
+    s.bytes_out
+    (sum_shards shards Shard.faults);
+  for k = 0 to Shard.op_count - 1 do
+    let op = Shard.op_of_index k in
+    let h = Histogram.create () in
+    Array.iter (fun sh -> Histogram.merge_into ~dst:h (Shard.hist sh op)) shards;
+    Printf.bprintf b
+      "    { \"name\": \"net/%s\", \"iters\": %d, \"p50_cycles\": %d, \
+       \"p99_cycles\": %d, \"p999_cycles\": %d, \"max_cycles\": %d }%s\n"
+      (Shard.op_name op) (Histogram.count h) (Histogram.quantile h 0.5)
+      (Histogram.quantile h 0.99) (Histogram.quantile h 0.999)
+      (Histogram.max_recorded h)
+      (if k < Shard.op_count - 1 then "," else "")
+  done;
+  Buffer.add_string b "  ],\n";
+  let tenants = Array.fold_left (fun a sh -> max a (Shard.tenants sh)) 0 shards in
+  Rio_serve.Server.bprint_tenants b
+    (Rio_serve.Server.tenant_stats_of shards ~tenants);
+  Buffer.add_string b "\n}\n";
+  Buffer.contents b

@@ -1,12 +1,14 @@
 (** The socket event loop behind [riommu-serve --listen].
 
-    Nonblocking fds behind {!Readiness} (poll(2)): accept new
-    connections into a slot table, read into per-connection buffers,
-    decode admissible requests ({!Conn.can_admit} is the backpressure
-    gate), batch them by shard affinity ({!Dispatch}), flush once per
-    poll iteration, and write queued responses back. Registrations
-    are armed once and only interest {e changes} are re-programmed —
-    no per-wakeup fd-set rebuild.
+    Nonblocking fds in one fixed poll(2) set ({!Rio_poll.Poll_raw}),
+    sized at start-up to the listener, the executor wake pipes and
+    [max_conns] connection slots: accept new connections into a slot
+    table whose slot is also the connection's poll entry (a free slot
+    is a hole poll(2) skips), read into per-connection buffers, decode
+    admissible requests ({!Conn.can_admit} is the backpressure gate),
+    batch them by shard affinity ({!Dispatch}), flush once per poll
+    iteration, and write queued responses back. Only interest
+    {e changes} are re-programmed — no per-wakeup fd-set rebuild.
 
     With [domains = 1] (the default) shards execute on the loop
     thread ({!Dispatch.flush_all}), the single-dispatcher design of
@@ -80,3 +82,15 @@ val serve :
     Shard histograms and tenant stats are readable after return
     exactly like after a simulated run (executor domains are joined
     before it). *)
+
+(** {1 The final report}, a pure function of the final counters, the
+    served shards, the config and the wall seconds served *)
+
+val render_summary :
+  stats -> shards:Rio_serve.Shard.t array -> config -> wall_s:float -> string
+(** The [riommu-serve --listen] summary printed at exit. *)
+
+val render_json :
+  stats -> shards:Rio_serve.Shard.t array -> config -> wall_s:float -> string
+(** The [riommu-serve-net/1] stats JSON: counters, one [net/<op>]
+    cycle-percentile group per op, and {!Rio_serve.Server.bprint_tenants}. *)

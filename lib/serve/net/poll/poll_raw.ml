@@ -5,19 +5,16 @@ let ev_out = 2
 let ev_err = 4
 
 external create_stub : int -> t = "rio_pollset_create"
-external capacity : t -> int = "rio_pollset_capacity"
-external grow_stub : t -> int -> unit = "rio_pollset_grow"
 
 external set_stub : t -> int -> Unix.file_descr -> int -> unit
   = "rio_pollset_set"
 
-external fd_stub : t -> int -> Unix.file_descr = "rio_pollset_fd"
+external clear_stub : t -> int -> unit = "rio_pollset_clear"
 external revents_stub : t -> int -> int = "rio_pollset_revents"
 external wait_stub : t -> int -> int -> int = "rio_pollset_wait"
 
 let create ~cap = create_stub cap
-let grow t ~cap = grow_stub t cap
 let set t ~idx ~fd ~events = set_stub t idx fd events
-let fd t ~idx = fd_stub t idx
+let clear t ~idx = clear_stub t idx
 let revents t ~idx = revents_stub t idx
 let wait t ~n ~timeout_ms = wait_stub t n timeout_ms

@@ -1,12 +1,16 @@
-/* poll(2) bindings behind the socket loop's Readiness module.
+/* poll(2) bindings behind the socket loop (Netloop).
  *
  * The pollfd array lives in a custom block OUTSIDE the OCaml heap
  * (malloc'd, freed by the finalizer), for two reasons: the kernel
  * needs a stable pointer across a blocking call made with the runtime
  * lock released (heap Bytes could be moved by another domain's GC),
- * and keeping registration state C-side is what makes the per-wakeup
- * OCaml work allocation-free — every stub here traffics only in
- * immediate ints.
+ * and keeping the programmed entries C-side is what makes the
+ * per-wakeup OCaml work allocation-free — every stub here traffics
+ * only in immediate ints.
+ *
+ * The set has a fixed size. An entry nobody watches is a hole (fd -1):
+ * poll(2) skips it and reports revents 0, so the caller can index the
+ * set by its own slot numbers and never compact it.
  *
  * Event bits are our own stable encoding, mapped to the platform's
  * POLL* constants here so the OCaml side never sees platform variance:
@@ -17,7 +21,6 @@
 
 #include <poll.h>
 #include <stdlib.h>
-#include <string.h>
 #include <errno.h>
 
 #include <caml/mlvalues.h>
@@ -59,6 +62,16 @@ static struct custom_operations rio_pollset_ops = {
   custom_fixed_length_default
 };
 
+static struct pollfd *entry(value vt, value vidx, const char *fn)
+{
+  rio_pollset *s = Pollset_val(vt);
+  int idx = Int_val(vidx);
+  if (idx < 0 || idx >= s->cap) caml_invalid_argument(fn);
+  return &s->fds[idx];
+}
+
+/* Every entry starts as a hole: calloc alone would leave fd 0 (stdin)
+   watched in each one. */
 CAMLprim value rio_pollset_create(value vcap)
 {
   CAMLparam1(vcap);
@@ -67,66 +80,41 @@ CAMLprim value rio_pollset_create(value vcap)
   if (cap < 1) cap = 1;
   struct pollfd *fds = calloc((size_t) cap, sizeof(struct pollfd));
   if (fds == NULL) caml_raise_out_of_memory();
+  for (int i = 0; i < cap; i++) fds[i].fd = -1;
   res = caml_alloc_custom(&rio_pollset_ops, sizeof(rio_pollset), 0, 1);
   Pollset_val(res)->fds = fds;
   Pollset_val(res)->cap = cap;
   CAMLreturn(res);
 }
 
-CAMLprim value rio_pollset_capacity(value vt)
-{
-  return Val_int(Pollset_val(vt)->cap);
-}
-
-/* Grow to at least [vcap] slots, preserving contents. */
-CAMLprim value rio_pollset_grow(value vt, value vcap)
-{
-  rio_pollset *s = Pollset_val(vt);
-  int want = Int_val(vcap);
-  if (want > s->cap) {
-    int cap = s->cap;
-    while (cap < want) cap *= 2;
-    struct pollfd *fds = calloc((size_t) cap, sizeof(struct pollfd));
-    if (fds == NULL) caml_raise_out_of_memory();
-    memcpy(fds, s->fds, (size_t) s->cap * sizeof(struct pollfd));
-    free(s->fds);
-    s->fds = fds;
-    s->cap = cap;
-  }
-  return Val_unit;
-}
-
-/* [set t idx fd events]: program one slot. fd is the Unix.file_descr
+/* [set t idx fd events]: program one entry. fd is the Unix.file_descr
    (an immediate int on Unix). */
 CAMLprim value rio_pollset_set(value vt, value vidx, value vfd, value vevents)
 {
-  rio_pollset *s = Pollset_val(vt);
-  int idx = Int_val(vidx);
-  if (idx < 0 || idx >= s->cap) caml_invalid_argument("rio_pollset_set");
+  struct pollfd *p = entry(vt, vidx, "rio_pollset_set");
   int ev = Int_val(vevents);
   short events = 0;
   if (ev & RIO_POLL_IN) events |= POLLIN;
   if (ev & RIO_POLL_OUT) events |= POLLOUT;
-  s->fds[idx].fd = Int_val(vfd);
-  s->fds[idx].events = events;
-  s->fds[idx].revents = 0;
+  p->fd = Int_val(vfd);
+  p->events = events;
+  p->revents = 0;
   return Val_unit;
 }
 
-CAMLprim value rio_pollset_fd(value vt, value vidx)
+/* [clear t idx]: turn one entry back into a hole. */
+CAMLprim value rio_pollset_clear(value vt, value vidx)
 {
-  rio_pollset *s = Pollset_val(vt);
-  int idx = Int_val(vidx);
-  if (idx < 0 || idx >= s->cap) caml_invalid_argument("rio_pollset_fd");
-  return Val_int(s->fds[idx].fd);
+  struct pollfd *p = entry(vt, vidx, "rio_pollset_clear");
+  p->fd = -1;
+  p->events = 0;
+  p->revents = 0;
+  return Val_unit;
 }
 
 CAMLprim value rio_pollset_revents(value vt, value vidx)
 {
-  rio_pollset *s = Pollset_val(vt);
-  int idx = Int_val(vidx);
-  if (idx < 0 || idx >= s->cap) caml_invalid_argument("rio_pollset_revents");
-  short r = s->fds[idx].revents;
+  short r = entry(vt, vidx, "rio_pollset_revents")->revents;
   int ev = 0;
   if (r & POLLIN) ev |= RIO_POLL_IN;
   if (r & POLLOUT) ev |= RIO_POLL_OUT;
@@ -134,8 +122,8 @@ CAMLprim value rio_pollset_revents(value vt, value vidx)
   return Val_int(ev);
 }
 
-/* [wait t n timeout_ms]: poll the first n slots. Returns the number
-   of ready slots; EINTR reads as 0 (the caller's loop re-arms).
+/* [wait t n timeout_ms]: poll the first n entries. Returns the number
+   of ready entries; EINTR reads as 0 (the caller's loop re-arms).
    Releases the runtime lock only for a blocking wait — the
    timeout_ms=0 hot path stays a plain call. */
 CAMLprim value rio_pollset_wait(value vt, value vn, value vtimeout)

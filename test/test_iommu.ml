@@ -295,6 +295,50 @@ let test_exhaustion_error () =
   Alcotest.check_raises "exhausted" Driver.Exhausted (fun () ->
       ignore (Driver.map_exn driver ~phys:buf ~bytes:10 ~read:true ~write:true))
 
+(* A map the frame pool runs dry on part-way is refused whole. The IOVA
+   space is 1536 pages, three last-level page-table nodes of 512; the
+   pool holds the root and the nodes the first map carves, nothing more.
+   Reserving IOVAs around a one-page map leaves one free range,
+   [1023, 1535]: its first page sits under the existing last-level node,
+   the rest needs a new one. *)
+let test_frame_exhaustion_atomic () =
+  let clock = Cycles.create () in
+  let cost = Cost_model.default in
+  let frames = Frame_allocator.create ~total_frames:4 in
+  let coherency = Coherency.create ~coherent:false ~cost ~clock in
+  let table = Arena.create ~frames ~coherency ~clock ~cost in
+  let iotlb = Iotlb.create ~capacity:16 ~clock ~cost () in
+  let allocator =
+    Allocator.create ~kind:Allocator.Linux ~limit_pfn:1535 ~clock ~cost
+  in
+  let driver =
+    Driver.create ~table ~allocator ~target:(Driver.Own iotlb)
+      ~rid:(Bdf.to_rid (Bdf.make ~bus:0 ~device:1 ~func:0))
+      ~policy:Driver.Immediate ~clock ~cost ()
+  in
+  let phys = Addr.of_pfn 7 in
+  let map ~bytes = Driver.map_exn driver ~phys ~bytes ~read:true ~write:true in
+  let above = Allocator.alloc_pfn allocator ~size:512 in
+  Alcotest.(check int) "top node's pages reserved" 1024 above;
+  let iova = map ~bytes:4096 in
+  Alcotest.(check int) "first map below them" 1023 (iova lsr Addr.page_shift);
+  Alcotest.(check int) "pool drained" 4 (Frame_allocator.allocated frames);
+  Alcotest.(check int) "the rest reserved" 0
+    (Allocator.alloc_pfn allocator ~size:1023);
+  Allocator.free allocator (Allocator.find_exn allocator ~pfn:above);
+  Driver.unmap_exn driver ~iova;
+  let live = Driver.live_mappings driver and ranges = Allocator.live allocator in
+  Alcotest.check_raises "refused as IOVA exhaustion" Driver.Exhausted (fun () ->
+      ignore (map ~bytes:(513 * 4096) : int));
+  Alcotest.(check int) "no page left mapped" live (Driver.live_mappings driver);
+  Alcotest.(check int) "no range left allocated" ranges (Allocator.live allocator);
+  Alcotest.check_raises "its first page does not translate"
+    Driver.Translation_fault (fun () ->
+      ignore (Driver.translate_exn driver ~iova:(1023 lsl Addr.page_shift)
+                ~write:false : Addr.phys));
+  Alcotest.(check int) "its range is free again" 1023
+    (Allocator.alloc_pfn allocator ~size:513)
+
 let test_unmap_unknown_iova () =
   let r = make_rig () in
   Alcotest.check_raises "unmapped iova rejected" Driver.Not_mapped (fun () ->
@@ -403,6 +447,8 @@ let () =
           Alcotest.test_case "breakdown components" `Quick
             test_breakdown_components_populated;
           Alcotest.test_case "IOVA exhaustion" `Quick test_exhaustion_error;
+          Alcotest.test_case "frame exhaustion is atomic" `Quick
+            test_frame_exhaustion_atomic;
           Alcotest.test_case "unmap unknown iova" `Quick test_unmap_unknown_iova;
           QCheck_alcotest.to_alcotest prop_map_unmap_balanced;
         ] );

@@ -15,7 +15,7 @@ module Dispatch = Rio_serve_net.Dispatch
 module Spsc = Rio_serve_net.Spsc
 module Cell = Rio_serve_net.Cell
 module Executor = Rio_serve_net.Executor
-module Readiness = Rio_serve_net.Readiness
+module Poll_raw = Rio_poll.Poll_raw
 module Netloop = Rio_serve_net.Netloop
 module Shard = Rio_serve.Shard
 module Shared_iotlb = Rio_domain.Shared_iotlb
@@ -420,8 +420,10 @@ let test_dispatch_rejects_bad_tenant () =
 
 (* Frames that decode but name no valid DMA are answered, never raised
    out of [flush_all] (which would end every tenant's connection): a
-   translate past the 48-bit IOVA space faults, a map of zero bytes and
-   a map_sg with a zero-byte segment are bad requests. The connection
+   translate past the 48-bit IOVA space faults; a map of zero bytes, a
+   map_sg with a zero-byte segment, and a map or map_sg segment whose
+   last byte lies at or past 2^phys_bits are bad requests. A map whose
+   last byte is the last below 2^phys_bits is served. The connection
    keeps serving afterwards. *)
 let test_dispatch_malformed_ops () =
   let shards = make_shards 1 in
@@ -443,17 +445,43 @@ let test_dispatch_malformed_ops () =
       ~seg_bytes:[| 4096; 0 |] ~n:2
   in
   Alcotest.(check bool) "empty segment handled" true (push d conn req b fin);
-  Alcotest.(check int) "only the translate reaches a shard" 1
+  let top = (1 lsl 62) - 1 (* the largest wire u64 after the 62-bit mask *) in
+  let limit = 1 lsl Dispatch.phys_bits in
+  let fin = Wire.encode_map b ~pos:0 ~tenant:0 ~req_id:6 ~phys:top ~bytes:2 in
+  Alcotest.(check bool) "top-of-range map handled" true (push d conn req b fin);
+  let fin =
+    Wire.encode_map_sg b ~pos:0 ~tenant:0 ~req_id:7 ~seg_phys:[| phys; top |]
+      ~seg_bytes:[| 4096; 2 |] ~n:2
+  in
+  Alcotest.(check bool) "top-of-range segment handled" true
+    (push d conn req b fin);
+  let fin =
+    Wire.encode_map b ~pos:0 ~tenant:0 ~req_id:8 ~phys:(limit - 1) ~bytes:2
+  in
+  Alcotest.(check bool) "map across the width handled" true
+    (push d conn req b fin);
+  let fin =
+    Wire.encode_map b ~pos:0 ~tenant:0 ~req_id:9 ~phys:(limit - 4096) ~bytes:4096
+  in
+  Alcotest.(check bool) "map up to the width enqueued" true
+    (push d conn req b fin);
+  Alcotest.(check int) "only the translate and the last map reach a shard" 2
     (Dispatch.pending d);
   Dispatch.flush_all d;
-  let status = Array.make 4 (-1) in
-  for _ = 1 to 3 do
+  let status = Array.make 10 (-1) in
+  for _ = 1 to 7 do
     drain_one conn resp;
     status.(resp.Wire.r_req_id) <- resp.Wire.status
   done;
   Alcotest.(check int) "wide translate faults" Wire.st_fault status.(1);
   Alcotest.(check int) "empty map rejected" Wire.st_bad_request status.(2);
   Alcotest.(check int) "empty segment rejected" Wire.st_bad_request status.(3);
+  Alcotest.(check int) "top-of-range map rejected" Wire.st_bad_request status.(6);
+  Alcotest.(check int) "top-of-range segment rejected" Wire.st_bad_request
+    status.(7);
+  Alcotest.(check int) "map across the width rejected" Wire.st_bad_request
+    status.(8);
+  Alcotest.(check int) "map up to the width served" Wire.st_ok status.(9);
   Alcotest.(check int) "one fault counted" 1 (Shard.faults shards.(0));
   let fin = Wire.encode_map b ~pos:0 ~tenant:0 ~req_id:4 ~phys ~bytes:4096 in
   Alcotest.(check bool) "map enqueued" true (push d conn req b fin);
@@ -546,50 +574,50 @@ let test_spsc_boundaries () =
 
 (* {1 Readiness: poll(2) against real pipes} *)
 
+(* The fixed set the socket loop indexes by slot: a fresh set is all
+   holes, a hole between watched entries reads no bits, [clear] turns an
+   entry back into a hole, and the ready bits land on the entry's own
+   index. *)
 let test_readiness_pipes () =
-  Alcotest.(check bool) "poll is always built" true Readiness.poll_available;
-  let r = Readiness.create () in
+  let ps = Poll_raw.create ~cap:4 in
+  Alcotest.(check int) "a fresh set is all holes" 0
+    (Poll_raw.wait ps ~n:4 ~timeout_ms:0);
   let a_rd, a_wr = Unix.pipe ~cloexec:true () in
   let b_rd, b_wr = Unix.pipe ~cloexec:true () in
-  let ha = Readiness.register r a_rd ~token:10 in
-  let hb = Readiness.register r b_rd ~token:20 in
-  Readiness.interest r ~handle:ha ~read:true ~write:false;
-  Readiness.interest r ~handle:hb ~read:true ~write:false;
-  Alcotest.(check int) "two registered" 2 (Readiness.registered r);
-  Alcotest.(check int) "nothing ready" 0 (Readiness.wait r ~timeout_ms:0);
+  Poll_raw.set ps ~idx:0 ~fd:a_rd ~events:Poll_raw.ev_in;
+  Poll_raw.set ps ~idx:2 ~fd:b_rd ~events:Poll_raw.ev_in;
+  Alcotest.(check int) "nothing ready" 0 (Poll_raw.wait ps ~n:4 ~timeout_ms:0);
   ignore (Unix.write b_wr (Bytes.make 1 'x') 0 1);
-  Alcotest.(check int) "one ready" 1 (Readiness.wait r ~timeout_ms:1000);
-  let seen = ref [] in
-  Readiness.iter_ready r (fun tok bits -> seen := (tok, bits) :: !seen);
-  (match !seen with
-  | [ (tok, bits) ] ->
-      Alcotest.(check int) "token routes back" 20 tok;
-      Alcotest.(check bool) "read bit set" true
-        (bits land Readiness.ev_read <> 0)
-  | _ -> Alcotest.fail "expected exactly one ready token");
-  (* unregister swap-compacts the dense slots; the survivor still
-     routes under its own token *)
-  Readiness.unregister r ~handle:hb;
+  Alcotest.(check int) "one ready" 1 (Poll_raw.wait ps ~n:4 ~timeout_ms:1000);
+  Alcotest.(check int) "read bit on its own index" Poll_raw.ev_in
+    (Poll_raw.revents ps ~idx:2);
+  Alcotest.(check int) "the hole reads nothing" 0 (Poll_raw.revents ps ~idx:1);
+  Alcotest.(check int) "the idle entry reads nothing" 0
+    (Poll_raw.revents ps ~idx:0);
+  (* clearing leaves a hole below a live entry; the survivor keeps its
+     index *)
+  Poll_raw.clear ps ~idx:2;
   Unix.close b_rd;
   Unix.close b_wr;
-  Alcotest.(check int) "one registered" 1 (Readiness.registered r);
+  Alcotest.(check int) "a cleared entry reads nothing" 0
+    (Poll_raw.revents ps ~idx:2);
   ignore (Unix.write a_wr (Bytes.make 1 'y') 0 1);
-  Alcotest.(check int) "survivor ready" 1 (Readiness.wait r ~timeout_ms:1000);
-  let tok = ref (-1) in
-  Readiness.iter_ready r (fun t _ -> tok := t);
-  Alcotest.(check int) "survivor token" 10 !tok;
+  Alcotest.(check int) "survivor ready" 1 (Poll_raw.wait ps ~n:4 ~timeout_ms:1000);
+  Alcotest.(check int) "survivor index" Poll_raw.ev_in (Poll_raw.revents ps ~idx:0);
   (* write interest on an unclogged pipe reports ready immediately *)
-  let hw = Readiness.register r a_wr ~token:30 in
-  Readiness.interest r ~handle:hw ~read:false ~write:true;
-  Alcotest.(check bool) "writable counted" true
-    (Readiness.wait r ~timeout_ms:1000 >= 1);
-  let wseen = ref false in
-  Readiness.iter_ready r (fun t bits ->
-      if t = 30 && bits land Readiness.ev_write <> 0 then wseen := true);
-  Alcotest.(check bool) "write bit on its token" true !wseen;
-  Readiness.unregister r ~handle:hw;
-  Readiness.unregister r ~handle:ha;
-  Alcotest.(check int) "all recycled" 0 (Readiness.registered r);
+  Poll_raw.set ps ~idx:3 ~fd:a_wr ~events:Poll_raw.ev_out;
+  Alcotest.(check int) "both ready" 2 (Poll_raw.wait ps ~n:4 ~timeout_ms:1000);
+  Alcotest.(check int) "write bit on its index" Poll_raw.ev_out
+    (Poll_raw.revents ps ~idx:3);
+  (* only the first [n] entries are polled *)
+  Alcotest.(check int) "a prefix wait skips the rest" 1
+    (Poll_raw.wait ps ~n:3 ~timeout_ms:0);
+  Alcotest.check_raises "out of range"
+    (Invalid_argument "rio_pollset_set")
+    (fun () -> Poll_raw.set ps ~idx:4 ~fd:a_rd ~events:Poll_raw.ev_in);
+  Poll_raw.clear ps ~idx:3;
+  Poll_raw.clear ps ~idx:0;
+  Alcotest.(check int) "all holes again" 0 (Poll_raw.wait ps ~n:4 ~timeout_ms:0);
   Unix.close a_rd;
   Unix.close a_wr
 
@@ -948,6 +976,180 @@ let test_netloop_two_domains () =
   Alcotest.(check (array string)) "same response bytes at 1 and 2 domains" bytes1
     bytes2
 
+(* {1 Netloop: one slot table} *)
+
+(* A client that has sent its hello. [None] when the server refused it:
+   the connection reads EOF (or a reset, the hello being unread). *)
+let open_client path =
+  let fd = connect_retry path 500 in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  let b = Bytes.create Wire.hello_bytes in
+  let n = Wire.encode_hello b ~pos:0 ~bdf:0x0100 ~flags:0 in
+  match Unix.write fd b 0 n with
+  | _ -> fd
+  | exception Unix.Unix_error (Unix.EPIPE, _, _) -> fd
+
+(* One translate round trip of an unmapped IOVA: [Some status], or
+   [None] on EOF. *)
+let ping fd ~req_id =
+  let b = Bytes.create 64 in
+  let n = Wire.encode_translate b ~pos:0 ~tenant:0 ~req_id ~iova:0x5000 ~write:false in
+  match
+    ignore (Unix.write fd b 0 n : int);
+    Unix.read fd b 0 Wire.len_bytes
+  with
+  | 0 | (exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _)) -> None
+  | got ->
+      really_read fd b ~pos:got ~len:(Wire.len_bytes - got);
+      let len = Int32.to_int (Bytes.get_int32_le b 0) in
+      really_read fd b ~pos:Wire.len_bytes ~len;
+      let resp = Wire.create_resp ~sg_limit in
+      ignore (Wire.decode_response b ~pos:0 ~avail:(Wire.len_bytes + len) resp : int);
+      Alcotest.(check int) "response echoes req_id" req_id resp.Wire.r_req_id;
+      Some resp.Wire.status
+
+(* [max_conns 2]: two clients are served and a third is refused. Closing
+   the first leaves a hole below the second's live slot; a new client is
+   served in it (retried while the reap is pending) beside the second. *)
+let test_netloop_slot_table () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "rio-test-net-%d-slots.sock" (Unix.getpid ()))
+  in
+  let shards = make_shards 1 in
+  let cfg =
+    {
+      (Netloop.default_config ~addr:(Netloop.Unix_path path)) with
+      max_conns = 2;
+      sg_limit;
+    }
+  in
+  (* a write to the refused client must fail with EPIPE, not end the
+     test process *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let stop = Rio_exec.Flag.create () in
+  let server = Domain.spawn (fun () -> Netloop.serve ~stop ~shards cfg) in
+  let served fd ~req_id =
+    Alcotest.(check (option int)) "served" (Some Wire.st_fault) (ping fd ~req_id)
+  in
+  Fun.protect
+    ~finally:(fun () -> Rio_exec.Flag.set stop)
+    (fun () ->
+      let c1 = open_client path in
+      served c1 ~req_id:1;
+      let c2 = open_client path in
+      served c2 ~req_id:2;
+      let c3 = open_client path in
+      Alcotest.(check (option int)) "third refused" None (ping c3 ~req_id:3);
+      Unix.close c3;
+      Unix.close c1;
+      let rec reconnect tries =
+        let fd = open_client path in
+        match ping fd ~req_id:4 with
+        | Some st -> (fd, st)
+        | None when tries > 0 ->
+            Unix.close fd;
+            Unix.sleepf 0.01;
+            reconnect (tries - 1)
+        | None -> Alcotest.fail "the freed slot was never reused"
+      in
+      let c4, st = reconnect 500 in
+      Alcotest.(check int) "served in the freed slot" Wire.st_fault st;
+      served c2 ~req_id:5;
+      served c4 ~req_id:6;
+      Unix.close c2;
+      Unix.close c4);
+  let st = Domain.join server in
+  Alcotest.(check int) "requests = responses" st.Netloop.requests st.Netloop.responses;
+  Alcotest.(check bool) "refused at least once" true (st.Netloop.refused >= 1);
+  Alcotest.(check int) "three clients served" 3 st.Netloop.accepted
+
+(* {1 Netloop: the final report} *)
+
+(* Both renderings of a fixed stats record over two shards, one map and
+   one translate on the first: the summary lines and the riommu-serve-net/1
+   fields that CI and the e2e harness parse. *)
+let report_fixture () =
+  let shards = make_shards 2 in
+  let phys = Shard.next_buf shards.(0) in
+  (match Shard.map_record shards.(0) ~tenant:1 ~phys ~bytes:4096 with
+  | Ok iova ->
+      ignore (Shard.translate_record shards.(0) ~tenant:1 ~iova ~write:true : Addr.phys)
+  | Error `Exhausted -> Alcotest.fail "fixture map");
+  let stats =
+    {
+      Netloop.domains = 2;
+      domain_ops = [| 5; 7 |];
+      accepted = 4;
+      refused = 1;
+      closed = 3;
+      requests = 12;
+      responses = 12;
+      protocol_errors = 1;
+      batch_flushes = 5;
+      rejected = 2;
+      bytes_in = 480;
+      bytes_out = 360;
+    }
+  in
+  let cfg =
+    {
+      (Netloop.default_config ~addr:(Netloop.Unix_path "rio.sock")) with
+      batch = 16;
+      window = 32;
+      max_conns = 8;
+    }
+  in
+  (stats, shards, cfg)
+
+let expected_summary =
+  {|riommu-serve --listen unix:rio.sock
+  domains 2  max-conns 8
+  domain ops: d0 5 d1 7
+  wall 1.50s  conns 4 (refused 1, protocol errors 1)
+  requests 12  responses 12  rejected 2
+  batch flushes 5 (realized batch 2.4)
+  ops: map 1 unmap 0 translate 1 map_sg 0  (total 2, faults 0)
+  bytes in 480 out 360
+|}
+
+let expected_json =
+  {|{
+  "schema": "riommu-serve-net/1",
+  "addr": "unix:rio.sock",
+  "shards": 2, "batch": 16, "window": 32,
+  "domains": 2,
+  "domain_ops": [5, 7],
+  "wall_s": 1.500000,
+  "ops": 2,
+  "ops_per_sec": 1.3,
+  "requests": 12, "responses": 12, "rejected": 2,
+  "accepted": 4, "refused": 1, "closed": 3, "protocol_errors": 1,
+  "batch_flushes": 5, "realized_batch": 2.40,
+  "bytes_in": 480, "bytes_out": 360,
+  "faults": 0,
+  "groups": [
+    { "name": "net/map", "iters": 1, "p50_cycles": 2198, "p99_cycles": 2198, "p999_cycles": 2198, "max_cycles": 2198 },
+    { "name": "net/unmap", "iters": 0, "p50_cycles": 0, "p99_cycles": 0, "p999_cycles": 0, "max_cycles": 0 },
+    { "name": "net/translate", "iters": 1, "p50_cycles": 1532, "p99_cycles": 1532, "p999_cycles": 1532, "max_cycles": 1532 },
+    { "name": "net/map_sg", "iters": 0, "p50_cycles": 0, "p99_cycles": 0, "p999_cycles": 0, "max_cycles": 0 }
+  ],
+  "tenants": [
+    { "tenant": 0, "ops": 0, "iotlb_hit_rate": 0.0000, "p50_cycles": 0, "p99_cycles": 0, "p999_cycles": 0 },
+    { "tenant": 1, "ops": 2, "iotlb_hit_rate": 0.0000, "p50_cycles": 1535, "p99_cycles": 2198, "p999_cycles": 2198 },
+    { "tenant": 2, "ops": 0, "iotlb_hit_rate": 0.0000, "p50_cycles": 0, "p99_cycles": 0, "p999_cycles": 0 },
+    { "tenant": 3, "ops": 0, "iotlb_hit_rate": 0.0000, "p50_cycles": 0, "p99_cycles": 0, "p999_cycles": 0 }
+  ]
+}
+|}
+
+let test_netloop_report () =
+  let stats, shards, cfg = report_fixture () in
+  Alcotest.(check string) "summary" expected_summary
+    (Netloop.render_summary stats ~shards cfg ~wall_s:1.5);
+  Alcotest.(check string) "riommu-serve-net/1" expected_json
+    (Netloop.render_json stats ~shards cfg ~wall_s:1.5)
+
 (* {1 Runner} *)
 
 let () =
@@ -994,5 +1196,11 @@ let () =
             test_inline_matches_ring;
           Alcotest.test_case "socket at 2 domains = 1" `Quick
             test_netloop_two_domains;
+        ] );
+      ( "netloop",
+        [
+          Alcotest.test_case "slot reuse, refusal, holes" `Quick
+            test_netloop_slot_table;
+          Alcotest.test_case "summary and stats JSON" `Quick test_netloop_report;
         ] );
     ]
