@@ -152,8 +152,10 @@ let json_map_sg ~iters =
   let phys = Array.make burst buf and bytes = Array.make burst 1500 in
   let iovas = Array.make burst 0 in
   let batch () =
-    ignore (Driver.map_sg_exn d ~phys ~bytes ~iovas ~read:true ~write:true () : int);
-    Driver.unmap_sg_exn d ~iovas ~flush:Driver.Once ()
+    ignore
+      (Driver.map_sg_exn d ~phys ~bytes ~n:burst ~iovas ~read:true ~write:true
+        : int);
+    Driver.unmap_sg_exn d ~iovas ~n:burst ~flush:Driver.Once
   in
   (* prime the magazines (4352-IOVA park capacity) and the arena *)
   for _ = 1 to 22 do
@@ -207,13 +209,10 @@ let json_serve_translate ~iters =
       ~iotlb_policy:Rio_domain.Shared_iotlb.Shared ~rcache:true ~buf_pool:8 ()
   in
   let iova =
-    match
-      Rio_serve.Shard.map_record shard ~tenant:0
-        ~phys:(Rio_serve.Shard.next_buf shard) ~bytes:4096
-    with
-    | Ok v -> v
-    | Error `Exhausted -> failwith "bench: serve map failed"
+    Rio_serve.Shard.map shard ~tenant:0 ~phys:(Rio_serve.Shard.next_buf shard)
+      ~bytes:4096
   in
+  if iova < 0 then failwith "bench: serve map failed";
   let f () =
     ignore
       (Rio_serve.Shard.translate_record shard ~tenant:0 ~iova ~write:false
@@ -237,12 +236,12 @@ let json_serve_translate_miss ~iters =
   let pages = 4 * capacity in
   let iovas =
     Array.init pages (fun p ->
-        match
-          Shard.map_record shard ~tenant:(p land 1) ~phys:(Shard.next_buf shard)
+        let v =
+          Shard.map shard ~tenant:(p land 1) ~phys:(Shard.next_buf shard)
             ~bytes:4096
-        with
-        | Ok v -> v
-        | Error `Exhausted -> failwith "bench: serve map failed")
+        in
+        if v < 0 then failwith "bench: serve map failed";
+        v)
   in
   let rng = Rio_sim.Rng.create ~seed:11 in
   let picks = Array.init 4096 (fun _ -> Rio_sim.Rng.int rng pages) in

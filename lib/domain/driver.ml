@@ -248,10 +248,7 @@ let unmap_exn t ~iova =
 
 (* {2 Scatter-gather batches} *)
 
-let batch_length name ~n len =
-  let n = match n with Some n -> n | None -> len in
-  if n < 0 || n > len then invalid_arg name;
-  n
+let check_batch name ~n len = if n < 0 || n > len then invalid_arg name
 
 (* Tear down the first [n] just-mapped segments of a failed batch. They
    were never visible to the device (no translation happened), so no
@@ -264,8 +261,8 @@ let rollback t ~iovas n =
     release t node
   done
 
-let map_sg_exn t ~phys ~bytes ?n ~iovas ~read ~write () =
-  let n = batch_length "Driver.map_sg: n" ~n (Array.length phys) in
+let map_sg_exn t ~phys ~bytes ~n ~iovas ~read ~write =
+  check_batch "Driver.map_sg: n" ~n (Array.length phys);
   if n > Array.length bytes || n > Array.length iovas then
     invalid_arg "Driver.map_sg: arrays too small";
   enter t t.bm;
@@ -284,8 +281,8 @@ let map_sg_exn t ~phys ~bytes ?n ~iovas ~read ~write () =
       rollback t ~iovas !i;
       raise Exhausted
 
-let unmap_sg_exn t ~iovas ?n ~flush () =
-  let n = batch_length "Driver.unmap_sg: n" ~n (Array.length iovas) in
+let unmap_sg_exn t ~iovas ~n ~flush =
+  check_batch "Driver.unmap_sg: n" ~n (Array.length iovas);
   enter t t.bu;
   match flush with
   | Per_iova ->

@@ -121,18 +121,18 @@ val map_sg_exn :
   t ->
   phys:Rio_memory.Addr.phys array ->
   bytes:int array ->
-  ?n:int ->
+  n:int ->
   iovas:int array ->
   read:bool ->
   write:bool ->
-  unit ->
   int
-(** Map the first [n] (default all of [phys]) segments as one batch:
-    segment [i] is [bytes.(i)] bytes at [phys.(i)]. Writes each
-    segment's IOVA into [iovas.(i)] and returns the count mapped.
-    Exhaustion is atomic: {!Exhausted} is raised after every segment
-    mapped so far has been rolled back (no invalidation: the device
-    never saw them). Allocation-free after warm-up. *)
+(** Map the first [n] segments of [phys] as one batch: segment [i] is
+    [bytes.(i)] bytes at [phys.(i)]. Writes each segment's IOVA into
+    [iovas.(i)] and returns the count mapped ([n]). Exhaustion is
+    atomic: {!Exhausted} is raised after every segment mapped so far
+    has been rolled back (no invalidation: the device never saw them).
+    Allocation-free after warm-up: [n] is a required argument, so no
+    call site builds an option box. *)
 
 (** How {!unmap_sg_exn} closes the batch's stale IOTLB windows. *)
 type sg_flush =
@@ -148,8 +148,8 @@ type sg_flush =
           stale entries: the deferred-mode window, here bounded by one
           call. Ignores the {!policy}. *)
 
-val unmap_sg_exn : t -> iovas:int array -> ?n:int -> flush:sg_flush -> unit -> unit
-(** Unmap the first [n] (default all) IOVAs as one batch. Raises
+val unmap_sg_exn : t -> iovas:int array -> n:int -> flush:sg_flush -> unit
+(** Unmap the first [n] IOVAs as one batch. Raises
     {!Not_mapped} at the first unknown IOVA; the IOVAs before it stay
     unmapped (under [Once], after the flush that closes their
     windows). Allocation-free under [Once], and under [Per_iova] with

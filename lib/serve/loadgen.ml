@@ -17,6 +17,7 @@ type flow = {
   tenant : int;
   slot : int;
   ring_iova : int;  (* long-lived descriptor-ring page, mapped at create *)
+  prefix : Splittable_rng.t;  (* seed / "serve" / shard / tenant / slot *)
   stream : Splittable_rng.cursor;  (* this connection's draws *)
   mutable conn_serial : int;
   mutable reqs_left : int;
@@ -28,7 +29,6 @@ type flow = {
 type t = {
   shard : Shard.t;
   specs : tenant_spec array;
-  base : Splittable_rng.t;  (* seed / "serve" / shard *)
   flows : flow array;
   eq : Rio_sim.Event_queue.t;  (* payload: flow slot *)
   sg_max : int;
@@ -44,11 +44,11 @@ let[@inline] draw flow = Splittable_rng.draw flow.stream
 (* the top 53 bits of a draw: the uniform the Objects samplers take *)
 let[@inline] draw53 flow = Int64.to_int (Int64.shift_right_logical (draw flow) 11)
 
+(* Allocation-free: the connection's stream is the flow's fixed prefix
+   descended by the serial, written straight into the flow's cursor. *)
 let open_connection t flow =
   let spec = t.specs.(flow.tenant) in
-  Splittable_rng.(
-    seek flow.stream
-      (descend (descend (descend t.base flow.tenant) flow.slot) flow.conn_serial));
+  Splittable_rng.seek_descend flow.stream flow.prefix flow.conn_serial;
   flow.conn_serial <- flow.conn_serial + 1;
   flow.reqs_left <- Objects.requests_per_connection ~mean:spec.conn_mean (draw53 flow);
   t.connections <- t.connections + 1
@@ -80,11 +80,14 @@ let create ~shard ~specs ~seed ~flows_per_tenant ~sg_max =
     Array.init
       (Array.length specs * flows_per_tenant)
       (fun slot ->
+        let tenant = slot / flows_per_tenant in
+        let prefix = Splittable_rng.(descend (descend base tenant) slot) in
         {
-          tenant = slot / flows_per_tenant;
+          tenant;
           slot;
-          ring_iova = ring_map (slot / flows_per_tenant);
-          stream = Splittable_rng.cursor base;
+          ring_iova = ring_map tenant;
+          prefix;
+          stream = Splittable_rng.cursor prefix;
           conn_serial = 0;
           reqs_left = 0;
           seg_phys = Array.make sg_max (Rio_memory.Addr.phys_of_int 0);
@@ -96,7 +99,6 @@ let create ~shard ~specs ~seed ~flows_per_tenant ~sg_max =
     {
       shard;
       specs;
-      base;
       flows;
       eq = Event_queue.create ();
       sg_max;
@@ -131,19 +133,19 @@ let step t flow =
   let pages = if pages < 1 then 1 else if pages > t.sg_max then t.sg_max else pages in
   let wr = Int64.logand (draw flow) 1L = 0L in
   let tenant = flow.tenant in
-  (if pages = 1 then
+  (if pages = 1 then begin
      let bytes = if bytes > page_size then page_size else bytes in
-     match
-       Shard.map_record t.shard ~tenant ~phys:(Shard.next_buf t.shard) ~bytes
-     with
-     | Error `Exhausted -> t.dropped <- t.dropped + 1
-     | Ok iova ->
-         ignore
-           (Shard.translate_record t.shard ~tenant ~iova ~write:wr
-             : Rio_memory.Addr.phys);
-         (match Shard.unmap_record t.shard ~tenant ~iova with
-         | Ok () -> ()
-         | Error `Not_mapped -> assert false)
+     let iova = Shard.map t.shard ~tenant ~phys:(Shard.next_buf t.shard) ~bytes in
+     if iova < 0 then t.dropped <- t.dropped + 1
+     else begin
+       ignore
+         (Shard.translate_record t.shard ~tenant ~iova ~write:wr
+           : Rio_memory.Addr.phys);
+       match Shard.unmap_record t.shard ~tenant ~iova with
+       | Ok () -> ()
+       | Error `Not_mapped -> assert false
+     end
+   end
    else begin
      let rem = ref bytes in
      for i = 0 to pages - 1 do
@@ -153,21 +155,22 @@ let step t flow =
        flow.seg_bytes.(i) <- b;
        rem := !rem - b
      done;
-     match
-       Shard.map_sg_record t.shard ~tenant ~phys:flow.seg_phys
-         ~bytes:flow.seg_bytes ~n:pages ~iovas:flow.iovas
-     with
-     | Error `Exhausted -> t.dropped <- t.dropped + 1
-     | Ok _ ->
-         for i = 0 to pages - 1 do
-           ignore
-             (Shard.translate_record t.shard ~tenant ~iova:flow.iovas.(i)
-                ~write:wr
-               : Rio_memory.Addr.phys)
-         done;
-         (match Shard.unmap_sg_record t.shard ~tenant ~iovas:flow.iovas ~n:pages with
-         | Ok () -> ()
-         | Error `Not_mapped -> assert false)
+     if
+       Shard.map_sg t.shard ~tenant ~phys:flow.seg_phys ~bytes:flow.seg_bytes
+         ~n:pages ~iovas:flow.iovas
+       < 0
+     then t.dropped <- t.dropped + 1
+     else begin
+       for i = 0 to pages - 1 do
+         ignore
+           (Shard.translate_record t.shard ~tenant ~iova:flow.iovas.(i)
+              ~write:wr
+             : Rio_memory.Addr.phys)
+       done;
+       match Shard.unmap_sg_record t.shard ~tenant ~iovas:flow.iovas ~n:pages with
+       | Ok () -> ()
+       | Error `Not_mapped -> assert false
+     end
    end);
   t.requests <- t.requests + 1;
   flow.reqs_left <- flow.reqs_left - 1;

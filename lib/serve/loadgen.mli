@@ -4,8 +4,8 @@
     connections; each connection serves a geometric number of requests
     ({!Rio_workload.Objects.requests_per_connection}) and is then
     replaced — connection churn. A request samples an object size from
-    the tenant's profile, maps it (single-page {!Shard.map_record} or
-    scatter-gather {!Shard.map_sg_record} when it spans pages, capped
+    the tenant's profile, maps it (single-page {!Shard.map} or
+    scatter-gather {!Shard.map_sg} when it spans pages, capped
     at [sg_max] segments), translates every mapped page once, and
     unmaps. Closed-loop tenants issue back-to-back; open-loop tenants
     sleep an exponential think gap between requests.
@@ -15,7 +15,11 @@
     — never from shared or ambient state — and time is the shard's
     simulated clock driven through an event queue. The request
     schedule is therefore a pure function of (seed, shard id, specs):
-    byte-identical at any [--jobs] (DESIGN.md §10). *)
+    byte-identical at any [--jobs] (DESIGN.md §10).
+
+    After warm-up, {!run_until} allocates nothing: every op runs through
+    {!Shard}'s int-status forms, and a connection open re-seeks the
+    flow's cursor in place ({!Rio_sim.Splittable_rng.seek_descend}). *)
 
 type profile = Http | Kv
 

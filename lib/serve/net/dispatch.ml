@@ -9,11 +9,10 @@
    A batch slot is laid out as a {!Cell} request cell, so neither
    flush repacks it for the one op body: [flush_all] runs
    [Executor.exec] on it in place and [complete]s the response cell;
-   [flush_cells] copies it onto an executor's ring. [enqueue], the
-   translate and unmap arms of the body and [complete] are
-   allocation-free (lint manifest + the dispatch-translate bench
-   gate). Map and map_sg pay one result box each in the Shard call
-   they make. *)
+   [flush_cells] copies it onto an executor's ring. [enqueue], all
+   four arms of the body, [complete] and [flush_all] are
+   allocation-free after warm-up (lint manifest, the dispatch-translate
+   bench gate and test_net's ring-churn batch). *)
 
 open Rio_serve
 

@@ -18,9 +18,10 @@
     IO domain wakes to drain them.
 
     {!exec} is the service's one op body: {!step} runs it here, and
-    {!Dispatch.flush_all} runs it inline at one domain. It allocates
-    nothing on translate or unmap (lint-gated): cells are int lanes,
-    scratch is preallocated, and shard counters are plain ints. *)
+    {!Dispatch.flush_all} runs it inline at one domain. After warm-up
+    it allocates nothing on any of the four ops (lint-gated): cells
+    are int lanes, scratch is preallocated, shard counters are plain
+    ints, and the map arms read {!Rio_serve.Shard}'s int status. *)
 
 type body
 (** The op body's state: the global shard array and map_sg scratch.

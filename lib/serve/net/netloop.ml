@@ -267,6 +267,59 @@ let serve ?stop ?(on_tick = fun (_ : stats) -> ()) ~shards (cfg : config) =
         -> continue := false
     done
   in
+  (* ---- accepting under fd exhaustion ----
+     When the process (EMFILE) or the system (ENFILE) runs out of
+     descriptors, the waiting client stays queued and the listener stays
+     readable, so retrying on the next wakeup would spin poll(2). One
+     descriptor is held in reserve instead: releasing it lets the loop
+     accept the client and close it at once (refused: it reads EOF).
+     When that cannot work (no reserve, or ENOBUFS/ENOMEM), the listener
+     entry becomes a hole until [reap] frees a slot or a wait times out
+     idle. *)
+  let open_spare () =
+    match Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+    | fd -> Some fd
+    | exception Unix.Unix_error _ -> None
+  in
+  let spare = ref (open_spare ()) in
+  let listening = ref true in
+  let pause_listener () =
+    Poll_raw.clear ps ~idx:0;
+    listening := false
+  in
+  let resume_listener () =
+    if not !listening then begin
+      if !spare = None then spare := open_spare ();
+      Poll_raw.set ps ~idx:0 ~fd:lfd ~events:Poll_raw.ev_in;
+      listening := true
+    end
+  in
+  (* Refuse one waiting client through the reserve descriptor: [true]
+     if one was refused and more may wait. *)
+  let shed_one () =
+    match !spare with
+    | None ->
+        pause_listener ();
+        false
+    | Some fd ->
+        (try Unix.close fd with Unix.Unix_error _ -> ());
+        let shed =
+          match Unix.accept ~cloexec:true lfd with
+          | cfd, _ ->
+              (try Unix.close cfd with Unix.Unix_error _ -> ());
+              stats.refused <- stats.refused + 1;
+              true
+          | exception
+              Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+            ->
+              false
+          | exception Unix.Unix_error _ ->
+              pause_listener ();
+              false
+        in
+        spare := open_spare ();
+        shed
+  in
   (* ---- per-connection handlers ---- *)
   let accept_all () =
     let continue = ref true in
@@ -295,7 +348,18 @@ let serve ?stop ?(on_tick = fun (_ : stats) -> ()) ~shards (cfg : config) =
           end
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
           continue := false
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | exception
+          Unix.Unix_error
+            ((Unix.EINTR | Unix.ECONNABORTED | Unix.EUNKNOWNERR _), _, _) ->
+          (* interrupted, or the client left before we took it: the
+             constructor-less errors accept(2) returns (EPROTO, ENONET)
+             all concern that one pending connection *)
+          ()
+      | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+          continue := shed_one ()
+      | exception Unix.Unix_error ((Unix.ENOBUFS | Unix.ENOMEM), _, _) ->
+          pause_listener ();
+          continue := false
     done
   in
   (* Decode everything admissible out of a connection's read buffer.
@@ -369,6 +433,7 @@ let serve ?stop ?(on_tick = fun (_ : stats) -> ()) ~shards (cfg : config) =
     done
   in
   let reap () =
+    let closed = stats.closed in
     for slot = 0 to !n_used - 1 do
       if
         active slot
@@ -382,7 +447,8 @@ let serve ?stop ?(on_tick = fun (_ : stats) -> ()) ~shards (cfg : config) =
         incr free_top;
         stats.closed <- stats.closed + 1
       end
-    done
+    done;
+    if stats.closed > closed then resume_listener ()
   in
   let arm_interest () =
     for slot = 0 to !n_used - 1 do
@@ -410,7 +476,8 @@ let serve ?stop ?(on_tick = fun (_ : stats) -> ()) ~shards (cfg : config) =
   in
   let last_tick = ref (cfg.now_s ()) in
   while not (stopped ()) do
-    ignore (Poll_raw.wait ps ~n:(conn_base + !n_used) ~timeout_ms:50 : int);
+    let ready = Poll_raw.wait ps ~n:(conn_base + !n_used) ~timeout_ms:50 in
+    if ready = 0 then resume_listener ();
     dispatch_ready ();
     (* One flush per wakeup: everything decoded this iteration
        executes (inline, or via the rings) in shard-ordered batches. *)
@@ -467,6 +534,7 @@ let serve ?stop ?(on_tick = fun (_ : stats) -> ()) ~shards (cfg : config) =
       try Unix.close wfd with Unix.Unix_error _ -> ())
     pipes;
   close_listener cfg lfd;
+  Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !spare;
   refresh_stats ();
   stats
 

@@ -1,8 +1,10 @@
 (* riommu-wire/1: the length-prefixed binary framing the socket
-   transport speaks. Every accessor composes Bytes.get_uint16_le /
-   set_uint16_le, which return and take immediate ints — never the
-   boxing Bytes.get_int64_le — so decode and encode touch only the
-   caller's buffers and the preallocated request record. The decode
+   transport speaks. Every multi-byte accessor is one bounds-checked
+   load or store (Bytes.get_int32_le / get_int64_le and their setters)
+   converted to or from an immediate int in the same expression, which
+   ocamlopt compiles without boxing the Int32/Int64 — so decode and
+   encode touch only the caller's buffers and the preallocated request
+   record. The decode
    convention is an int, not a result: [> 0] bytes consumed, [0] need
    more bytes, [< 0] a typed protocol error ({!error_of_code}), so the
    hot path never allocates an [Ok]/[Error] box. *)
@@ -61,26 +63,20 @@ let error_name = function
   | Bad_segs -> "bad_segs"
   | Bad_hello -> "bad_hello"
 
-(* Little-endian accessors built up from the 16-bit primitives. Values
-   are 62-bit: the top two bits of the wire u64 are masked on encode
-   and ignored on decode, keeping every quantity an immediate OCaml
-   int (addresses in this codebase are <= 2^48 anyway). *)
+(* Little-endian accessors, one load or store each. Values are 62-bit:
+   the top two bits of the wire u64 are masked on encode and ignored on
+   decode, keeping every quantity an immediate OCaml int (addresses in
+   this codebase are <= 2^48 anyway). *)
 
 let get_u8 = Bytes.get_uint8
 let set_u8 = Bytes.set_uint8
 let get_u16 = Bytes.get_uint16_le
 let set_u16 = Bytes.set_uint16_le
-let[@inline] get_u32 b p = get_u16 b p lor (get_u16 b (p + 2) lsl 16)
-
-let[@inline] set_u32 b p v =
-  set_u16 b p (v land 0xFFFF);
-  set_u16 b (p + 2) ((v lsr 16) land 0xFFFF)
-
-let get_u64 b p = get_u32 b p lor ((get_u32 b (p + 4) land 0x3FFF_FFFF) lsl 32)
-
-let set_u64 b p v =
-  set_u32 b p (v land 0xFFFF_FFFF);
-  set_u32 b (p + 4) ((v lsr 32) land 0x3FFF_FFFF)
+let u62_mask = (1 lsl 62) - 1
+let[@inline] get_u32 b p = Int32.to_int (Bytes.get_int32_le b p) land 0xFFFF_FFFF
+let[@inline] set_u32 b p v = Bytes.set_int32_le b p (Int32.of_int v)
+let[@inline] get_u64 b p = Int64.to_int (Bytes.get_int64_le b p) land u62_mask
+let[@inline] set_u64 b p v = Bytes.set_int64_le b p (Int64.of_int (v land u62_mask))
 
 (* Requests *)
 

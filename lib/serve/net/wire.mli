@@ -30,14 +30,35 @@
 
     Decode and encode are allocation-free: requests decode into a
     preallocated mutable {!req} (responses into a {!resp}), integers
-    travel through [Bytes.get_uint16_le] composition (never a boxed
-    [Int64]), and decoders return a plain [int]: positive = bytes
+    travel through one load or store per field ({!get_u64} and its
+    siblings, converted in place so no [Int32]/[Int64] is boxed), and
+    decoders return a plain [int]: positive = bytes
     consumed, [0] = need more input, negative = {!error_of_code}.
     Wire [u64]s carry 62-bit values (the top bits are masked), which
     covers every address and counter in the system. *)
 
 val magic : int
 val hello_bytes : int
+
+(** {1 Field accessors}
+
+    Little-endian, one bounds-checked load or store each; an access
+    that runs past the buffer raises [Invalid_argument "index out of
+    bounds"]. *)
+
+val get_u32 : Bytes.t -> int -> int
+(** The unsigned 32-bit field at the position. *)
+
+val set_u32 : Bytes.t -> int -> int -> unit
+(** Store the low 32 bits of the value. *)
+
+val get_u64 : Bytes.t -> int -> int
+(** The 64-bit field at the position with its top two bits ignored:
+    a value in [\[0, 2^62)]. *)
+
+val set_u64 : Bytes.t -> int -> int -> unit
+(** Store the low 62 bits of the value, the top two wire bits zero. *)
+
 val len_bytes : int
 val header_bytes : int
 

@@ -105,8 +105,9 @@ val alloc_probe : unit -> float array
 (** Measured minor-heap words per operation for each op kind, from a
     sequential probe loop on a private single-tenant shard (so the
     numbers are attributed to the calling domain and unpolluted by the
-    load generator). [translate] must be 0.00 — the bench gate's
-    serve-translate group enforces it. *)
+    load generator). It runs the forms the service runs ({!Shard.map},
+    {!Shard.map_sg}, {!Shard.unmap_record}, {!Shard.unmap_sg_record},
+    {!Shard.translate_record}); every kind must read 0.00. *)
 
 val render_json :
   report -> wall_ns:float -> words_per_op:float array -> string
@@ -115,4 +116,4 @@ val render_json :
     mean, machine-independent)/[words_per_op]/[gated_zero_alloc]
     fields exactly as [bench/compare.ml] parses them, plus quantile
     fields and top-level wall-clock throughput ([wall_ns],
-    [ops_per_sec]). Only the translate group is gated zero-alloc. *)
+    [ops_per_sec]). Every group is gated zero-alloc. *)

@@ -92,15 +92,19 @@ let[@inline] record t op ~tenant start =
   let dt = Rio_sim.Cycles.since t.clock start in
   Histogram.record2 t.hists.(op) t.tenant_hists.(tenant) dt
 
-let map_record t ~tenant ~phys ~bytes =
+let map t ~tenant ~phys ~bytes =
   let start = Rio_sim.Cycles.now t.clock in
-  let r =
+  let iova =
     match Driver.map_exn t.drivers.(tenant) ~phys ~bytes ~read:true ~write:true with
-    | iova -> Ok iova
-    | exception Driver.Exhausted -> Error `Exhausted
+    | iova -> iova
+    | exception Driver.Exhausted -> -1
   in
   record t 0 ~tenant start;
-  r
+  iova
+
+let map_record t ~tenant ~phys ~bytes =
+  let iova = map t ~tenant ~phys ~bytes in
+  if iova < 0 then Error `Exhausted else Ok iova
 
 (* Named results: an inline [Ok ()] is a static block too, but the
    zero-alloc lint cannot tell it from a fresh one. *)
@@ -117,15 +121,15 @@ let unmap_record t ~tenant ~iova =
   record t 1 ~tenant start;
   r
 
-let map_sg_record t ~tenant ~phys ~bytes ~n ~iovas =
+let map_sg t ~tenant ~phys ~bytes ~n ~iovas =
   let start = Rio_sim.Cycles.now t.clock in
   let r =
     match
       Driver.map_sg_exn t.drivers.(tenant) ~phys ~bytes ~n ~iovas ~read:true
-        ~write:true ()
+        ~write:true
     with
-    | n -> Ok n
-    | exception Driver.Exhausted -> Error `Exhausted
+    | n -> n
+    | exception Driver.Exhausted -> -1
   in
   record t 3 ~tenant start;
   r
@@ -134,7 +138,7 @@ let unmap_sg_record t ~tenant ~iovas ~n =
   let start = Rio_sim.Cycles.now t.clock in
   let r =
     match
-      Driver.unmap_sg_exn t.drivers.(tenant) ~iovas ~n ~flush:Driver.Per_iova ()
+      Driver.unmap_sg_exn t.drivers.(tenant) ~iovas ~n ~flush:Driver.Per_iova
     with
     | () -> unmapped
     | exception Driver.Not_mapped -> not_mapped

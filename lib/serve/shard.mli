@@ -8,12 +8,14 @@
     (DESIGN.md §12). Cross-shard aggregation happens only at snapshot
     barriers, by merging the shards' {!Histogram}s.
 
-    The [*_record] wrappers are the four op kinds the service serves;
-    each charges the op's simulated cost to the shard clock and records
-    the cycle latency in the op kind's histogram. Every op calls the
+    {!map}, {!map_sg}, {!unmap_record}, {!unmap_sg_record} and
+    {!translate_record} are the four op kinds the service serves; each
+    charges the op's simulated cost to the shard clock and records the
+    cycle latency in the op kind's histogram. Every op calls the
     tenant's {!Rio_domain.Driver} directly, the engine the paper
-    experiments run. [translate_record] (the per-DMA steady-state path) and
-    [unmap_record] are allocation-free (lint manifest + bench gate). *)
+    experiments run. All of them are allocation-free after warm-up
+    (lint manifest + bench and test gates): the map forms answer an int
+    status, [-1] on exhaustion, instead of a result box. *)
 
 type op = Map | Unmap | Translate | Map_sg
 
@@ -50,18 +52,30 @@ val next_buf : t -> Rio_memory.Addr.phys
 
 (** {1 Recorded operations} *)
 
+val map : t -> tenant:int -> phys:Rio_memory.Addr.phys -> bytes:int -> int
+(** Map [bytes] bytes at [phys] with {!Rio_domain.Driver.map_exn},
+    recorded in the [Map] histogram. Answers the IOVA, or [-1] when the
+    tenant's IOVA space or the shard's frame pool is exhausted (the
+    engine left nothing mapped). Allocation-free after warm-up. *)
+
 val map_record :
   t -> tenant:int -> phys:Rio_memory.Addr.phys -> bytes:int ->
   (int, [ `Exhausted ]) result
+(** {!map} with its status boxed in a result. Kept only because the
+    end-to-end benchmark's replay ([bench/e2e/replay.ml]) calls it; the
+    next change to that benchmark switches the replay to {!map} and
+    deletes this wrapper. Nothing in the service calls it. *)
 
 val unmap_record : t -> tenant:int -> iova:int -> (unit, [ `Not_mapped ]) result
 
-val map_sg_record :
+val map_sg :
   t -> tenant:int -> phys:Rio_memory.Addr.phys array -> bytes:int array ->
-  n:int -> iovas:int array -> (int, [ `Exhausted ]) result
+  n:int -> iovas:int array -> int
 (** Map the first [n] segments ([bytes.(i)] bytes at [phys.(i)]) with
-    {!Rio_domain.Driver.map_sg_exn}, recorded in the [Map_sg]
-    histogram as one operation. *)
+    {!Rio_domain.Driver.map_sg_exn}, writing segment [i]'s IOVA into
+    [iovas.(i)], recorded in the [Map_sg] histogram as one operation.
+    Answers [n], or [-1] on exhaustion (the batch was rolled back
+    whole). Allocation-free after warm-up. *)
 
 val unmap_sg_record :
   t -> tenant:int -> iovas:int array -> n:int -> (unit, [ `Not_mapped ]) result

@@ -21,21 +21,27 @@ let[@inline] mix64 z =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-(* Gammas must be odd to generate the full 2^64 period. *)
-let mix_gamma z = Int64.logor (mix64 z) 1L
+(* Gammas must be odd to generate the full 2^64 period. Inlined: as a
+   plain call it would box its argument and its result. *)
+let[@inline] mix_gamma z = Int64.logor (mix64 z) 1L
 
 let create ~seed =
   let s = Int64.of_int seed in
   { state = mix64 s; gamma = mix_gamma (Int64.add s golden_gamma) }
 
-let descend t key =
-  (* Hash-combine the parent's identity (state and gamma both count:
-     siblings share neither) with the key; the child gets a fresh
-     gamma so descendants of different children never fall into the
-     same additive orbit. *)
+(* Hash-combine the parent's identity (state and gamma both count:
+   siblings share neither) with the key; the child gets a fresh gamma
+   ([child_gamma]) so descendants of different children never fall into
+   the same additive orbit. *)
+let[@inline] child_state t key =
   let k = mix64 (Int64.add (Int64.of_int key) golden_gamma) in
-  let h = mix64 (Int64.logxor t.state (Int64.mul t.gamma k)) in
-  { state = h; gamma = mix_gamma (Int64.add h t.gamma) }
+  mix64 (Int64.logxor t.state (Int64.mul t.gamma k))
+
+let[@inline] child_gamma t h = mix_gamma (Int64.add h t.gamma)
+
+let descend t key =
+  let h = child_state t key in
+  { state = h; gamma = child_gamma t h }
 
 let fnv_prime = 0x100000001B3L
 let fnv_offset = 0xCBF29CE484222325L
@@ -71,6 +77,12 @@ let cursor t =
   let c = Bytes.create 16 in
   seek c t;
   c
+
+(* [seek c (descend t key)] without building the child record. *)
+let seek_descend c t key =
+  let h = child_state t key in
+  set64 c 0 h;
+  set64 c 8 (child_gamma t h)
 
 let[@inline] draw c =
   let state = Int64.add (get64 c 0) (get64 c 8) in

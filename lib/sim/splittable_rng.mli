@@ -47,6 +47,11 @@ val cursor : t -> cursor
 val seek : cursor -> t -> unit
 (** Move the cursor to the start of [t]'s stream. Allocation-free. *)
 
+val seek_descend : cursor -> t -> int -> unit
+(** [seek_descend c t key] = [seek c (descend t key)], but writes the
+    child's position straight into the cursor: allocation-free, where
+    {!descend} builds a record. *)
+
 val draw : cursor -> int64
 (** The next 64-bit value of the stream, advancing the cursor.
     Allocation-free once inlined (the release build inlines it, so the

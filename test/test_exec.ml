@@ -97,7 +97,15 @@ let test_cursor_matches_pure_stream () =
       let q = Srng.descend (Srng.descend t 3) 9 in
       Srng.seek c q;
       let got = List.init 16 (fun _ -> Srng.draw c) in
-      check "seek" got (Pure.draws (Pure.descend (Pure.descend p 3) 9) 16))
+      check "seek" got (Pure.draws (Pure.descend (Pure.descend p 3) 9) 16);
+      (* [seek_descend] places it at a child without building one *)
+      List.iter
+        (fun k ->
+          Srng.seek_descend c q k;
+          let got = List.init 16 (fun _ -> Srng.draw c) in
+          check (Printf.sprintf "seek_descend %d" k) got
+            (Pure.draws (Pure.descend (Pure.descend (Pure.descend p 3) 9) k) 16))
+        [ 0; 1; 77; -1; max_int ])
     [ 0; 1; 7; 42; 99; -3; max_int ]
 
 let test_same_seed_same_stream () =

@@ -153,6 +153,61 @@ let prop_response_roundtrip =
           && resp.Wire.s_faults = 7
       | _ -> resp.Wire.r_op = Wire.op_translate && resp.Wire.status <> Wire.st_ok)
 
+(* {1 Wire: field accessors} *)
+
+(* The accessors' earlier bodies, composed from bounds-checked 16-bit
+   loads and stores: the oracle the single-load accessors must match,
+   value for value and exception for exception. *)
+module U16 = struct
+  let get_u32 b p = Bytes.get_uint16_le b p lor (Bytes.get_uint16_le b (p + 2) lsl 16)
+
+  let set_u32 b p v =
+    Bytes.set_uint16_le b p (v land 0xFFFF);
+    Bytes.set_uint16_le b (p + 2) ((v lsr 16) land 0xFFFF)
+
+  let get_u64 b p = get_u32 b p lor ((get_u32 b (p + 4) land 0x3FFF_FFFF) lsl 32)
+
+  let set_u64 b p v =
+    set_u32 b p (v land 0xFFFF_FFFF);
+    set_u32 b (p + 4) ((v lsr 32) land 0x3FFF_FFFF)
+end
+
+let outcome f = match f () with v -> Ok v | exception e -> Error e
+
+let accessor_value_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        int;
+        int_bound 0xFFFF_FFFF;
+        oneofl
+          [ 0; 0xFFFF_FFFF; (1 lsl 32); (1 lsl 62) - 1; 1 lsl 62; -1; min_int; max_int ];
+      ])
+
+(* Loads read a random 16-byte buffer, stores write into two copies of
+   one; positions run from before the buffer to past its end, so the
+   partial and whole out-of-bounds cases are drawn too. A failed store
+   compares only its exception: the 16-bit composition may have
+   written its first half before raising. *)
+let prop_accessors_match_u16 =
+  QCheck.Test.make ~count:2000 ~name:"wire: u32/u64 = u16 composition"
+    QCheck.(
+      make Gen.(tup3 accessor_value_gen (int_range (-9) 20) (string_size (return 16))))
+    (fun (v, pos, init) ->
+      let load get oracle =
+        let b = Bytes.of_string init in
+        outcome (fun () -> get b pos) = outcome (fun () -> oracle b pos)
+      in
+      let store set oracle =
+        let a = Bytes.of_string init and b = Bytes.of_string init in
+        let ra = outcome (fun () -> set a pos v) in
+        ra = outcome (fun () -> oracle b pos v) && (Result.is_error ra || Bytes.equal a b)
+      in
+      load Wire.get_u32 U16.get_u32
+      && load Wire.get_u64 U16.get_u64
+      && store Wire.set_u32 U16.set_u32
+      && store Wire.set_u64 U16.set_u64)
+
 (* {1 Wire: typed protocol errors} *)
 
 let code = Wire.error_code
@@ -400,6 +455,81 @@ let test_dispatch_batch_full () =
   Dispatch.flush_all d;
   Alcotest.(check int) "all executed" (batch + 1) (Dispatch.executed d);
   Alcotest.(check int) "two non-empty flushes" 2 (Dispatch.flushes d)
+
+(* The ring-churn workload's batch for one tenant — 16 maps, 32
+   translates of live pages, 16 FIFO unmaps of the oldest, over 64 live
+   pages — through the inline flush. After warm-up, [Dispatch.flush_all]
+   (every op arm of the body and the response encode) allocates
+   nothing. *)
+let test_dispatch_zero_alloc () =
+  let shards = make_shards 1 in
+  let d = Dispatch.create ~shards ~batch:64 ~sg_limit () in
+  let conn = hello_conn ~window:128 in
+  let req = Wire.create_req ~sg_limit in
+  let resp = Wire.create_resp ~sg_limit in
+  let b = Bytes.create 64 in
+  let tenant = 0 in
+  (* live IOVAs, oldest first, in a ring of 128 *)
+  let live = Array.make 128 0 in
+  let head = ref 0 and tail = ref 0 in
+  let req_id = ref 0 in
+  let send encode =
+    incr req_id;
+    Alcotest.(check bool) "enqueued" true (push d conn req b (encode ~req_id:!req_id))
+  in
+  let map () =
+    send (fun ~req_id ->
+        Wire.encode_map b ~pos:0 ~tenant ~req_id
+          ~phys:(Shard.next_buf shards.(0) :> int)
+          ~bytes:4096)
+  in
+  (* run the batch queued so far; the map answers come first *)
+  let flush ~maps ~others =
+    let a = Gc.minor_words () in
+    let a' = Gc.minor_words () in
+    Dispatch.flush_all d;
+    let z = Gc.minor_words () in
+    for _ = 1 to maps do
+      drain_one conn resp;
+      Alcotest.(check int) "map ok" Wire.st_ok resp.Wire.status;
+      live.(!tail land 127) <- resp.Wire.r_iova;
+      incr tail
+    done;
+    for _ = 1 to others do
+      drain_one conn resp;
+      Alcotest.(check int) "translate/unmap ok" Wire.st_ok resp.Wire.status
+    done;
+    z -. a' -. (a' -. a)
+  in
+  for _ = 1 to 64 do
+    map ()
+  done;
+  ignore (flush ~maps:64 ~others:0 : float);
+  let batch () =
+    for _ = 1 to 16 do
+      map ()
+    done;
+    for k = 0 to 31 do
+      let iova = live.((!head + (2 * k)) land 127) in
+      send (fun ~req_id ->
+          Wire.encode_translate b ~pos:0 ~tenant ~req_id ~iova ~write:(k land 1 = 0))
+    done;
+    for _ = 1 to 16 do
+      let iova = live.(!head land 127) in
+      incr head;
+      send (fun ~req_id -> Wire.encode_unmap b ~pos:0 ~tenant ~req_id ~iova)
+    done;
+    flush ~maps:16 ~others:48
+  in
+  for _ = 1 to 64 do
+    ignore (batch () : float)
+  done;
+  let words = ref 0. in
+  for _ = 1 to 64 do
+    words := !words +. batch ()
+  done;
+  Alcotest.(check int) "64 pages live" 64 (!tail - !head);
+  Alcotest.(check (float 0.)) "minor words over 64 batches" 0. !words
 
 let test_dispatch_rejects_bad_tenant () =
   let shards = make_shards 2 in
@@ -1072,10 +1202,9 @@ let test_netloop_slot_table () =
 let report_fixture () =
   let shards = make_shards 2 in
   let phys = Shard.next_buf shards.(0) in
-  (match Shard.map_record shards.(0) ~tenant:1 ~phys ~bytes:4096 with
-  | Ok iova ->
-      ignore (Shard.translate_record shards.(0) ~tenant:1 ~iova ~write:true : Addr.phys)
-  | Error `Exhausted -> Alcotest.fail "fixture map");
+  let iova = Shard.map shards.(0) ~tenant:1 ~phys ~bytes:4096 in
+  if iova < 0 then Alcotest.fail "fixture map";
+  ignore (Shard.translate_record shards.(0) ~tenant:1 ~iova ~write:true : Addr.phys);
   let stats =
     {
       Netloop.domains = 2;
@@ -1160,6 +1289,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_request_roundtrip;
           QCheck_alcotest.to_alcotest prop_response_roundtrip;
           Alcotest.test_case "typed protocol errors" `Quick test_wire_errors;
+          QCheck_alcotest.to_alcotest prop_accessors_match_u16;
         ] );
       ( "conn",
         [
@@ -1179,6 +1309,8 @@ let () =
             test_dispatch_rejects_bad_tenant;
           Alcotest.test_case "malformed ops answered" `Quick
             test_dispatch_malformed_ops;
+          Alcotest.test_case "ring-churn batch allocates nothing" `Quick
+            test_dispatch_zero_alloc;
         ] );
       ( "spsc",
         [

@@ -283,7 +283,7 @@ let test_map_sg_roundtrip () =
   let bytes = Array.init n (fun i -> 512 * (i + 1)) in
   let iovas = Array.make n 0 in
   let drv = Manager.driver d in
-  (match Driver.map_sg_exn drv ~phys ~bytes ~iovas ~read:true ~write:true () with
+  (match Driver.map_sg_exn drv ~phys ~bytes ~n ~iovas ~read:true ~write:true with
   | k -> Alcotest.(check int) "all segments mapped" n k
   | exception Driver.Exhausted -> Alcotest.fail "map_sg exhausted");
   Alcotest.(check int) "distinct iovas" n
@@ -297,12 +297,12 @@ let test_map_sg_roundtrip () =
         (Addr.to_int phys.(i))
         (Addr.to_int p))
     iovas;
-  (match Driver.unmap_sg_exn drv ~iovas ~flush:Driver.Per_iova () with
+  (match Driver.unmap_sg_exn drv ~iovas ~n ~flush:Driver.Per_iova with
   | () -> ()
   | exception Driver.Not_mapped -> Alcotest.fail "unmap_sg failed");
   Alcotest.(check int) "all unmapped" 0 (Driver.live_mappings (Manager.driver d));
   Alcotest.check_raises "double unmap_sg reports not mapped" Driver.Not_mapped
-    (fun () -> Driver.unmap_sg_exn drv ~iovas ~flush:Driver.Per_iova ())
+    (fun () -> Driver.unmap_sg_exn drv ~iovas ~n ~flush:Driver.Per_iova)
 
 let test_map_sg_rollback () =
   let mgr, frames = make_mgr () in
@@ -318,11 +318,11 @@ let test_map_sg_rollback () =
   let iovas = Array.make 8 0 in
   let drv = Manager.driver d in
   Alcotest.check_raises "batch exhausts" Driver.Exhausted (fun () ->
-      ignore (Driver.map_sg_exn drv ~phys ~bytes ~iovas ~read:true ~write:true ()));
+      ignore (Driver.map_sg_exn drv ~phys ~bytes ~n:8 ~iovas ~read:true ~write:true));
   Alcotest.(check int) "rollback leaves nothing mapped" 0
     (Driver.live_mappings (Manager.driver d));
   (* the rolled-back ranges are reusable: a fitting batch now succeeds *)
-  (match Driver.map_sg_exn drv ~phys ~bytes ~n:2 ~iovas ~read:true ~write:true () with
+  (match Driver.map_sg_exn drv ~phys ~bytes ~n:2 ~iovas ~read:true ~write:true with
   | k -> Alcotest.(check int) "small batch fits after rollback" 2 k
   | exception Driver.Exhausted -> Alcotest.fail "space not released by rollback");
   Alcotest.(check int) "two live" 2 (Driver.live_mappings (Manager.driver d))
@@ -515,12 +515,11 @@ let churn_task sid () =
   (* resident tenants with long-lived mappings *)
   let resident =
     Array.init 2 (fun t ->
-        match
-          Shard.map_record shard ~tenant:t ~phys:(Shard.next_buf shard)
-            ~bytes:4096
-        with
-        | Ok iova -> iova
-        | Error `Exhausted -> Alcotest.fail "resident map")
+        let iova =
+          Shard.map shard ~tenant:t ~phys:(Shard.next_buf shard) ~bytes:4096
+        in
+        if iova < 0 then Alcotest.fail "resident map";
+        iova)
   in
   let digest = ref (sid * 7919) in
   for round = 0 to 24 do
@@ -563,6 +562,53 @@ let test_churn_stress_parallel () =
       Alcotest.(check int) "every detached rid faulted" 25 unknown)
     seq
 
+(* {1 Steady state allocates nothing} *)
+
+(* Minor words [f] allocates, less what two adjacent reads cost. *)
+let minor_words f =
+  let a = Gc.minor_words () in
+  let b = Gc.minor_words () in
+  f ();
+  let c = Gc.minor_words () in
+  c -. b -. (b -. a)
+
+(* One shard of the default service after warm-up (25 simulated ms:
+   the magazines, the table arena and the event queue reach their
+   working-set size by about 20): 10 ms more of traffic (every op kind,
+   connection churn, the event queue) allocates nothing, so a long run
+   never cycles the minor heap. *)
+let test_loadgen_zero_alloc () =
+  let cfg = Server.default_config in
+  let shard =
+    Shard.create ~id:0 ~tenants:cfg.Server.tenants
+      ~iotlb_capacity:cfg.iotlb_capacity ~iotlb_policy:cfg.iotlb_policy
+      ~rcache:cfg.rcache ()
+  in
+  let gen =
+    Rio_serve.Loadgen.create ~shard
+      ~specs:(Rio_serve.Loadgen.default_specs ~tenants:cfg.tenants)
+      ~seed:cfg.seed ~flows_per_tenant:cfg.flows_per_tenant ~sg_max:cfg.sg_max
+  in
+  let stop = Flag.create () in
+  let ms = int_of_float (Cost_model.cycles_per_second Cost_model.default /. 1e3) in
+  Rio_serve.Loadgen.run_until gen ~deadline:(25 * ms) ~stop;
+  let ops = Array.init Shard.op_count (fun i -> Shard.ops shard (Shard.op_of_index i)) in
+  let conns = Rio_serve.Loadgen.connections gen in
+  let words =
+    minor_words (fun () -> Rio_serve.Loadgen.run_until gen ~deadline:(35 * ms) ~stop)
+  in
+  Array.iteri
+    (fun i n ->
+      let op = Shard.op_of_index i in
+      Alcotest.(check bool)
+        (Shard.op_name op ^ " ran in the measured window")
+        true
+        (Shard.ops shard op > n))
+    ops;
+  Alcotest.(check bool) "connections opened in the measured window" true
+    (Rio_serve.Loadgen.connections gen > conns);
+  Alcotest.(check (float 0.)) "minor words" 0. words
+
 (* {1 Runner} *)
 
 let () =
@@ -596,5 +642,7 @@ let () =
           Alcotest.test_case "attach/detach churn stress" `Quick
             test_churn_stress_parallel;
           Alcotest.test_case "per-tenant footprint" `Quick test_tenant_footprint;
+          Alcotest.test_case "loadgen steady state: 0 words" `Quick
+            test_loadgen_zero_alloc;
         ] );
     ]
