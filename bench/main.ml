@@ -143,8 +143,7 @@ let json_map_sg ~iters =
   in
   let d =
     Manager.driver
-      (Manager.add_domain mgr ~name:"bench"
-         ~bdf:(Rio_iommu.Bdf.make ~bus:1 ~device:0 ~func:0)
+      (Manager.add_domain mgr ~bdf:(Rio_iommu.Bdf.make ~bus:1 ~device:0 ~func:0)
          ())
   in
   let burst = 200 in

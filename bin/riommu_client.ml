@@ -54,7 +54,10 @@ type conn = {
   mutable ring_n : int;
   (* reconnect bookkeeping *)
   mutable retries : int;  (* successful redials this segment *)
-  mutable attempts : int;  (* consecutive failed dials since the drop *)
+  mutable attempts : int;
+      (* failed dials (refused, or closed unanswered) since the last
+         answered connection *)
+  mutable answered : bool;  (* a response arrived on this connection *)
   mutable backoff : float;  (* capped exponential, seconds *)
   mutable next_retry : float;  (* wall deadline for the next dial *)
 }
@@ -119,6 +122,7 @@ let make_conn addr ~idx ~tenant ~pages ~batch ~seed =
       ring_n = 0;
       retries = 0;
       attempts = 0;
+      answered = false;
       backoff = 0.01;
       next_retry = 0.;
     }
@@ -207,6 +211,7 @@ let handle_responses c resp ~hist ~recording ~now =
     if r > 0 then begin
       c.rpos <- c.rpos + r;
       c.outstanding <- c.outstanding - 1;
+      c.answered <- true;
       (match c.mode with
       | Setup ->
           if resp.Wire.r_op = Wire.op_map then
@@ -300,7 +305,9 @@ type segment_result = {
 }
 
 (* A dropped conn gets up to [max_dials] redials with capped
-   exponential backoff before it is written off. *)
+   exponential backoff before it is written off. A connection the
+   server closes before answering any request (a refusal at accept)
+   counts as a failed dial. *)
 let max_dials = 8
 
 let run_segment ~addr ~conns:nconns ~tenants ~tenant_base ~pages ~batch
@@ -319,6 +326,17 @@ let run_segment ~addr ~conns:nconns ~tenants ~tenant_base ~pages ~batch
       (try Unix.close c.fd with Unix.Unix_error _ -> ())
     end
   in
+  (* One more failed dial: back off, or write the conn off. *)
+  let retry_later c ~now =
+    c.attempts <- c.attempts + 1;
+    if c.attempts >= max_dials then
+      (* fd is already closed; don't route through [kill] *)
+      c.mode <- Done
+    else begin
+      c.backoff <- Float.min 0.5 (c.backoff *. 2.);
+      c.next_retry <- now +. c.backoff
+    end
+  in
   (* The transport under c dropped: park the conn in Reconnect (its fd
      is closed, so it must stay out of the select sets) unless it was
      already draining, in which case its steady-state ops are counted
@@ -334,9 +352,12 @@ let run_segment ~addr ~conns:nconns ~tenants ~tenant_base ~pages ~batch
         c.rlen <- 0;
         c.wpos <- 0;
         c.wlen <- 0;
-        c.attempts <- 0;
-        c.backoff <- 0.01;
-        c.next_retry <- now +. c.backoff
+        if c.answered then begin
+          c.attempts <- 0;
+          c.backoff <- 0.01;
+          c.next_retry <- now +. c.backoff
+        end
+        else retry_later c ~now
   in
   let redial c ~now =
     match connect_to addr with
@@ -344,8 +365,7 @@ let run_segment ~addr ~conns:nconns ~tenants ~tenant_base ~pages ~batch
         Unix.set_nonblock fd;
         c.fd <- fd;
         c.retries <- c.retries + 1;
-        c.attempts <- 0;
-        c.backoff <- 0.01;
+        c.answered <- false;
         c.wpos <- 0;
         c.wlen <- Wire.encode_hello c.wbuf ~pos:0 ~bdf:(0x100 + c.idx) ~flags:0;
         (* Re-run setup from scratch: pre-drop iovas may be dead (the
@@ -355,15 +375,7 @@ let run_segment ~addr ~conns:nconns ~tenants ~tenant_base ~pages ~batch
         c.setup_sent <- 0;
         c.mode <- Setup;
         send_setup_chunk c
-    | exception Unix.Unix_error _ ->
-        c.attempts <- c.attempts + 1;
-        if c.attempts >= max_dials then
-          (* fd is already closed; don't route through [kill] *)
-          c.mode <- Done
-        else begin
-          c.backoff <- Float.min 0.5 (c.backoff *. 2.);
-          c.next_retry <- now +. c.backoff
-        end
+    | exception Unix.Unix_error _ -> retry_later c ~now
   in
   let tick_reconnects ~now =
     Array.iter

@@ -26,13 +26,11 @@ let () =
       ~cost ()
   in
   let a =
-    Manager.add_domain mgr ~name:"tenant-a"
-      ~bdf:(Bdf.make ~bus:1 ~device:0 ~func:0)
+    Manager.add_domain mgr ~bdf:(Bdf.make ~bus:1 ~device:0 ~func:0)
       ()
   in
   let b =
-    Manager.add_domain mgr ~name:"tenant-b"
-      ~bdf:(Bdf.make ~bus:2 ~device:0 ~func:0)
+    Manager.add_domain mgr ~bdf:(Bdf.make ~bus:2 ~device:0 ~func:0)
       ()
   in
   let buf = Rio_memory.Frame_allocator.alloc_exn frames in

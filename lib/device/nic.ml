@@ -41,8 +41,6 @@ type t = {
   mutable tx_packets : int;
   mutable rx_packets : int;
   mutable faults : int;
-  mutable drops : int;
-  mutable resets : int;
 }
 
 let create ?(data_movement = true) ~profile ~api ~mem ~rng () =
@@ -59,11 +57,8 @@ let create ?(data_movement = true) ~profile ~api ~mem ~rng () =
     tx_packets = 0;
     rx_packets = 0;
     faults = 0;
-    drops = 0;
-    resets = 0;
   }
 
-let profile t = t.profile
 
 (* kmalloc'd buffers (packet headers, linear skb data, Rx buffers) start
    at arbitrary page offsets, so a 1,500-byte buffer spans two pages about
@@ -187,7 +182,6 @@ let tx_reclaim t =
   done;
   n
 
-let tx_posted t = Ring.length t.tx_ring
 let tx_completed t = Queue.length t.tx_done
 
 (* {1 Receive} *)
@@ -212,9 +206,7 @@ let rx_fill t =
 
 let device_rx_deliver t ~payload =
   match Ring.consume t.rx_ring with
-  | None ->
-      t.drops <- t.drops + 1;
-      Error `No_buffer
+  | None -> Error `No_buffer
   | Some slot ->
       let len = min (Bytes.length payload) slot.mb.bytes in
       let delivered =
@@ -267,42 +259,8 @@ let rx_reap t =
 
 let rx_pending t = Queue.length t.rx_done
 
-(* {1 Fault recovery} *)
-
-let reset t =
-  (* quiesce: everything the device still owns is torn down unmapped *)
-  let rec drain_tx () =
-    match Ring.consume t.tx_ring with
-    | None -> ()
-    | Some pkt ->
-        List.iter (fun mb -> unmap_and_free t mb ~end_of_burst:false) pkt.bufs;
-        drain_tx ()
-  in
-  drain_tx ();
-  Queue.iter
-    (fun pkt -> List.iter (fun mb -> unmap_and_free t mb ~end_of_burst:false) pkt.bufs)
-    t.tx_done;
-  Queue.clear t.tx_done;
-  let rec drain_rx () =
-    match Ring.consume t.rx_ring with
-    | None -> ()
-    | Some slot ->
-        unmap_and_free t slot.mb ~end_of_burst:false;
-        drain_rx ()
-  in
-  drain_rx ();
-  Queue.iter (fun slot -> unmap_and_free t slot.mb ~end_of_burst:false) t.rx_done;
-  Queue.clear t.rx_done;
-  (* one terminal invalidation + any deferred flush, then back up *)
-  Dma_api.flush t.api;
-  t.resets <- t.resets + 1;
-  ignore (rx_fill t)
-
-let resets t = t.resets
-
 (* {1 Stats} *)
 
 let tx_packets t = t.tx_packets
 let rx_packets t = t.rx_packets
 let dma_faults t = t.faults
-let drops t = t.drops

@@ -35,8 +35,6 @@ val create :
   unit ->
   t
 
-val profile : t -> Nic_profiles.t
-
 (** {1 Transmit path} *)
 
 val tx_submit : t -> payload:bytes -> (unit, [ `Ring_full | `Map_failed ]) result
@@ -55,9 +53,6 @@ val tx_reclaim_next : t -> end_of_burst:bool -> bool
 (** Reclaim a single completed Tx packet (oldest first); [false] when
     none is pending. Lets callers interleave Rx and Tx completion
     processing per packet, as the NAPI poll loop does. *)
-
-val tx_posted : t -> int
-(** Descriptors awaiting device processing. *)
 
 val tx_completed : t -> int
 (** Completions awaiting reclaim. *)
@@ -83,20 +78,8 @@ val rx_reap_next : t -> end_of_burst:bool -> bytes option
 
 val rx_pending : t -> int
 
-(** {1 Fault recovery} *)
-
-val reset : t -> unit
-(** Reinitialize the device, as OSes do after an I/O page fault (§2.2:
-    DMAs are not restartable): quiesce both rings, unmap and free every
-    in-flight buffer (flushing any deferred invalidations), and refill
-    the Rx ring. In-flight packets are lost; the device is usable again
-    afterwards. *)
-
-val resets : t -> int
-
 (** {1 Statistics} *)
 
 val tx_packets : t -> int
 val rx_packets : t -> int
 val dma_faults : t -> int
-val drops : t -> int

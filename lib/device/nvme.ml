@@ -97,9 +97,5 @@ let reclaim t ~queue =
   t.completed <- t.completed + n;
   n
 
-let in_flight t ~queue =
-  let q = qp t queue in
-  Ring.length q.sq + Queue.length q.cq
-
 let completed_total t = t.completed
 let faults t = t.faults

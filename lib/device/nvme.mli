@@ -41,6 +41,5 @@ val reclaim : t -> queue:int -> int
 (** Process the completion queue: unmap the buffers of finished commands
     (one burst). *)
 
-val in_flight : t -> queue:int -> int
 val completed_total : t -> int
 val faults : t -> int

@@ -18,7 +18,6 @@ type t = {
   mutable in_flight : request list;
   done_q : request Queue.t;
   mutable disk_cycles : int;
-  mutable completed : int;
   mutable faults : int;
 }
 
@@ -33,7 +32,6 @@ let create ?(data_movement = true) ~bandwidth_mbps ~api ~mem ~rng () =
     in_flight = [];
     done_q = Queue.create ();
     disk_cycles = 0;
-    completed = 0;
     faults = 0;
   }
 
@@ -97,10 +95,7 @@ let reclaim t =
       incr i)
     t.done_q;
   Queue.clear t.done_q;
-  t.completed <- t.completed + n;
   n
 
-let in_flight t = List.length t.in_flight
 let disk_cycles t = t.disk_cycles
-let completed_total t = t.completed
 let faults t = t.faults

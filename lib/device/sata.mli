@@ -34,10 +34,8 @@ val device_complete : t -> max:int -> int
 val reclaim : t -> int
 (** Unmap and free the buffers of completed requests. *)
 
-val in_flight : t -> int
 val disk_cycles : t -> int
 (** Total disk service time accrued, in CPU-clock cycles (the bottleneck
     term for the Bonnie++ experiment). *)
 
-val completed_total : t -> int
 val faults : t -> int

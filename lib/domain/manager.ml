@@ -11,8 +11,6 @@ type invalidation = Per_domain | Global
 
 type domain = {
   id : int;
-  name : string;
-  bdf : Bdf.t;
   rid : int;
   driver : Driver.t;
 }
@@ -31,7 +29,6 @@ type t = {
   clock : Cycles.t;
   cost : Cost_model.t;
   rcache : bool;
-  mutable doms : domain list;  (* reversed creation order *)
   mutable next_id : int;
   mutable unknown_rid_faults : int;
 }
@@ -53,12 +50,11 @@ let create ~iotlb_policy ~iotlb_capacity ~invalidation ~policy ~frames ~clock
     clock;
     cost;
     rcache;
-    doms = [];
     next_id = 1;
     unknown_rid_faults = 0;
   }
 
-let add_domain t ~name ~bdf ?(iova_limit_pfn = 0xFFFFF) () =
+let add_domain t ~bdf ?(iova_limit_pfn = 0xFFFFF) () =
   let rid = Bdf.to_rid bdf in
   if Rid_table.mem t.rids rid then
     invalid_arg "Manager.add_domain: bdf already attached";
@@ -89,24 +85,19 @@ let add_domain t ~name ~bdf ?(iova_limit_pfn = 0xFFFFF) () =
     Driver.create ?rcache ~table ~allocator ~target ~rid ~policy:t.policy
       ~clock:t.clock ~cost:t.cost ()
   in
-  let d = { id; name; bdf; rid; driver } in
-  t.doms <- d :: t.doms;
+  let d = { id; rid; driver } in
   Rid_table.replace t.rids rid d;
   d
 
 let remove_domain t d =
   Rid_table.remove t.rids d.rid;
-  t.doms <- List.filter (fun x -> x.id <> d.id) t.doms;
   Driver.leave d.driver;
   (* flush before unregistering: the shared-policy flush attributes
      entries to this domain through the bdf ownership table *)
   Shared_iotlb.flush_domain t.iotlb ~domain:d.id;
   Shared_iotlb.unregister t.iotlb ~domain:d.id ~bdf:d.rid
 
-let domains t = List.rev t.doms
 let domain_id d = d.id
-let domain_name d = d.name
-let bdf d = d.bdf
 let rid d = d.rid
 let driver d = d.driver
 let iotlb t = t.iotlb

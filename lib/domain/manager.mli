@@ -42,7 +42,7 @@ val create :
     the tree — the configuration the serve shards run with. *)
 
 val add_domain :
-  t -> name:string -> bdf:Rio_iommu.Bdf.t -> ?iova_limit_pfn:int -> unit -> domain
+  t -> bdf:Rio_iommu.Bdf.t -> ?iova_limit_pfn:int -> unit -> domain
 (** Create a tenant: fresh page table, fresh IOVA allocator, context
     entry installed, IOTLB slice registered. Online attach is allowed
     under the [Shared] and [Quota] IOTLB policies — a tenant can join
@@ -57,10 +57,7 @@ val remove_domain : t -> domain -> unit
 
 (** {1 Accessors} *)
 
-val domains : t -> domain list
 val domain_id : domain -> int
-val domain_name : domain -> string
-val bdf : domain -> Rio_iommu.Bdf.t
 val rid : domain -> int
 
 val driver : domain -> Driver.t

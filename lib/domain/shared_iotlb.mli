@@ -67,7 +67,7 @@ val unregister : t -> domain:int -> bdf:int -> unit
 
 val find : t -> domain:int -> bdf:int -> vpn:int -> int
 (** Hardware lookup, attributed to [domain]'s hit/miss counters.
-    Payloads are packed PTE immediates ({!Rio_pagetable.Pte.pack}), so
+    Payloads are packed PTE immediates ({!Rio_pagetable.Pte.pack_make}), so
     a miss returns -1 ({!Rio_pagetable.Pte.packed_none}). Allocation-
     and exception-free. *)
 

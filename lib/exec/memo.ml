@@ -25,21 +25,3 @@ let find_or_add t key f =
           let v = f () in
           slot.value <- Some v;
           v)
-
-let mem t key =
-  Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.table key with
-      | Some { value = Some _; _ } -> true
-      | Some { value = None; _ } | None -> false)
-
-let once f =
-  let lock = Mutex.create () in
-  let cell = ref None in
-  fun () ->
-    Mutex.protect lock (fun () ->
-        match !cell with
-        | Some v -> v
-        | None ->
-            let v = f () in
-            cell := Some v;
-            v)

@@ -17,11 +17,3 @@ type ('k, 'v) t
 val create : ?size:int -> unit -> ('k, 'v) t
 
 val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
-
-val mem : ('k, 'v) t -> 'k -> bool
-(** [true] once a value for the key has been computed and stored. *)
-
-val once : (unit -> 'a) -> unit -> 'a
-(** [once f] is a single-slot memo: the first call computes [f ()]
-    under a lock (concurrent callers block), later calls return the
-    cached value. *)

@@ -29,9 +29,6 @@ type plan =
 let plan_of_list cells ~reduce =
   Plan { cells = Array.of_list cells; reduce = (fun rs -> reduce (Array.to_list rs)) }
 
-let run_plan ?jobs (Plan { cells; reduce }) =
-  reduce (Rio_exec.Pool.run ?jobs cells)
-
 (* Flatten many plans into one task list so a single pool schedules the
    whole registry; reduces then run sequentially in plan order (they are
    cheap - rendering only). *)

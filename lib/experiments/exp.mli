@@ -16,7 +16,7 @@ val render : t -> string
     independent cells - pure thunks, each a function only of the
     experiment's configuration and its seed-derived RNG stream - plus a
     deterministic reduce that consumes the results {e indexed by cell
-    position}, never by completion order. [run_plan ~jobs] may
+    position}, never by completion order. {!run_plans} may
     therefore schedule the cells on a domain pool in any interleaving
     and still render a byte-identical artifact. *)
 
@@ -29,11 +29,6 @@ type plan =
 
 val plan_of_list : (unit -> 'a) list -> reduce:('a list -> t) -> plan
 (** List-flavored constructor; the reduce sees results in cell order. *)
-
-val run_plan : ?jobs:int -> plan -> t
-(** Run the cells on a {!Rio_exec.Pool} ([jobs] defaults to 1 =
-    sequential, [0] = one worker per core) and reduce. The
-    single-plan reference that {!run_plans} must match. *)
 
 val run_plans : ?jobs:int -> (string * plan) list -> (string * t) list
 (** Flatten several plans into one task list scheduled by a single

@@ -157,7 +157,7 @@ let burst spec frames rng pool ~map ~translate ~unmap =
 (* {1 Baseline modes: strict / defer through the shared IOTLB} *)
 
 let baseline_tenant mgr frames rng i spec =
-  let dom = Manager.add_domain mgr ~name:spec.name ~bdf:(bdf_of_index i) () in
+  let dom = Manager.add_domain mgr ~bdf:(bdf_of_index i) () in
   let rid = Manager.rid dom and driver = Manager.driver dom in
   let map bytes phys = Driver.map_exn driver ~phys ~bytes ~read:true ~write:true in
   let pool = working_set spec frames (map Addr.page_size) in

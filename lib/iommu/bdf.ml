@@ -7,11 +7,3 @@ let make ~bus ~device ~func =
   { bus; device; func }
 
 let to_rid t = (t.bus lsl 8) lor (t.device lsl 3) lor t.func
-
-let of_rid rid =
-  if rid < 0 || rid > 0xFFFF then invalid_arg "Bdf.of_rid";
-  { bus = rid lsr 8; device = (rid lsr 3) land 0x1F; func = rid land 0x7 }
-
-let equal a b = a.bus = b.bus && a.device = b.device && a.func = b.func
-let compare a b = Int.compare (to_rid a) (to_rid b)
-let pp fmt t = Format.fprintf fmt "%02x:%02x.%d" t.bus t.device t.func

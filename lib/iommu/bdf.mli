@@ -12,9 +12,3 @@ val make : bus:int -> device:int -> func:int -> t
 
 val to_rid : t -> int
 (** The 16-bit request identifier: [bus << 8 | device << 3 | func]. *)
-
-val of_rid : int -> t
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
-(** Conventional [bb:dd.f] notation. *)

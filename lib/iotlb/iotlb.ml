@@ -227,7 +227,6 @@ let iter t f =
   done
 
 let occupancy t = t.len
-let capacity t = t.capacity
 let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions

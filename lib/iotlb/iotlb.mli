@@ -55,7 +55,6 @@ val iter : t -> (bdf:int -> vpn:int -> int -> unit) -> unit
     nothing itself. *)
 
 val occupancy : t -> int
-val capacity : t -> int
 val hits : t -> int
 val misses : t -> int
 val evictions : t -> int

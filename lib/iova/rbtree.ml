@@ -155,7 +155,6 @@ let rec maximum t x =
     maximum t x.right
   end
 
-let min_node t = if t.root.is_nil then None else Some (minimum t t.root)
 let max_node t = if t.root.is_nil then None else Some (maximum t t.root)
 
 let next t x =

@@ -38,7 +38,6 @@ val find_containing_exn : t -> int -> node
 val max_node : t -> node option
 (** Highest interval ([rb_last]). *)
 
-val min_node : t -> node option
 val prev : t -> node -> node option
 (** In-order predecessor ([rb_prev]). *)
 
@@ -59,9 +58,6 @@ val delete : t -> node -> unit
 
 val visits : t -> int
 (** Total node dereferences so far (monotonic). *)
-
-val iter : t -> (node -> unit) -> unit
-(** In-order iteration (does not count visits). *)
 
 val check_invariants : t -> (unit, string) result
 (** Validate the red-black properties, ordering, and interval

@@ -14,5 +14,3 @@ let page_offset a = a land (page_size - 1)
 let add a off = phys_of_int (a + off)
 let is_page_aligned a = page_offset a = 0
 let pp fmt a = Format.fprintf fmt "0x%08x" a
-let equal = Int.equal
-let compare = Int.compare

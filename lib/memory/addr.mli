@@ -32,6 +32,3 @@ val add : phys -> int -> phys
 val is_page_aligned : phys -> bool
 val pp : Format.formatter -> phys -> unit
 (** Hex rendering, e.g. [0x00012000]. *)
-
-val equal : phys -> phys -> bool
-val compare : phys -> phys -> int

@@ -40,12 +40,3 @@ let free fa t =
   for i = 0 to n - 1 do
     Frame_allocator.free fa (Addr.add t.base (i * Addr.page_size))
   done
-
-let free_shared fa = function
-  | [] -> ()
-  | first :: _ as all ->
-      List.iter (fun b -> b.pinned <- false) all;
-      Frame_allocator.free fa (Addr.of_pfn (Addr.pfn first.base))
-
-let pin t = t.pinned <- true
-let frames t = frames_for t.size

@@ -26,12 +26,5 @@ val alloc_sub_page : Frame_allocator.t -> offsets:int list -> size:int ->
     baseline IOMMU cannot isolate. *)
 
 val free : Frame_allocator.t -> t -> unit
-(** Unpin and release the buffer's frames. Sub-page buffers sharing a
-    frame must be freed via {!free_shared} exactly once per frame. *)
-
-val free_shared : Frame_allocator.t -> t list -> unit
-(** Free sub-page buffers that share one frame. *)
-
-val pin : t -> unit
-val frames : t -> int
-(** Number of frames the buffer spans. *)
+(** Unpin and release the buffer's frames. Sub-page buffers share one
+    frame: release it once, through {!Frame_allocator.free}. *)

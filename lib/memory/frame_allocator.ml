@@ -70,4 +70,3 @@ let free t addr =
   t.free_list <- pfn :: t.free_list
 
 let allocated t = t.allocated
-let total t = t.total

@@ -28,5 +28,3 @@ val free : t -> Addr.phys -> unit
 
 val allocated : t -> int
 (** Frames currently live. *)
-
-val total : t -> int

@@ -31,15 +31,3 @@ let read t addr len =
   let out = Bytes.make len '\000' in
   iter_span t addr len (fun fr off span dpos -> Bytes.blit fr off out dpos span);
   out
-
-let write_u64 t addr v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
-  write t addr b
-
-let read_u64 t addr = Bytes.get_int64_le (read t addr 8) 0
-
-let fill t addr len c =
-  iter_span t addr len (fun fr off span _ -> Bytes.fill fr off span c)
-
-let touched_frames t = Hashtbl.length t.frames

@@ -15,11 +15,3 @@ val write : t -> Addr.phys -> bytes -> unit
 val read : t -> Addr.phys -> int -> bytes
 (** Read [len] bytes starting at the address. Untouched memory reads as
     zero. *)
-
-val write_u64 : t -> Addr.phys -> int64 -> unit
-val read_u64 : t -> Addr.phys -> int64
-val fill : t -> Addr.phys -> int -> char -> unit
-(** [fill t addr len c] sets [len] bytes to [c]. *)
-
-val touched_frames : t -> int
-(** Number of frames that have been materialized (for tests). *)

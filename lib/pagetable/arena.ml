@@ -10,7 +10,7 @@
      child lsl 1            interior pointer to node [child]
 
    (node 0 is the root and never a child, so interior encodings are
-   nonzero). Steady-state [map_exn]/[unmap_exn]/[lookup_cpu]/[walk]
+   nonzero). Steady-state [map_exn]/[unmap_exn]/[walk]
    allocate zero words: no records, no options, constant exceptions;
    store growth happens in a separate helper only when a fresh node is
    carved. Released nodes (only [reset] releases) are threaded through
@@ -183,20 +183,6 @@ let unmap_exn t ~iova =
     v lsr 1
   end
   else raise Not_mapped
-
-let lookup_cpu t ~iova =
-  check_iova iova;
-  let n = ref 0 in
-  let res = ref (-2) in
-  for level = 1 to levels do
-    if !res = -2 then begin
-      let v = t.cpu.((!n * fanout) + index iova level) in
-      if level = levels then res := (if v land 1 = 1 then v lsr 1 else -1)
-      else if v <> 0 && v land 1 = 0 then n := v lsr 1
-      else res := -1
-    end
-  done;
-  if !res >= 0 then !res else Pte.packed_none
 
 let walk t ~iova =
   check_iova iova;

@@ -10,10 +10,10 @@
     into a flat cell store, cells are tagged immediates (empty / leaf
     PTE / child index), and released nodes thread an intrusive freelist
     that retains their backing frames. Steady-state [map_exn],
-    [unmap_exn], [lookup_cpu] and [walk] allocate zero words; growth
+    [unmap_exn] and [walk] allocate zero words; growth
     happens only when a fresh node is carved.
 
-    PTEs cross this interface in the packed-int form of {!Pte.pack}
+    PTEs cross this interface in the packed-int form of {!Pte.pack_make}
     (see Pte's packed accessors). *)
 
 type t
@@ -47,10 +47,6 @@ val map_exn : t -> iova:int -> pte:int -> unit
 val unmap_exn : t -> iova:int -> int
 (** Remove the translation and sync; returns the packed PTE that was
     mapped. Allocation-free. @raise Not_mapped if absent. *)
-
-val lookup_cpu : t -> iova:int -> int
-(** The CPU's (OS's) current view, without charging cycles: the packed
-    PTE, or {!Pte.packed_none} when absent. *)
 
 val walk : t -> iova:int -> int
 (** Hardware page walk as performed on an IOTLB miss: reads the walker

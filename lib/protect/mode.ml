@@ -27,15 +27,6 @@ let name = function
   | Riommu -> "riommu"
 
 let of_name s = List.find_opt (fun m -> name m = s) all
-let pp fmt t = Format.pp_print_string fmt (name t)
-
-let is_protected = function
-  | None_ | Hw_passthrough | Sw_passthrough -> false
-  | Strict | Strict_plus | Defer | Defer_plus | Riommu_minus | Riommu -> true
-
-let is_safe = function
-  | Strict | Strict_plus | Riommu_minus | Riommu -> true
-  | None_ | Hw_passthrough | Sw_passthrough | Defer | Defer_plus -> false
 
 let uses_fast_allocator = function
   | Strict_plus | Defer_plus -> true

@@ -26,15 +26,6 @@ val name : t -> string
     "riommu-", "riommu", "none", "hwpt", "swpt". *)
 
 val of_name : string -> t option
-val pp : Format.formatter -> t -> unit
-
-val is_protected : t -> bool
-(** Whether DMAs are restricted at all (everything but none and the
-    pass-throughs). *)
-
-val is_safe : t -> bool
-(** Protected with no stale-translation window: the strict variants and
-    both rIOMMU variants. The deferred variants trade this off. *)
 
 val uses_fast_allocator : t -> bool
 val is_deferred : t -> bool

@@ -23,10 +23,6 @@ let length t = t.next_seq
 let entries t = List.rev t.entries
 let iter t f = List.iter f (entries t)
 
-let clear t =
-  t.entries <- [];
-  t.next_seq <- 0
-
 let to_csv t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "seq,cycles,op,addr,arg1,arg2\n";

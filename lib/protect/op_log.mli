@@ -30,7 +30,6 @@ val entries : t -> entry list
 (** In record order. *)
 
 val iter : t -> (entry -> unit) -> unit
-val clear : t -> unit
 
 val to_csv : t -> string
 (** "seq,cycles,op,addr,arg1,arg2" rows with a header line; the two

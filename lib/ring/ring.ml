@@ -9,7 +9,6 @@ let create ~size =
   { slots = Array.make size None; head = 0; tail = 0 }
 
 let size t = Array.length t.slots
-let capacity t = size t - 1
 
 let length t =
   let n = (t.tail - t.head + size t) mod size t in
@@ -17,8 +16,6 @@ let length t =
 
 let is_empty t = t.head = t.tail
 let is_full t = (t.tail + 1) mod size t = t.head
-let head t = t.head
-let tail t = t.tail
 
 let post t x =
   if is_full t then Error `Full
@@ -29,8 +26,6 @@ let post t x =
     Ok slot
   end
 
-let peek t = if is_empty t then None else t.slots.(t.head)
-
 let consume t =
   if is_empty t then None
   else begin
@@ -39,12 +34,6 @@ let consume t =
     t.head <- (t.head + 1) mod size t;
     x
   end
-
-let get t i =
-  if i < 0 || i >= size t then invalid_arg "Ring.get: index";
-  match t.slots.(i) with
-  | Some x -> x
-  | None -> invalid_arg "Ring.get: empty slot"
 
 let check_invariants t =
   if t.head < 0 || t.head >= size t then Error "head out of range"

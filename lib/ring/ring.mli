@@ -11,28 +11,18 @@ val create : size:int -> 'a t
     from empty, as real rings do: capacity is [size - 1]. *)
 
 val size : 'a t -> int
-val capacity : 'a t -> int
 val length : 'a t -> int
 (** Descriptors currently available to the device. *)
 
 val is_empty : 'a t -> bool
 val is_full : 'a t -> bool
-val head : 'a t -> int
-val tail : 'a t -> int
 
 val post : 'a t -> 'a -> (int, [ `Full ]) result
 (** Driver-side: place a descriptor at the tail; returns the slot index
     it occupied. *)
 
-val peek : 'a t -> 'a option
-(** Device-side: the descriptor at the head, without consuming. *)
-
 val consume : 'a t -> 'a option
 (** Device-side: remove and return the head descriptor. *)
-
-val get : 'a t -> int -> 'a
-(** Slot access by index (for completion processing). Raises
-    [Invalid_argument] out of range. *)
 
 val check_invariants : 'a t -> (unit, string) result
 (** head/tail within bounds, length consistent. *)

@@ -28,8 +28,6 @@ type t = {
   mutable hello_done : bool;
   mutable bdf : int;
   mutable alive : bool;
-  mutable requests : int;  (* frames decoded over the lifetime *)
-  mutable responses : int;  (* responses completed *)
   mutable token : int;  (* loop slot; rides along in ring cells *)
 }
 
@@ -65,19 +63,13 @@ let create ?rbuf_bytes ?wbuf_bytes ~window ~sg_limit () =
     hello_done = false;
     bdf = 0;
     alive = true;
-    requests = 0;
-    responses = 0;
     token = -1;
   }
 
-let window t = t.window
 let inflight t = t.inflight
-let hello_done t = t.hello_done
 let bdf t = t.bdf
 let alive t = t.alive
 let kill t = t.alive <- false
-let requests t = t.requests
-let responses t = t.responses
 let token t = t.token
 let set_token t v = t.token <- v
 
@@ -123,8 +115,7 @@ let next t req =
         let r = Wire.decode_request t.rbuf ~pos:t.rpos ~avail req in
         if r > 0 then begin
           t.rpos <- t.rpos + r;
-          t.inflight <- t.inflight + 1;
-          t.requests <- t.requests + 1
+          t.inflight <- t.inflight + 1
         end
         else if r < 0 then t.alive <- false;
         r
@@ -134,8 +125,7 @@ let next t req =
       let r = Wire.decode_request t.rbuf ~pos:t.rpos ~avail req in
       if r > 0 then begin
         t.rpos <- t.rpos + r;
-        t.inflight <- t.inflight + 1;
-        t.requests <- t.requests + 1
+        t.inflight <- t.inflight + 1
       end
       else if r < 0 then t.alive <- false;
       r
@@ -162,8 +152,7 @@ let commit t p =
 
 let completed t =
   if t.inflight < 1 then invalid_arg "Conn.completed: window empty";
-  t.inflight <- t.inflight - 1;
-  t.responses <- t.responses + 1
+  t.inflight <- t.inflight - 1
 
 let consumed t n =
   if n < 0 || n > queued t then invalid_arg "Conn.consumed";

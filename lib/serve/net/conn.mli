@@ -31,10 +31,8 @@ val create :
     must be at least [window] of them. Raises [Invalid_argument] on a
     window or buffer too small to make progress. *)
 
-val window : t -> int
 val inflight : t -> int
 
-val hello_done : t -> bool
 val bdf : t -> int
 (** The device id the peer presented in its hello; [0] until then. *)
 
@@ -43,12 +41,6 @@ val alive : t -> bool
     {!kill}; a dead connection decodes nothing further. *)
 
 val kill : t -> unit
-
-val requests : t -> int
-(** Request frames decoded over the connection's lifetime. *)
-
-val responses : t -> int
-(** Responses completed ({!completed} calls). *)
 
 val token : t -> int
 (** The event loop's slot index for this connection ([-1] until

@@ -57,7 +57,6 @@ type config = {
   window : int;
   sg_limit : int;
   max_conns : int;
-  max_tenants : int;
   domains : int;
   now_s : unit -> float;
   tick_every_s : float;
@@ -70,7 +69,6 @@ let default_config ~addr =
     window = 128;
     sg_limit = 16;
     max_conns = 64;
-    max_tenants = 4096;
     domains = 1;
     now_s = (fun () -> 0.);
     tick_every_s = 0.;
@@ -149,8 +147,7 @@ let serve ?stop ?(on_tick = fun (_ : stats) -> ()) ~shards (cfg : config) =
     }
   in
   let d =
-    Dispatch.create ~shards ~batch:cfg.batch ~sg_limit:cfg.sg_limit
-      ~max_tenants:cfg.max_tenants ()
+    Dispatch.create ~shards ~batch:cfg.batch ~sg_limit:cfg.sg_limit ()
   in
   let rsp_max = Wire.max_response_bytes ~sg_limit:cfg.sg_limit in
   (* stats requests are answered here, outside the dispatcher's

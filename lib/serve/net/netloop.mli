@@ -40,16 +40,15 @@ type config = {
   window : int;  (** per-connection in-flight request cap *)
   sg_limit : int;  (** max scatter-gather segments per request *)
   max_conns : int;  (** accepts beyond this are refused (closed) *)
-  max_tenants : int;  (** wire tenant-id space for the dispatcher *)
   domains : int;  (** executor domains; [1] = execute on the loop *)
   now_s : unit -> float;  (** injected wall clock (seconds) *)
   tick_every_s : float;  (** [on_tick] cadence; [<= 0] disables *)
 }
 
 val default_config : addr:addr -> config
-(** batch 64, window 128, sg_limit 16, 64 connections, 4096 tenants,
-    1 domain, ticks disabled, clock stuck at 0 (supply [now_s] to
-    enable). *)
+(** batch 64, window 128, sg_limit 16, 64 connections, 1 domain,
+    ticks disabled, clock stuck at 0 (supply [now_s] to enable). The
+    dispatcher keeps {!Dispatch.create}'s default tenant-id space. *)
 
 type stats = {
   domains : int;  (** effective executor domains after clamping *)

@@ -22,7 +22,6 @@ let create ~cap ~width =
   }
 
 let capacity t = t.mask + 1
-let width t = t.width
 
 (* Cursors run unbounded and are masked per access; on 63-bit ints
    wraparound is out of reach. Only the producer stores [tail], only
@@ -52,4 +51,3 @@ let try_pop t ~dst =
   end
 
 let length t = Atomic.get t.tail - Atomic.get t.head
-let is_empty t = length t = 0

@@ -21,7 +21,6 @@ val create : cap:int -> width:int -> t
     [width] ints each. *)
 
 val capacity : t -> int
-val width : t -> int
 
 val try_push : t -> src:int array -> bool
 (** Copy [width t] ints from [src] into the ring. [false] when full.
@@ -34,5 +33,3 @@ val try_pop : t -> dst:int array -> bool
 val length : t -> int
 (** Cells currently queued. Exact from either endpoint's own side;
     a safe point-in-time reading from anywhere else. *)
-
-val is_empty : t -> bool

@@ -22,14 +22,6 @@ let op_map_sg = 3
 let op_translate = 4
 let op_stats = 5
 
-let op_name = function
-  | 1 -> "map"
-  | 2 -> "unmap"
-  | 3 -> "map_sg"
-  | 4 -> "translate"
-  | 5 -> "stats"
-  | _ -> "?"
-
 let st_ok = 0
 let st_exhausted = 1
 let st_not_mapped = 2

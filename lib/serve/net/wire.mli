@@ -73,7 +73,6 @@ val op_unmap : int
 val op_map_sg : int
 val op_translate : int
 val op_stats : int
-val op_name : int -> string
 val st_ok : int
 val st_exhausted : int
 val st_not_mapped : int

@@ -56,7 +56,6 @@ let create ~id ~tenants ~iotlb_capacity ~iotlb_policy ~rcache ?(buf_pool = 1024)
   let doms =
     Array.init tenants (fun i ->
         Manager.add_domain mgr
-          ~name:(Printf.sprintf "shard%d/tenant%d" id i)
           ~bdf:(Rio_iommu.Bdf.make ~bus:(i + 1) ~device:0 ~func:0)
           ())
   in

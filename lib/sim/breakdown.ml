@@ -31,9 +31,6 @@ let mean_cycles t comp =
   if t.calls = 0 then 0.
   else float_of_int t.totals.(index comp) /. float_of_int t.calls
 
-let mean_sum t =
-  List.fold_left (fun acc c -> acc +. mean_cycles t c) 0. all_components
-
 let reset t =
   Array.fill t.totals 0 6 0;
   t.calls <- 0

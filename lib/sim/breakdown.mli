@@ -32,7 +32,4 @@ val total_cycles : t -> component -> int
 val mean_cycles : t -> component -> float
 (** Average cycles per recorded call; 0 when no calls recorded. *)
 
-val mean_sum : t -> float
-(** Sum of the component means: the "sum" row of Table 1. *)
-
 val reset : t -> unit

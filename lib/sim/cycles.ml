@@ -7,7 +7,6 @@ let[@inline] charge t c =
   assert (c >= 0);
   t.now <- t.now + c
 
-let reset t = t.now <- 0
 let since t start = t.now - start
 
 let measure t f =

@@ -13,14 +13,11 @@ val create : unit -> t
 (** A fresh counter at cycle 0. *)
 
 val now : t -> int
-(** Cycles elapsed since creation or the last {!reset}. *)
+(** Cycles elapsed since creation. *)
 
 val charge : t -> int -> unit
 (** [charge t c] advances the counter by [c] cycles. [c] must be
     non-negative. *)
-
-val reset : t -> unit
-(** Rewind the counter to 0. *)
 
 val since : t -> int -> int
 (** [since t start] is [now t - start]: the cycles elapsed since a

@@ -25,12 +25,6 @@ let int_in t lo hi =
   assert (lo <= hi);
   lo + int t (hi - lo + 1)
 
-let float t bound =
-  let bits = Int64.shift_right_logical (next_int64 t) 11 in
-  Int64.to_float bits /. 9007199254740992.0 *. bound
-
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

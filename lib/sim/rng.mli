@@ -22,11 +22,5 @@ val int : t -> int -> int
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform in [\[lo, hi\]] inclusive. *)
 
-val float : t -> float -> float
-(** [float t bound] is uniform in [\[0, bound)]. *)
-
-val bool : t -> bool
-(** A fair coin. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

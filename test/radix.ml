@@ -1,5 +1,4 @@
 module Addr = Rio_memory.Addr
-module Pte = Rio_pagetable.Pte
 module Coherency = Rio_memory.Coherency
 module Frame_allocator = Rio_memory.Frame_allocator
 module Cycles = Rio_sim.Cycles
@@ -9,7 +8,8 @@ let levels = 4
 let iova_bits = 48
 let fanout = 512
 
-type slot = Empty | Table of node | Leaf of Pte.t
+type pte = { pfn : int; read : bool; write : bool }
+type slot = Empty | Table of node | Leaf of pte
 
 and cell = { mutable cpu : slot; mutable hw : slot }
 

@@ -16,6 +16,9 @@
 
 type t
 
+type pte = { pfn : int; read : bool; write : bool }
+(** A boxed leaf entry: the mapped frame and its permission bits. *)
+
 val create :
   frames:Rio_memory.Frame_allocator.t ->
   coherency:Rio_memory.Coherency.t ->
@@ -27,18 +30,18 @@ val create :
 val levels : int
 (** 4. *)
 
-val map : t -> iova:int -> Rio_pagetable.Pte.t -> (unit, [ `Already_mapped ]) result
+val map : t -> iova:int -> pte -> (unit, [ `Already_mapped ]) result
 (** Insert the IOVA=>PTE translation: walk down from the root (allocating
     intermediate tables as needed), write the leaf, then sync it so the
     walker can see it. *)
 
-val unmap : t -> iova:int -> (Rio_pagetable.Pte.t, [ `Not_mapped ]) result
+val unmap : t -> iova:int -> (pte, [ `Not_mapped ]) result
 (** Remove the translation and sync; returns the PTE that was mapped. *)
 
-val lookup_cpu : t -> iova:int -> Rio_pagetable.Pte.t option
+val lookup_cpu : t -> iova:int -> pte option
 (** The CPU's (OS's) current view, without charging cycles. *)
 
-val walk : t -> iova:int -> Rio_pagetable.Pte.t option
+val walk : t -> iova:int -> pte option
 (** Hardware page walk as performed on an IOTLB miss: reads the walker
     view of each level and charges 4 DRAM references. [None] is an I/O
     page fault (translation absent — or present but not yet synced on a

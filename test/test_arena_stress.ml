@@ -55,7 +55,7 @@ let churn_digest seed =
       let page = Rng.int rng 4096 in
       let iova = (page lsr 3) lsl (12 + (9 * (page land 3))) in
       match Arena.unmap_exn arena ~iova with
-      | p -> note (Pte.packed_pfn p)
+      | p -> note (Addr.pfn (Pte.packed_frame p))
       | exception Arena.Not_mapped -> note 3
     done;
     if round land 1 = 0 then begin

@@ -17,7 +17,7 @@ module Riotlb = Rio_core.Riotlb
 module Hw = Rio_core.Hw
 module Driver = Rio_core.Driver
 
-let phys_check = Alcotest.testable Addr.pp Addr.equal
+let phys_check = Alcotest.testable Addr.pp ( = )
 
 (* {1 Data structures} *)
 
@@ -302,7 +302,10 @@ let test_map_unmap_breakdowns () =
   Alcotest.(check bool) "riommu iova alloc is trivial (two integers)" true
     (Breakdown.mean_cycles bm Breakdown.Iova_alloc < 20.);
   Alcotest.(check bool) "riommu map total ~100 cycles" true
-    (Breakdown.mean_sum bm < 200.)
+    (List.fold_left
+       (fun acc c -> acc +. Breakdown.mean_cycles bm c)
+       0. Breakdown.all_components
+    < 200.)
 
 let test_multi_ring_independence () =
   let r = make_rig ~ring_sizes:[ 4; 4 ] () in
@@ -381,7 +384,7 @@ let prop_translate_matches_mapping =
           let write = dir <> Rpte.From_memory in
           let off = (size - 1) / 2 in
           match rtranslate r.hw ~bdf:r.bdf ~iova:(iova + off) ~write with
-          | Ok p -> Addr.equal p (Addr.add buf off)
+          | Ok p -> p = Addr.add buf off
           | Error _ -> false)
         mapped)
 

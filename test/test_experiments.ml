@@ -24,7 +24,8 @@ let test_all_experiments_render () =
   List.iter
     (fun id ->
       let plan = Option.get (Registry.find id) in
-      let exp = Rio_experiments.Exp.run_plan (plan ~quick:true ()) in
+      let (Rio_experiments.Exp.Plan { cells; reduce }) = plan ~quick:true () in
+      let exp = reduce (Array.map (fun cell -> cell ()) cells) in
       Alcotest.(check string) "id matches" id exp.Rio_experiments.Exp.id;
       let rendered = Rio_experiments.Exp.render exp in
       Alcotest.(check bool)

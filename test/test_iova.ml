@@ -83,18 +83,19 @@ let test_rbtree_neighbours () =
   Alcotest.(check bool) "prev of min is None" true (Rbtree.prev t a = None);
   Alcotest.(check bool) "next of max is None" true (Rbtree.next t c = None);
   Alcotest.(check bool) "max node" true
-    (match Rbtree.max_node t with Some n -> n == c | None -> false);
-  Alcotest.(check bool) "min node" true
-    (match Rbtree.min_node t with Some n -> n == a | None -> false)
+    (match Rbtree.max_node t with Some n -> n == c | None -> false)
 
 let test_rbtree_inorder_iteration () =
   let t = Rbtree.create () in
   List.iter (fun lo -> ignore (Rbtree.insert t ~lo ~hi:lo))
     [ 50; 10; 90; 30; 70; 20; 80 ];
-  let seen = ref [] in
-  Rbtree.iter t (fun n -> seen := Rbtree.lo n :: !seen);
+  (* walk down from the maximum: prepending yields ascending order *)
+  let rec down acc = function
+    | None -> acc
+    | Some n -> down (Rbtree.lo n :: acc) (Rbtree.prev t n)
+  in
   Alcotest.(check (list int)) "sorted order" [ 10; 20; 30; 50; 70; 80; 90 ]
-    (List.rev !seen)
+    (down [] (Rbtree.max_node t))
 
 let prop_rbtree_random_ops =
   QCheck.Test.make ~name:"rbtree invariants hold under random insert/delete"

@@ -16,7 +16,7 @@ let make ?(coherent = false) () =
   let coherency = Coherency.create ~coherent ~cost ~clock in
   (Radix.create ~frames ~coherency ~clock ~cost, clock)
 
-let pte pfn = Pte.make ~pfn ()
+let pte pfn = { Radix.pfn; read = true; write = true }
 
 let test_create_charges_one_node () =
   (* The satellite fix: create must allocate exactly the root node - one
@@ -35,23 +35,23 @@ let test_create_charges_one_node () =
     (Frame_allocator.allocated frames)
 
 let test_pte_encode_decode () =
-  let p = Pte.make ~read:true ~write:false ~pfn:0xabcde () in
-  Alcotest.(check bool) "decode inverts encode" true
-    (match Pte.decode (Pte.encode p) with Some q -> Pte.equal p q | None -> false);
-  Alcotest.(check bool) "non-present decodes to None" true
-    (Pte.decode 0xF000L = None)
+  let p = Pte.pack_make ~read:true ~write:false ~pfn:0xabcde in
+  Alcotest.(check int) "decode inverts encode" 0xabcde
+    (Addr.pfn (Pte.packed_frame p));
+  Alcotest.(check bool) "a packed PTE is never the absence sentinel" true
+    (p >= 0 && Pte.packed_none < 0)
 
 let test_pte_permits () =
-  let ro = Pte.make ~read:true ~write:false ~pfn:1 () in
-  Alcotest.(check bool) "read allowed" true (Pte.permits ro ~write:false);
-  Alcotest.(check bool) "write denied" false (Pte.permits ro ~write:true)
+  let ro = Pte.pack_make ~read:true ~write:false ~pfn:1 in
+  Alcotest.(check bool) "read allowed" true (Pte.packed_permits ro ~write:false);
+  Alcotest.(check bool) "write denied" false (Pte.packed_permits ro ~write:true)
 
 let test_map_walk_roundtrip () =
   let t, _ = make () in
   let iova = 0x7f_0000_3000 in
   Alcotest.(check bool) "map ok" true (Radix.map t ~iova (pte 42) = Ok ());
   (match Radix.walk t ~iova with
-  | Some p -> Alcotest.(check int) "walk finds pfn" 42 p.Pte.pfn
+  | Some p -> Alcotest.(check int) "walk finds pfn" 42 p.Radix.pfn
   | None -> Alcotest.fail "walk missed");
   Alcotest.(check int) "mapped count" 1 (Radix.mapped_count t)
 
@@ -67,7 +67,7 @@ let test_unmap () =
   let iova = 0x2000 in
   ignore (Radix.map t ~iova (pte 7));
   (match Radix.unmap t ~iova with
-  | Ok p -> Alcotest.(check int) "unmap returns pte" 7 p.Pte.pfn
+  | Ok p -> Alcotest.(check int) "unmap returns pte" 7 p.Radix.pfn
   | Error `Not_mapped -> Alcotest.fail "was mapped");
   Alcotest.(check bool) "walk faults after unmap" true (Radix.walk t ~iova = None);
   Alcotest.(check bool) "re-unmap errors" true
@@ -82,7 +82,7 @@ let test_distinct_iovas_independent () =
   List.iteri
     (fun i iova ->
       match Radix.walk t ~iova with
-      | Some p -> Alcotest.(check int) "right pfn" (100 + i) p.Pte.pfn
+      | Some p -> Alcotest.(check int) "right pfn" (100 + i) p.Radix.pfn
       | None -> Alcotest.fail "missing mapping")
     iovas;
   ignore (Radix.unmap t ~iova:0x201000);
@@ -119,7 +119,7 @@ let test_noncoherent_visibility () =
   let views_agree () =
     let cpu = Radix.lookup_cpu t ~iova:0x5000 in
     let hw = Radix.walk t ~iova:0x5000 in
-    Option.equal Pte.equal cpu hw
+    cpu = hw
   in
   ignore (Radix.map t ~iova:0x5000 (pte 9));
   Alcotest.(check bool) "map leaves walker and CPU views equal" true (views_agree ());
@@ -213,22 +213,25 @@ let prop_arena_matches_radix =
             let rr = Radix.map radix ~iova (pte pfn) in
             agree "map outcome"
               (match rr with Ok () -> 1 | Error `Already_mapped -> 0)
-              (match Arena.map_exn arena ~iova ~pte:(Pte.pack (pte pfn)) with
+              (match
+                 Arena.map_exn arena ~iova
+                   ~pte:(Pte.pack_make ~read:true ~write:true ~pfn)
+               with
               | () -> 1
               | exception Arena.Already_mapped -> 0)
         | 1 ->
             let rr = Radix.unmap radix ~iova in
             agree "unmap pfn"
-              (match rr with Ok p -> p.Pte.pfn | Error `Not_mapped -> -1)
+              (match rr with Ok p -> p.Radix.pfn | Error `Not_mapped -> -1)
               (match Arena.unmap_exn arena ~iova with
-              | p -> Pte.packed_pfn p
+              | p -> Addr.pfn (Pte.packed_frame p)
               | exception Arena.Not_mapped -> -1)
         | _ ->
             let rr = Radix.walk radix ~iova in
             let ar = Arena.walk arena ~iova in
             agree "walk pfn"
-              (match rr with Some p -> p.Pte.pfn | None -> -1)
-              (if ar < 0 then -1 else Pte.packed_pfn ar));
+              (match rr with Some p -> p.Radix.pfn | None -> -1)
+              (if ar < 0 then -1 else Addr.pfn (Pte.packed_frame ar)));
         (* identical per-op charge = identical walk depth and per-level
            uncached-reference accounting *)
         agree "op cycles" (Cycles.since rclock r0) (Cycles.since aclock a0);

@@ -25,17 +25,24 @@ let test_mode_names_roundtrip () =
   Alcotest.(check bool) "unknown" true (Mode.of_name "bogus" = None)
 
 let test_mode_classification () =
-  Alcotest.(check bool) "strict safe" true (Mode.is_safe Mode.Strict);
-  Alcotest.(check bool) "riommu safe" true (Mode.is_safe Mode.Riommu);
-  Alcotest.(check bool) "defer unsafe" false (Mode.is_safe Mode.Defer);
-  Alcotest.(check bool) "none unprotected" false (Mode.is_protected Mode.None_);
-  Alcotest.(check bool) "defer protected" true (Mode.is_protected Mode.Defer);
   Alcotest.(check bool) "strict+ fast alloc" true
     (Mode.uses_fast_allocator Mode.Strict_plus);
   Alcotest.(check bool) "riommu coherent" true (Mode.coherent_walk Mode.Riommu);
   Alcotest.(check bool) "riommu- not coherent" false
     (Mode.coherent_walk Mode.Riommu_minus);
   Alcotest.(check int) "seven evaluated modes" 7 (List.length Mode.evaluated)
+
+(* The expected protection of each mode: whether DMAs are restricted at
+   all (everything but none and the pass-throughs), and whether they are
+   restricted with no stale-translation window (the strict variants and
+   both rIOMMU variants; the deferred variants trade this off). *)
+let is_protected = function
+  | Mode.None_ | Hw_passthrough | Sw_passthrough -> false
+  | Strict | Strict_plus | Defer | Defer_plus | Riommu_minus | Riommu -> true
+
+let is_safe = function
+  | Mode.Strict | Strict_plus | Riommu_minus | Riommu -> true
+  | None_ | Hw_passthrough | Sw_passthrough | Defer | Defer_plus -> false
 
 let make mode = Dma_api.create (Dma_api.default_config ~mode)
 
@@ -53,13 +60,13 @@ let roundtrip mode () =
   Dma_api.unmap_exn api ~iova ~end_of_burst:true;
   Alcotest.(check int) "no live mappings" 0 (Dma_api.live_mappings api);
   Dma_api.flush api;
-  let safe = Mode.is_safe mode || not (Mode.is_protected mode) in
+  let safe = is_safe mode || not (is_protected mode) in
   let blocked =
     match Dma_api.translate_exn api ~iova ~write:true with
     | (_ : Addr.phys) -> false
     | exception I_driver.Translation_fault -> true
   in
-  if Mode.is_protected mode then
+  if is_protected mode then
     Alcotest.(check bool)
       (Printf.sprintf "%s blocks after unmap+flush" (Mode.name mode))
       true blocked

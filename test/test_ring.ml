@@ -5,11 +5,10 @@ module Ring = Rio_ring.Ring
 let test_post_consume_order () =
   let r = Ring.create ~size:4 in
   Alcotest.(check bool) "empty" true (Ring.is_empty r);
-  Alcotest.(check int) "capacity is size-1" 3 (Ring.capacity r);
+  Alcotest.(check int) "capacity is size-1" 3 (Ring.size r - 1);
   List.iter (fun x -> ignore (Ring.post r x)) [ 1; 2; 3 ];
   Alcotest.(check bool) "full at capacity" true (Ring.is_full r);
   Alcotest.(check bool) "post to full fails" true (Ring.post r 4 = Error `Full);
-  Alcotest.(check (option int)) "peek head" (Some 1) (Ring.peek r);
   Alcotest.(check (option int)) "consume 1" (Some 1) (Ring.consume r);
   Alcotest.(check (option int)) "consume 2" (Some 2) (Ring.consume r);
   ignore (Ring.post r 4);
@@ -25,15 +24,7 @@ let test_wraparound_indices () =
     match Ring.check_invariants r with
     | Ok () -> ()
     | Error m -> Alcotest.fail m
-  done;
-  Alcotest.(check bool) "indices wrapped" true (Ring.head r < 3 && Ring.tail r < 3)
-
-let test_slot_access () =
-  let r = Ring.create ~size:4 in
-  let slot = Result.get_ok (Ring.post r "x") in
-  Alcotest.(check string) "get by slot" "x" (Ring.get r slot);
-  Alcotest.check_raises "empty slot" (Invalid_argument "Ring.get: empty slot")
-    (fun () -> ignore (Ring.get r ((slot + 1) mod 4)))
+  done
 
 let test_size_validation () =
   Alcotest.check_raises "size 1 rejected"
@@ -87,8 +78,7 @@ let test_full_ring_window () =
   let r = Ring.create ~size:4 in
   List.iter (fun x -> ignore (Ring.post r x)) [ 1; 2; 3 ];
   Alcotest.(check bool) "full window is consistent" true (Ring.check_invariants r = Ok ());
-  Alcotest.(check (option int)) "peek" (Some 1) (Ring.peek r);
-  Alcotest.(check int) "peek consumes nothing" 3 (Ring.length r);
+  Alcotest.(check int) "full window holds capacity" 3 (Ring.length r);
   Alcotest.(check bool) "rejected post leaves the window" true
     (Ring.post r 4 = Error `Full && Ring.check_invariants r = Ok ())
 
@@ -102,7 +92,7 @@ let prop_invariants_every_step =
           (if is_post then ignore (Ring.post r 0) else ignore (Ring.consume r));
           Ring.check_invariants r = Ok ()
           && Ring.length r >= 0
-          && Ring.length r <= Ring.capacity r)
+          && Ring.length r < Ring.size r)
         ops)
 
 let () =
@@ -112,7 +102,6 @@ let () =
         [
           Alcotest.test_case "post/consume order" `Quick test_post_consume_order;
           Alcotest.test_case "wraparound" `Quick test_wraparound_indices;
-          Alcotest.test_case "slot access" `Quick test_slot_access;
           Alcotest.test_case "size validation" `Quick test_size_validation;
           QCheck_alcotest.to_alcotest prop_ring_fifo;
           QCheck_alcotest.to_alcotest prop_length_consistent;

@@ -10,9 +10,7 @@ let test_cycles_basic () =
   Alcotest.(check int) "accumulates" 142 (Cycles.now c);
   let start = Cycles.now c in
   Cycles.charge c 8;
-  Alcotest.(check int) "since" 8 (Cycles.since c start);
-  Cycles.reset c;
-  Alcotest.(check int) "reset" 0 (Cycles.now c)
+  Alcotest.(check int) "since" 8 (Cycles.since c start)
 
 let test_cycles_measure () =
   let c = Cycles.create () in
@@ -25,6 +23,12 @@ let test_cycles_measure () =
   Alcotest.(check string) "result" "done" result;
   Alcotest.(check int) "measured" 25 cost;
   Alcotest.(check int) "clock kept" 35 (Cycles.now c)
+
+(* Table 1's "sum" row: the component means added up. *)
+let mean_sum b =
+  List.fold_left
+    (fun acc c -> acc +. Breakdown.mean_cycles b c)
+    0. Breakdown.all_components
 
 let test_breakdown_phase_and_charge () =
   (* a phase is bracketed with Cycles.now/since, as the drivers do *)
@@ -49,10 +53,10 @@ let test_breakdown_phase_and_charge () =
   Alcotest.(check int) "calls" 2 (Breakdown.calls b);
   Alcotest.(check (float 1e-9)) "mean per call" 100.
     (Breakdown.mean_cycles b Breakdown.Iotlb_inv);
-  Alcotest.(check (float 1e-9)) "sum row adds the means" 140. (Breakdown.mean_sum b);
+  Alcotest.(check (float 1e-9)) "sum row adds the means" 140. (mean_sum b);
   Breakdown.reset b;
   Alcotest.(check int) "reset clears calls" 0 (Breakdown.calls b);
-  Alcotest.(check (float 1e-9)) "reset clears totals" 0. (Breakdown.mean_sum b)
+  Alcotest.(check (float 1e-9)) "reset clears totals" 0. (mean_sum b)
 
 let test_breakdown_component_names () =
   let names = List.map Breakdown.component_name Breakdown.all_components in
@@ -100,9 +104,7 @@ let test_rng_bounds () =
     let x = Rng.int rng 17 in
     Alcotest.(check bool) "int in bound" true (x >= 0 && x < 17);
     let y = Rng.int_in rng 5 9 in
-    Alcotest.(check bool) "int_in inclusive" true (y >= 5 && y <= 9);
-    let f = Rng.float rng 2.5 in
-    Alcotest.(check bool) "float in bound" true (f >= 0. && f < 2.5)
+    Alcotest.(check bool) "int_in inclusive" true (y >= 5 && y <= 9)
   done
 
 let test_rng_shuffle_permutes () =

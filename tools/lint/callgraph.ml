@@ -85,35 +85,41 @@ let rec alias_head me =
   | Tmod_apply (f, _, _) -> alias_head f
   | _ -> None
 
-let add_def t u ~prefix ~vb =
-  match binding_idents vb with
-  | [] -> ()
-  | id :: _ as ids ->
-      let name = Ident.name id in
-      let qual = if prefix = "" then name else prefix ^ "." ^ name in
-      let d =
-        {
-          d_id = t.next_id;
-          d_unit = u.u_dotted;
-          d_file = u.u_file;
-          d_qual = qual;
-          d_name = name;
-          d_display = u.u_short ^ "." ^ qual;
-          d_canon = u.u_dotted ^ "." ^ qual;
-          d_loc = vb.vb_pat.pat_loc;
-          d_expr = vb.vb_expr;
-          d_is_fun = is_function vb.vb_expr;
-        }
-      in
-      t.next_id <- t.next_id + 1;
-      u.u_defs <- d :: u.u_defs;
-      List.iter (fun i -> u.u_idents <- (i, d) :: u.u_idents) ids
+(* A binding that names nothing ([let () = ...], [let _ = ...]) or a
+   toplevel expression is an anonymous def ["_"]: nothing can refer to
+   it, but its body runs at module initialization. *)
+let add_def t u ~prefix ~ids ~loc expr =
+  let name = match ids with id :: _ -> Ident.name id | [] -> "_" in
+  let qual = if prefix = "" then name else prefix ^ "." ^ name in
+  let d =
+    {
+      d_id = t.next_id;
+      d_unit = u.u_dotted;
+      d_file = u.u_file;
+      d_qual = qual;
+      d_name = name;
+      d_display = u.u_short ^ "." ^ qual;
+      d_canon = u.u_dotted ^ "." ^ qual;
+      d_loc = loc;
+      d_expr = expr;
+      d_is_fun = is_function expr;
+    }
+  in
+  t.next_id <- t.next_id + 1;
+  u.u_defs <- d :: u.u_defs;
+  List.iter (fun i -> u.u_idents <- (i, d) :: u.u_idents) ids
 
 let rec walk_str t u ~prefix str =
   List.iter
     (fun item ->
       match item.str_desc with
-      | Tstr_value (_, vbs) -> List.iter (fun vb -> add_def t u ~prefix ~vb) vbs
+      | Tstr_value (_, vbs) ->
+          List.iter
+            (fun vb ->
+              add_def t u ~prefix ~ids:(binding_idents vb)
+                ~loc:vb.vb_pat.pat_loc vb.vb_expr)
+            vbs
+      | Tstr_eval (e, _) -> add_def t u ~prefix ~ids:[] ~loc:e.exp_loc e
       | Tstr_module mb -> walk_mb t u ~prefix mb
       | Tstr_recmodule mbs -> List.iter (walk_mb t u ~prefix) mbs
       | Tstr_include incl -> walk_mod t u ~prefix incl.incl_mod
@@ -290,3 +296,19 @@ let unit_of t d =
 
 let refs t d = collect_refs t (unit_of t d) d.d_expr
 let refs_in t d e = collect_refs t (unit_of t d) e
+
+type seen = (int, unit) Hashtbl.t
+
+let seen () = Hashtbl.create 256
+let mem seen d = Hashtbl.mem seen d.d_id
+
+let rec walk t seen ~follow visit d chain =
+  if not (Hashtbl.mem seen d.d_id) then begin
+    Hashtbl.add seen d.d_id ();
+    visit d chain;
+    List.iter
+      (fun (tgt, _loc) ->
+        let chain = chain @ [ tgt.d_display ] in
+        if follow tgt chain then walk t seen ~follow visit tgt chain)
+      (refs t d)
+  end

@@ -12,8 +12,13 @@
     and first-class modules the typed tree cannot resolve statically.
 
     Known imprecision (DESIGN.md §16): indirect calls through closures
-    stored in data structures are not edges, and every instantiation of
-    a functor shares the same body node. *)
+    stored in data structures are not edges (the reference where the
+    closure is created is), and every instantiation of a functor shares
+    the same body node.
+
+    A binding that binds no name ([let () = ...]) and a toplevel
+    expression are defs named ["_"]: nothing refers to them, but the
+    export rule starts from them. *)
 
 type def = {
   d_id : int;
@@ -49,3 +54,26 @@ val refs : t -> def -> (def * Location.t) list
 val refs_in : t -> def -> Typedtree.expression -> (def * Location.t) list
 (** Same, for an arbitrary subexpression of [def]'s unit (used for the
     ownership rule's spawned-closure escape check). *)
+
+type seen
+(** The defs one traversal has visited. *)
+
+val seen : unit -> seen
+val mem : seen -> def -> bool
+
+val walk :
+  t ->
+  seen ->
+  follow:(def -> string list -> bool) ->
+  (def -> string list -> unit) ->
+  def ->
+  string list ->
+  unit
+(** [walk t seen ~follow visit d chain] is the depth-first traversal the
+    interprocedural rules share. A def not yet in [seen] is added to
+    it and passed to [visit] with its witness chain (display names from
+    the root to it; [chain] for [d] itself). Then each of its {!refs}
+    [tgt] is walked when [follow tgt chain'] holds, [chain'] being the
+    chain extended by [tgt]. [follow] sees every edge, also into defs
+    already visited. A def seen by an earlier walk with the same [seen]
+    is skipped, so the first root to reach a def owns its chain. *)

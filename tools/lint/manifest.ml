@@ -8,6 +8,7 @@ type hot = { h_file : string; h_funs : string list; h_role : string }
 type boundary = { b_name : string; b_just : string }
 type cg_alias = { a_file : string; a_module : string; a_targets : string list }
 type root = { r_file : string; r_funs : string list; r_role : string }
+type test_api = { t_name : string; t_just : string }
 
 type waiver = {
   w_rule : string;
@@ -27,6 +28,8 @@ type t = {
   own_roots : root list;
   own_sanctioned : string list;
   own_spawners : string list;
+  ex_roots : string list;
+  ex_test_api : test_api list;
   iface_require_mli : bool;
   waivers : waiver list;
 }
@@ -109,6 +112,18 @@ let parse_boundary = function
       { b_name = atom (req1 "name" items); b_just = just }
   | Lsexp.Atom a -> invalid "boundary must be a list, found %S" a
 
+let parse_test_api = function
+  | Lsexp.List items ->
+      let just =
+        match field1 "justification" items with
+        | Some j -> atom j
+        | None -> invalid "test-api entry without a (justification \"...\")"
+      in
+      if String.trim just = "" then
+        invalid "test-api justification must be non-empty";
+      { t_name = atom (req1 "name" items); t_just = just }
+  | Lsexp.Atom a -> invalid "test-api entry must be a list, found %S" a
+
 let parse_alias = function
   | Lsexp.List items ->
       {
@@ -163,6 +178,7 @@ let load path =
   let cg = section "callgraph" in
   let za = section "zero-alloc" in
   let own = section "ownership" in
+  let ex = section "export" in
   let iface = section "interface" in
   let m =
     {
@@ -220,6 +236,15 @@ let load path =
         | Some [ l ] -> atoms l
         | Some _ -> invalid "(spawners ...) expects one list"
         | None -> []);
+      ex_roots =
+        (match field "roots" ex with
+        | Some [ l ] -> atoms l
+        | Some _ -> invalid "export (roots ...) expects one list"
+        | None -> []);
+      ex_test_api =
+        (match field "test-api" ex with
+        | Some l -> List.map parse_test_api l
+        | None -> []);
       iface_require_mli =
         (match field1 "require-mli" iface with
         | Some v -> atom v = "true"
@@ -240,6 +265,7 @@ let load path =
     (List.concat_map
        (fun r -> List.map (fun f -> r.r_file ^ " function " ^ f) r.r_funs)
        m.own_roots);
+  check_dups ~what:"export test-api" (List.map (fun e -> e.t_name) m.ex_test_api);
   check_dups ~what:"callgraph alias"
     (List.map (fun a -> a.a_file ^ " module " ^ a.a_module) m.cg_aliases);
   check_dups ~what:"waiver"

@@ -32,6 +32,12 @@ type root = { r_file : string; r_funs : string list; r_role : string }
 (** An ownership-rule role root that is not zero-alloc gated (event
     loops, domain bodies): role closure entry points only. *)
 
+type test_api = { t_name : string; t_just : string }
+(** An exported val that only tests read, kept out of the export rule:
+    [t_name] suffix-matches the val's qualified name ("Module.fn" or
+    longer); [t_just] names the test that reads it. An entry the rule
+    never skips is reported stale under [--stale-check]. *)
+
 type waiver = {
   w_rule : string;  (** rule id the waiver applies to *)
   w_file : string;  (** exact source path as printed in findings *)
@@ -56,6 +62,10 @@ type t = {
   own_spawners : string list;
       (** functions whose literal closure arguments cross a domain
           boundary (Domain.spawn, Pool.run, ...) *)
+  ex_roots : string list;
+      (** source dirs or files whose units are the export rule's
+          program roots; empty turns the rule off *)
+  ex_test_api : test_api list;
   iface_require_mli : bool;
   waivers : waiver list;
 }

@@ -72,10 +72,18 @@ let check (m : Manifest.t) cg =
         Hashtbl.add mutable_cache d.d_id b;
         b
   in
-  (* (role, def id) -> visited; per-def role reach lists keep the first
+  (* One visited set per role; per-def role reach lists keep the first
      witness chain per role, in discovery order (manifest order, then
-     BFS order), so reports are stable. *)
-  let visited = Hashtbl.create 256 in
+     DFS order), so reports are stable. *)
+  let seen_by_role = Hashtbl.create 4 in
+  let seen_of role =
+    match Hashtbl.find_opt seen_by_role role with
+    | Some s -> s
+    | None ->
+        let s = Callgraph.seen () in
+        Hashtbl.add seen_by_role role s;
+        s
+  in
   let reach : (int, (string * string list) list ref) Hashtbl.t =
     Hashtbl.create 64
   in
@@ -91,18 +99,18 @@ let check (m : Manifest.t) cg =
     in
     if not (List.mem_assoc role !l) then l := !l @ [ (role, chain) ]
   in
-  let rec visit role (d : Callgraph.def) chain =
-    if not (Hashtbl.mem visited (role, d.d_id)) then begin
-      Hashtbl.add visited (role, d.d_id) ();
-      if not (List.exists (fun (d', _, _) -> d'.Callgraph.d_id = d.d_id) !fn_order)
-      then fn_order := (d, role, chain) :: !fn_order;
-      List.iter
-        (fun ((tgt : Callgraph.def), _loc) ->
-          if is_mut tgt then record_reach tgt role (chain @ [ tgt.d_display ])
-          else if tgt.d_is_fun && tgt.d_id <> d.d_id then
-            visit role tgt (chain @ [ tgt.d_display ]))
-        (Callgraph.refs cg d)
+  (* A mutable location is recorded, not descended; only function
+     bodies are followed. *)
+  let follow role (tgt : Callgraph.def) chain =
+    if is_mut tgt then begin
+      record_reach tgt role chain;
+      false
     end
+    else tgt.d_is_fun
+  in
+  let visit role (d : Callgraph.def) chain =
+    if not (List.exists (fun (d', _, _) -> d'.Callgraph.d_id = d.d_id) !fn_order)
+    then fn_order := (d, role, chain) :: !fn_order
   in
   List.iter
     (fun (r : Manifest.root) ->
@@ -111,7 +119,11 @@ let check (m : Manifest.t) cg =
           match Callgraph.find cg ~file:r.r_file ~name:fn with
           | [] -> findings := missing_root r fn :: !findings
           | ds ->
-              List.iter (fun d -> visit r.r_role d [ d.Callgraph.d_display ]) ds)
+              List.iter
+                (fun (d : Callgraph.def) ->
+                  Callgraph.walk cg (seen_of r.r_role) ~follow:(follow r.r_role)
+                    (visit r.r_role) d [ d.d_display ])
+                ds)
         r.r_funs)
     roots;
   (* Two distinct roles reaching the same unguarded location. *)

@@ -4,7 +4,9 @@
    v2 is interprocedural: a whole-program call graph over every scanned
    unit makes the zero-alloc rule transitive from the manifest's hot
    entry points, and the ownership rule checks that no unguarded
-   mutable location is reachable from two domain roles. Wired as `dune
+   mutable location is reachable from two domain roles. The export rule
+   walks the same graph from the programs (executables, benchmarks,
+   examples) and flags library API none of them reaches. Wired as `dune
    build @lint`; see DESIGN.md §11/§16. *)
 
 let usage =
@@ -34,7 +36,10 @@ let rec collect_cmts acc dir =
         acc entries
 
 let rule_names =
-  [ "determinism"; "domain-safety"; "zero-alloc"; "ownership"; "interface" ]
+  [
+    "determinism"; "domain-safety"; "zero-alloc"; "ownership"; "export";
+    "interface";
+  ]
 
 type status = Active | Waived of Manifest.waiver | Baselined
 
@@ -54,7 +59,8 @@ let () =
       ("--baseline", Arg.Set_string baseline_path, "PATH suppression baseline");
       ( "--stale-check",
         Arg.Set stale_check,
-        " fail on waivers/baseline entries/boundaries that no longer fire" );
+        " fail on waivers, baseline entries, boundaries and test-api \
+         entries that no longer fire" );
     ]
   in
   Arg.parse spec (fun a -> fail "unexpected argument %S" a) usage;
@@ -71,29 +77,54 @@ let () =
       | b -> b
       | exception Manifest.Invalid msg -> fail "invalid baseline: %s" msg
   in
+  (* The export rule's roots outside the scan dirs (benchmarks,
+     examples) join the call graph only: no per-unit rule scans them. *)
+  let root_dirs =
+    List.map
+      (fun r -> if Filename.check_suffix r ".ml" then Filename.dirname r else r)
+      m.ex_roots
+  in
   let cmts =
-    List.sort String.compare
+    List.sort_uniq String.compare
       (List.concat_map
          (fun dir -> collect_cmts [] (Filename.concat !root dir))
-         m.scan_dirs)
+         (m.scan_dirs @ root_dirs))
   in
   (* Pass 1: read every unit up front — the call graph needs the whole
      program before any interprocedural rule can run. *)
-  let units = ref [] in
+  let read path =
+    match Cmt_format.read_cmt path with
+    | cmt -> cmt
+    | exception _ -> fail "cannot read %s (stale build tree?)" path
+  in
+  let units = ref [] and interfaces = ref [] in
   List.iter
     (fun cmt_path ->
-      let cmt =
-        match Cmt_format.read_cmt cmt_path with
-        | cmt -> cmt
-        | exception _ -> fail "cannot read %s (stale build tree?)" cmt_path
-      in
+      let cmt = read cmt_path in
       match (cmt.Cmt_format.cmt_sourcefile, cmt.Cmt_format.cmt_annots) with
       | Some source, Cmt_format.Implementation str
-        when Filename.check_suffix source ".ml" ->
-          units := (cmt.Cmt_format.cmt_modname, source, str) :: !units
+        when Filename.check_suffix source ".ml"
+             && Rules.under (m.scan_dirs @ m.ex_roots) source ->
+          units := (cmt.Cmt_format.cmt_modname, source, str) :: !units;
+          (* The export rule checks the interface of every scanned unit
+             that is not itself a root. *)
+          let cmti_path = cmt_path ^ "i" in
+          if m.ex_roots <> []
+             && (not (Rules.under m.ex_roots source))
+             && Sys.file_exists cmti_path
+          then (
+            match (read cmti_path).Cmt_format.cmt_annots with
+            | Cmt_format.Interface sg ->
+                interfaces :=
+                  (source, Filename.chop_suffix source ".ml" ^ ".mli", sg)
+                  :: !interfaces
+            | _ -> ())
       | _ -> () (* interfaces, packs, generated alias modules *))
     cmts;
-  let units = List.rev !units in
+  let units = List.rev !units and interfaces = List.rev !interfaces in
+  let scanned =
+    List.filter (fun (_, source, _) -> Rules.under m.scan_dirs source) units
+  in
   let findings = ref [] in
   (* Per-unit rules. Locations inside a unit carry the compiler's view
      of the path; report them under the canonical source name so
@@ -104,12 +135,13 @@ let () =
       findings :=
         List.map (fun f -> { f with Finding.file = source }) in_unit
         @ !findings)
-    units;
+    scanned;
   (* Interprocedural rules (these set canonical files themselves: a
      transitive finding lands in a different unit than its entry). *)
   let cg = Callgraph.create m units in
   let za_findings, hit_boundaries = Rules.transitive_zero_alloc m cg in
-  findings := za_findings @ Ownership.check m cg @ !findings;
+  let ex_findings, hit_test_api = Rules.export m cg ~interfaces in
+  findings := za_findings @ Ownership.check m cg @ ex_findings @ !findings;
   findings := Rules.interface m ~root:!root @ !findings;
   let all = List.sort_uniq Finding.compare !findings in
   (* Classification; matched waiver/baseline keys feed --stale-check. *)
@@ -145,8 +177,9 @@ let () =
             Printf.printf ": [%s] baselined: %s\n" f.Finding.rule
               f.Finding.message)
       classified;
-  (* Stale suppressions: a waiver, baseline entry or call-graph boundary
-     that no longer fires is debt pretending to be documentation. *)
+  (* Stale suppressions: a waiver, baseline entry, call-graph boundary or
+     test-api entry that no longer fires is debt pretending to be
+     documentation. *)
   let stale = ref [] in
   if !stale_check then begin
     List.iter
@@ -173,6 +206,15 @@ let () =
               b.b_name
             :: !stale)
       m.za_boundaries;
+    List.iter
+      (fun (e : Manifest.test_api) ->
+        if not (List.mem e.t_name hit_test_api) then
+          stale :=
+            Printf.sprintf
+              "stale test-api entry: %s (a program reaches it, or it is gone)"
+              e.t_name
+            :: !stale)
+      m.ex_test_api;
     List.iter (fun s -> Printf.printf "riommu-lint: %s\n" s) (List.rev !stale)
   end;
   let count rule s =
@@ -200,13 +242,13 @@ let () =
   let n_base = List.length (List.filter (fun (_, s) -> s = Baselined) classified) in
   Printf.printf
     "riommu-lint: %d finding(s), %d waived, %d baselined, %d unit(s) checked\n"
-    n_active n_waived n_base (List.length units);
+    n_active n_waived n_base (List.length scanned);
   if !json_path <> "" then begin
     let oc = open_out !json_path in
     Printf.fprintf oc
       "{ \"version\": \"riommu-lint/1\",\n  \"active\": %d, \"waived\": %d, \
        \"baselined\": %d, \"units\": %d,\n  \"findings\": [" n_active n_waived
-      n_base (List.length units);
+      n_base (List.length scanned);
     List.iteri
       (fun i (f, s) ->
         if i > 0 then output_char oc ',';

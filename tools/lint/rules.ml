@@ -306,38 +306,38 @@ let missing_hot (h : Manifest.hot) fn =
 let transitive_zero_alloc (m : Manifest.t) cg =
   let findings = ref [] in
   let hit_boundaries = ref [] in
-  (* Global visited set: the first entry point (in manifest order) to
-     reach a function owns its findings and witness chain, so each
-     allocation site is reported exactly once. *)
-  let visited = Hashtbl.create 256 in
-  let rec visit (d : Callgraph.def) chain =
-    if not (Hashtbl.mem visited d.Callgraph.d_id) then begin
-      Hashtbl.add visited d.Callgraph.d_id ();
-      List.iter
-        (fun (loc, what) ->
-          findings :=
-            {
-              (mk ~rule:"zero-alloc" ~subject:d.d_display
-                 ~message:
-                   (Printf.sprintf "allocation in hot function `%s`: %s"
-                      d.d_display what)
-                 ~hint:za_hint ~chain loc)
-              with Finding.file = d.d_file;
-            }
-            :: !findings)
-        (alloc_sites d.d_expr);
-      List.iter
-        (fun ((tgt : Callgraph.def), _loc) ->
-          match boundary_for m tgt with
-          | Some b ->
-              if not (List.mem b.b_name !hit_boundaries) then
-                hit_boundaries := b.b_name :: !hit_boundaries
-          | None ->
-              if tgt.d_is_fun && tgt.d_id <> d.Callgraph.d_id then
-                visit tgt (chain @ [ tgt.d_display ]))
-        (Callgraph.refs cg d)
-    end
+  let hit (b : Manifest.boundary) =
+    if not (List.mem b.b_name !hit_boundaries) then
+      hit_boundaries := b.b_name :: !hit_boundaries
   in
+  (* A boundary cuts the edge into it; only function bodies run per
+     call (module-initialization allocation is legal). *)
+  let follow (tgt : Callgraph.def) _chain =
+    match boundary_for m tgt with
+    | Some b ->
+        hit b;
+        false
+    | None -> tgt.d_is_fun
+  in
+  let audit (d : Callgraph.def) chain =
+    List.iter
+      (fun (loc, what) ->
+        findings :=
+          {
+            (mk ~rule:"zero-alloc" ~subject:d.d_display
+               ~message:
+                 (Printf.sprintf "allocation in hot function `%s`: %s"
+                    d.d_display what)
+               ~hint:za_hint ~chain loc)
+            with Finding.file = d.d_file;
+          }
+          :: !findings)
+      (alloc_sites d.d_expr)
+  in
+  (* One visited set for every entry point: the first entry point (in
+     manifest order) to reach a function owns its findings and witness
+     chain, so each allocation site is reported exactly once. *)
+  let seen = Callgraph.seen () in
   List.iter
     (fun (h : Manifest.hot) ->
       List.iter
@@ -348,14 +348,87 @@ let transitive_zero_alloc (m : Manifest.t) cg =
               List.iter
                 (fun (d : Callgraph.def) ->
                   match boundary_for m d with
-                  | Some b ->
-                      if not (List.mem b.b_name !hit_boundaries) then
-                        hit_boundaries := b.b_name :: !hit_boundaries
-                  | None -> visit d [ d.d_display ])
+                  | Some b -> hit b
+                  | None -> Callgraph.walk cg seen ~follow audit d [ d.d_display ])
                 ds)
         h.h_funs)
     m.za_hot;
   (List.rev !findings, List.rev !hit_boundaries)
+
+(* {2 Rule: export}
+
+   Library API no program calls. One walk over the call graph starts
+   from every def of the program units (the executables, benchmarks
+   and examples the manifest's export roots name) and from every unit's
+   initialization code, and follows every kind of def: a data value
+   such as a plan list keeps what it holds alive. A toplevel [val] of a
+   library interface whose def the walk never reaches is flagged at its
+   [.mli] line. Externals, vals the unit does not bind itself and
+   module-type members are not checked. *)
+
+let under prefixes file =
+  List.exists (fun p -> file = p || starts_with ~prefix:(p ^ "/") file) prefixes
+
+let export_hint =
+  "delete it with any test case that only exercises it, move it under \
+   test/ if a test uses it as an oracle, or list it under (export \
+   (test-api ...)) naming the test that reads it"
+
+let export (m : Manifest.t) cg ~interfaces =
+  let seen = Callgraph.seen () in
+  let walk d = Callgraph.walk cg seen ~follow:(fun _ _ -> true) (fun _ _ -> ()) d [] in
+  let defs = Callgraph.defs cg in
+  List.iter
+    (fun (d : Callgraph.def) ->
+      if d.d_name = "_" || under m.ex_roots d.d_file then walk d)
+    defs;
+  (* A test-api entry keeps its val, and what the val reaches, out of
+     the report; one that names a def the programs already reach, or
+     no def at all, is stale. *)
+  let hit =
+    List.filter_map
+      (fun (e : Manifest.test_api) ->
+        match
+          List.filter
+            (fun (d : Callgraph.def) -> suffix_matches d.d_canon e.t_name)
+            defs
+        with
+        | [] -> None
+        | ds when List.exists (Callgraph.mem seen) ds -> None
+        | ds -> Some (e.t_name, ds))
+      m.ex_test_api
+  in
+  List.iter (fun (_, ds) -> List.iter walk ds) hit;
+  let findings = ref [] in
+  List.iter
+    (fun (ml, mli, (sg : signature)) ->
+      List.iter
+        (fun item ->
+          match item.sig_desc with
+          | Tsig_value vd when vd.val_prim = [] -> (
+              let name = vd.val_name.txt in
+              match
+                List.filter
+                  (fun (d : Callgraph.def) -> d.d_qual = name)
+                  (Callgraph.find cg ~file:ml ~name)
+              with
+              | d :: _ as ds when not (List.exists (Callgraph.mem seen) ds) ->
+                  findings :=
+                    {
+                      (mk ~rule:"export" ~subject:d.d_display
+                         ~message:
+                           (Printf.sprintf
+                              "`%s` is exported but no program reaches it"
+                              d.d_display)
+                         ~hint:export_hint vd.val_loc)
+                      with Finding.file = mli;
+                    }
+                    :: !findings
+              | _ -> ())
+          | _ -> ())
+        sg.sig_items)
+    interfaces;
+  (List.rev !findings, List.map fst hit)
 
 (* {2 Rule: interface}
 

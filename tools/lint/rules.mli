@@ -45,6 +45,24 @@ val transitive_zero_alloc :
     from its file yields a finding at line 1, so manifest typos fail
     the gate instead of silently shrinking the audit. *)
 
+val under : string list -> string -> bool
+(** [under prefixes file]: [file] is one of [prefixes] or lies in a
+    directory among them. *)
+
+val export :
+  Manifest.t ->
+  Callgraph.t ->
+  interfaces:(string * string * Typedtree.signature) list ->
+  Finding.t list * string list
+(** Exported API no program reaches. One {!Callgraph.walk} follows
+    every kind of def from each def of the units under the manifest's
+    export roots and from each anonymous (initialization) def, then from
+    the defs the [(export (test-api ...))] entries name. Every toplevel
+    [val] of an [(ml, mli, signature)] interface whose def it never
+    reaches is flagged at its [.mli] line. Returns the findings plus the
+    test-api entries in use: one naming a def the programs reach, or no
+    def, is stale under [--stale-check]. *)
+
 val interface : Manifest.t -> root:string -> Finding.t list
 (** Every [.ml] under the scan dirs must ship a sibling [.mli].
     Generated [.ml-gen] alias modules are excluded. *)
