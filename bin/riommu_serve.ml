@@ -117,11 +117,14 @@ let run_listen ~addr ~shards:nshards ~tenants ~capacity ~policy ~rcache ~sg_max
           Printf.eprintf "riommu-serve: %s(%s): %s\n" fn arg (Unix.error_message e);
           1
       | ns ->
+          (* read before the reports allocate *)
+          let gc = Gc.quick_stat () in
           let wall_s = Unix.gettimeofday () -. t0 in
           print_string (Netloop.render_summary ns ~shards cfg ~wall_s);
           flush stdout;
           Option.iter
-            (fun dest -> write_stats dest (Netloop.render_json ns ~shards cfg ~wall_s))
+            (fun dest ->
+              write_stats dest (Netloop.render_json ns ~shards cfg ~wall_s ~gc))
             stats_dest;
           0)
 
@@ -301,12 +304,15 @@ let serve_term =
         prerr_endline ("riommu-serve: " ^ m);
         2
     | report ->
+        (* read before the reports and the probe allocate *)
+        let gc = Gc.quick_stat () in
         let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
         print_string (Server.render_summary report);
         Option.iter
           (fun dest ->
             let words_per_op = Server.alloc_probe () in
-            write_stats dest (Server.render_json report ~wall_ns ~words_per_op))
+            write_stats dest
+              (Server.render_json report ~wall_ns ~words_per_op ~gc))
           stats;
         0
   in

@@ -15,7 +15,14 @@
    store growth happens in a separate helper only when a fresh node is
    carved. Released nodes (only [reset] releases) are threaded through
    an intrusive freelist in their own slot 0, keeping their physical
-   frame for reuse. *)
+   frame for reuse.
+
+   The store itself is host memory that models nothing, so it is built
+   at the first map, through [grow]: [create] draws the root's frame
+   and charges its allocation as before, but a table nothing has mapped
+   into holds two empty lanes. A walk or unmap of it charges exactly
+   what an empty root's walk does (one reference, then a miss), so a
+   tenant that never maps costs no store. *)
 
 module Addr = Rio_memory.Addr
 module Coherency = Rio_memory.Coherency
@@ -35,7 +42,8 @@ type t = {
   coherency : Coherency.t;
   clock : Cycles.t;
   cost : Cost_model.t;
-  mutable cpu : int array; (* capacity*fanout cells, CPU view *)
+  mutable cpu : int array; (* capacity*fanout cells, CPU view; [||] until
+                              the first map *)
   mutable hw : int array; (* walker view *)
   mutable high_water : int; (* store slots ever carved *)
   mutable free : int; (* freelist head + 1, 0 = empty *)
@@ -48,15 +56,14 @@ type t = {
 let initial_nodes = levels
 
 let create ~frames ~coherency ~clock ~cost =
-  let cap = initial_nodes in
   let t =
     {
       frames;
       coherency;
       clock;
       cost;
-      cpu = Array.make (cap * fanout) 0;
-      hw = Array.make (cap * fanout) 0;
+      cpu = [||];
+      hw = [||];
       high_water = 0;
       free = 0;
       mapped = 0;
@@ -73,10 +80,12 @@ let create ~frames ~coherency ~clock ~cost =
   t.nodes <- 1;
   t
 
+(* Build the store ([initial_nodes] nodes) or double it. *)
 let grow t =
   let cells = Array.length t.cpu in
-  let cpu = Array.make (2 * cells) 0 in
-  let hw = Array.make (2 * cells) 0 in
+  let size = if cells = 0 then initial_nodes * fanout else 2 * cells in
+  let cpu = Array.make size 0 in
+  let hw = Array.make size 0 in
   Array.blit t.cpu 0 cpu 0 cells;
   Array.blit t.hw 0 hw 0 cells;
   t.cpu <- cpu;
@@ -130,6 +139,7 @@ let charge_cpu_ref t = Cycles.charge t.clock t.cost.Cost_model.mem_ref_uncached
 let map_exn t ~iova ~pte =
   check_iova iova;
   if pte < 0 then invalid_arg "Arena.map: negative packed pte";
+  if Array.length t.cpu = 0 then grow t;
   let n = ref 0 in
   for level = 1 to levels - 1 do
     charge_cpu_ref t;
@@ -158,6 +168,11 @@ let map_exn t ~iova ~pte =
 
 let unmap_exn t ~iova =
   check_iova iova;
+  if Array.length t.cpu = 0 then begin
+    (* no store yet: the empty root's one reference, then the miss *)
+    charge_cpu_ref t;
+    raise Not_mapped
+  end;
   let n = ref 0 in
   let level = ref 1 in
   let dead = ref false in
@@ -186,18 +201,25 @@ let unmap_exn t ~iova =
 
 let walk t ~iova =
   check_iova iova;
-  let n = ref 0 in
-  let res = ref (-2) in
-  for level = 1 to levels do
-    if !res = -2 then begin
-      Cycles.charge t.clock t.cost.Cost_model.io_walk_ref;
-      let v = t.hw.((!n * fanout) + index iova level) in
-      if level = levels then res := (if v land 1 = 1 then v lsr 1 else -1)
-      else if v <> 0 && v land 1 = 0 then n := v lsr 1
-      else res := -1
-    end
-  done;
-  if !res >= 0 then !res else Pte.packed_none
+  if Array.length t.hw = 0 then begin
+    (* no store yet: the empty root's one reference, then the miss *)
+    Cycles.charge t.clock t.cost.Cost_model.io_walk_ref;
+    Pte.packed_none
+  end
+  else begin
+    let n = ref 0 in
+    let res = ref (-2) in
+    for level = 1 to levels do
+      if !res = -2 then begin
+        Cycles.charge t.clock t.cost.Cost_model.io_walk_ref;
+        let v = t.hw.((!n * fanout) + index iova level) in
+        if level = levels then res := (if v land 1 = 1 then v lsr 1 else -1)
+        else if v <> 0 && v land 1 = 0 then n := v lsr 1
+        else res := -1
+      end
+    done;
+    if !res >= 0 then !res else Pte.packed_none
+  end
 
 (* Bulk teardown: clear every cell and thread every non-root node onto
    the freelist (frames retained). A maintenance path, not a modeled OS

@@ -10,8 +10,8 @@
     into a flat cell store, cells are tagged immediates (empty / leaf
     PTE / child index), and released nodes thread an intrusive freelist
     that retains their backing frames. Steady-state [map_exn],
-    [unmap_exn] and [walk] allocate zero words; growth
-    happens only when a fresh node is carved.
+    [unmap_exn] and [walk] allocate zero words; the store is built at
+    the first map and grows only when a fresh node is carved.
 
     PTEs cross this interface in the packed-int form of {!Pte.pack_make}
     (see Pte's packed accessors). *)
@@ -29,8 +29,11 @@ val create :
   clock:Rio_sim.Cycles.t ->
   cost:Rio_sim.Cost_model.t ->
   t
-(** An empty hierarchy (root node carved eagerly; exactly one node
-    allocation charged, like the radix oracle's [create]). *)
+(** An empty hierarchy: the root node's frame is drawn and exactly one
+    node allocation charged, like the radix oracle's [create]. The cell
+    store is host memory only, built at the first {!map_exn}; until
+    then {!walk} and {!unmap_exn} charge what an empty root's descent
+    charges (one reference) and miss. *)
 
 val levels : int
 (** 4. *)

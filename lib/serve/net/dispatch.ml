@@ -22,9 +22,12 @@ type t = {
   sg_limit : int;
   qw : int;  (* request-cell width *)
   rsp_max : int;
-  (* tenant registry: global wire tenant -> (shard, domain slot) *)
-  tenant_shard : int array;  (* -1 = unseen *)
-  tenant_slot : int array;
+  (* tenant registry: global wire tenant -> (shard, domain slot),
+     covering the wire tenants up to the highest one seen so far
+     ([grow_registry]), never more than [max_tenants] *)
+  max_tenants : int;
+  mutable tenant_shard : int array;  (* -1 = unseen *)
+  mutable tenant_slot : int array;
   next_slot : int array;  (* per shard: next free domain index *)
   (* one-entry placement cache: consecutive requests overwhelmingly
      share a tenant (a client connection drives one tenant), and a
@@ -77,8 +80,9 @@ let create ~shards ~batch ~sg_limit ?(max_tenants = 4096) () =
     sg_limit;
     qw;
     rsp_max = Wire.max_response_bytes ~sg_limit;
-    tenant_shard = Array.make max_tenants (-1);
-    tenant_slot = Array.make max_tenants 0;
+    max_tenants;
+    tenant_shard = [||];
+    tenant_slot = [||];
     next_slot = Array.make nshards 0;
     last_tenant = -1;
     last_shard = 0;
@@ -111,6 +115,22 @@ let shard_of t ~tenant ~bdf =
   let h = (h lxor (h lsr 31)) * 0xC2B2AE3D in
   let h = h lxor (h lsr 16) in
   h land max_int mod Array.length t.shards
+
+(* Cover wire tenant [tenant] (below [max_tenants]): the registry
+   doubles from 16 entries until it does. Host memory for traffic that
+   came, once per new high tenant id, never in steady state. *)
+let grow_registry t tenant =
+  let len = Array.length t.tenant_shard in
+  let n = ref (max 16 len) in
+  while !n <= tenant do
+    n := 2 * !n
+  done;
+  let n = min !n t.max_tenants in
+  let shard = Array.make n (-1) and slot = Array.make n 0 in
+  Array.blit t.tenant_shard 0 shard 0 len;
+  Array.blit t.tenant_slot 0 slot 0 len;
+  t.tenant_shard <- shard;
+  t.tenant_slot <- slot
 
 (* Answer a request with a payload-less error status right away (the
    tenant never reached a shard). Allocation-free. *)
@@ -148,8 +168,9 @@ let bad_map req =
 (* Append one decoded request to its shard's batch. [true] = handled
    (queued, answered as bad_request, or answered as stats); [false] =
    the shard's batch is full — flush and retry. Allocation-free: the
-   registry and the batch are preallocated int arrays, and nothing of
-   the caller's [req] outlives the call but plain ints. *)
+   registry and the batch are int arrays (the registry grows only at
+   the first sight of a tenant past its end), and nothing of the
+   caller's [req] outlives the call but plain ints. *)
 let enqueue t conn req =
   let op = req.Wire.op in
   if op = Wire.op_stats then begin
@@ -158,7 +179,7 @@ let enqueue t conn req =
   end
   else begin
     let tenant = req.Wire.tenant in
-    if tenant >= Array.length t.tenant_shard || bad_map req then begin
+    if tenant >= t.max_tenants || bad_map req then begin
       reject t conn ~op ~req_id:req.Wire.req_id;
       true
     end
@@ -166,6 +187,7 @@ let enqueue t conn req =
       let sh =
         if tenant = t.last_tenant then t.last_shard
         else begin
+          if tenant >= Array.length t.tenant_shard then grow_registry t tenant;
           let sh0 = t.tenant_shard.(tenant) in
           if sh0 >= 0 then begin
             t.last_tenant <- tenant;

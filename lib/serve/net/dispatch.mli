@@ -32,7 +32,8 @@ val create :
   t
 (** [batch] slots per shard; wire tenant ids must be below
     [max_tenants] (default 4096) or the request is rejected with
-    [bad_request]. *)
+    [bad_request]. The tenant registry starts empty and grows to cover
+    the highest tenant id placed so far. *)
 
 val set_stats_cb : t -> (Conn.t -> int -> unit) -> unit
 (** How to answer a stats request ([conn], [req_id]) — the event loop

@@ -569,7 +569,7 @@ let render_summary (s : stats) ~shards (cfg : config) ~wall_s =
     s.bytes_in s.bytes_out;
   Buffer.contents b
 
-let render_json (s : stats) ~shards (cfg : config) ~wall_s =
+let render_json (s : stats) ~shards (cfg : config) ~wall_s ~gc =
   let b = Buffer.create 4096 in
   let ops = sum_shards shards Shard.total_ops in
   Printf.bprintf b
@@ -613,5 +613,7 @@ let render_json (s : stats) ~shards (cfg : config) ~wall_s =
   let tenants = Array.fold_left (fun a sh -> max a (Shard.tenants sh)) 0 shards in
   Rio_serve.Server.bprint_tenants b
     (Rio_serve.Server.tenant_stats_of shards ~tenants);
+  Buffer.add_string b ",\n";
+  Rio_serve.Server.bprint_gc b gc;
   Buffer.add_string b "\n}\n";
   Buffer.contents b

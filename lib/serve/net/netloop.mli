@@ -90,6 +90,14 @@ val render_summary :
 (** The [riommu-serve --listen] summary printed at exit. *)
 
 val render_json :
-  stats -> shards:Rio_serve.Shard.t array -> config -> wall_s:float -> string
+  stats ->
+  shards:Rio_serve.Shard.t array ->
+  config ->
+  wall_s:float ->
+  gc:Gc.stat ->
+  string
 (** The [riommu-serve-net/1] stats JSON: counters, one [net/<op>]
-    cycle-percentile group per op, and {!Rio_serve.Server.bprint_tenants}. *)
+    cycle-percentile group per op, {!Rio_serve.Server.bprint_tenants}
+    and last {!Rio_serve.Server.bprint_gc} of [gc] (the caller reads
+    [Gc.quick_stat] once, so the rendering stays a function of its
+    arguments). *)

@@ -147,7 +147,8 @@ let tenant_stats_of shards ~tenants =
       Array.iter
         (fun sh ->
           if tn < Shard.tenants sh then begin
-            Histogram.merge_into ~dst:h (Shard.tenant_hist sh ~tenant:tn);
+            Option.iter (Histogram.merge_into ~dst:h)
+              (Shard.tenant_hist sh ~tenant:tn);
             let s = Shard.iotlb_stats sh ~tenant:tn in
             hits := !hits + s.Rio_domain.Shared_iotlb.hits;
             misses := !misses + s.Rio_domain.Shared_iotlb.misses
@@ -352,7 +353,14 @@ let bprint_tenants b tenants =
     tenants;
   Printf.bprintf b "  ]"
 
-let render_json r ~wall_ns ~words_per_op =
+let bprint_gc b (g : Gc.stat) =
+  Printf.bprintf b
+    "  \"gc\": { \"minor_collections\": %d, \"major_collections\": %d, \
+     \"heap_words\": %d, \"top_heap_words\": %d }"
+    g.Gc.minor_collections g.Gc.major_collections g.Gc.heap_words
+    g.Gc.top_heap_words
+
+let render_json r ~wall_ns ~words_per_op ~gc =
   if Array.length words_per_op <> Shard.op_count then
     invalid_arg "Server.render_json: words_per_op size";
   let s = final r in
@@ -409,5 +417,7 @@ let render_json r ~wall_ns ~words_per_op =
         (arr sn.win_p99) (arr sn.win_p999)
         (if i = n_snap - 1 then "" else ","))
     r.snapshots;
-  Printf.bprintf b "  ]\n}\n";
+  Printf.bprintf b "  ],\n";
+  bprint_gc b gc;
+  Printf.bprintf b "\n}\n";
   Buffer.contents b

@@ -109,11 +109,18 @@ val alloc_probe : unit -> float array
     {!Shard.map_sg}, {!Shard.unmap_record}, {!Shard.unmap_sg_record},
     {!Shard.translate_record}); every kind must read 0.00. *)
 
+val bprint_gc : Buffer.t -> Gc.stat -> unit
+(** Append the [{"gc": {...}}] JSON member (no trailing comma or
+    newline): [minor_collections], [major_collections], [heap_words]
+    and [top_heap_words] of the given counters, the process's GC
+    activity as read once at exit. Shared by both stats files. *)
+
 val render_json :
-  report -> wall_ns:float -> words_per_op:float array -> string
+  report -> wall_ns:float -> words_per_op:float array -> gc:Gc.stat -> string
 (** Stats JSON in the bench schema ([riommu-serve/1]): one group object
     per line per op kind, with [name]/[iters]/[ns_per_op] (simulated
     mean, machine-independent)/[words_per_op]/[gated_zero_alloc]
     fields exactly as [bench/compare.ml] parses them, plus quantile
     fields and top-level wall-clock throughput ([wall_ns],
-    [ops_per_sec]). Every group is gated zero-alloc. *)
+    [ops_per_sec]), and last the [gc] object ({!bprint_gc}) of [gc].
+    Every group is gated zero-alloc. *)

@@ -32,7 +32,9 @@ type t = {
   doms : Manager.domain array;
   drivers : Driver.t array;  (* per tenant: the map/unmap/translate engine *)
   hists : Histogram.t array;  (* indexed by op_index *)
-  tenant_hists : Histogram.t array;  (* per tenant, all op kinds pooled *)
+  tenant_hists : Histogram.t option array;
+      (* per tenant, all op kinds pooled; built at the tenant's first
+         recorded op, so an idle tenant holds none *)
   bufs : Addr.phys array;
   mutable buf_next : int;
 }
@@ -68,7 +70,7 @@ let create ~id ~tenants ~iotlb_capacity ~iotlb_policy ~rcache ?(buf_pool = 1024)
     doms;
     drivers;
     hists = Array.init op_count (fun _ -> Histogram.create ());
-    tenant_hists = Array.init tenants (fun _ -> Histogram.create ());
+    tenant_hists = Array.make tenants None;
     bufs;
     buf_next = 0;
   }
@@ -86,10 +88,22 @@ let next_buf t =
   t.buf_next <- (if n = Array.length t.bufs then 0 else n);
   b
 
+(* A tenant's first recorded op builds its histogram, on the domain
+   that owns the shard. *)
+let first_tenant_hist t tenant =
+  let h = Histogram.create () in
+  t.tenant_hists.(tenant) <- Some h;
+  h
+
 (* Inlined: [translate_record] is the per-DMA hot path. *)
 let[@inline] record t op ~tenant start =
   let dt = Rio_sim.Cycles.since t.clock start in
-  Histogram.record2 t.hists.(op) t.tenant_hists.(tenant) dt
+  let th =
+    match t.tenant_hists.(tenant) with
+    | Some h -> h
+    | None -> first_tenant_hist t tenant
+  in
+  Histogram.record2 t.hists.(op) th dt
 
 let map t ~tenant ~phys ~bytes =
   let start = Rio_sim.Cycles.now t.clock in

@@ -91,11 +91,11 @@ val translate_record : t -> tenant:int -> iova:int -> write:bool -> Rio_memory.A
 
 val hist : t -> op -> Histogram.t
 
-val tenant_hist : t -> tenant:int -> Histogram.t
+val tenant_hist : t -> tenant:int -> Histogram.t option
 (** All four op kinds pooled into one latency histogram per tenant —
     the per-tenant breakdown the stats JSON reports. Recorded alongside
-    the per-op histogram on every [*_record] call (still
-    allocation-free). *)
+    the per-op histogram on every recorded op (allocation-free after
+    the tenant's first op, which builds it); [None] until then. *)
 
 val iotlb_stats : t -> tenant:int -> Rio_domain.Shared_iotlb.stats
 (** The tenant domain's shared-IOTLB accounting (hits, misses,

@@ -545,6 +545,35 @@ let test_dispatch_rejects_bad_tenant () =
   Alcotest.(check int) "rejection echoes req_id" 7 resp.Wire.r_req_id;
   Alcotest.(check int) "window retired on rejection" 0 (Conn.inflight conn)
 
+(* The tenant registry starts empty and grows at the first sight of a
+   tenant id past its end. A tenant placed before a growth keeps its
+   shard and domain slot: its mapping still translates afterwards. *)
+let test_dispatch_registry_grows () =
+  let shards = make_shards 2 in
+  let d = Dispatch.create ~shards ~batch:8 ~sg_limit () in
+  let conn = hello_conn ~window:16 in
+  let req = Wire.create_req ~sg_limit in
+  let resp = Wire.create_resp ~sg_limit in
+  let b = Bytes.create 256 in
+  let phys = (Shard.next_buf shards.(0) :> int) in
+  let roundtrip fin =
+    Alcotest.(check bool) "enqueued" true (push d conn req b fin);
+    Dispatch.flush_all d;
+    drain_one conn resp
+  in
+  roundtrip (Wire.encode_map b ~pos:0 ~tenant:1 ~req_id:1 ~phys ~bytes:4096);
+  Alcotest.(check int) "tenant 1 maps" Wire.st_ok resp.Wire.status;
+  let iova = resp.Wire.r_iova in
+  roundtrip (Wire.encode_map b ~pos:0 ~tenant:4095 ~req_id:2 ~phys ~bytes:4096);
+  Alcotest.(check int) "the highest tenant id is placed" Wire.st_ok
+    resp.Wire.status;
+  roundtrip (Wire.encode_translate b ~pos:0 ~tenant:1 ~req_id:3 ~iova ~write:true);
+  Alcotest.(check int) "tenant 1 kept its placement" Wire.st_ok resp.Wire.status;
+  Alcotest.(check int) "and its mapping" phys resp.Wire.r_phys;
+  roundtrip (Wire.encode_translate b ~pos:0 ~tenant:4096 ~req_id:4 ~iova ~write:true);
+  Alcotest.(check int) "max_tenants still bounds the ids" Wire.st_bad_request
+    resp.Wire.status
+
 (* Frames that decode but name no valid DMA are answered, never raised
    out of [flush_all] (which would end every tenant's connection): a
    translate past the 48-bit IOVA space faults; a map of zero bytes, a
@@ -1227,6 +1256,17 @@ let report_fixture () =
   in
   (stats, shards, cfg)
 
+(* The counters the binary reads once at exit, fixed here so that the
+   rendering is pinned byte for byte. *)
+let fixture_gc =
+  {
+    (Gc.quick_stat ()) with
+    Gc.minor_collections = 3;
+    major_collections = 1;
+    heap_words = 61_440;
+    top_heap_words = 65_536;
+  }
+
 let expected_summary =
   {|riommu-serve --listen unix:rio.sock
   domains 2  max-conns 8
@@ -1264,7 +1304,8 @@ let expected_json =
     { "tenant": 1, "ops": 2, "iotlb_hit_rate": 0.0000, "p50_cycles": 1535, "p99_cycles": 2198, "p999_cycles": 2198 },
     { "tenant": 2, "ops": 0, "iotlb_hit_rate": 0.0000, "p50_cycles": 0, "p99_cycles": 0, "p999_cycles": 0 },
     { "tenant": 3, "ops": 0, "iotlb_hit_rate": 0.0000, "p50_cycles": 0, "p99_cycles": 0, "p999_cycles": 0 }
-  ]
+  ],
+  "gc": { "minor_collections": 3, "major_collections": 1, "heap_words": 61440, "top_heap_words": 65536 }
 }
 |}
 
@@ -1273,7 +1314,7 @@ let test_netloop_report () =
   Alcotest.(check string) "summary" expected_summary
     (Netloop.render_summary stats ~shards cfg ~wall_s:1.5);
   Alcotest.(check string) "riommu-serve-net/1" expected_json
-    (Netloop.render_json stats ~shards cfg ~wall_s:1.5)
+    (Netloop.render_json stats ~shards cfg ~wall_s:1.5 ~gc:fixture_gc)
 
 (* {1 Runner} *)
 
@@ -1303,6 +1344,8 @@ let () =
           Alcotest.test_case "batch-full handoff" `Quick test_dispatch_batch_full;
           Alcotest.test_case "bad tenant rejected" `Quick
             test_dispatch_rejects_bad_tenant;
+          Alcotest.test_case "tenant registry grows" `Quick
+            test_dispatch_registry_grows;
           Alcotest.test_case "malformed ops answered" `Quick
             test_dispatch_malformed_ops;
           Alcotest.test_case "ring-churn batch allocates nothing" `Quick

@@ -240,6 +240,66 @@ let prop_arena_matches_radix =
       done;
       !ok)
 
+(* The arena builds its cell store at its first map; until then a walk
+   or unmap must charge what the oracle's empty root charges. Each case
+   is one op on a table nothing has touched (then a walk of the same
+   IOVA), compared on result, cycles and frames drawn. *)
+let prop_arena_first_op_matches_radix =
+  QCheck.Test.make
+    ~name:"a fresh arena's first op agrees with the radix oracle (cycles, frames)"
+    ~count:90
+    QCheck.(triple (int_bound 2) (int_bound ((1 lsl 36) - 1)) bool)
+    (fun (kind, page, coherent) ->
+      let rig () =
+        let clock = Cycles.create () in
+        let cost = Cost_model.default in
+        let frames = Frame_allocator.create ~total_frames:64 in
+        (frames, clock, Coherency.create ~coherent ~cost ~clock, cost)
+      in
+      let rframes, rclock, coherency, cost = rig () in
+      let radix = Radix.create ~frames:rframes ~coherency ~clock:rclock ~cost in
+      let aframes, aclock, coherency, cost = rig () in
+      let arena = Arena.create ~frames:aframes ~coherency ~clock:aclock ~cost in
+      let iova = page * Addr.page_size in
+      let pfn_of_packed v = if v < 0 then -1 else Addr.pfn (Pte.packed_frame v) in
+      let walks () =
+        ( (match Radix.walk radix ~iova with Some p -> p.Radix.pfn | None -> -1),
+          pfn_of_packed (Arena.walk arena ~iova) )
+      in
+      let op () =
+        match kind with
+        | 0 -> walks ()
+        | 1 ->
+            ( (match Radix.unmap radix ~iova with
+              | Ok p -> p.Radix.pfn
+              | Error `Not_mapped -> -1),
+              match Arena.unmap_exn arena ~iova with
+              | p -> pfn_of_packed p
+              | exception Arena.Not_mapped -> -1 )
+        | _ ->
+            ( (match Radix.map radix ~iova (pte 77) with
+              | Ok () -> 1
+              | Error `Already_mapped -> 0),
+              match
+                Arena.map_exn arena ~iova
+                  ~pte:(Pte.pack_make ~read:true ~write:true ~pfn:77)
+              with
+              | () -> 1
+              | exception Arena.Already_mapped -> 0 )
+      in
+      (* each step: same answer, same cycles, same frames drawn *)
+      let agrees step =
+        let r0 = Cycles.now rclock and a0 = Cycles.now aclock in
+        let r, a = step () in
+        r = a
+        && Cycles.since rclock r0 = Cycles.since aclock a0
+        && Frame_allocator.allocated rframes = Frame_allocator.allocated aframes
+        && Radix.node_count radix = Arena.node_count arena
+        && Radix.mapped_count radix = Arena.mapped_count arena
+      in
+      (* the op itself, then a walk of the same IOVA over what it left *)
+      agrees op && agrees walks)
+
 let test_arena_node_accounting_trail () =
   (* Satellite check: after a randomized insert/remove churn, the
      arena's node bookkeeping (live count, freelist reuse, frame
@@ -368,6 +428,7 @@ let () =
           Alcotest.test_case "reset retains the carved store" `Quick
             test_arena_reset_retains_store;
           QCheck_alcotest.to_alcotest prop_arena_matches_radix;
+          QCheck_alcotest.to_alcotest prop_arena_first_op_matches_radix;
         ] );
       ( "costs",
         [

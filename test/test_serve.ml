@@ -469,9 +469,10 @@ let test_server_stop_flag () =
 
 (* {1 Per-tenant footprint} *)
 
-(* Live heap a freshly created shard holds, in KiB: what attaching
-   costs before the first op. State built on first use is not in it. *)
-let shard_kib ~tenants =
+(* Live heap a freshly created shard holds, in KiB, after [drive]
+   has run on it: with no driving, what attaching costs before the
+   first op (state built on first use is not in it). *)
+let shard_kib ?(drive = fun _ -> ()) ~tenants () =
   let live () =
     Gc.full_major ();
     (Gc.stat ()).Gc.live_words
@@ -481,17 +482,36 @@ let shard_kib ~tenants =
     Shard.create ~id:0 ~tenants ~iotlb_capacity:256
       ~iotlb_policy:Shared_iotlb.Shared ~rcache:true ()
   in
+  drive shard;
   let after = live () in
   ignore (Sys.opaque_identity shard : Shard.t);
   float_of_int ((after - before) * (Sys.word_size / 8)) /. 1024.
 
+(* One map and one translate per tenant: each builds its table store
+   and its latency histogram. *)
+let drive_every_tenant shard =
+  for tenant = 0 to Shard.tenants shard - 1 do
+    let iova =
+      Shard.map shard ~tenant ~phys:(Shard.next_buf shard) ~bytes:4096
+    in
+    if iova < 0 then Alcotest.fail "footprint map";
+    ignore (Shard.translate_record shard ~tenant ~iova ~write:false : Addr.phys)
+  done
+
 let test_tenant_footprint () =
-  let one = shard_kib ~tenants:1 in
-  let per_tenant = (shard_kib ~tenants:65 -. one) /. 64. in
-  if per_tenant > 48. then
-    Alcotest.failf "%.1f KiB per attached tenant (bound 48)" per_tenant;
+  let per_tenant ?drive () =
+    let one = shard_kib ?drive ~tenants:1 () in
+    ((shard_kib ?drive ~tenants:65 () -. one) /. 64., one)
+  in
+  (* attached but never driven: no table store, no histogram *)
+  let idle, one = per_tenant () in
+  if idle > 4. then
+    Alcotest.failf "%.1f KiB per attached idle tenant (bound 4)" idle;
   if one > 128. then
-    Alcotest.failf "%.1f KiB for a one-tenant shard (bound 128)" one
+    Alcotest.failf "%.1f KiB for a one-tenant shard (bound 128)" one;
+  let active, _ = per_tenant ~drive:drive_every_tenant () in
+  if active > 48. then
+    Alcotest.failf "%.1f KiB per active tenant (bound 48)" active
 
 (* {1 Sharded attach/detach churn during active translation} *)
 
