@@ -1,9 +1,9 @@
 (* Flat arena-backed four-level page table.
 
    Same hierarchy, charges and coherency model as the boxed radix
-   reference (test/radix.ml, the differential oracle), but all nodes live in one growable packed-int store: node
-   [n] owns cells [n*512 .. n*512+511] of the [cpu] and [hw] arrays, and
-   a cell is a tagged immediate —
+   reference (test/radix.ml, the differential oracle), but all nodes
+   live in one growable packed-int store: node [n] owns cells
+   [n*512 .. n*512+511] of [cells], and a cell is a tagged immediate —
 
      0                      empty
      (pte  lsl 1) lor 1     leaf holding a packed {!Pte}
@@ -17,12 +17,17 @@
    an intrusive freelist in their own slot 0, keeping their physical
    frame for reuse.
 
-   The store itself is host memory that models nothing, so it is built
-   at the first map, through [grow]: [create] draws the root's frame
-   and charges its allocation as before, but a table nothing has mapped
-   into holds two empty lanes. A walk or unmap of it charges exactly
-   what an empty root's walk does (one reference, then a miss), so a
-   tenant that never maps costs no store. *)
+   One lane serves the OS and the walker: every store is synced inside
+   the op that writes it (Fig. 11), so no written cell is ever left
+   unpublished, and [store_synced] charges the publication without a copy
+   (the radix oracle keeps both views and proves they agree).
+
+   The store is host memory that models nothing, so it is built at the
+   first map, through [grow]: [create] draws the root's frame and
+   charges its allocation as before, but a table nothing has mapped
+   into holds no cells. A walk or unmap of it charges exactly what an
+   empty root's walk does (one reference, then a miss), so a tenant
+   that never maps costs no store. *)
 
 module Addr = Rio_memory.Addr
 module Coherency = Rio_memory.Coherency
@@ -42,9 +47,8 @@ type t = {
   coherency : Coherency.t;
   clock : Cycles.t;
   cost : Cost_model.t;
-  mutable cpu : int array; (* capacity*fanout cells, CPU view; [||] until
-                              the first map *)
-  mutable hw : int array; (* walker view *)
+  mutable cells : int array; (* capacity*fanout cells; [||] until the
+                                first map *)
   mutable high_water : int; (* store slots ever carved *)
   mutable free : int; (* freelist head + 1, 0 = empty *)
   mutable mapped : int;
@@ -62,8 +66,7 @@ let create ~frames ~coherency ~clock ~cost =
       coherency;
       clock;
       cost;
-      cpu = [||];
-      hw = [||];
+      cells = [||];
       high_water = 0;
       free = 0;
       mapped = 0;
@@ -73,7 +76,7 @@ let create ~frames ~coherency ~clock ~cost =
   (* the root is node 0; exactly one node allocation is charged, through
      the same Cost_model entry point as the radix reference *)
   (* each node takes a backing frame; nothing reads its address
-     ([sync_cell] only charges), but later frame numbers depend on it *)
+     (a sync only charges), but later frame numbers depend on it *)
   ignore (Frame_allocator.alloc_exn frames : Addr.phys);
   Cost_model.charge_node_alloc cost clock;
   t.high_water <- 1;
@@ -82,14 +85,10 @@ let create ~frames ~coherency ~clock ~cost =
 
 (* Build the store ([initial_nodes] nodes) or double it. *)
 let grow t =
-  let cells = Array.length t.cpu in
-  let size = if cells = 0 then initial_nodes * fanout else 2 * cells in
-  let cpu = Array.make size 0 in
-  let hw = Array.make size 0 in
-  Array.blit t.cpu 0 cpu 0 cells;
-  Array.blit t.hw 0 hw 0 cells;
-  t.cpu <- cpu;
-  t.hw <- hw
+  let len = Array.length t.cells in
+  let cells = Array.make (if len = 0 then initial_nodes * fanout else 2 * len) 0 in
+  Array.blit t.cells 0 cells 0 len;
+  t.cells <- cells
 
 (* Carve a node from the freelist (frame retained from its previous
    life) or from fresh store. Either way it is one node allocation:
@@ -98,15 +97,15 @@ let new_node t =
   let n =
     if t.free <> 0 then begin
       let n = t.free - 1 in
-      t.free <- t.cpu.(n * fanout);
-      t.cpu.(n * fanout) <- 0;
+      t.free <- t.cells.(n * fanout);
+      t.cells.(n * fanout) <- 0;
       n
     end
     else begin
       (* draw the frame first: an exhausted pool leaves the store as
          it was *)
       ignore (Frame_allocator.alloc_exn t.frames : Addr.phys);
-      if t.high_water * fanout = Array.length t.cpu then grow t;
+      if t.high_water * fanout = Array.length t.cells then grow t;
       let n = t.high_water in
       t.high_water <- n + 1;
       n
@@ -116,16 +115,12 @@ let new_node t =
   t.nodes <- t.nodes + 1;
   n
 
-(* CPU-side store to a cell: update the CPU view; on a coherent system
-   the walker sees it immediately, otherwise only at [sync_cell]. *)
-let cell_write t node idx v =
-  t.cpu.((node * fanout) + idx) <- v;
-  if Coherency.is_coherent t.coherency then t.hw.((node * fanout) + idx) <- v
-
-(* Publish a cell to the walker: barrier + flush (+ barrier) per Fig. 11. *)
-let sync_cell t node idx =
-  Coherency.sync_mem t.coherency;
-  t.hw.((node * fanout) + idx) <- t.cpu.((node * fanout) + idx)
+(* CPU store to a cell, then its publication to the walker: barrier +
+   flush (+ barrier) per Fig. 11. The walker reads the same cells, so
+   publishing is the charge alone. *)
+let store_synced t node idx v =
+  t.cells.((node * fanout) + idx) <- v;
+  Coherency.sync_mem t.coherency
 
 let check_iova iova =
   if iova < 0 || iova lsr iova_bits <> 0 then invalid_arg "Arena: iova range"
@@ -139,17 +134,16 @@ let charge_cpu_ref t = Cycles.charge t.clock t.cost.Cost_model.mem_ref_uncached
 let map_exn t ~iova ~pte =
   check_iova iova;
   if pte < 0 then invalid_arg "Arena.map: negative packed pte";
-  if Array.length t.cpu = 0 then grow t;
+  if Array.length t.cells = 0 then grow t;
   let n = ref 0 in
   for level = 1 to levels - 1 do
     charge_cpu_ref t;
     let idx = index iova level in
-    let v = t.cpu.((!n * fanout) + idx) in
+    let v = t.cells.((!n * fanout) + idx) in
     if v = 0 then begin
       let child = new_node t in
-      (* [new_node] may swap the store arrays: write via the fresh ones *)
-      cell_write t !n idx (child lsl 1);
-      sync_cell t !n idx;
+      (* [new_node] may swap the store array: write via the fresh one *)
+      store_synced t !n idx (child lsl 1);
       n := child
     end
     else if v land 1 = 0 then n := v lsr 1
@@ -157,10 +151,9 @@ let map_exn t ~iova ~pte =
   done;
   charge_cpu_ref t;
   let idx = index iova levels in
-  let v = t.cpu.((!n * fanout) + idx) in
+  let v = t.cells.((!n * fanout) + idx) in
   if v = 0 then begin
-    cell_write t !n idx ((pte lsl 1) lor 1);
-    sync_cell t !n idx;
+    store_synced t !n idx ((pte lsl 1) lor 1);
     t.mapped <- t.mapped + 1
   end
   else if v land 1 = 1 then raise Already_mapped
@@ -168,7 +161,7 @@ let map_exn t ~iova ~pte =
 
 let unmap_exn t ~iova =
   check_iova iova;
-  if Array.length t.cpu = 0 then begin
+  if Array.length t.cells = 0 then begin
     (* no store yet: the empty root's one reference, then the miss *)
     charge_cpu_ref t;
     raise Not_mapped
@@ -180,7 +173,7 @@ let unmap_exn t ~iova =
      level at which a missing interior entry stops the descent *)
   while (not !dead) && !level < levels do
     charge_cpu_ref t;
-    let v = t.cpu.((!n * fanout) + index iova !level) in
+    let v = t.cells.((!n * fanout) + index iova !level) in
     if v <> 0 && v land 1 = 0 then begin
       n := v lsr 1;
       incr level
@@ -190,10 +183,9 @@ let unmap_exn t ~iova =
   if !dead then raise Not_mapped;
   charge_cpu_ref t;
   let idx = index iova levels in
-  let v = t.cpu.((!n * fanout) + idx) in
+  let v = t.cells.((!n * fanout) + idx) in
   if v land 1 = 1 then begin
-    cell_write t !n idx 0;
-    sync_cell t !n idx;
+    store_synced t !n idx 0;
     t.mapped <- t.mapped - 1;
     v lsr 1
   end
@@ -201,7 +193,7 @@ let unmap_exn t ~iova =
 
 let walk t ~iova =
   check_iova iova;
-  if Array.length t.hw = 0 then begin
+  if Array.length t.cells = 0 then begin
     (* no store yet: the empty root's one reference, then the miss *)
     Cycles.charge t.clock t.cost.Cost_model.io_walk_ref;
     Pte.packed_none
@@ -212,7 +204,7 @@ let walk t ~iova =
     for level = 1 to levels do
       if !res = -2 then begin
         Cycles.charge t.clock t.cost.Cost_model.io_walk_ref;
-        let v = t.hw.((!n * fanout) + index iova level) in
+        let v = t.cells.((!n * fanout) + index iova level) in
         if level = levels then res := (if v land 1 = 1 then v lsr 1 else -1)
         else if v <> 0 && v land 1 = 0 then n := v lsr 1
         else res := -1
@@ -223,14 +215,12 @@ let walk t ~iova =
 
 (* Bulk teardown: clear every cell and thread every non-root node onto
    the freelist (frames retained). A maintenance path, not a modeled OS
-   operation: no cycles are charged and no coherency traffic is issued
-   (both views are cleared together). *)
+   operation: no cycles are charged and no coherency traffic is issued. *)
 let reset t =
-  Array.fill t.cpu 0 (Array.length t.cpu) 0;
-  Array.fill t.hw 0 (Array.length t.hw) 0;
+  Array.fill t.cells 0 (Array.length t.cells) 0;
   t.free <- 0;
   for n = t.high_water - 1 downto 1 do
-    t.cpu.(n * fanout) <- t.free;
+    t.cells.(n * fanout) <- t.free;
     t.free <- n + 1
   done;
   t.mapped <- 0;

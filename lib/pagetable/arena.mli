@@ -1,20 +1,19 @@
 (** Flat arena-backed four-level page table (zero-alloc map/unmap).
 
     Semantically identical to the boxed radix reference in
-    [test/radix.ml], the differential oracle — same 48-bit
-    four-level hierarchy, same CPU-view/walker-view coherency model,
-    same cycle charges (one uncached CPU reference per level touched by
-    the OS, one DRAM reference per level walked by the hardware, node
-    allocation through {!Rio_sim.Cost_model.charge_node_alloc}) — but
-    stored as one growable packed-int arena: nodes are integer indices
-    into a flat cell store, cells are tagged immediates (empty / leaf
-    PTE / child index), and released nodes thread an intrusive freelist
-    that retains their backing frames. Steady-state [map_exn],
-    [unmap_exn] and [walk] allocate zero words; the store is built at
-    the first map and grows only when a fresh node is carved.
-
-    PTEs cross this interface in the packed-int form of {!Pte.pack_make}
-    (see Pte's packed accessors). *)
+    [test/radix.ml], the differential oracle — same 48-bit four-level
+    hierarchy, same cycle charges (one uncached CPU reference per level
+    touched by the OS, one DRAM reference per level walked by the
+    hardware, one [sync_mem] per store, node allocation through
+    {!Rio_sim.Cost_model.charge_node_alloc}) — but stored as one
+    growable packed-int lane shared by the OS and the walker (each
+    store is synced inside its op, so the oracle's two views never
+    differ). Cells are tagged immediates (empty / leaf PTE / child
+    index), and released nodes thread an intrusive freelist that retains
+    their backing frames. Steady-state [map_exn], [unmap_exn] and [walk]
+    allocate zero words; the store is built at the first map and grows
+    only when a fresh node is carved. PTEs cross this interface in the
+    packed-int form of {!Pte.pack_make} (see Pte's packed accessors). *)
 
 type t
 
@@ -52,19 +51,17 @@ val unmap_exn : t -> iova:int -> int
     mapped. Allocation-free. @raise Not_mapped if absent. *)
 
 val walk : t -> iova:int -> int
-(** Hardware page walk as performed on an IOTLB miss: reads the walker
-    view of each level and charges one DRAM reference per level visited.
-    {!Pte.packed_none} is an I/O page fault (translation absent — or
-    present but not yet synced on a non-coherent system). *)
+(** Hardware page walk as performed on an IOTLB miss: reads each level's
+    cell and charges one DRAM reference per level visited.
+    {!Pte.packed_none} is an I/O page fault (translation absent). *)
 
 val reset : t -> unit
 (** Bulk teardown: drop every mapping and return every non-root node to
     the intrusive freelist (backing frames retained for reuse). A
-    maintenance path: charges no cycles and models no coherency
-    traffic. *)
+    maintenance path: charges no cycles and models no coherency traffic. *)
 
 val mapped_count : t -> int
-(** Translations currently present in the CPU view. *)
+(** Translations currently present. *)
 
 val node_count : t -> int
 (** Live page-table nodes (including the root). *)

@@ -12,7 +12,12 @@
     when the OS calls sync (a barrier + cacheline flush, whose cycles are
     charged); forgetting to sync leaves the walker reading stale entries —
     observable in tests. Cycle costs of the OS traversal (pointer chases)
-    and of the hardware walk (DRAM references) are charged to the clock. *)
+    and of the hardware walk (DRAM references) are charged to the clock.
+
+    {!map} and {!unmap} sync every store they make, so after each op the
+    two views agree. That is what lets {!Rio_pagetable.Arena} keep a
+    single cell lane; this oracle keeps both views, and the arena-vs-radix
+    properties check that the single lane answers as they do. *)
 
 type t
 

@@ -75,10 +75,10 @@ let make_coherency coherent =
   in
   (c, clock)
 
-(* What a walker sees lives in the structures' twin lanes: an rRING
-   keeps a CPU and a walker copy of every rPTE, and [Coherency] only
-   decides whether a store reaches the walker copy at once and charges
-   the syncs. *)
+(* What a walker sees lives in the rRING's twin lanes: it keeps a CPU
+   and a walker copy of every rPTE, and [Coherency] only decides
+   whether a store reaches the walker copy at once and charges the
+   syncs. *)
 module Rring = Rio_core.Rring
 
 let make_ring coherent =

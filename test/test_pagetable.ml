@@ -109,8 +109,8 @@ let test_iova_range_checked () =
 
 let test_noncoherent_visibility () =
   (* map and unmap sync their leaf, so on a non-coherent system the
-     walker view agrees with the CPU view after each: nothing written is
-     left unpublished in the twin lanes. *)
+     oracle's walker view agrees with its CPU view after each: nothing
+     written is left unpublished, which is why Arena keeps one lane. *)
   let clock = Cycles.create () in
   let cost = Cost_model.default in
   let frames = Frame_allocator.create ~total_frames:100_000 in
@@ -342,6 +342,29 @@ let test_arena_node_accounting_trail () =
   Alcotest.(check bool) "freelist retains carved slots" true
     (Arena.store_nodes arena = high_water && high_water > 1)
 
+(* The store is one lane: the first map of a fresh arena builds exactly
+   one [levels] x 512-cell array (plus its header word) straight in the
+   major heap, and allocates nothing else. A walker-view copy of the
+   store would double the major words. [Gc.counters] is exact here
+   (OCaml 5.1's [Gc.quick_stat] lags until a collection); promoted words
+   are taken out, so a minor collection in between changes nothing. *)
+let test_arena_first_map_builds_one_lane () =
+  let arena, _ = make_arena () in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    (minor, major -. promoted)
+  in
+  let minor0, major0 = words () in
+  let minor1, major1 = words () in
+  Arena.map_exn arena ~iova:0x5000 ~pte:(Pte.pack_make ~read:true ~write:true ~pfn:5);
+  let minor2, major2 = words () in
+  (* subtract the probe's own allocation, measured between the first two *)
+  let delta a0 a1 a2 = int_of_float (a2 -. a1 -. (a1 -. a0)) in
+  Alcotest.(check int) "direct major words: one 4x512-cell array"
+    ((Arena.levels * 512) + 1)
+    (delta major0 major1 major2);
+  Alcotest.(check int) "minor words: none" 0 (delta minor0 minor1 minor2)
+
 let test_arena_reset_retains_store () =
   let arena, _ = make_arena () in
   for page = 0 to 63 do
@@ -427,6 +450,8 @@ let () =
             `Quick test_arena_node_accounting_trail;
           Alcotest.test_case "reset retains the carved store" `Quick
             test_arena_reset_retains_store;
+          Alcotest.test_case "first map builds one cell lane" `Quick
+            test_arena_first_map_builds_one_lane;
           QCheck_alcotest.to_alcotest prop_arena_matches_radix;
           QCheck_alcotest.to_alcotest prop_arena_first_op_matches_radix;
         ] );

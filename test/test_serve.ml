@@ -509,9 +509,11 @@ let test_tenant_footprint () =
     Alcotest.failf "%.1f KiB per attached idle tenant (bound 4)" idle;
   if one > 128. then
     Alcotest.failf "%.1f KiB for a one-tenant shard (bound 128)" one;
+  (* one 4-node cell lane (16 KiB) and the histogram: a second lane
+     would add 16 KiB more *)
   let active, _ = per_tenant ~drive:drive_every_tenant () in
-  if active > 48. then
-    Alcotest.failf "%.1f KiB per active tenant (bound 48)" active
+  if active > 32. then
+    Alcotest.failf "%.1f KiB per active tenant (bound 32)" active
 
 (* {1 Sharded attach/detach churn during active translation} *)
 
